@@ -13,7 +13,7 @@ FUZZTIME ?= 20s
 # deliberately, together with fixing whatever the new version reports.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test race vet fmt staticcheck fuzz-smoke chaos serve-smoke bench benchcmp ci
+.PHONY: all build test race vet fmt staticcheck fuzz-smoke chaos serve-smoke bench benchcmp perfbench-test ci
 
 all: build
 
@@ -83,8 +83,9 @@ bench:
 benchcmp:
 	$(GO) run ./cmd/qbench -out /tmp/qbench-head.json -r $(BENCH_R) -compare BENCH_sim.json
 
-# Short fuzzing bursts over the parsers and the decomposition pipeline;
-# -fuzz takes one target per invocation, so each fuzzer gets its own run.
+# Short fuzzing bursts over the parsers, the decomposition pipeline and the
+# complex table (against its map-backed reference); -fuzz takes one target
+# per invocation, so each fuzzer gets its own run.
 fuzz-smoke:
 	$(GO) test ./internal/qasm -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/qasm -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=$(FUZZTIME)
@@ -93,6 +94,7 @@ fuzz-smoke:
 	$(GO) test ./internal/decompose -run='^$$' -fuzz='^FuzzDecompose$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/stab -run='^$$' -fuzz='^FuzzTableau$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal -run='^$$' -fuzz='^FuzzJournalDecode$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/cn -run='^$$' -fuzz='^FuzzInternMatchesReference$$' -fuzztime=$(FUZZTIME)
 
 # The fault-injection chaos suite and the watchdog tests under the race
 # detector: every injected fault must degrade into a typed report, never a
@@ -107,4 +109,10 @@ chaos:
 serve-smoke:
 	QCECD_SMOKE=1 $(GO) test ./internal/server -run '^TestServeSmoke$$|^TestServeCrashRestart$$' -count=1 -v -timeout 300s
 
-ci: build test vet fmt race
+# perfbench (the qcecd client benchmark) is its own Go module, so the root
+# `go test ./...` never reaches its generator tests (round-trip, byte
+# determinism, mix shares); this runs vet and the tests inside it.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+ci: build test vet fmt race perfbench-test

@@ -59,15 +59,36 @@ func (v *Value) String() string {
 	return fmt.Sprintf("%g%+gi", real(v.c), imag(v.c))
 }
 
+// bucketKey quantizes a value to the tolerance grid: a value within
+// tolerance of c lies in c's bucket or one of its eight neighbours.
 type bucketKey struct {
 	re, im int64
 }
 
+// slot is one entry of the bucket table: an interned value's bucket and its
+// ID plus one (0 marks an empty slot).
+type slot struct {
+	key bucketKey
+	id1 uint32
+}
+
 // Table interns complex numbers.  It is not safe for concurrent use.
+//
+// The values live in an open-addressing, linear-probing table of slots
+// (power-of-two length, at most half full) keyed by bucket.  A value's home
+// slot is its bucket row's hash plus its column, so the three buckets of a
+// row in Lookup's 3×3 neighbourhood scan share a cache line or two.  Slots
+// are never removed, so the values of one bucket sit along its probe
+// sequence in insertion order, and growth re-inserts in ID (= insertion)
+// order to keep it that way: Lookup returns exactly the value a scan of
+// per-bucket insertion-ordered lists would.  The slots hold no pointers;
+// vals maps IDs to the values, which are carved out of shared chunks.
 type Table struct {
-	tol     float64
-	buckets map[bucketKey][]*Value
-	nextID  uint64
+	tol    float64
+	slots  []slot
+	vals   []*Value // by ID
+	chunk  []Value  // backing store for the next values; never reallocated
+	nextID uint64
 
 	// Zero and One are the canonical entries for the exact values 0 and 1.
 	// They are pre-interned so that hot-path comparisons against them are
@@ -91,10 +112,7 @@ func NewTable(tol float64) *Table {
 	if tol <= 0 || tol >= 1e-2 {
 		panic(fmt.Sprintf("cn: invalid tolerance %g", tol))
 	}
-	t := &Table{
-		tol:     tol,
-		buckets: make(map[bucketKey][]*Value, 1024),
-	}
+	t := &Table{tol: tol, slots: make([]slot, tableInitCap)}
 	t.Zero = t.insert(complex(0, 0))
 	t.One = t.insert(complex(1, 0))
 	return t
@@ -118,6 +136,13 @@ func (t *Table) Stats() (lookups, hits int64) { return t.lookups, t.hits }
 // reports only its own interning activity.
 func (t *Table) ResetStats() { t.lookups, t.hits = 0, 0 }
 
+// tableInitCap is a fresh table's slot count; valueChunk is how many values
+// one backing chunk holds.
+const (
+	tableInitCap = 1 << 9
+	valueChunk   = 256
+)
+
 func (t *Table) key(c complex128) bucketKey {
 	return bucketKey{
 		re: int64(math.Floor(real(c) / t.tol)),
@@ -125,12 +150,62 @@ func (t *Table) key(c complex128) bucketKey {
 	}
 }
 
+// rowHash scatters a bucket row over the slot space; the row's buckets then
+// occupy consecutive home slots (see home).
+func rowHash(re int64) uint64 {
+	h := uint64(re) * 0x9E3779B97F4A7C15
+	return h ^ h>>29
+}
+
+// home returns the first slot of bucket (re, im)'s probe sequence.
+func (t *Table) home(row uint64, im int64) uint64 {
+	return (row + uint64(im)) & uint64(len(t.slots)-1)
+}
+
+// place stores the value with ID id at the first empty slot of k's probe
+// sequence.
+func (t *Table) place(k bucketKey, id uint64) {
+	m := uint64(len(t.slots) - 1)
+	i := t.home(rowHash(k.re), k.im)
+	for t.slots[i].id1 != 0 {
+		i = (i + 1) & m
+	}
+	t.slots[i] = slot{key: k, id1: uint32(id + 1)}
+}
+
 func (t *Table) insert(c complex128) *Value {
-	v := &Value{c: c, id: t.nextID}
+	if 2*(len(t.vals)+1) > len(t.slots) {
+		t.slots = make([]slot, 2*len(t.slots))
+		for _, v := range t.vals {
+			t.place(t.key(v.c), v.id)
+		}
+	}
+	if len(t.chunk) == cap(t.chunk) {
+		t.chunk = make([]Value, 0, valueChunk)
+	}
+	t.chunk = append(t.chunk, Value{c: c, id: t.nextID})
+	v := &t.chunk[len(t.chunk)-1]
 	t.nextID++
-	k := t.key(c)
-	t.buckets[k] = append(t.buckets[k], v)
+	t.vals = append(t.vals, v)
+	t.place(t.key(c), v.id)
 	return v
+}
+
+// find returns the first value of bucket k, in insertion order, within
+// tolerance of c, or nil.  row is rowHash(k.re).
+func (t *Table) find(k bucketKey, row uint64, c complex128) *Value {
+	m := uint64(len(t.slots) - 1)
+	for i := t.home(row, k.im); ; i = (i + 1) & m {
+		s := &t.slots[i]
+		if s.id1 == 0 {
+			return nil
+		}
+		if s.key == k {
+			if v := t.vals[s.id1-1]; t.approx(v.c, c) {
+				return v
+			}
+		}
+	}
 }
 
 func (t *Table) approx(a, b complex128) bool {
@@ -175,14 +250,14 @@ func (t *Table) Lookup(c complex128) *Value {
 	}
 	k := t.key(c)
 	// A value within tolerance may have been quantized into a neighboring
-	// bucket; scan the 3x3 neighborhood.
+	// bucket; scan the 3x3 neighborhood, row by row.
+	// (The offsets wrap like the keys themselves do at the int64 range.)
 	for dr := int64(-1); dr <= 1; dr++ {
+		row := rowHash(k.re + dr)
 		for di := int64(-1); di <= 1; di++ {
-			for _, v := range t.buckets[bucketKey{k.re + dr, k.im + di}] {
-				if t.approx(v.c, c) {
-					t.hits++
-					return v
-				}
+			if v := t.find(bucketKey{k.re + dr, k.im + di}, row, c); v != nil {
+				t.hits++
+				return v
 			}
 		}
 	}

@@ -5,8 +5,8 @@ import "qcec/internal/cn"
 // Arena-backed node storage.  Nodes do not live as individually allocated Go
 // objects: each Package owns one vector arena and one matrix arena, growable
 // struct-of-arrays slabs addressed by 32-bit indices.  Edges (VEdge, MEdge)
-// carry those indices instead of heap pointers, and the unique tables map
-// node signatures to indices.
+// carry those indices instead of heap pointers, and the unique tables (see
+// unique.go) are open-addressing arrays of those indices.
 //
 // This buys the two things a multicore stimulus fleet needs from its hottest
 // data structure:
@@ -20,8 +20,9 @@ import "qcec/internal/cn"
 //     the Go GC entirely.
 //   - Cheap recycling.  The package's own mark/sweep (see GC) returns dead
 //     slots to a free list instead of handing garbage to the Go runtime, and
-//     Package.Reset recycles the slabs in place — a pooled worker package
-//     keeps its backing arrays across jobs at zero allocation cost.
+//     Package.Reset recycles the slabs and unique tables in place — a pooled
+//     worker package keeps its backing arrays across jobs at zero
+//     allocation cost.
 //
 // Index lifetime rules (the GC interaction callers must respect):
 //
@@ -109,21 +110,19 @@ func (a *mArena) alloc() MRef {
 	return MRef(len(a.lv) - 1)
 }
 
-// release returns a slot to the free list.  The slot is scrubbed so a stale
-// index fails loudly (nil weight dereference) instead of silently reading a
-// recycled node.
-func (a *vArena) release(r VRef) {
+// scrub clears a dead slot before it goes back on the free list (see
+// Package.sweepV), so a stale index fails loudly (nil weight dereference)
+// instead of silently reading a recycled node.
+func (a *vArena) scrub(r VRef) {
 	a.lv[r] = -1
 	a.ch[r] = [2]VRef{}
 	a.wt[r] = [2]*cn.Value{}
-	a.free = append(a.free, r)
 }
 
-func (a *mArena) release(r MRef) {
+func (a *mArena) scrub(r MRef) {
 	a.lv[r] = -1
 	a.ch[r] = [4]MRef{}
 	a.wt[r] = [4]*cn.Value{}
-	a.free = append(a.free, r)
 }
 
 // slots returns the arena's slot count including the terminal (the bound for

@@ -135,3 +135,57 @@ func BenchmarkGC(b *testing.B) {
 		p.GC([]VEdge{keep}, nil)
 	}
 }
+
+// BenchmarkMulMMMiter is the hash-consing-heavy workload of the complete
+// check: a 10-qubit product of random H, T and CX gates (T spreads the
+// weights over many distinct interned values) drawn at random, restarted
+// from the identity every 48 gates, so nearly every step builds fresh
+// matrix nodes through makeMNode and interns fresh weights.  One op is one
+// gate multiplication.
+func BenchmarkMulMMMiter(b *testing.B) {
+	const n, span = 10, 48
+	rng := rand.New(rand.NewSource(4))
+	p := NewDefault(n)
+	gates := make([]MEdge, 0, 256)
+	for i := 0; i < cap(gates); i++ {
+		t := rng.Intn(n)
+		switch i % 3 {
+		case 0:
+			gates = append(gates, p.GateDD(hMat, t, nil))
+		case 1:
+			gates = append(gates, p.GateDD(tMat, t, nil))
+		default:
+			c := (t + 1 + rng.Intn(n-1)) % n
+			gates = append(gates, p.GateDD(xMat, t, []Control{{Qubit: c}}))
+		}
+	}
+	acc := p.Identity()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%span == 0 {
+			acc = p.Identity()
+		}
+		acc = p.MulMM(gates[rng.Intn(len(gates))], acc)
+		p.MaybeGC(nil, []MEdge{acc})
+	}
+}
+
+// BenchmarkResetAfterProduct measures Package.Reset after a
+// BenchmarkMulMMMiter-sized job: the collection that hands a pooled package
+// back empty except for its identity chain and gate cache.
+func BenchmarkResetAfterProduct(b *testing.B) {
+	const n = 10
+	rng := rand.New(rand.NewSource(5))
+	p := NewDefault(n)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		acc := p.Identity()
+		for j := 0; j < 48; j++ {
+			t := rng.Intn(n)
+			acc = p.MulMM(p.GateDD(hMat, t, nil), acc)
+			acc = p.MulMM(p.GateDD(tMat, (t+1)%n, nil), acc)
+		}
+		b.StartTimer()
+		p.Reset()
+	}
+}

@@ -12,12 +12,16 @@
 //   - Edge weights are interned in a cn.Table, so numerically equal weights
 //     are identical pointers.
 //   - Nodes live in per-package arenas (growable struct-of-arrays slabs, see
-//     arena.go) and are addressed by 32-bit indices; the per-kind unique
-//     tables map node signatures to indices, and nodes are normalized with
-//     the largest-magnitude rule (magnitudes tied within the weight
-//     tolerance break towards the lowest edge index), so two DDs represent
-//     the same function if and only if their root edges compare equal as
-//     (node index, weight pointer) pairs.
+//     arena.go) and are addressed by 32-bit indices.  Each node kind has one
+//     unique table, an open-addressing array of those indices probed
+//     against the slabs (see unique.go), and nodes are normalized with the
+//     largest-magnitude rule (magnitudes tied within the weight tolerance
+//     break towards the lowest edge index), so two DDs represent the same
+//     function if and only if their root edges compare equal as (node
+//     index, weight pointer) pairs.  Neither the unique tables nor the
+//     complex table is a Go map: hash-consing is the hot path of the
+//     complete check, and the collection rebuilds the unique tables from
+//     the surviving slots instead of deleting entries (see GC).
 //   - All non-zero paths visit a node at every level ("full chains"); only
 //     zero edges shortcut directly to the terminal.  This keeps every binary
 //     operation strictly level-synchronized.
@@ -69,18 +73,6 @@ type Control struct {
 	Neg   bool
 }
 
-type vKey struct {
-	v      int
-	w0, w1 *cn.Value
-	n0, n1 VRef
-}
-
-type mKey struct {
-	v              int
-	w0, w1, w2, w3 *cn.Value
-	n0, n1, n2, n3 MRef
-}
-
 // gateKey identifies a full-register gate DD: the four interned entries of
 // the 2×2 operation matrix, the target qubit, and the positive/negative
 // control sets encoded as bitmasks (exact for MaxQubits = 64).  Because the
@@ -99,16 +91,16 @@ type Package struct {
 	n  int
 	CN *cn.Table
 
-	// vA and mA are the node arenas (see arena.go); the unique tables map
-	// node signatures to arena indices.  An index doubles as the node's id
-	// for compute-table hashing and commutative operand ordering: it is a
-	// stable total order over live nodes, and index reuse after a sweep can
-	// never alias a cached entry because every collection clears the compute
-	// tables before slots return to the free list.
-	vA      vArena
-	mA      mArena
-	vUnique map[vKey]VRef
-	mUnique map[mKey]MRef
+	// vA and mA are the node arenas (see arena.go); vU and mU are the
+	// unique tables over them (see unique.go).  An index doubles as the
+	// node's id for compute-table hashing and commutative operand ordering:
+	// it is a stable total order over live nodes, and index reuse after a
+	// sweep can never alias a cached entry because every collection clears
+	// the compute tables before slots return to the free list.
+	vA vArena
+	mA mArena
+	vU refTable
+	mU refTable
 	// nodesCreated is the per-job counter behind Stats.NodesCreated; Reset
 	// zeroes it so a pooled package reports only its current job's work.
 	nodesCreated uint64
@@ -361,8 +353,6 @@ func New(n int, tol float64) *Package {
 	p := &Package{
 		n:           n,
 		CN:          cn.NewTable(tol),
-		vUnique:     make(map[vKey]VRef, 1024),
-		mUnique:     make(map[mKey]MRef, 1024),
 		gcThreshold: DefaultGCThreshold,
 		gcBase:      DefaultGCThreshold,
 
@@ -372,6 +362,8 @@ func New(n int, tol float64) *Package {
 	}
 	p.vA.init()
 	p.mA.init()
+	p.vU.init()
+	p.mU.init()
 	if box, ok := defaultInjector.Load().(injectorBox); ok {
 		p.faults = box.fi
 	}
@@ -387,7 +379,7 @@ func (p *Package) Qubits() int { return p.n }
 
 // NodeCount returns the current unique-table population (vector plus matrix
 // nodes).
-func (p *Package) NodeCount() int { return len(p.vUnique) + len(p.mUnique) }
+func (p *Package) NodeCount() int { return p.vU.n + p.mU.n }
 
 // Stats is a snapshot of the package's internal activity, exposed for the
 // benchmark harness, the CLI's -stats flag and for performance debugging.
@@ -396,9 +388,9 @@ func (p *Package) NodeCount() int { return len(p.vUnique) + len(p.mUnique) }
 // monotonically increasing counters.  CacheHits/CacheMisses cover the
 // operation compute tables (add, mul, inner product, ...); the unique-table
 // counters measure hash-consing effectiveness (a "hit" is a makeNode call
-// that found a structurally identical node already interned — with Go's
-// map-backed unique tables a miss is an insertion, and genuine bucket
-// collisions are invisible); the gate counters cover the gate-DD cache.
+// that found a structurally identical node already interned, a miss is an
+// insertion; probe lengths and slot collisions are not counted); the gate
+// counters cover the gate-DD cache.
 type Stats struct {
 	VectorNodes   int
 	MatrixNodes   int
@@ -430,8 +422,8 @@ type Stats struct {
 func (p *Package) Snapshot() Stats {
 	wl, wh := p.CN.Stats()
 	return Stats{
-		VectorNodes:   len(p.vUnique),
-		MatrixNodes:   len(p.mUnique),
+		VectorNodes:   p.vU.n,
+		MatrixNodes:   p.mU.n,
 		WeightsStored: p.CN.Size(),
 		GateCacheSize: len(p.gateCache),
 		NodesCreated:  p.nodesCreated,
@@ -598,17 +590,21 @@ func (p *Package) makeVNode(v int, e0, e1 VEdge) VEdge {
 			e0.W = p.CN.Div(e0.W, top)
 		}
 	}
-	key := vKey{v: v, w0: e0.W, w1: e1.W, n0: e0.N, n1: e1.N}
+	lv, w, c := int8(v), [2]*cn.Value{e0.W, e1.W}, [2]VRef{e0.N, e1.N}
+	h := vHash(lv, &w, &c)
 	p.uniqueLookups++
-	node, ok := p.vUnique[key]
-	if ok {
+	node := p.vFind(h, lv, &w, &c)
+	if node != 0 {
 		p.uniqueHits++
 	} else {
 		node = p.vA.alloc()
-		p.vA.lv[node] = int8(v)
-		p.vA.ch[node] = [2]VRef{e0.N, e1.N}
-		p.vA.wt[node] = [2]*cn.Value{e0.W, e1.W}
-		p.vUnique[key] = node
+		p.vA.lv[node] = lv
+		p.vA.ch[node] = c
+		p.vA.wt[node] = w
+		if p.vU.full() {
+			p.vU.grow(func(r uint32) uint64 { return p.vSig(VRef(r)) })
+		}
+		p.vU.place(h, uint32(node))
 		p.nodesCreated++
 		p.checkLimit()
 	}
@@ -641,21 +637,23 @@ func (p *Package) makeMNode(v int, e [4]MEdge) MEdge {
 			e[i].W = p.CN.Div(e[i].W, top)
 		}
 	}
-	key := mKey{
-		v:  v,
-		w0: e[0].W, w1: e[1].W, w2: e[2].W, w3: e[3].W,
-		n0: e[0].N, n1: e[1].N, n2: e[2].N, n3: e[3].N,
-	}
+	lv := int8(v)
+	w := [4]*cn.Value{e[0].W, e[1].W, e[2].W, e[3].W}
+	c := [4]MRef{e[0].N, e[1].N, e[2].N, e[3].N}
+	h := mHash(lv, &w, &c)
 	p.uniqueLookups++
-	node, ok := p.mUnique[key]
-	if ok {
+	node := p.mFind(h, lv, &w, &c)
+	if node != 0 {
 		p.uniqueHits++
 	} else {
 		node = p.mA.alloc()
-		p.mA.lv[node] = int8(v)
-		p.mA.ch[node] = [4]MRef{e[0].N, e[1].N, e[2].N, e[3].N}
-		p.mA.wt[node] = [4]*cn.Value{e[0].W, e[1].W, e[2].W, e[3].W}
-		p.mUnique[key] = node
+		p.mA.lv[node] = lv
+		p.mA.ch[node] = c
+		p.mA.wt[node] = w
+		if p.mU.full() {
+			p.mU.grow(func(r uint32) uint64 { return p.mSig(MRef(r)) })
+		}
+		p.mU.place(h, uint32(node))
 		p.nodesCreated++
 		p.checkLimit()
 	}

@@ -3,11 +3,13 @@ package dd
 // Garbage collection.  The unique tables grow monotonically as operations
 // create nodes; long simulations and equivalence checks therefore
 // periodically collect nodes that are no longer reachable from the caller's
-// live roots.  Collection removes dead entries from the unique tables and
-// returns their arena slots to the free lists, and clears the compute
-// tables, because a cached result pointing at a collected slot would break
-// canonicity: the slot may be reused for a functionally different node
-// while the stale cache entry resurrects the old index.
+// live roots.  Collection marks the live slots, then sweeps each arena in
+// index order: survivors are re-interned into the emptied unique table
+// (capacity kept), every other slot is scrubbed and listed free.  It also
+// clears the compute tables, because a cached result pointing at a
+// collected slot would break canonicity: the slot may be reused for a
+// functionally different node while the stale cache entry resurrects the
+// old index.
 
 // markBits is a plain bitset sized to an arena's slot count — the arena
 // makes reachability marking an indexed bit flip instead of a map insert.
@@ -31,7 +33,10 @@ func (b markBits) has(i uint32) bool { return b[i>>6]&(uint64(1)<<(i&63)) != 0 }
 // entries are re-rooted — marked live so the cached edges stay canonical
 // across the collection — unless the cache has outgrown its limit, in which
 // case it is flushed and rebuilt on demand.  Freed slots go onto the arena
-// free lists for reuse.  It returns the number of nodes removed.
+// free lists for reuse, lowest index first, and the unique tables are
+// rebuilt from the survivors; both depend only on which slots survive, so a
+// collection leaves the same layout however the package got there.  It
+// returns the number of nodes removed.
 func (p *Package) GC(rootsV []VEdge, rootsM []MEdge) int {
 	markedV := newMarkBits(p.vA.slots())
 	markedM := newMarkBits(p.mA.slots())
@@ -84,21 +89,7 @@ func (p *Package) GC(rootsV []VEdge, rootsM []MEdge) int {
 		p.apEpoch++
 	}
 
-	removed := 0
-	for k, n := range p.vUnique {
-		if !markedV.has(uint32(n)) {
-			delete(p.vUnique, k)
-			p.vA.release(n)
-			removed++
-		}
-	}
-	for k, n := range p.mUnique {
-		if !markedM.has(uint32(n)) {
-			delete(p.mUnique, k)
-			p.mA.release(n)
-			removed++
-		}
-	}
+	removed := p.sweepV(markedV) + p.sweepM(markedM)
 	p.clearComputeTables()
 	p.gcRuns++
 	p.gcReclaimed += uint64(removed)

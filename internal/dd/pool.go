@@ -19,10 +19,10 @@ import (
 //   - kept: the interned weight table (cn.Table values stay valid — gate and
 //     apply keys hold weight pointers), the gate-DD cache with its node
 //     structure (re-rooted by the collection below), the apply-kernel gate-id
-//     map, the grown compute-table capacity, the identity chain, and the
-//     arena slabs themselves — dead slots go onto the free lists and the
-//     backing arrays are recycled in place, so a pooled worker package
-//     re-allocates nothing on its next job;
+//     map, the grown compute-table and unique-table capacity, the identity
+//     chain, and the arena slabs themselves — dead slots go onto the free
+//     lists and the backing arrays are recycled in place, so a pooled worker
+//     package re-allocates nothing on its next job;
 //   - cleared: all nodes unreachable from the kept roots, every compute-table
 //     entry (in place, capacity retained), and all statistics counters, so
 //     the next job's Snapshot reports only its own work;
@@ -145,8 +145,10 @@ func (pl *Pool) Put(p *Package) {
 	if p == nil {
 		return
 	}
-	// Reset outside the lock: the mark phase over a large warm gate cache is
-	// the expensive part, and it only touches p, which the caller still owns.
+	// Reset outside the lock: its collection — a mark over the warm gate
+	// cache, a sweep over the arena slabs and a rebuild of the unique
+	// tables, all linear in what the job left behind — is the expensive
+	// part, and it only touches p, which the caller still owns.
 	p.Reset()
 	k := poolKey{n: p.n, tol: p.CN.Tolerance()}
 	pl.mu.Lock()

@@ -2,6 +2,7 @@ package dd
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -92,18 +93,65 @@ func warmGates(p *Package) {
 	}
 }
 
+// rootedNodes counts the nodes reachable from the package's own roots (the
+// identity chain and the gate cache): all a Reset may keep.
+func rootedNodes(p *Package) int {
+	seen := map[MRef]bool{}
+	var walk func(n MRef)
+	walk = func(n MRef) {
+		if n == 0 || seen[n] {
+			return
+		}
+		seen[n] = true
+		for _, c := range p.mA.ch[n] {
+			walk(c)
+		}
+	}
+	for _, e := range p.idents {
+		walk(e.N)
+	}
+	for _, e := range p.gateCache {
+		walk(e.N)
+	}
+	return len(seen)
+}
+
 func TestResetKeepsWarmState(t *testing.T) {
 	p := New(4, 1e-10)
 	ghzJob(t, p)
 	warmGates(p)
+	// Unrooted matrix garbage with fresh weights, enough to double the
+	// matrix unique table a few times.
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 300; i++ {
+		p.buildGateDD(randomUnitary(rng), rng.Intn(4), nil)
+	}
 	before := p.Snapshot()
 	if before.GateCacheSize == 0 {
 		t.Fatalf("job built no cached gates; warmth cannot be observed")
 	}
 	weights := before.WeightsStored
 	arBefore := p.Arena()
+	vCap, mCap := len(p.vU.s), len(p.mU.s)
+	if mCap <= refTableInitCap {
+		t.Fatalf("matrix table never grew (%d slots); capacity retention cannot be observed", mCap)
+	}
 
 	p.Reset()
+
+	if len(p.vU.s) != vCap || len(p.mU.s) != mCap {
+		t.Errorf("unique tables resized across Reset: %d/%d -> %d/%d slots (want capacity kept)",
+			vCap, mCap, len(p.vU.s), len(p.mU.s))
+	}
+	if p.vU.n != 0 {
+		t.Errorf("Reset kept %d vector nodes; nothing roots a vector", p.vU.n)
+	}
+	if want := rootedNodes(p); p.mU.n != want {
+		t.Errorf("Reset kept %d matrix nodes, want the %d rooted by the identity chain and gate cache", p.mU.n, want)
+	}
+	if err := p.ValidateTables(); err != nil {
+		t.Errorf("tables after Reset: %v", err)
+	}
 
 	after := p.Snapshot()
 	if after.GateCacheSize != before.GateCacheSize {
