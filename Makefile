@@ -83,11 +83,13 @@ bench:
 benchcmp:
 	$(GO) run ./cmd/qbench -out /tmp/qbench-head.json -r $(BENCH_R) -compare BENCH_sim.json
 
-# Short fuzzing bursts over the parsers, the decomposition pipeline and the
-# complex table (against its map-backed reference); -fuzz takes one target
-# per invocation, so each fuzzer gets its own run.
+# Short fuzzing bursts over the parsers (the OpenQASM one also against its
+# tokenize-first reference), the decomposition pipeline and the complex
+# table (against its map-backed reference); -fuzz takes one target per
+# invocation, so each fuzzer gets its own run.
 fuzz-smoke:
 	$(GO) test ./internal/qasm -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/qasm -run='^$$' -fuzz='^FuzzParseMatchesReference$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/qasm -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/revlib -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/decompose -run='^$$' -fuzz='^FuzzZYZ$$' -fuzztime=$(FUZZTIME)

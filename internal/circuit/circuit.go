@@ -65,26 +65,30 @@ func (c *Circuit) validateGate(g Gate) error {
 	if err := check(g.Target); err != nil {
 		return err
 	}
-	used := map[int]bool{g.Target: true}
-	if g.Kind == SWAP {
+	swap := g.Kind == SWAP
+	if swap {
 		if err := check(g.Target2); err != nil {
 			return err
 		}
-		if used[g.Target2] {
+		if g.Target2 == g.Target {
 			return fmt.Errorf("SWAP targets coincide on qubit %d", g.Target2)
 		}
-		used[g.Target2] = true
 	} else if g.Target2 != 0 && g.Target2 != -1 {
 		return fmt.Errorf("gate %v must not set Target2", g.Kind)
 	}
-	for _, ctl := range g.Controls {
+	// A gate touches a handful of wires: compare each control against the
+	// targets and the controls before it.
+	for i, ctl := range g.Controls {
 		if err := check(ctl.Qubit); err != nil {
 			return err
 		}
-		if used[ctl.Qubit] {
+		dup := ctl.Qubit == g.Target || swap && ctl.Qubit == g.Target2
+		for _, prev := range g.Controls[:i] {
+			dup = dup || prev.Qubit == ctl.Qubit
+		}
+		if dup {
 			return fmt.Errorf("qubit %d used twice in one gate", ctl.Qubit)
 		}
-		used[ctl.Qubit] = true
 	}
 	if want := g.Kind.NumParams(); len(g.Params) != want {
 		return fmt.Errorf("gate %v requires %d parameters, got %d", g.Kind, want, len(g.Params))

@@ -380,3 +380,46 @@ func TestKindStringAndNumParams(t *testing.T) {
 		}
 	}
 }
+
+// TestTryAddErrors pins TryAdd's checks, their order and their messages:
+// a wire out of range is reported before a duplicate, and a duplicate is
+// found whether it repeats a target, the second SWAP target or an earlier
+// control.
+func TestTryAddErrors(t *testing.T) {
+	ctl := func(qs ...int) []Control {
+		cs := make([]Control, len(qs))
+		for i, q := range qs {
+			cs[i] = Control{Qubit: q, Neg: i%2 == 1}
+		}
+		return cs
+	}
+	cases := []struct {
+		g    Gate
+		want string
+	}{
+		{Gate{Kind: X, Target: 3, Target2: -1}, "qubit 3 out of range [0,3)"},
+		{Gate{Kind: SWAP, Target: 0, Target2: 0}, "SWAP targets coincide on qubit 0"},
+		{Gate{Kind: SWAP, Target: 0, Target2: 5}, "qubit 5 out of range [0,3)"},
+		{Gate{Kind: X, Target: 0, Target2: 1}, "gate x must not set Target2"},
+		{Gate{Kind: X, Target: 0, Target2: -1, Controls: ctl(0)}, "qubit 0 used twice in one gate"},
+		{Gate{Kind: SWAP, Target: 0, Target2: 2, Controls: ctl(1, 2)}, "qubit 2 used twice in one gate"},
+		{Gate{Kind: X, Target: 0, Target2: -1, Controls: ctl(1, 2, 1)}, "qubit 1 used twice in one gate"},
+		{Gate{Kind: X, Target: 0, Target2: -1, Controls: ctl(1, 1, 7)}, "qubit 1 used twice in one gate"},
+		{Gate{Kind: X, Target: 0, Target2: -1, Controls: ctl(1, 7, 1)}, "qubit 7 out of range [0,3)"},
+		{Gate{Kind: RZ, Target: 0, Target2: -1, Controls: ctl(2)}, "gate rz requires 1 parameters, got 0"},
+	}
+	for _, tc := range cases {
+		c := New(3, "errs")
+		err := c.TryAdd(tc.g)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("TryAdd(%v) = %v, want %q", tc.g, err, tc.want)
+		}
+		if len(c.Gates) != 0 {
+			t.Errorf("TryAdd(%v) appended a rejected gate", tc.g)
+		}
+	}
+	c := New(3, "ok")
+	if err := c.TryAdd(Gate{Kind: SWAP, Target: 2, Target2: 0, Controls: ctl(1)}); err != nil {
+		t.Errorf("controlled SWAP on distinct wires rejected: %v", err)
+	}
+}

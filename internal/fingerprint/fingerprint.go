@@ -26,10 +26,10 @@
 package fingerprint
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 	"math"
 
 	"qcec/internal/circuit"
@@ -45,19 +45,25 @@ func (d Digest) String() string { return hex.EncodeToString(d[:]) }
 // below changes so stale external caches can never alias across layouts.
 const version = 1
 
+// hashBatch is the size of the writes that feed the canonical byte stream
+// to SHA-256: gates are appended to a buffer, which is hashed and reset
+// once it holds hashBatch bytes, instead of one small write per field.
+const hashBatch = 4096
+
 // Circuit returns the canonical digest of one circuit's normalized IR.
 func Circuit(c *circuit.Circuit) Digest {
 	h := sha256.New()
-	var buf [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	u64(version)
-	u64(uint64(c.N))
+	buf := make([]byte, 0, 2*hashBatch)
+	buf = binary.LittleEndian.AppendUint64(buf, version)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.N))
 	for _, g := range c.Gates {
-		writeGate(h, u64, g)
+		buf = appendGate(buf, g)
+		if len(buf) >= hashBatch {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
+	h.Write(buf)
 	var d Digest
 	h.Sum(d[:0])
 	return d
@@ -70,36 +76,26 @@ func Pair(a, b *circuit.Circuit) Digest {
 	// Order the member digests, not the circuits: comparing the canonical
 	// serializations byte-wise gives a total order that both argument orders
 	// agree on.
-	if bytesLess(db, da) {
+	if bytes.Compare(db[:], da[:]) < 0 {
 		da, db = db, da
 	}
-	h := sha256.New()
-	h.Write(da[:])
-	h.Write(db[:])
-	var d Digest
-	h.Sum(d[:0])
-	return d
+	var both [2 * sha256.Size]byte
+	copy(both[:], da[:])
+	copy(both[sha256.Size:], db[:])
+	return sha256.Sum256(both[:])
 }
 
-func bytesLess(a, b Digest) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
-// writeGate serializes one gate in canonical form.  Every field is written
-// through fixed-width little-endian words, so the encoding is prefix-free
-// per gate (kind name length precedes the name; counts precede lists).
-func writeGate(h hash.Hash, u64 func(uint64), g circuit.Gate) {
+// appendGate appends one gate's canonical serialization to buf.  Every field
+// is a fixed-width little-endian word, so the encoding is prefix-free per
+// gate (kind name length precedes the name; counts precede lists).
+func appendGate(buf []byte, g circuit.Gate) []byte {
+	u64 := binary.LittleEndian.AppendUint64
 	// The gate kind is hashed by its canonical lower-case name rather than
 	// the Kind integer, so the digest survives enum reordering between
 	// builds of the checker.
 	name := g.Kind.String()
-	u64(uint64(len(name)))
-	h.Write([]byte(name))
+	buf = u64(buf, uint64(len(name)))
+	buf = append(buf, name...)
 
 	// SWAP is symmetric in its two targets; hash them in sorted order so
 	// `swap a,b` and `swap b,a` collide on purpose.
@@ -107,39 +103,41 @@ func writeGate(h hash.Hash, u64 func(uint64), g circuit.Gate) {
 	if g.Kind == circuit.SWAP && t2 < t1 {
 		t1, t2 = t2, t1
 	}
-	u64(uint64(int64(t1)))
-	u64(uint64(int64(t2)))
+	buf = u64(buf, uint64(int64(t1)))
+	buf = u64(buf, uint64(int64(t2)))
 
 	// Controls in sorted qubit order (a control set is a set); polarity is
 	// part of the element.
 	ctls := g.Controls
 	if !controlsSorted(ctls) {
-		ctls = append([]circuit.Control(nil), ctls...)
+		var small [4]circuit.Control
+		ctls = append(small[:0], ctls...)
 		sortControls(ctls)
 	}
-	u64(uint64(len(ctls)))
+	buf = u64(buf, uint64(len(ctls)))
 	for _, c := range ctls {
-		u64(uint64(int64(c.Qubit)))
+		buf = u64(buf, uint64(int64(c.Qubit)))
 		if c.Neg {
-			u64(1)
+			buf = u64(buf, 1)
 		} else {
-			u64(0)
+			buf = u64(buf, 0)
 		}
 	}
 
-	u64(uint64(len(g.Params)))
+	buf = u64(buf, uint64(len(g.Params)))
 	for _, p := range g.Params {
-		u64(canonicalFloatBits(p))
+		buf = u64(buf, canonicalFloatBits(p))
 	}
 
 	if g.Kind == circuit.Custom {
 		for i := 0; i < 2; i++ {
 			for j := 0; j < 2; j++ {
-				u64(canonicalFloatBits(real(g.Mat[i][j])))
-				u64(canonicalFloatBits(imag(g.Mat[i][j])))
+				buf = u64(buf, canonicalFloatBits(real(g.Mat[i][j])))
+				buf = u64(buf, canonicalFloatBits(imag(g.Mat[i][j])))
 			}
 		}
 	}
+	return buf
 }
 
 // canonicalFloatBits returns the IEEE-754 bits of f with the two

@@ -2,126 +2,200 @@ package qasm
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"strconv"
 
 	"qcec/internal/circuit"
 )
 
-// parseExpr parses a parameter expression with the usual precedence:
-// ^ binds tightest, then * /, then + -.
-func (p *parser) parseExpr() (expr, error) { return p.parseAddSub() }
+// A parameter expression compiles to postfix code for a value stack: no
+// tree to allocate per number, and a top-level expression is evaluated
+// right after it is parsed.  Macro bodies keep their code and evaluate it
+// per call against the actual parameters.
+type exprOp struct {
+	op   byte // opNum, opVar, opNeg, opCall, or the binary operator + - * / ^
+	num  float64
+	name string // variable or function name
+}
 
-func (p *parser) parseAddSub() (expr, error) {
-	left, err := p.parseMulDiv()
-	if err != nil {
-		return nil, err
+const (
+	opNum  = 'n'
+	opVar  = 'v'
+	opNeg  = '~'
+	opCall = 'f'
+)
+
+// parseExpr compiles a parameter expression onto p.code with the usual
+// precedence: ^ binds tightest, then * /, then + -.
+func (p *parser) parseExpr() error { return p.parseBinary("+-", p.parseMulDiv) }
+
+func (p *parser) parseMulDiv() error { return p.parseBinary("*/", p.parsePow) }
+
+// parseBinary parses a left-associative chain of operand (op operand)*
+// for the one-byte operators in ops.
+func (p *parser) parseBinary(ops string, operand func() error) error {
+	if err := operand(); err != nil {
+		return err
 	}
 	for {
+		var op byte
 		switch {
-		case p.acceptSymbol("+"):
-			right, err := p.parseMulDiv()
-			if err != nil {
-				return nil, err
-			}
-			left = binExpr{op: '+', a: left, b: right}
-		case p.acceptSymbol("-"):
-			right, err := p.parseMulDiv()
-			if err != nil {
-				return nil, err
-			}
-			left = binExpr{op: '-', a: left, b: right}
+		case p.acceptSymbol(ops[:1]):
+			op = ops[0]
+		case p.acceptSymbol(ops[1:]):
+			op = ops[1]
 		default:
-			return left, nil
+			return nil
 		}
+		if err := operand(); err != nil {
+			return err
+		}
+		p.code = append(p.code, exprOp{op: op})
 	}
 }
 
-func (p *parser) parseMulDiv() (expr, error) {
-	left, err := p.parsePow()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.acceptSymbol("*"):
-			right, err := p.parsePow()
-			if err != nil {
-				return nil, err
-			}
-			left = binExpr{op: '*', a: left, b: right}
-		case p.acceptSymbol("/"):
-			right, err := p.parsePow()
-			if err != nil {
-				return nil, err
-			}
-			left = binExpr{op: '/', a: left, b: right}
-		default:
-			return left, nil
-		}
-	}
-}
-
-func (p *parser) parsePow() (expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
+func (p *parser) parsePow() error {
+	if err := p.parseUnary(); err != nil {
+		return err
 	}
 	if p.acceptSymbol("^") {
-		right, err := p.parsePow() // right-associative
-		if err != nil {
-			return nil, err
+		if err := p.parsePow(); err != nil { // right-associative
+			return err
 		}
-		return binExpr{op: '^', a: left, b: right}, nil
+		p.code = append(p.code, exprOp{op: '^'})
 	}
-	return left, nil
+	return nil
 }
 
-func (p *parser) parseUnary() (expr, error) {
+func (p *parser) parseUnary() error {
 	if p.acceptSymbol("-") {
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
+		if err := p.parseUnary(); err != nil {
+			return err
 		}
-		return unaryExpr{x: x}, nil
+		p.code = append(p.code, exprOp{op: opNeg})
+		return nil
 	}
 	if p.acceptSymbol("+") {
 		return p.parseUnary()
 	}
-	t := p.cur()
+	t := p.tok
 	switch t.kind {
 	case tokNumber:
 		p.advance()
-		var f float64
-		if _, err := fmt.Sscanf(t.text, "%g", &f); err != nil {
-			return nil, p.errf("invalid number %q", t.text)
+		f, err := strconv.ParseFloat(t.text, 64)
+		if err != nil {
+			return p.errf("invalid number %q", t.text)
 		}
-		return numExpr(f), nil
+		p.code = append(p.code, exprOp{op: opNum, num: f})
+		return nil
 	case tokIdent:
 		p.advance()
 		if p.acceptSymbol("(") {
-			arg, err := p.parseExpr()
-			if err != nil {
-				return nil, err
+			if err := p.parseExpr(); err != nil {
+				return err
 			}
 			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
+				return err
 			}
-			return callExpr{fn: t.text, x: arg}, nil
+			p.code = append(p.code, exprOp{op: opCall, name: t.text})
+			return nil
 		}
-		return varExpr(t.text), nil
+		if t.text == "pi" {
+			p.code = append(p.code, exprOp{op: opNum, num: math.Pi})
+		} else {
+			p.code = append(p.code, exprOp{op: opVar, name: t.text})
+		}
+		return nil
 	case tokSymbol:
 		if t.text == "(" {
 			p.advance()
-			inner, err := p.parseExpr()
-			if err != nil {
-				return nil, err
+			if err := p.parseExpr(); err != nil {
+				return err
 			}
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
-			}
-			return inner, nil
+			return p.expectSymbol(")")
 		}
 	}
-	return nil, p.errf("unexpected token %q in expression", t.text)
+	return p.errf("unexpected token %q in expression", t.text)
+}
+
+// eval runs compiled expression code.  names binds the formal parameters of
+// the enclosing macro to vals (a later name shadows an earlier one); both
+// are nil at top level.  Operands are evaluated left to right and the first
+// failure is reported, as a tree walk would.
+func (p *parser) eval(code []exprOp, names []string, vals []float64) (float64, error) {
+	st := p.stack[:0]
+	for _, o := range code {
+		top := len(st) - 1
+		switch o.op {
+		case opNum:
+			st = append(st, o.num)
+		case opVar:
+			i := lastIndex(names, o.name)
+			if i < 0 {
+				return 0, fmt.Errorf("unknown identifier %q in expression", o.name)
+			}
+			st = append(st, vals[i])
+		case opNeg:
+			st[top] = -st[top]
+		case opCall:
+			v, err := call(o.name, st[top])
+			if err != nil {
+				return 0, err
+			}
+			st[top] = v
+		default:
+			x, y := st[top-1], st[top]
+			switch o.op {
+			case '+':
+				x += y
+			case '-':
+				x -= y
+			case '*':
+				x *= y
+			case '/':
+				if y == 0 {
+					return 0, fmt.Errorf("division by zero in parameter expression")
+				}
+				x /= y
+			case '^':
+				x = math.Pow(x, y)
+			}
+			st = st[:top]
+			st[top-1] = x
+		}
+	}
+	p.stack = st
+	return st[0], nil
+}
+
+func call(fn string, v float64) (float64, error) {
+	switch fn {
+	case "sin":
+		return math.Sin(v), nil
+	case "cos":
+		return math.Cos(v), nil
+	case "tan":
+		return math.Tan(v), nil
+	case "exp":
+		return math.Exp(v), nil
+	case "ln":
+		return math.Log(v), nil
+	case "sqrt":
+		return math.Sqrt(v), nil
+	default:
+		return 0, fmt.Errorf("unknown function %q", fn)
+	}
+}
+
+// lastIndex returns the index of the last occurrence of s in list, or -1.
+func lastIndex(list []string, s string) int {
+	for i := len(list) - 1; i >= 0; i-- {
+		if list[i] == s {
+			return i
+		}
+	}
+	return -1
 }
 
 // parseGateDef parses `gate name(params) args { body }`.
@@ -131,7 +205,7 @@ func (p *parser) parseGateDef() error {
 	if err != nil {
 		return err
 	}
-	var def macroDef
+	def := &macroDef{}
 	if p.acceptSymbol("(") {
 		for !p.acceptSymbol(")") {
 			pn, err := p.expectIdent()
@@ -139,7 +213,7 @@ func (p *parser) parseGateDef() error {
 				return err
 			}
 			def.params = append(def.params, pn)
-			if !p.acceptSymbol(",") && !(p.cur().kind == tokSymbol && p.cur().text == ")") {
+			if !p.acceptSymbol(",") && !p.atSymbol(")") {
 				return p.errf("expected ',' or ')' in gate parameter list")
 			}
 		}
@@ -161,7 +235,7 @@ func (p *parser) parseGateDef() error {
 		if p.atEOF() {
 			return p.errf("unterminated gate body for %q", name)
 		}
-		if p.cur().kind == tokIdent && p.cur().text == "barrier" {
+		if p.tok.kind == tokIdent && p.tok.text == "barrier" {
 			if err := p.skipToSemicolon(); err != nil {
 				return err
 			}
@@ -178,20 +252,19 @@ func (p *parser) parseGateDef() error {
 }
 
 func (p *parser) parseMacroGate() (macroGate, error) {
-	line := p.cur().line
 	name, err := p.expectIdent()
 	if err != nil {
 		return macroGate{}, err
 	}
-	mg := macroGate{name: name, line: line}
+	mg := macroGate{name: name}
 	if p.acceptSymbol("(") {
 		for !p.acceptSymbol(")") {
-			e, err := p.parseExpr()
-			if err != nil {
+			p.code = p.code[:0]
+			if err := p.parseExpr(); err != nil {
 				return macroGate{}, err
 			}
-			mg.params = append(mg.params, e)
-			if !p.acceptSymbol(",") && !(p.cur().kind == tokSymbol && p.cur().text == ")") {
+			mg.params = append(mg.params, slices.Clone(p.code))
+			if !p.acceptSymbol(",") && !p.atSymbol(")") {
 				return macroGate{}, p.errf("expected ',' or ')' in parameter list")
 			}
 		}
@@ -218,26 +291,26 @@ func (p *parser) parseGateCall() error {
 	if err != nil {
 		return err
 	}
-	var params []float64
+	p.argF = p.argF[:0]
 	if p.acceptSymbol("(") {
 		for !p.acceptSymbol(")") {
-			e, err := p.parseExpr()
-			if err != nil {
+			p.code = p.code[:0]
+			if err := p.parseExpr(); err != nil {
 				return err
 			}
-			v, err := e.eval(nil)
+			v, err := p.eval(p.code, nil, nil)
 			if err != nil {
 				return p.errf("%v", err)
 			}
-			params = append(params, v)
-			if !p.acceptSymbol(",") && !(p.cur().kind == tokSymbol && p.cur().text == ")") {
+			p.argF = append(p.argF, v)
+			if !p.acceptSymbol(",") && !p.atSymbol(")") {
 				return p.errf("expected ',' or ')' in parameter list")
 			}
 		}
 	}
-	var args []qubitArg
+	args := p.args[:0]
 	for {
-		a, err := p.parseQubitArg()
+		a, err := p.parseIndexedArg(p.qregs, "quantum")
 		if err != nil {
 			return err
 		}
@@ -246,31 +319,32 @@ func (p *parser) parseGateCall() error {
 			break
 		}
 	}
+	p.args = args
 	if err := p.expectSymbol(";"); err != nil {
 		return err
 	}
 
 	// Broadcast: if any argument is a whole register, all whole-register
 	// arguments must have equal size and the call repeats element-wise.
-	width := 1
+	width := 0
 	for _, a := range args {
 		if a.whole {
-			if width != 1 && width != len(a.wires) {
+			if width != 0 && width != a.size {
 				return p.errf("broadcast width mismatch in %q", name)
 			}
-			width = len(a.wires)
+			width = a.size
 		}
 	}
-	for i := 0; i < width; i++ {
-		wires := make([]int, len(args))
-		for j, a := range args {
+	for i := 0; i < max(width, 1); i++ {
+		p.argW = p.argW[:0]
+		for _, a := range args {
 			if a.whole {
-				wires[j] = a.wires[i]
+				p.argW = append(p.argW, a.off+i)
 			} else {
-				wires[j] = a.wires[0]
+				p.argW = append(p.argW, a.off)
 			}
 		}
-		if err := p.emit(name, params, wires); err != nil {
+		if err := p.emit(name, p.argF, p.argW); err != nil {
 			return err
 		}
 	}
@@ -279,11 +353,8 @@ func (p *parser) parseGateCall() error {
 
 // emit resolves a gate name (builtin or macro) to circuit gates.
 func (p *parser) emit(name string, params []float64, wires []int) error {
-	if g, ok, err := builtinGate(name, params, wires); err != nil {
-		return p.errf("%v", err)
-	} else if ok {
-		p.pending = append(p.pending, pendingGate{gate: g})
-		return nil
+	if b, ok := builtins[name]; ok {
+		return p.emitBuiltin(name, b, params, wires)
 	}
 	def, ok := p.macros[name]
 	if !ok {
@@ -293,155 +364,110 @@ func (p *parser) emit(name string, params []float64, wires []int) error {
 		return p.errf("gate %q expects %d params and %d qubits, got %d and %d",
 			name, len(def.params), len(def.args), len(params), len(wires))
 	}
-	env := make(map[string]float64, len(def.params))
-	for i, pn := range def.params {
-		env[pn] = params[i]
+	if def.expanding {
+		return p.errf("gate %q expands into itself", name)
 	}
-	argMap := make(map[string]int, len(def.args))
-	for i, an := range def.args {
-		argMap[an] = wires[i]
-	}
+	def.expanding = true
+	err := p.expand(name, def, params, wires)
+	def.expanding = false
+	return err
+}
+
+// expand emits the body of macro def called with params on wires, which
+// are the top frames of the argument stacks.  The arguments of each body
+// gate are pushed above them, so nested calls need no allocation of their
+// own.
+func (p *parser) expand(name string, def *macroDef, params []float64, wires []int) error {
 	for _, mg := range def.body {
-		subParams := make([]float64, len(mg.params))
-		for i, e := range mg.params {
-			v, err := e.eval(env)
+		f0, w0 := len(p.argF), len(p.argW)
+		for _, code := range mg.params {
+			v, err := p.eval(code, def.params, params)
 			if err != nil {
 				return p.errf("in gate %q: %v", name, err)
 			}
-			subParams[i] = v
+			p.argF = append(p.argF, v)
 		}
-		subWires := make([]int, len(mg.args))
-		for i, an := range mg.args {
-			w, ok := argMap[an]
-			if !ok {
+		for _, an := range mg.args {
+			i := lastIndex(def.args, an)
+			if i < 0 {
 				return p.errf("in gate %q: unknown qubit argument %q", name, an)
 			}
-			subWires[i] = w
+			p.argW = append(p.argW, wires[i])
 		}
-		if err := p.emit(mg.name, subParams, subWires); err != nil {
+		err := p.emit(mg.name, p.argF[f0:], p.argW[w0:])
+		p.argF, p.argW = p.argF[:f0], p.argW[:w0]
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// builtinGate maps a qelib1-style gate name to a circuit gate.  It reports
-// ok=false for names that are not builtin (candidate macros).
-func builtinGate(name string, params []float64, wires []int) (circuit.Gate, bool, error) {
-	mk := func(kind circuit.Kind, nParams, nCtl int) (circuit.Gate, bool, error) {
-		if len(params) != nParams {
-			return circuit.Gate{}, true, fmt.Errorf("gate %q expects %d parameters, got %d", name, nParams, len(params))
-		}
-		if len(wires) != nCtl+1 {
-			return circuit.Gate{}, true, fmt.Errorf("gate %q expects %d qubits, got %d", name, nCtl+1, len(wires))
-		}
-		g := circuit.Gate{Kind: kind, Target: wires[nCtl], Target2: -1, Params: params}
-		for i := 0; i < nCtl; i++ {
-			g.Controls = append(g.Controls, circuit.Control{Qubit: wires[i]})
-		}
-		return g, true, nil
-	}
-	mkSwap := func(nCtl int) (circuit.Gate, bool, error) {
-		if len(wires) != nCtl+2 {
-			return circuit.Gate{}, true, fmt.Errorf("gate %q expects %d qubits, got %d", name, nCtl+2, len(wires))
-		}
-		g := circuit.Gate{Kind: circuit.SWAP, Target: wires[nCtl], Target2: wires[nCtl+1]}
-		for i := 0; i < nCtl; i++ {
-			g.Controls = append(g.Controls, circuit.Control{Qubit: wires[i]})
-		}
-		return g, true, nil
-	}
-	switch name {
-	case "id":
-		return mk(circuit.I, 0, 0)
-	case "x", "X":
-		return mk(circuit.X, 0, 0)
-	case "y":
-		return mk(circuit.Y, 0, 0)
-	case "z":
-		return mk(circuit.Z, 0, 0)
-	case "h":
-		return mk(circuit.H, 0, 0)
-	case "s":
-		return mk(circuit.S, 0, 0)
-	case "sdg":
-		return mk(circuit.Sdg, 0, 0)
-	case "t":
-		return mk(circuit.T, 0, 0)
-	case "tdg":
-		return mk(circuit.Tdg, 0, 0)
-	case "sx":
-		return mk(circuit.SX, 0, 0)
-	case "sxdg":
-		return mk(circuit.SXdg, 0, 0)
-	case "rx":
-		return mk(circuit.RX, 1, 0)
-	case "ry":
-		return mk(circuit.RY, 1, 0)
-	case "rz":
-		return mk(circuit.RZ, 1, 0)
-	case "p", "u1":
-		return mk(circuit.P, 1, 0)
-	case "u2":
-		return mk(circuit.U2, 2, 0)
-	case "u3", "u", "U":
-		return mk(circuit.U3, 3, 0)
-	case "cx", "CX", "cnot":
-		return mk(circuit.X, 0, 1)
-	case "cy":
-		return mk(circuit.Y, 0, 1)
-	case "cz":
-		return mk(circuit.Z, 0, 1)
-	case "ch":
-		return mk(circuit.H, 0, 1)
-	case "csx":
-		return mk(circuit.SX, 0, 1)
-	case "crx":
-		return mk(circuit.RX, 1, 1)
-	case "cry":
-		return mk(circuit.RY, 1, 1)
-	case "crz":
-		return mk(circuit.RZ, 1, 1)
-	case "cp", "cu1":
-		return mk(circuit.P, 1, 1)
-	case "cu3":
-		return mk(circuit.U3, 3, 1)
-	case "ccx", "toffoli":
-		return mk(circuit.X, 0, 2)
-	case "ccz":
-		return mk(circuit.Z, 0, 2)
-	case "swap":
-		return mkSwap(0)
-	case "cswap", "fredkin":
-		return mkSwap(1)
-	default:
-		return circuit.Gate{}, false, nil
-	}
+// builtin describes a qelib1-style gate: its kind, its parameter count and
+// how many leading wires are controls.  SWAP kinds take two targets.
+type builtin struct {
+	kind   circuit.Kind
+	params int
+	ctls   int
 }
 
-// finish assembles the parsed program once all declarations are known.
-func (p *parser) finish() (*Program, error) {
-	width := 0
-	for _, r := range p.qregs {
-		width += r.Size
+var builtins = map[string]builtin{
+	"id": {circuit.I, 0, 0}, "x": {circuit.X, 0, 0}, "X": {circuit.X, 0, 0},
+	"y": {circuit.Y, 0, 0}, "z": {circuit.Z, 0, 0}, "h": {circuit.H, 0, 0},
+	"s": {circuit.S, 0, 0}, "sdg": {circuit.Sdg, 0, 0},
+	"t": {circuit.T, 0, 0}, "tdg": {circuit.Tdg, 0, 0},
+	"sx": {circuit.SX, 0, 0}, "sxdg": {circuit.SXdg, 0, 0},
+	"rx": {circuit.RX, 1, 0}, "ry": {circuit.RY, 1, 0}, "rz": {circuit.RZ, 1, 0},
+	"p": {circuit.P, 1, 0}, "u1": {circuit.P, 1, 0},
+	"u2": {circuit.U2, 2, 0},
+	"u3": {circuit.U3, 3, 0}, "u": {circuit.U3, 3, 0}, "U": {circuit.U3, 3, 0},
+	"cx": {circuit.X, 0, 1}, "CX": {circuit.X, 0, 1}, "cnot": {circuit.X, 0, 1},
+	"cy": {circuit.Y, 0, 1}, "cz": {circuit.Z, 0, 1}, "ch": {circuit.H, 0, 1},
+	"csx": {circuit.SX, 0, 1},
+	"crx": {circuit.RX, 1, 1}, "cry": {circuit.RY, 1, 1}, "crz": {circuit.RZ, 1, 1},
+	"cp": {circuit.P, 1, 1}, "cu1": {circuit.P, 1, 1},
+	"cu3": {circuit.U3, 3, 1},
+	"ccx": {circuit.X, 0, 2}, "toffoli": {circuit.X, 0, 2},
+	"ccz":   {circuit.Z, 0, 2},
+	"swap":  {circuit.SWAP, 0, 0},
+	"cswap": {circuit.SWAP, 0, 1}, "fredkin": {circuit.SWAP, 0, 1},
+}
+
+// emitBuiltin appends one builtin gate to the circuit, validated in place.
+// Its Controls and Params are carved from shared chunks.
+func (p *parser) emitBuiltin(name string, b builtin, params []float64, wires []int) error {
+	targets := 1
+	if b.kind == circuit.SWAP {
+		targets = 2 // swap ignores any parameters instead of rejecting them
+	} else if len(params) != b.params {
+		return p.errf("gate %q expects %d parameters, got %d", name, b.params, len(params))
 	}
-	if width == 0 {
-		return nil, fmt.Errorf("qasm: no quantum registers declared")
+	if len(wires) != b.ctls+targets {
+		return p.errf("gate %q expects %d qubits, got %d", name, b.ctls+targets, len(wires))
 	}
-	name := "qasm"
-	if len(p.qregs) == 1 {
-		name = p.qregs[0].Name
+	g := circuit.Gate{Kind: b.kind, Target: wires[b.ctls], Target2: -1}
+	if targets == 2 {
+		g.Target2 = wires[b.ctls+1]
+	} else if b.params > 0 {
+		if len(p.params) < b.params {
+			p.params = make([]float64, chunkLen)
+		}
+		g.Params = p.params[:b.params:b.params]
+		p.params = p.params[b.params:]
+		copy(g.Params, params)
 	}
-	c := circuit.New(width, name)
-	for _, pg := range p.pending {
-		if err := c.TryAdd(pg.gate); err != nil {
-			return nil, fmt.Errorf("qasm: invalid gate %s: %w", pg.gate, err)
+	if b.ctls > 0 {
+		if len(p.ctls) < b.ctls {
+			p.ctls = make([]circuit.Control, chunkLen)
+		}
+		g.Controls = p.ctls[:b.ctls:b.ctls]
+		p.ctls = p.ctls[b.ctls:]
+		for i, w := range wires[:b.ctls] {
+			g.Controls[i] = circuit.Control{Qubit: w}
 		}
 	}
-	return &Program{
-		Circuit:      c,
-		QRegs:        p.qregs,
-		CRegs:        p.cregs,
-		Measurements: p.measures,
-	}, nil
+	if err := p.circ.TryAdd(g); err != nil {
+		return fmt.Errorf("qasm: invalid gate %s: %w", g, err)
+	}
+	return nil
 }

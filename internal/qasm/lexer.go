@@ -6,6 +6,12 @@
 // space), the full qelib1 standard-gate vocabulary, user-defined gate macros
 // (expanded at parse time), parameter expressions over pi with + - * / and
 // unary minus, barrier (ignored) and measure (recorded but not simulated).
+// A number token must parse in full as a float: 1.2.3 or 1..2 is an
+// invalid number, not 1.2 or 1.
+//
+// Parsing streams: the lexer hands the parser one token at a time, and gates
+// are validated as they are appended to the circuit, so a parse allocates a
+// few objects per thousand gates.
 package qasm
 
 import (
@@ -21,29 +27,63 @@ const (
 	tokIdent
 	tokNumber
 	tokString
-	tokSymbol // single punctuation: ( ) [ ] { } , ; + - * / ^ ->
+	tokSymbol // single punctuation: ( ) [ ] { } , ; + - * / ^ =
 	tokArrow
 )
 
 type token struct {
 	kind tokenKind
-	text string
+	text string // a substring of the source
 	line int
 }
 
+// Byte classes of the lexer.  A byte is classified as the rune of the same
+// value, so bytes >= 0x80 that are Latin-1 letters (such as 0xE9) continue
+// identifiers, exactly as unicode.IsLetter decides.
+const (
+	classIdentStart = 1 << iota // letter or '_'
+	classIdent                  // letter, digit or '_'
+	classNumber                 // digit or '.'
+	classSymbol                 // a one-byte punctuation token
+)
+
+var byteClass = func() (t [256]uint8) {
+	for i := range t {
+		r := rune(i)
+		letter, digit := unicode.IsLetter(r) || r == '_', unicode.IsDigit(r)
+		if letter {
+			t[i] |= classIdentStart
+		}
+		if letter || digit {
+			t[i] |= classIdent
+		}
+		if digit || r == '.' {
+			t[i] |= classNumber
+		}
+		if strings.ContainsRune("()[]{},;+-*/^=", r) {
+			t[i] |= classSymbol
+		}
+	}
+	return t
+}()
+
+// lexer scans one token per next call.  On a lexing error it records the
+// error and reports EOF from then on; the parser returns that error in
+// preference to whatever it made of the early EOF.
 type lexer struct {
 	src  string
 	pos  int
 	line int
+	err  error
 }
 
-func newLexer(src string) *lexer { return &lexer{src: src, line: 1} }
-
-func (l *lexer) errf(format string, args ...any) error {
-	return fmt.Errorf("qasm: line %d: %s", l.line, fmt.Sprintf(format, args...))
+func (l *lexer) fail(format string, args ...any) token {
+	l.err = fmt.Errorf("qasm: line %d: %s", l.line, fmt.Sprintf(format, args...))
+	l.pos = len(l.src)
+	return token{kind: tokEOF, line: l.line}
 }
 
-func (l *lexer) next() (token, error) {
+func (l *lexer) next() token {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
@@ -65,34 +105,31 @@ func (l *lexer) next() (token, error) {
 				l.pos++
 			}
 			if l.pos+1 >= len(l.src) {
-				return token{}, l.errf("unterminated block comment")
+				return l.fail("unterminated block comment")
 			}
 			l.pos += 2
 		default:
 			return l.scanToken()
 		}
 	}
-	return token{kind: tokEOF, line: l.line}, nil
+	return token{kind: tokEOF, line: l.line}
 }
 
-func (l *lexer) scanToken() (token, error) {
+func (l *lexer) scanToken() token {
 	c := l.src[l.pos]
 	start := l.pos
+	kind := tokSymbol
 	switch {
-	case unicode.IsLetter(rune(c)) || c == '_':
-		for l.pos < len(l.src) {
-			r := l.src[l.pos]
-			if !unicode.IsLetter(rune(r)) && !unicode.IsDigit(rune(r)) && r != '_' {
-				break
-			}
+	case byteClass[c]&classIdentStart != 0:
+		for l.pos < len(l.src) && byteClass[l.src[l.pos]]&classIdent != 0 {
 			l.pos++
 		}
-		return token{kind: tokIdent, text: l.src[start:l.pos], line: l.line}, nil
-	case unicode.IsDigit(rune(c)) || c == '.':
+		kind = tokIdent
+	case byteClass[c]&classNumber != 0:
 		seenE := false
 		for l.pos < len(l.src) {
 			r := l.src[l.pos]
-			if unicode.IsDigit(rune(r)) || r == '.' {
+			if byteClass[r]&classNumber != 0 {
 				l.pos++
 				continue
 			}
@@ -106,45 +143,27 @@ func (l *lexer) scanToken() (token, error) {
 			}
 			break
 		}
-		return token{kind: tokNumber, text: l.src[start:l.pos], line: l.line}, nil
+		kind = tokNumber
 	case c == '"':
 		l.pos++
 		for l.pos < len(l.src) && l.src[l.pos] != '"' {
 			if l.src[l.pos] == '\n' {
-				return token{}, l.errf("newline in string literal")
+				return l.fail("newline in string literal")
 			}
 			l.pos++
 		}
 		if l.pos >= len(l.src) {
-			return token{}, l.errf("unterminated string literal")
+			return l.fail("unterminated string literal")
 		}
-		text := l.src[start+1 : l.pos]
 		l.pos++
-		return token{kind: tokString, text: text, line: l.line}, nil
+		return token{kind: tokString, text: l.src[start+1 : l.pos-1], line: l.line}
 	case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '>':
 		l.pos += 2
-		return token{kind: tokArrow, text: "->", line: l.line}, nil
-	case strings.ContainsRune("()[]{},;+-*/^==", rune(c)):
+		kind = tokArrow
+	case byteClass[c]&classSymbol != 0:
 		l.pos++
-		return token{kind: tokSymbol, text: string(c), line: l.line}, nil
 	default:
-		return token{}, l.errf("unexpected character %q", c)
+		return l.fail("unexpected character %q", c)
 	}
-}
-
-// tokenize scans the whole source up front; QASM files are small enough that
-// a token slice is simpler than streaming.
-func tokenize(src string) ([]token, error) {
-	l := newLexer(src)
-	var toks []token
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.kind == tokEOF {
-			return toks, nil
-		}
-	}
+	return token{kind: kind, text: l.src[start:l.pos], line: l.line}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"strconv"
+	"strings"
 
 	"qcec/internal/circuit"
 )
@@ -31,153 +32,76 @@ type Program struct {
 	Measurements []Measurement
 }
 
-// expr is a parameter-expression AST node; it is evaluated against the
-// formal-parameter environment of the enclosing gate macro (nil at top
-// level).
-type expr interface {
-	eval(env map[string]float64) (float64, error)
-}
-
-type numExpr float64
-
-func (n numExpr) eval(map[string]float64) (float64, error) { return float64(n), nil }
-
-type varExpr string
-
-func (v varExpr) eval(env map[string]float64) (float64, error) {
-	if v == "pi" {
-		return math.Pi, nil
-	}
-	if env != nil {
-		if val, ok := env[string(v)]; ok {
-			return val, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown identifier %q in expression", string(v))
-}
-
-type unaryExpr struct{ x expr }
-
-func (u unaryExpr) eval(env map[string]float64) (float64, error) {
-	v, err := u.x.eval(env)
-	return -v, err
-}
-
-type binExpr struct {
-	op   byte
-	a, b expr
-}
-
-func (b binExpr) eval(env map[string]float64) (float64, error) {
-	x, err := b.a.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	y, err := b.b.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	switch b.op {
-	case '+':
-		return x + y, nil
-	case '-':
-		return x - y, nil
-	case '*':
-		return x * y, nil
-	case '/':
-		if y == 0 {
-			return 0, fmt.Errorf("division by zero in parameter expression")
-		}
-		return x / y, nil
-	case '^':
-		return math.Pow(x, y), nil
-	default:
-		return 0, fmt.Errorf("unknown operator %q", b.op)
-	}
-}
-
-type callExpr struct {
-	fn string
-	x  expr
-}
-
-func (c callExpr) eval(env map[string]float64) (float64, error) {
-	v, err := c.x.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	switch c.fn {
-	case "sin":
-		return math.Sin(v), nil
-	case "cos":
-		return math.Cos(v), nil
-	case "tan":
-		return math.Tan(v), nil
-	case "exp":
-		return math.Exp(v), nil
-	case "ln":
-		return math.Log(v), nil
-	case "sqrt":
-		return math.Sqrt(v), nil
-	default:
-		return 0, fmt.Errorf("unknown function %q", c.fn)
-	}
-}
-
 // macroGate is one statement inside a user gate definition.
 type macroGate struct {
 	name   string
-	params []expr
-	args   []string // formal qubit argument names
-	line   int
+	params [][]exprOp // compiled parameter expressions
+	args   []string   // formal qubit argument names
 }
 
 type macroDef struct {
 	params []string
 	args   []string
 	body   []macroGate
+	// expanding is set while a call of the macro is being expanded; a
+	// nested call of the same macro would recurse forever.
+	expanding bool
 }
 
+// chunkLen is the length of the shared chunks gates' Controls and Params
+// are carved from.  It must cover the widest builtin gate (3 entries).
+const chunkLen = 512
+
 type parser struct {
-	toks []token
-	pos  int
+	lex lexer
+	tok token // current token
 
 	qregs  []Register
 	cregs  []Register
-	macros map[string]macroDef
+	macros map[string]*macroDef
 
+	// circ receives the gates as they are parsed; its N is the width of
+	// the registers declared so far, which bounds every wire a gate can
+	// name, so validating on append matches validating the finished
+	// circuit.
 	circ     *circuit.Circuit
-	pending  []pendingGate
+	ctls     []circuit.Control // unused tail of the current Controls chunk
+	params   []float64         // unused tail of the current Params chunk
 	measures []Measurement
+
+	// Scratch reused across statements: compiled expression code and its
+	// value stack, the qubit arguments of a top-level call, and argument
+	// stacks holding the parameter values and wires of the call being
+	// emitted, with those of nested macro calls pushed above them.
+	code  []exprOp
+	stack []float64
+	args  []qubitArg
+	argF  []float64
+	argW  []int
 }
 
-// pendingGate buffers gate applications until the register sizes are known
-// (declarations may in principle interleave, and we need the total width to
-// build the circuit).
-type pendingGate struct {
-	gate circuit.Gate
-}
-
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) advance()    { p.pos++ }
-func (p *parser) atEOF() bool { return p.cur().kind == tokEOF }
+func (p *parser) advance()    { p.tok = p.lex.next() }
+func (p *parser) atEOF() bool { return p.tok.kind == tokEOF }
 
 func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("qasm: line %d: %s", p.cur().line, fmt.Sprintf(format, args...))
+	return fmt.Errorf("qasm: line %d: %s", p.tok.line, fmt.Sprintf(format, args...))
+}
+
+// atSymbol reports whether the current token is the punctuation s.
+func (p *parser) atSymbol(s string) bool {
+	return (p.tok.kind == tokSymbol || p.tok.kind == tokArrow) && p.tok.text == s
 }
 
 func (p *parser) expectSymbol(s string) error {
-	t := p.cur()
-	if (t.kind != tokSymbol && t.kind != tokArrow) || t.text != s {
-		return p.errf("expected %q, got %q", s, t.text)
+	if !p.atSymbol(s) {
+		return p.errf("expected %q, got %q", s, p.tok.text)
 	}
 	p.advance()
 	return nil
 }
 
 func (p *parser) acceptSymbol(s string) bool {
-	t := p.cur()
-	if (t.kind == tokSymbol || t.kind == tokArrow) && t.text == s {
+	if p.atSymbol(s) {
 		p.advance()
 		return true
 	}
@@ -185,7 +109,7 @@ func (p *parser) acceptSymbol(s string) bool {
 }
 
 func (p *parser) expectIdent() (string, error) {
-	t := p.cur()
+	t := p.tok
 	if t.kind != tokIdent {
 		return "", p.errf("expected identifier, got %q", t.text)
 	}
@@ -194,7 +118,7 @@ func (p *parser) expectIdent() (string, error) {
 }
 
 func (p *parser) expectInt() (int, error) {
-	t := p.cur()
+	t := p.tok
 	if t.kind != tokNumber {
 		return 0, p.errf("expected integer, got %q", t.text)
 	}
@@ -208,20 +132,21 @@ func (p *parser) expectInt() (int, error) {
 
 // Parse parses OpenQASM 2.0 source text.
 func Parse(src string) (*Program, error) {
-	toks, err := tokenize(src)
-	if err != nil {
-		return nil, err
+	// Pre-size the gate slice from the statement count, but never beyond
+	// one gate per 7 source bytes (the shortest gate statement, `x q[0];`),
+	// so a body of bare semicolons cannot buy an outsized allocation.
+	hint := min(strings.Count(src, ";"), len(src)/7)
+	p := &parser{
+		lex:    lexer{src: src, line: 1},
+		macros: make(map[string]*macroDef),
+		circ:   &circuit.Circuit{Gates: make([]circuit.Gate, 0, hint)},
 	}
-	p := &parser{toks: toks, macros: make(map[string]macroDef)}
-	if err := p.parseHeader(); err != nil {
-		return nil, err
+	p.advance()
+	prog, err := p.parse()
+	if p.lex.err != nil {
+		return nil, p.lex.err
 	}
-	for !p.atEOF() {
-		if err := p.parseStatement(); err != nil {
-			return nil, err
-		}
-	}
-	return p.finish()
+	return prog, err
 }
 
 // ParseFile parses an OpenQASM 2.0 file.
@@ -237,13 +162,37 @@ func ParseFile(path string) (*Program, error) {
 	return prog, nil
 }
 
+func (p *parser) parse() (*Program, error) {
+	if err := p.parseHeader(); err != nil {
+		return nil, err
+	}
+	for !p.atEOF() {
+		if err := p.parseStatement(); err != nil {
+			return nil, err
+		}
+	}
+	if p.circ.N == 0 {
+		return nil, fmt.Errorf("qasm: no quantum registers declared")
+	}
+	p.circ.Name = "qasm"
+	if len(p.qregs) == 1 {
+		p.circ.Name = p.qregs[0].Name
+	}
+	return &Program{
+		Circuit:      p.circ,
+		QRegs:        p.qregs,
+		CRegs:        p.cregs,
+		Measurements: p.measures,
+	}, nil
+}
+
 func (p *parser) parseHeader() error {
-	if p.cur().kind == tokIdent && p.cur().text == "OPENQASM" {
+	if p.tok.kind == tokIdent && p.tok.text == "OPENQASM" {
 		p.advance()
-		if p.cur().kind != tokNumber {
+		if p.tok.kind != tokNumber {
 			return p.errf("expected version number")
 		}
-		if v := p.cur().text; v != "2.0" && v != "2" {
+		if v := p.tok.text; v != "2.0" && v != "2" {
 			return p.errf("unsupported OPENQASM version %s", v)
 		}
 		p.advance()
@@ -253,20 +202,25 @@ func (p *parser) parseHeader() error {
 }
 
 func (p *parser) parseStatement() error {
-	t := p.cur()
+	t := p.tok
 	if t.kind != tokIdent {
 		return p.errf("expected statement, got %q", t.text)
 	}
 	switch t.text {
 	case "include":
 		p.advance()
-		if p.cur().kind != tokString {
+		if p.tok.kind != tokString {
 			return p.errf("expected file name after include")
 		}
 		p.advance()
 		return p.expectSymbol(";")
 	case "qreg":
-		return p.parseReg(&p.qregs)
+		if err := p.parseReg(&p.qregs); err != nil {
+			return err
+		}
+		r := p.qregs[len(p.qregs)-1]
+		p.circ.N = r.Offset + r.Size
+		return nil
 	case "creg":
 		return p.parseReg(&p.cregs)
 	case "gate":
@@ -285,7 +239,7 @@ func (p *parser) parseStatement() error {
 }
 
 func (p *parser) skipToSemicolon() error {
-	for !p.atEOF() && !(p.cur().kind == tokSymbol && p.cur().text == ";") {
+	for !p.atEOF() && !p.atSymbol(";") {
 		p.advance()
 	}
 	return p.expectSymbol(";")
@@ -320,41 +274,33 @@ func (p *parser) parseReg(regs *[]Register) error {
 		}
 		offset += r.Size
 	}
+	if size > math.MaxInt-offset {
+		return p.errf("register %q overflows the wire space", name)
+	}
 	*regs = append(*regs, Register{Name: name, Size: size, Offset: offset})
 	return nil
 }
 
-func (p *parser) findQubit(name string, idx int) (int, error) {
-	for _, r := range p.qregs {
+// findReg returns the register of regs named name.
+func findReg(regs []Register, name string) (Register, bool) {
+	for _, r := range regs {
 		if r.Name == name {
-			if idx < 0 || idx >= r.Size {
-				return 0, p.errf("index %d out of range for register %q[%d]", idx, name, r.Size)
-			}
-			return r.Offset + idx, nil
+			return r, true
 		}
 	}
-	return 0, p.errf("unknown quantum register %q", name)
+	return Register{}, false
 }
 
-func (p *parser) findCBit(name string, idx int) (int, error) {
-	for _, r := range p.cregs {
-		if r.Name == name {
-			if idx < 0 || idx >= r.Size {
-				return 0, p.errf("index %d out of range for register %q[%d]", idx, name, r.Size)
-			}
-			return r.Offset + idx, nil
-		}
-	}
-	return 0, p.errf("unknown classical register %q", name)
-}
-
-// qubitArg is either a single wire or a whole register (broadcast).
+// qubitArg is a run of wires: one wire (size 1) or a whole register, which
+// broadcasts the statement over its wires.
 type qubitArg struct {
-	wires []int
-	whole bool
+	off, size int
+	whole     bool
 }
 
-func (p *parser) parseQubitArg() (qubitArg, error) {
+// parseIndexedArg parses `name` or `name[i]` against regs; kind names the
+// register kind in errors.
+func (p *parser) parseIndexedArg(regs []Register, kind string) (qubitArg, error) {
 	name, err := p.expectIdent()
 	if err != nil {
 		return qubitArg{}, err
@@ -367,70 +313,40 @@ func (p *parser) parseQubitArg() (qubitArg, error) {
 		if err := p.expectSymbol("]"); err != nil {
 			return qubitArg{}, err
 		}
-		w, err := p.findQubit(name, idx)
-		if err != nil {
-			return qubitArg{}, err
+		r, ok := findReg(regs, name)
+		if !ok {
+			return qubitArg{}, p.errf("unknown %s register %q", kind, name)
 		}
-		return qubitArg{wires: []int{w}}, nil
-	}
-	for _, r := range p.qregs {
-		if r.Name == name {
-			ws := make([]int, r.Size)
-			for i := range ws {
-				ws[i] = r.Offset + i
-			}
-			return qubitArg{wires: ws, whole: true}, nil
+		if idx < 0 || idx >= r.Size {
+			return qubitArg{}, p.errf("index %d out of range for register %q[%d]", idx, name, r.Size)
 		}
+		return qubitArg{off: r.Offset + idx, size: 1}, nil
 	}
-	return qubitArg{}, p.errf("unknown quantum register %q", name)
+	r, ok := findReg(regs, name)
+	if !ok {
+		return qubitArg{}, p.errf("unknown %s register %q", kind, name)
+	}
+	return qubitArg{off: r.Offset, size: r.Size, whole: true}, nil
 }
 
 func (p *parser) parseMeasure() error {
 	p.advance()
-	q, err := p.parseQubitArg()
+	q, err := p.parseIndexedArg(p.qregs, "quantum")
 	if err != nil {
 		return err
 	}
 	if err := p.expectSymbol("->"); err != nil {
 		return err
 	}
-	name, err := p.expectIdent()
+	c, err := p.parseIndexedArg(p.cregs, "classical")
 	if err != nil {
 		return err
 	}
-	var bits []int
-	if p.acceptSymbol("[") {
-		idx, err := p.expectInt()
-		if err != nil {
-			return err
-		}
-		if err := p.expectSymbol("]"); err != nil {
-			return err
-		}
-		b, err := p.findCBit(name, idx)
-		if err != nil {
-			return err
-		}
-		bits = []int{b}
-	} else {
-		found := false
-		for _, r := range p.cregs {
-			if r.Name == name {
-				for i := 0; i < r.Size; i++ {
-					bits = append(bits, r.Offset+i)
-				}
-				found = true
-			}
-		}
-		if !found {
-			return p.errf("unknown classical register %q", name)
-		}
+	if q.size != c.size {
+		return p.errf("measure width mismatch (%d qubits, %d bits)", q.size, c.size)
 	}
-	if len(q.wires) != len(bits) {
-		return p.errf("measure width mismatch (%d qubits, %d bits)", len(q.wires), len(bits))
-	}
-	for i := range q.wires {
-		p.measures = append(p.measures, Measurement{Qubit: q.wires[i], Bit: bits[i]})
+	for i := 0; i < q.size; i++ {
+		p.measures = append(p.measures, Measurement{Qubit: q.off + i, Bit: c.off + i})
 	}
 	return p.expectSymbol(";")
 }

@@ -364,3 +364,48 @@ func TestBlockCommentErrors(t *testing.T) {
 		t.Error("unterminated string accepted")
 	}
 }
+
+// TestNumbersParseInFull: a number token is a float in full or an error,
+// never cut to its longest valid prefix, in top-level calls and in macro
+// bodies alike.
+func TestNumbersParseInFull(t *testing.T) {
+	for _, num := range []string{"1.2.3", "1..2", "1e5.5", "2.5e-1.5", "1e", "."} {
+		for _, src := range []string{
+			"qreg q[1]; rz(" + num + ") q[0];",
+			"gate g(t) a { rz(t*" + num + ") a; } qreg q[1]; g(1) q[0];",
+		} {
+			if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "invalid number") {
+				t.Errorf("%q: error %v, want an invalid number", src, err)
+			}
+		}
+	}
+	for num, want := range map[string]float64{"1.": 1, ".5": 0.5, "2E-3": 0.002, "007": 7, "1e+2": 100} {
+		prog, err := Parse("qreg q[1]; rz(" + num + ") q[0];")
+		if err != nil {
+			t.Errorf("%s: %v", num, err)
+			continue
+		}
+		if got := prog.Circuit.Gates[0].Params[0]; got != want {
+			t.Errorf("%s parsed as %g, want %g", num, got, want)
+		}
+	}
+}
+
+// TestMalformedInputsAreErrors: inputs that once crashed the parser are
+// rejected with an error: macros that expand into themselves (the stack
+// overflowed), a broadcast over a one-wire register and a wider one (an
+// index went out of range) and registers that overflow the wire space
+// (a negative qubit count).
+func TestMalformedInputsAreErrors(t *testing.T) {
+	for src, want := range map[string]string{
+		"gate g a { g a; } qreg q[1]; g q[0];":                                         "expands into itself",
+		"gate f a { h a; } gate g a { f a; } gate f a { g a; } qreg q[1]; f q[0];":     "expands into itself",
+		"qreg a[1]; qreg b[2]; cx a, b;":                                               "broadcast width mismatch",
+		"qreg a[9223372036854775807]; qreg b[1];":                                      "overflows the wire space",
+		"qreg a[4611686018427387904]; qreg b[4611686018427387904]; creg c[1]; x a[0];": "overflows the wire space",
+	} {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: error %v, want %q", src, err, want)
+		}
+	}
+}

@@ -120,6 +120,100 @@ func TestIdempotentSyncCheck(t *testing.T) {
 	}
 }
 
+// retainedJobHoldsNoSources fails t when the retained job id still holds
+// circuits or QASM sources.
+func retainedJobHoldsNoSources(t *testing.T, s *Server, id string) {
+	t.Helper()
+	s.jobsMu.Lock()
+	defer s.jobsMu.Unlock()
+	j := s.byID[id]
+	if j == nil {
+		t.Fatalf("job %s is not retained", id)
+	}
+	if j.g1 != nil || j.g2 != nil || j.req.G != "" || j.req.Gp != "" {
+		t.Errorf("retired job %s still holds its circuits or sources", id)
+	}
+}
+
+// TestRetiredJobKeepsOnlyWhatItServes: a finished keyed job drops its
+// circuits and sources when it retires, yet polls, keyed retries and key
+// conflicts behave as before.  Covers an executed async job, an executed
+// keyed sync check and a keyed cache hit.
+func TestRetiredJobKeepsOnlyWhatItServes(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	opts := CheckOptions{R: 3, Strategy: "gate-cost"}
+	body := func(gp string) string {
+		b, _ := json.Marshal(CheckRequest{G: bellQASM, Gp: gp, Options: opts})
+		return string(b)
+	}
+
+	resp, data := postWithKey(t, ts.URL+"/v1/jobs", body(bellQASM), "retired-async")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d; body %s", resp.StatusCode, data)
+	}
+	var first JobResponse
+	if err := json.Unmarshal(data, &first); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, ts, first.JobID)
+
+	resp, data = postWithKey(t, ts.URL+"/v1/check", body(bellFlippedQASM), "retired-sync")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("keyed check = %d; body %s", resp.StatusCode, data)
+	}
+	var syncRes CheckResponse
+	if err := json.Unmarshal(data, &syncRes); err != nil {
+		t.Fatal(err)
+	}
+	// The same question under a new key is a cache hit, finished without
+	// running.
+	resp, data = postWithKey(t, ts.URL+"/v1/jobs", body(bellQASM), "retired-hit")
+	var hit JobResponse
+	if err := json.Unmarshal(data, &hit); err != nil || resp.StatusCode != http.StatusAccepted ||
+		hit.Result == nil || !hit.Result.Cached {
+		t.Fatalf("cache-hit submit = %d; body %s", resp.StatusCode, data)
+	}
+
+	cases := []struct {
+		key, id, gp, verdict string
+	}{
+		{"retired-async", first.JobID, bellQASM, VerdictEquivalent},
+		{"retired-sync", syncRes.JobID, bellFlippedQASM, VerdictNotEquivalent},
+		{"retired-hit", hit.JobID, bellQASM, VerdictEquivalent},
+	}
+	for _, c := range cases {
+		retainedJobHoldsNoSources(t, s, c.id)
+
+		_, data := getJSON(t, ts.URL+"/v1/jobs/"+c.id)
+		var polled JobResponse
+		if err := json.Unmarshal(data, &polled); err != nil || polled.Result == nil || polled.Result.Verdict != c.verdict {
+			t.Errorf("%s: poll = %s, want verdict %s", c.key, data, c.verdict)
+		}
+
+		resp, data = postWithKey(t, ts.URL+"/v1/jobs", body(c.gp), c.key)
+		var retry JobResponse
+		if err := json.Unmarshal(data, &retry); err != nil || resp.StatusCode != http.StatusAccepted ||
+			retry.JobID != c.id || retry.Result == nil || retry.Result.Verdict != c.verdict {
+			t.Errorf("%s: async retry = %d %s, want job %s with verdict %s", c.key, resp.StatusCode, data, c.id, c.verdict)
+		}
+		resp, data = postWithKey(t, ts.URL+"/v1/check", body(c.gp), c.key)
+		var check CheckResponse
+		if err := json.Unmarshal(data, &check); err != nil || resp.StatusCode != http.StatusOK ||
+			check.JobID != c.id || check.Verdict != c.verdict {
+			t.Errorf("%s: sync retry = %d %s, want job %s with verdict %s", c.key, resp.StatusCode, data, c.id, c.verdict)
+		}
+
+		other := bellFlippedQASM
+		if c.gp == bellFlippedQASM {
+			other = bellQASM
+		}
+		resp, data = postWithKey(t, ts.URL+"/v1/jobs", body(other), c.key)
+		if resp.StatusCode != http.StatusConflict {
+			t.Errorf("%s: different question = %d, want 409; body %s", c.key, resp.StatusCode, data)
+		}
+	}
+}
+
 // restartableServer builds a server over dir's journal plus an HTTP front,
 // returning a shutdown function that simulates a graceful restart boundary.
 func restartableServer(t *testing.T, dir string, cfg Config) (*Server, *httptest.Server, func()) {

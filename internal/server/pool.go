@@ -52,7 +52,7 @@ type job struct {
 	id  string
 	req CheckRequest
 	g1  *circuit.Circuit
-	g2  *circuit.Circuit
+	g2  *circuit.Circuit // g1, g2 and req's sources are dropped at retireJob
 
 	enqueued time.Time
 	started  time.Time
@@ -342,12 +342,18 @@ func (s *Server) buildResponse(j *job, rep core.Report, panicErr *resource.Panic
 // oldest finished jobs beyond the retention bound.  Evicted ids are kept in
 // a bounded tombstone set so polls for them answer 410 job_evicted rather
 // than 404, and their idempotency keys are released for reuse.
+//
+// A retained job keeps only what it still serves: polls read its result,
+// and claimIdem (under jobsMu) its cache key and options.  Its circuits and
+// QASM sources are dropped here.
 func (s *Server) retireJob(j *job) {
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
 	if _, tracked := s.byID[j.id]; !tracked {
 		return // sync job: never registered for async lookup
 	}
+	j.g1, j.g2 = nil, nil
+	j.req.G, j.req.Gp = "", ""
 	s.doneOrder = append(s.doneOrder, j.id)
 	for len(s.doneOrder) > s.cfg.CompletedJobs {
 		evict := s.doneOrder[0]

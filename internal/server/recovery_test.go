@@ -171,3 +171,55 @@ func TestCrashRecoveryRepeated(t *testing.T) {
 		t.Errorf("second recovery requeued = %d, want exactly the one job", got)
 	}
 }
+
+// TestRecoveredKeyedRetryKeepsOptions: a keyed check with non-default
+// options that finished before a restart is answered, after the restart,
+// under its original job id when retried with the same key and options.
+// The recovered job keeps the options, not the sources.
+func TestRecoveredKeyedRetryKeepsOptions(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 1}
+	cases := []struct {
+		key  string
+		opts CheckOptions
+	}{
+		{"opts-r", CheckOptions{R: 3}},
+		{"opts-alias", CheckOptions{Strategy: "gate-cost"}},
+	}
+	body := func(opts CheckOptions) string {
+		b, _ := json.Marshal(CheckRequest{G: bellQASM, Gp: bellQASM, Options: opts})
+		return string(b)
+	}
+
+	_, ts, stop := restartableServer(t, dir, cfg)
+	ids := make([]string, len(cases))
+	for i, c := range cases {
+		resp, data := postWithKey(t, ts.URL+"/v1/check", body(c.opts), c.key)
+		var cr CheckResponse
+		if err := json.Unmarshal(data, &cr); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: check = %d; body %s", c.key, resp.StatusCode, data)
+		}
+		ids[i] = cr.JobID
+	}
+	stop()
+
+	s2, ts2, stop2 := restartableServer(t, dir, cfg)
+	defer stop2()
+	for i, c := range cases {
+		retainedJobHoldsNoSources(t, s2, ids[i])
+		resp, data := postWithKey(t, ts2.URL+"/v1/check", body(c.opts), c.key)
+		var cr CheckResponse
+		if err := json.Unmarshal(data, &cr); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: retry after restart = %d, want 200; body %s", c.key, resp.StatusCode, data)
+		}
+		if cr.JobID != ids[i] || cr.Verdict != VerdictEquivalent {
+			t.Errorf("%s: retry answered job %s (%s), want %s (%s)", c.key, cr.JobID, cr.Verdict, ids[i], VerdictEquivalent)
+		}
+		other := c.opts
+		other.Seed++
+		resp, data = postWithKey(t, ts2.URL+"/v1/check", body(other), c.key)
+		if resp.StatusCode != http.StatusConflict {
+			t.Errorf("%s: different options after restart = %d, want 409; body %s", c.key, resp.StatusCode, data)
+		}
+	}
+}

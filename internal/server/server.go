@@ -202,7 +202,8 @@ func (s *Server) replayJournal(st *replayState) []*job {
 // recoverFinished registers one journaled finished job as an
 // already-completed async job and feeds its verdict to the cache, so both
 // GET /v1/jobs/{id} polls and fresh identical questions are answered
-// without re-execution.
+// without re-execution.  Like any retired job it keeps the request's
+// options, which keyed retries are compared against, but not its sources.
 func (s *Server) recoverFinished(rj *replayJob) {
 	res := *rj.result
 	j := &job{id: rj.id, idemKey: rj.idemKey, done: make(chan struct{}), result: &res}
@@ -210,6 +211,7 @@ func (s *Server) recoverFinished(rj *replayJob) {
 	j.cancel = func(error) {}
 	close(j.done)
 	if rj.req != nil {
+		j.req.Options = rj.req.Options
 		// Rebuild the cache key from the journaled request; a parse failure
 		// (e.g. a size envelope tightened between restarts) only skips the
 		// cache insert, the stored verdict still serves by job id.
