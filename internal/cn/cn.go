@@ -37,9 +37,10 @@ func (v *Value) Real() float64 { return real(v.c) }
 // Imag returns the imaginary part of the value.
 func (v *Value) Imag() float64 { return imag(v.c) }
 
-// ID returns a process-unique identifier assigned at interning time.  IDs are
-// stable for the lifetime of the table and are used for hashing in compute
-// tables.
+// ID returns the identifier assigned at interning time.  IDs are dense from
+// 0 in interning order, stable for the lifetime of the table, and below
+// 2^32 (the bucket slots store them as uint32), so DD compute tables hash
+// them and store them as uint32 in place of the pointer (see Table.ByID).
 func (v *Value) ID() uint64 { return v.id }
 
 // Abs returns the magnitude |v|.
@@ -120,6 +121,11 @@ func NewTable(tol float64) *Table {
 
 // NewDefault creates a table with DefaultTolerance.
 func NewDefault() *Table { return NewTable(DefaultTolerance) }
+
+// ByID returns the value with the given ID (see Value.ID): one indexed load,
+// which lets pointer-free structures hold a uint32 in place of a *Value.
+// The ID must come from a value of this table.
+func (t *Table) ByID(id uint32) *Value { return t.vals[id] }
 
 // Tolerance returns the table tolerance.
 func (t *Table) Tolerance() float64 { return t.tol }

@@ -228,3 +228,19 @@ func TestNonFiniteLookupPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestByIDRoundTrip: every interned value, including the pre-interned Zero
+// and One and values interned after the table grew, is found again by its
+// ID.
+func TestByIDRoundTrip(t *testing.T) {
+	tab := NewDefault()
+	vals := []*Value{tab.Zero, tab.One}
+	for i := 0; i < 3*tableInitCap; i++ {
+		vals = append(vals, tab.LookupReal(0.5+float64(i)))
+	}
+	for _, v := range vals {
+		if got := tab.ByID(uint32(v.ID())); got != v {
+			t.Fatalf("ByID(%d) = %v, want %v", v.ID(), got, v)
+		}
+	}
+}

@@ -4,9 +4,11 @@ import (
 	"path/filepath"
 	"testing"
 
+	"qcec/internal/bench"
 	"qcec/internal/circuit"
 	"qcec/internal/dd"
 	"qcec/internal/errinject"
+	"qcec/internal/mapping"
 )
 
 // TestArenaCheckParity checks that the arena node storage is invisible to
@@ -100,5 +102,79 @@ func TestArenaCheckParity(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPermutedPairSurvivesCollections: a pair declaring an output
+// permutation simulates with an un-permutation matrix built before the
+// stimuli run, and every collection during a run must keep it alive.  Left
+// unrooted, a collection mid-run freed its nodes and the comparison read
+// recycled slots (a "MulMV level mismatch" panic, or silently a different
+// matrix).  A run collecting at almost every gate must match one that
+// barely collects, for the routed pair and for an error-injected copy.
+func TestPermutedPairSurvivesCollections(t *testing.T) {
+	g := loadSeedCircuit(t, filepath.Join("..", "..", "circuits", "qft8.qasm"))
+	routed, err := mapping.Map(g, mapping.Options{Arch: mapping.Linear(g.N), DecomposeSwaps: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if routed.OutputPerm == nil {
+		t.Fatal("routing restored the layout; no permutation to exercise")
+	}
+	bad, _, err := errinject.InjectAny(routed.Circuit, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gp := range []*circuit.Circuit{routed.Circuit, bad} {
+		base := Options{R: 8, Seed: 5, SkipEC: true, OutputPerm: routed.OutputPerm}
+		ref := Check(g, gp, base)
+		press := base
+		press.GCThreshold = 1
+		got := Check(g, gp, press)
+		if ref.Err != nil || got.Err != nil {
+			t.Fatalf("runs failed: reference %v, collecting %v", ref.Err, got.Err)
+		}
+		if got.DD.GCRuns <= ref.DD.GCRuns {
+			t.Fatalf("pressured run collected %d times, reference %d", got.DD.GCRuns, ref.DD.GCRuns)
+		}
+		if got.Verdict != ref.Verdict || got.NumSims != ref.NumSims || got.MinFidelity != ref.MinFidelity {
+			t.Errorf("collecting run: %v after %d sims (min fidelity %g), reference %v after %d (%g)",
+				got.Verdict, got.NumSims, got.MinFidelity, ref.Verdict, ref.NumSims, ref.MinFidelity)
+		}
+	}
+}
+
+// TestSimulationStageKeepsItsGarbage: the simulation stage's packages
+// collect at simGCFloor, not at the complete check's floor.  On an
+// equivalent Clifford pair the stage creates several times
+// dd.DefaultGCThreshold nodes, and G' replays G's gates on each stimulus:
+// at simGCFloor nothing is collected and the replay is served from the
+// compute tables, while at the complete check's floor the stage collects
+// and rebuilds what it dropped.  Verdicts and fidelities agree either way.
+func TestSimulationStageKeepsItsGarbage(t *testing.T) {
+	g := bench.RandomClifford(10, 200, 3)
+	base := Options{R: 10, Seed: 1, SkipEC: true}
+	got := Check(g, g.Clone(), base)
+	small := base
+	small.GCThreshold = dd.DefaultGCThreshold
+	ref := Check(g, g.Clone(), small)
+	if got.Err != nil || ref.Err != nil {
+		t.Fatalf("runs failed: %v, %v", got.Err, ref.Err)
+	}
+	t.Logf("simulation floor: %d collections, %d nodes created; complete-check floor: %d, %d",
+		got.DD.GCRuns, got.DD.NodesCreated, ref.DD.GCRuns, ref.DD.NodesCreated)
+	if got.DD.NodesCreated <= 2*dd.DefaultGCThreshold {
+		t.Fatalf("stage created only %d nodes; too few to tell the floors apart", got.DD.NodesCreated)
+	}
+	if got.DD.GCRuns != 0 {
+		t.Errorf("simulation stage collected %d times under a %d-node floor", got.DD.GCRuns, simGCFloor)
+	}
+	if ref.DD.GCRuns == 0 || ref.DD.NodesCreated <= got.DD.NodesCreated {
+		t.Errorf("at the complete check's floor: %d collections, %d nodes created, want collections and more nodes than %d",
+			ref.DD.GCRuns, ref.DD.NodesCreated, got.DD.NodesCreated)
+	}
+	if got.Verdict != ref.Verdict || got.NumSims != ref.NumSims || got.MinFidelity != ref.MinFidelity {
+		t.Errorf("floors disagree: %v after %d sims (min fidelity %g) vs %v after %d (%g)",
+			got.Verdict, got.NumSims, got.MinFidelity, ref.Verdict, ref.NumSims, ref.MinFidelity)
 	}
 }

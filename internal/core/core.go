@@ -125,14 +125,16 @@ type Options struct {
 	DisableGateCache bool
 	// DisableApplyKernel switches the simulation stage's gate application
 	// from the direct kernel (dd.ApplyGateV) back to the legacy
-	// GateDD+MulMV reference path, and plumbs the same choice into
-	// ec.Options.  Only the benchmark runner and the parity tests use
-	// this; verdicts are identical either way.
+	// GateDD+MulMV reference path.  Only the benchmark runner and the
+	// parity tests use this; verdicts are identical either way.
 	DisableApplyKernel bool
-	// GCThreshold overrides the DD garbage-collection trigger of the
-	// simulation packages (0 = dd.DefaultGCThreshold).  Tests use a tiny
-	// threshold to force collections and exercise the gate cache's GC
-	// re-rooting.
+	// GCThreshold overrides the floor of the DD garbage-collection trigger
+	// of the simulation packages (0 = simGCFloor; a package collects once
+	// its population reaches the largest of the floor and twice the nodes
+	// that survived its last collection, see dd.Package.MaybeGC).  The
+	// complete check keeps dd.DefaultGCThreshold.  Tests use a tiny floor
+	// to force collections (1 collects at every safe point) and exercise
+	// the gate cache's GC re-rooting.
 	GCThreshold int
 	// MemSoftLimit / MemHardLimit, in bytes, put the whole flow under a
 	// memory watchdog (internal/resource): above the soft limit every
@@ -387,16 +389,15 @@ func check(g1, g2 *circuit.Circuit, opts Options) Report {
 	}
 
 	res := ec.Check(g1, g2, ec.Options{
-		Strategy:           opts.Strategy,
-		Context:            opts.Context,
-		Timeout:            opts.ECTimeout,
-		NodeLimit:          opts.ECNodeLimit,
-		UpToGlobalPhase:    opts.UpToGlobalPhase,
-		OutputPerm:         opts.OutputPerm,
-		Tolerance:          opts.Tolerance,
-		DisableGateCache:   opts.DisableGateCache,
-		DisableApplyKernel: opts.DisableApplyKernel,
-		Pool:               opts.Pool,
+		Strategy:         opts.Strategy,
+		Context:          opts.Context,
+		Timeout:          opts.ECTimeout,
+		NodeLimit:        opts.ECNodeLimit,
+		UpToGlobalPhase:  opts.UpToGlobalPhase,
+		OutputPerm:       opts.OutputPerm,
+		Tolerance:        opts.Tolerance,
+		DisableGateCache: opts.DisableGateCache,
+		Pool:             opts.Pool,
 	})
 	report.EC = &res
 	if res.Verdict != ec.TimedOut {

@@ -29,7 +29,7 @@ import (
 // Results are memoized in a dedicated compute table (see apEntry) keyed by
 // (state node, gate id, opcode), where the gate id is a small integer the
 // package assigns per distinct gateKey.  Like every other compute table it
-// is cleared by garbage collection; the gate-id map survives collections
+// is invalidated by garbage collection; the gate-id map survives collections
 // (clearing it would only waste ids) unless it outgrows the gate-cache
 // limit, in which case GC resets it together with the table.
 
@@ -56,13 +56,14 @@ const (
 	apOpMix1                 // mixFire producing the result 1-cofactor
 )
 
-// apEntry is one apply-compute-table slot.
+// apEntry is one apply-compute-table slot (pointer-free like every compute
+// table entry; see arith.go).
 type apEntry struct {
-	x   VRef
-	gid uint32
-	op  uint8
-	res VEdge
-	ok  bool
+	x         VRef
+	gid       uint32
+	resN      VRef
+	resW, gen uint32
+	op        uint8
 }
 
 // apbEntry is one binary apply-compute-table slot (mixFire).  mixFire is
@@ -72,12 +73,12 @@ type apEntry struct {
 // operand pairs that differ only by a common factor — the typical state
 // recurrence in phase-heavy circuits — therefore share one entry.
 type apbEntry struct {
-	x, y  VRef
-	ratio *cn.Value
-	gid   uint32
-	op    uint8
-	res   VEdge
-	ok    bool
+	x, y      VRef
+	ratio     uint32 // weight ID
+	gid       uint32
+	resN      VRef
+	resW, gen uint32
+	op        uint8
 }
 
 // applySpec carries one ApplyGateV invocation through the recursion: the
@@ -257,9 +258,9 @@ func (p *Package) applyRec(s *applySpec, x VEdge) VEdge {
 		panic("dd: ApplyGateV state below the gate's levels")
 	}
 	h := apHash(s.gid, apOpApply, n)
-	if ent := p.ap.slot(h); ent != nil && ent.ok && ent.x == n && ent.gid == s.gid && ent.op == apOpApply {
+	if ent := p.ap.slot(h); ent != nil && ent.gen == p.gen && ent.x == n && ent.gid == s.gid && ent.op == apOpApply {
 		p.applyHits++
-		return p.scaleV(ent.res, x.W)
+		return p.scaleV(p.vRes(ent.resN, ent.resW), x.W)
 	}
 	p.applyMisses++
 	v := p.vLv(n)
@@ -293,7 +294,7 @@ func (p *Package) applyRec(s *applySpec, x VEdge) VEdge {
 			res = p.makeVNode(v, r0, r1)
 		}
 	}
-	p.ap.put(h, apEntry{x: n, gid: s.gid, op: apOpApply, res: res, ok: true})
+	p.ap.put(h, apEntry{x: n, gid: s.gid, op: apOpApply, resN: res.N, resW: wid(res.W), gen: p.gen})
 	return p.scaleV(res, x.W)
 }
 
@@ -363,9 +364,9 @@ func (p *Package) proj(s *applySpec, x VEdge, bar bool) VEdge {
 		op = apOpProjBar
 	}
 	h := apHash(s.gid, op, n)
-	if ent := p.ap.slot(h); ent != nil && ent.ok && ent.x == n && ent.gid == s.gid && ent.op == op {
+	if ent := p.ap.slot(h); ent != nil && ent.gen == p.gen && ent.x == n && ent.gid == s.gid && ent.op == op {
 		p.applyHits++
-		return p.scaleV(ent.res, x.W)
+		return p.scaleV(p.vRes(ent.resN, ent.resW), x.W)
 	}
 	p.applyMisses++
 	v := p.vLv(n)
@@ -388,7 +389,7 @@ func (p *Package) proj(s *applySpec, x VEdge, bar bool) VEdge {
 	} else {
 		res = p.makeVNode(v, p.proj(s, p.vE(n, 0), bar), p.proj(s, p.vE(n, 1), bar))
 	}
-	p.ap.put(h, apEntry{x: n, gid: s.gid, op: op, res: res, ok: true})
+	p.ap.put(h, apEntry{x: n, gid: s.gid, op: op, resN: res.N, resW: wid(res.W), gen: p.gen})
 	return p.scaleV(res, x.W)
 }
 
@@ -412,12 +413,13 @@ func (p *Package) mixFire(s *applySpec, a, b VEdge, op uint8) VEdge {
 	// Factor a.W out of both operands: entries are stored for a weight-One
 	// first operand and a ratio-weighted second, and rescaled on hit.
 	ratio := p.CN.Div(b.W, a.W)
+	rid := wid(ratio)
 	n, m := a.N, b.N
-	h := mix(mix(mix(mix(0x8A91A6D40BF42040, uint64(s.gid)<<3|uint64(op)), uint64(n)), uint64(m)), ratio.ID())
-	if ent := p.apb.slot(h); ent != nil && ent.ok && ent.x == n && ent.y == m &&
-		ent.ratio == ratio && ent.gid == s.gid && ent.op == op {
+	h := mix(mix(mix(mix(0x8A91A6D40BF42040, uint64(s.gid)<<3|uint64(op)), uint64(n)), uint64(m)), uint64(rid))
+	if ent := p.apb.slot(h); ent != nil && ent.gen == p.gen && ent.x == n && ent.y == m &&
+		ent.ratio == rid && ent.gid == s.gid && ent.op == op {
 		p.applyHits++
-		return p.scaleV(ent.res, a.W)
+		return p.scaleV(p.vRes(ent.resN, ent.resW), a.W)
 	}
 	p.applyMisses++
 	v := p.vLv(n)
@@ -439,7 +441,7 @@ func (p *Package) mixFire(s *applySpec, a, b VEdge, op uint8) VEdge {
 			p.mixFire(s, p.vE(n, 0), p.scaleV(p.vE(m, 0), ratio), op),
 			p.mixFire(s, p.vE(n, 1), p.scaleV(p.vE(m, 1), ratio), op))
 	}
-	p.apb.put(h, apbEntry{x: n, y: m, ratio: ratio, gid: s.gid, op: op, res: res, ok: true})
+	p.apb.put(h, apbEntry{x: n, y: m, ratio: rid, gid: s.gid, op: op, resN: res.N, resW: wid(res.W), gen: p.gen})
 	return p.scaleV(res, a.W)
 }
 
@@ -459,9 +461,9 @@ func (p *Package) ctlScale(s *applySpec, x VEdge, w *cn.Value, op uint8) VEdge {
 		return p.scaleV(x, w)
 	}
 	h := apHash(s.gid, op, n)
-	if ent := p.ap.slot(h); ent != nil && ent.ok && ent.x == n && ent.gid == s.gid && ent.op == op {
+	if ent := p.ap.slot(h); ent != nil && ent.gen == p.gen && ent.x == n && ent.gid == s.gid && ent.op == op {
 		p.applyHits++
-		return p.scaleV(ent.res, x.W)
+		return p.scaleV(p.vRes(ent.resN, ent.resW), x.W)
 	}
 	p.applyMisses++
 	v := p.vLv(n)
@@ -482,6 +484,6 @@ func (p *Package) ctlScale(s *applySpec, x VEdge, w *cn.Value, op uint8) VEdge {
 			res = p.makeVNode(v, r0, r1)
 		}
 	}
-	p.ap.put(h, apEntry{x: n, gid: s.gid, op: op, res: res, ok: true})
+	p.ap.put(h, apEntry{x: n, gid: s.gid, op: op, resN: res.N, resW: wid(res.W), gen: p.gen})
 	return p.scaleV(res, x.W)
 }

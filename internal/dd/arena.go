@@ -34,9 +34,9 @@ import "qcec/internal/cn"
 //     reused by later allocations, so holding an edge across an unrooted
 //     collection is a correctness bug, not just a canonicity leak — exactly
 //     the rooting discipline GC's documentation has always demanded.
-//   - Compute-table entries store indices too; every collection clears the
-//     compute tables before slots are reused, so no stale index can ever be
-//     observed through them.
+//   - Compute-table entries store indices too; every collection invalidates
+//     the compute tables before slots are reused, so no stale index can ever
+//     be observed through them.
 
 // VRef addresses a vector-DD node in its package's arena.  0 is the
 // terminal.  Refs are meaningful only within the package that issued them.

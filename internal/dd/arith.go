@@ -16,6 +16,15 @@ import (
 // workloads grow to the 2^17 ceiling, which bounds memory and keeps lookups
 // O(1) regardless of circuit length.  Growth drops the previous generation —
 // these are caches, so discarding entries is always sound.
+//
+// Entries are pointer-free: they hold node refs and the uint32 IDs of
+// interned weights (cn.Table.ByID turns an ID back into its value on a hit),
+// so the Go collector never scans the tables, and an entry is a third to a
+// half smaller than one holding *cn.Value fields.  Every entry carries the
+// generation it was written in; a lookup only accepts an entry stamped with
+// the package's current generation (Package.gen), so a collection
+// invalidates every table at once by bumping one counter (see
+// invalidateComputeTables) instead of zeroing the arrays.
 const (
 	ctMinBits = 10
 	ctMaxBits = 17
@@ -27,7 +36,7 @@ const (
 // it grows.
 type ctab[E any] struct {
 	e       []E
-	inserts int // since the last growth or clear
+	inserts int // since the last growth or collection
 }
 
 // slot returns the entry for hash h, or nil while the table is unallocated
@@ -40,8 +49,10 @@ func (t *ctab[E]) slot(h uint64) *E {
 }
 
 // put stores val at hash h, allocating on first use and growing 8x (up to
-// the ceiling) once the inserts since the last resize outnumber the slots —
-// a cheap proxy for "this workload is collision-bound at the current size".
+// the ceiling) once the inserts since the last resize or collection
+// outnumber the slots — a cheap proxy for "this workload is collision-bound
+// at the current size".  Counting from the last collection sizes a table to
+// one generation's working set, not to a job's cumulative traffic.
 func (t *ctab[E]) put(h uint64, val E) {
 	if len(t.e) == 0 {
 		t.e = make([]E, 1<<ctMinBits)
@@ -57,8 +68,13 @@ func (t *ctab[E]) put(h uint64, val E) {
 	t.inserts++
 }
 
-func (t *ctab[E]) clear() {
-	clear(t.e)
+// restart begins a new generation for the table: the growth counter starts
+// over, and the entries are zeroed only when wipe is set (the generation
+// counter wrapped, so old stamps could match again).
+func (t *ctab[E]) restart(wipe bool) {
+	if wipe {
+		clear(t.e)
+	}
 	t.inserts = 0
 }
 
@@ -69,65 +85,84 @@ func mix(h, x uint64) uint64 {
 	return h
 }
 
+// wid returns the ID a compute-table entry stores for an interned weight.
+func wid(w *cn.Value) uint32 { return uint32(w.ID()) }
+
+// vRes and mRes rebuild a stored result edge from its node ref and weight ID.
+func (p *Package) vRes(n VRef, w uint32) VEdge { return VEdge{W: p.CN.ByID(w), N: n} }
+func (p *Package) mRes(n MRef, w uint32) MEdge { return MEdge{W: p.CN.ByID(w), N: n} }
+
+// Compute-table entries.  gen is the generation the entry was written in
+// (0 never matches: Package.gen starts at 1), weights are cn.Value IDs (see
+// wid), and a result edge is split into its node (resN) and weight (resW).
+
 type addVEntry struct {
-	aN, bN VRef
-	aW, bW *cn.Value
-	res    VEdge
-	ok     bool
+	aN, bN    VRef
+	aW, bW    uint32
+	resN      VRef
+	resW, gen uint32
 }
 
 type addMEntry struct {
-	aN, bN MRef
-	aW, bW *cn.Value
-	res    MEdge
-	ok     bool
+	aN, bN    MRef
+	aW, bW    uint32
+	resN      MRef
+	resW, gen uint32
 }
 
 type mvEntry struct {
-	m   MRef
-	x   VRef
-	res VEdge
-	ok  bool
+	m         MRef
+	x         VRef
+	resN      VRef
+	resW, gen uint32
 }
 
 type mmEntry struct {
-	a, b MRef
-	res  MEdge
-	ok   bool
+	a, b      MRef
+	resN      MRef
+	resW, gen uint32
 }
 
 type ipEntry struct {
 	a, b VRef
 	res  complex128
-	ok   bool
+	gen  uint32
 }
 
 type ctEntry struct {
-	m   MRef
-	res MEdge
-	ok  bool
+	m         MRef
+	resN      MRef
+	resW, gen uint32
 }
 
+// krEntry serves KronM and KronV: a, b and resN are MRefs or VRefs as isV
+// says.
 type krEntry struct {
-	aM, bM MRef
-	aV, bV VRef
-	shift  int
-	isV    bool // distinguishes KronV entries from KronM entries
-	resM   MEdge
-	resV   VEdge
-	ok     bool
+	a, b      uint32
+	shift     int32
+	resN      uint32
+	resW, gen uint32
+	isV       bool
 }
 
-func (p *Package) clearComputeTables() {
-	p.addV.clear()
-	p.addM.clear()
-	p.mv.clear()
-	p.mm.clear()
-	p.ip.clear()
-	p.ct.clear()
-	p.kr.clear()
-	p.ap.clear()
-	p.apb.clear()
+// invalidateComputeTables empties every compute table in O(1) by moving the
+// package to a new generation.  The arrays are zeroed only when the counter
+// wraps around, once every 2^32 - 1 collections.
+func (p *Package) invalidateComputeTables() {
+	p.gen++
+	wipe := p.gen == 0
+	if wipe {
+		p.gen = 1
+	}
+	p.addV.restart(wipe)
+	p.addM.restart(wipe)
+	p.mv.restart(wipe)
+	p.mm.restart(wipe)
+	p.ip.restart(wipe)
+	p.ct.restart(wipe)
+	p.kr.restart(wipe)
+	p.ap.restart(wipe)
+	p.apb.restart(wipe)
 }
 
 // AddV returns the sum of two vector DDs.  Both operands must be rooted at
@@ -156,17 +191,18 @@ func (p *Package) AddV(a, b VEdge) VEdge {
 	if b.N < a.N { // commutative: canonical operand order
 		a, b = b, a
 	}
-	h := mix(mix(mix(mix(14695981039346656037, uint64(a.N)), a.W.ID()), uint64(b.N)), b.W.ID())
-	if ent := p.addV.slot(h); ent != nil && ent.ok && ent.aN == a.N && ent.bN == b.N && ent.aW == a.W && ent.bW == b.W {
+	aW, bW := wid(a.W), wid(b.W)
+	h := mix(mix(mix(mix(14695981039346656037, uint64(a.N)), uint64(aW)), uint64(b.N)), uint64(bW))
+	if ent := p.addV.slot(h); ent != nil && ent.gen == p.gen && ent.aN == a.N && ent.bN == b.N && ent.aW == aW && ent.bW == bW {
 		p.cacheHits++
-		return ent.res
+		return p.vRes(ent.resN, ent.resW)
 	}
 	p.cacheMisses++
 	v := p.vLv(a.N)
 	r0 := p.AddV(p.scaleV(p.vE(a.N, 0), a.W), p.scaleV(p.vE(b.N, 0), b.W))
 	r1 := p.AddV(p.scaleV(p.vE(a.N, 1), a.W), p.scaleV(p.vE(b.N, 1), b.W))
 	res := p.makeVNode(v, r0, r1)
-	p.addV.put(h, addVEntry{aN: a.N, bN: b.N, aW: a.W, bW: b.W, res: res, ok: true})
+	p.addV.put(h, addVEntry{aN: a.N, bN: b.N, aW: aW, bW: bW, resN: res.N, resW: wid(res.W), gen: p.gen})
 	return res
 }
 
@@ -195,10 +231,11 @@ func (p *Package) AddM(a, b MEdge) MEdge {
 	if b.N < a.N {
 		a, b = b, a
 	}
-	h := mix(mix(mix(mix(1099511628211, uint64(a.N)), a.W.ID()), uint64(b.N)), b.W.ID())
-	if ent := p.addM.slot(h); ent != nil && ent.ok && ent.aN == a.N && ent.bN == b.N && ent.aW == a.W && ent.bW == b.W {
+	aW, bW := wid(a.W), wid(b.W)
+	h := mix(mix(mix(mix(1099511628211, uint64(a.N)), uint64(aW)), uint64(b.N)), uint64(bW))
+	if ent := p.addM.slot(h); ent != nil && ent.gen == p.gen && ent.aN == a.N && ent.bN == b.N && ent.aW == aW && ent.bW == bW {
 		p.cacheHits++
-		return ent.res
+		return p.mRes(ent.resN, ent.resW)
 	}
 	p.cacheMisses++
 	v := p.mLv(a.N)
@@ -207,7 +244,7 @@ func (p *Package) AddM(a, b MEdge) MEdge {
 		r[i] = p.AddM(p.scaleM(p.mE(a.N, i), a.W), p.scaleM(p.mE(b.N, i), b.W))
 	}
 	res := p.makeMNode(v, r)
-	p.addM.put(h, addMEntry{aN: a.N, bN: b.N, aW: a.W, bW: b.W, res: res, ok: true})
+	p.addM.put(h, addMEntry{aN: a.N, bN: b.N, aW: aW, bW: bW, resN: res.N, resW: wid(res.W), gen: p.gen})
 	return res
 }
 
@@ -229,9 +266,9 @@ func (p *Package) MulMV(m MEdge, x VEdge) VEdge {
 		return p.scaleV(VEdge{W: p.CN.One, N: x.N}, w)
 	}
 	h := mix(mix(0x51ed270b, uint64(m.N)), uint64(x.N))
-	if ent := p.mv.slot(h); ent != nil && ent.ok && ent.m == m.N && ent.x == x.N {
+	if ent := p.mv.slot(h); ent != nil && ent.gen == p.gen && ent.m == m.N && ent.x == x.N {
 		p.cacheHits++
-		return p.scaleV(ent.res, w)
+		return p.scaleV(p.vRes(ent.resN, ent.resW), w)
 	}
 	p.cacheMisses++
 	v := p.mLv(m.N)
@@ -239,7 +276,7 @@ func (p *Package) MulMV(m MEdge, x VEdge) VEdge {
 	r0 := p.AddV(p.MulMV(p.mE(m.N, 0), x0), p.MulMV(p.mE(m.N, 1), x1))
 	r1 := p.AddV(p.MulMV(p.mE(m.N, 2), x0), p.MulMV(p.mE(m.N, 3), x1))
 	res := p.makeVNode(v, r0, r1)
-	p.mv.put(h, mvEntry{m: m.N, x: x.N, res: res, ok: true})
+	p.mv.put(h, mvEntry{m: m.N, x: x.N, resN: res.N, resW: wid(res.W), gen: p.gen})
 	return p.scaleV(res, w)
 }
 
@@ -265,9 +302,9 @@ func (p *Package) MulMM(a, b MEdge) MEdge {
 		}
 	}
 	h := mix(mix(0x2545F4914F6CDD1D, uint64(a.N)), uint64(b.N))
-	if ent := p.mm.slot(h); ent != nil && ent.ok && ent.a == a.N && ent.b == b.N {
+	if ent := p.mm.slot(h); ent != nil && ent.gen == p.gen && ent.a == a.N && ent.b == b.N {
 		p.cacheHits++
-		return p.scaleM(ent.res, w)
+		return p.scaleM(p.mRes(ent.resN, ent.resW), w)
 	}
 	p.cacheMisses++
 	v := p.mLv(a.N)
@@ -281,7 +318,7 @@ func (p *Package) MulMM(a, b MEdge) MEdge {
 		}
 	}
 	res := p.makeMNode(v, r)
-	p.mm.put(h, mmEntry{a: a.N, b: b.N, res: res, ok: true})
+	p.mm.put(h, mmEntry{a: a.N, b: b.N, resN: res.N, resW: wid(res.W), gen: p.gen})
 	return p.scaleM(res, w)
 }
 
@@ -300,13 +337,13 @@ func (p *Package) InnerProduct(a, b VEdge) complex128 {
 		panic("dd: InnerProduct level mismatch")
 	}
 	h := mix(mix(0x9E3779B1, uint64(a.N)), uint64(b.N))
-	if ent := p.ip.slot(h); ent != nil && ent.ok && ent.a == a.N && ent.b == b.N {
+	if ent := p.ip.slot(h); ent != nil && ent.gen == p.gen && ent.a == a.N && ent.b == b.N {
 		p.cacheHits++
 		return w * ent.res
 	}
 	p.cacheMisses++
 	f := p.InnerProduct(p.vE(a.N, 0), p.vE(b.N, 0)) + p.InnerProduct(p.vE(a.N, 1), p.vE(b.N, 1))
-	p.ip.put(h, ipEntry{a: a.N, b: b.N, res: f, ok: true})
+	p.ip.put(h, ipEntry{a: a.N, b: b.N, res: f, gen: p.gen})
 	return w * f
 }
 
@@ -336,9 +373,9 @@ func (p *Package) ConjugateTranspose(m MEdge) MEdge {
 		return MEdge{W: wc}
 	}
 	h := mix(0xC6A4A7935BD1E995, uint64(m.N))
-	if ent := p.ct.slot(h); ent != nil && ent.ok && ent.m == m.N {
+	if ent := p.ct.slot(h); ent != nil && ent.gen == p.gen && ent.m == m.N {
 		p.cacheHits++
-		return p.scaleM(ent.res, wc)
+		return p.scaleM(p.mRes(ent.resN, ent.resW), wc)
 	}
 	p.cacheMisses++
 	res := p.makeMNode(p.mLv(m.N), [4]MEdge{
@@ -347,7 +384,7 @@ func (p *Package) ConjugateTranspose(m MEdge) MEdge {
 		p.ConjugateTranspose(p.mE(m.N, 1)),
 		p.ConjugateTranspose(p.mE(m.N, 3)),
 	})
-	p.ct.put(h, ctEntry{m: m.N, res: res, ok: true})
+	p.ct.put(h, ctEntry{m: m.N, resN: res.N, resW: wid(res.W), gen: p.gen})
 	return p.scaleM(res, wc)
 }
 
@@ -365,9 +402,9 @@ func (p *Package) KronM(a, b MEdge, bLevels int) MEdge {
 		panic(fmt.Sprintf("dd: KronM level overflow (a level %d, shift %d)", p.mLv(a.N), bLevels))
 	}
 	h := mix(mix(mix(0xA0761D6478BD642F, uint64(a.N)), uint64(b.N)), uint64(bLevels))
-	if ent := p.kr.slot(h); ent != nil && ent.ok && ent.aM == a.N && ent.bM == b.N && ent.shift == bLevels && !ent.isV {
+	if ent := p.kr.slot(h); ent != nil && ent.gen == p.gen && ent.a == uint32(a.N) && ent.b == uint32(b.N) && int(ent.shift) == bLevels && !ent.isV {
 		p.cacheHits++
-		return p.scaleM(ent.resM, a.W)
+		return p.scaleM(p.mRes(MRef(ent.resN), ent.resW), a.W)
 	}
 	p.cacheMisses++
 	var r [4]MEdge
@@ -375,7 +412,7 @@ func (p *Package) KronM(a, b MEdge, bLevels int) MEdge {
 		r[i] = p.KronM(p.mE(a.N, i), b, bLevels)
 	}
 	res := p.makeMNode(p.mLv(a.N)+bLevels, r)
-	p.kr.put(h, krEntry{aM: a.N, bM: b.N, shift: bLevels, resM: res, ok: true})
+	p.kr.put(h, krEntry{a: uint32(a.N), b: uint32(b.N), shift: int32(bLevels), resN: uint32(res.N), resW: wid(res.W), gen: p.gen})
 	return p.scaleM(res, a.W)
 }
 
@@ -392,14 +429,14 @@ func (p *Package) KronV(a, b VEdge, bLevels int) VEdge {
 		panic(fmt.Sprintf("dd: KronV level overflow (a level %d, shift %d)", p.vLv(a.N), bLevels))
 	}
 	h := mix(mix(mix(0xE7037ED1A0B428DB, uint64(a.N)), uint64(b.N)), uint64(bLevels))
-	if ent := p.kr.slot(h); ent != nil && ent.ok && ent.aV == a.N && ent.bV == b.N && ent.shift == bLevels && ent.isV {
+	if ent := p.kr.slot(h); ent != nil && ent.gen == p.gen && ent.a == uint32(a.N) && ent.b == uint32(b.N) && int(ent.shift) == bLevels && ent.isV {
 		p.cacheHits++
-		return p.scaleV(ent.resV, a.W)
+		return p.scaleV(p.vRes(VRef(ent.resN), ent.resW), a.W)
 	}
 	p.cacheMisses++
 	r0 := p.KronV(p.vE(a.N, 0), b, bLevels)
 	r1 := p.KronV(p.vE(a.N, 1), b, bLevels)
 	res := p.makeVNode(p.vLv(a.N)+bLevels, r0, r1)
-	p.kr.put(h, krEntry{aV: a.N, bV: b.N, shift: bLevels, isV: true, resV: res, ok: true})
+	p.kr.put(h, krEntry{a: uint32(a.N), b: uint32(b.N), shift: int32(bLevels), isV: true, resN: uint32(res.N), resW: wid(res.W), gen: p.gen})
 	return p.scaleV(res, a.W)
 }

@@ -26,7 +26,11 @@
 //     zero edges shortcut directly to the terminal.  This keeps every binary
 //     operation strictly level-synchronized.
 //   - Operation results are memoized in fixed-size, overwrite-on-collision
-//     compute tables, so memory use is bounded and lookups are O(1).
+//     compute tables, so memory use is bounded and lookups are O(1).  The
+//     entries hold node refs and weight IDs, no pointers, and a collection
+//     invalidates them all by bumping one generation stamp (see arith.go).
+//   - Collections are paced to the live set (see MaybeGC), so the arenas
+//     and tables of a check whose live DD stays small stay cache-sized.
 //   - Whole gate DDs are memoized in a per-package gate cache keyed by the
 //     interned 2×2 matrix entries, the target and the control masks, so the
 //     hot simulation loop (r stimuli × |G| gates) builds each distinct gate
@@ -95,8 +99,8 @@ type Package struct {
 	// unique tables over them (see unique.go).  An index doubles as the
 	// node's id for compute-table hashing and commutative operand ordering:
 	// it is a stable total order over live nodes, and index reuse after a
-	// sweep can never alias a cached entry because every collection clears
-	// the compute tables before slots return to the free list.
+	// sweep can never alias a cached entry because every collection
+	// invalidates the compute tables before slots return to the free list.
 	vA vArena
 	mA mArena
 	vU refTable
@@ -107,7 +111,11 @@ type Package struct {
 
 	idents []MEdge // idents[k] = identity on the k lowest levels
 
-	// Compute tables (zero values: lazily allocated on first insert).
+	// Compute tables (zero values: lazily allocated on first insert).  gen
+	// is their shared generation: an entry is valid only while its stamp
+	// equals gen, and every collection bumps it (see
+	// invalidateComputeTables).  It starts at 1, so zeroed slots never match.
+	gen  uint32
 	addV ctab[addVEntry]
 	addM ctab[addMEntry]
 	mv   ctab[mvEntry]
@@ -121,9 +129,9 @@ type Package struct {
 	// apIDs assigns each distinct gate key a small id that keys the apply
 	// compute tables (see applyID).  The map survives garbage collections —
 	// ids stay valid because entries referencing them live in ap and apb,
-	// which GC clears — unless it outgrows gateCacheLimit, in which case GC resets
-	// it alongside the table and bumps apEpoch so prepared gates
-	// re-register their ids.
+	// which GC invalidates — unless it outgrows gateCacheLimit, in which
+	// case GC resets it alongside the tables and bumps apEpoch so prepared
+	// gates re-register their ids.
 	apIDs   map[gateKey]uint32
 	apEpoch uint64
 
@@ -134,17 +142,14 @@ type Package struct {
 	applyHits      uint64
 	applyMisses    uint64
 
-	// gcThreshold is the unique-table population that triggers a garbage
-	// collection in MaybeGC.  It doubles after a collection that fails to
-	// reclaim at least a quarter of the nodes — but never beyond
-	// gcGrowthCap times gcBase — and re-arms back towards gcBase once
-	// collections reclaim well again (see MaybeGC), so a long-lived package
-	// that survives one node-heavy stimulus resumes collecting instead of
-	// creeping towards the watchdog's hard limit.  gcBase is the configured
-	// trigger (DefaultGCThreshold, or SetGCThreshold's override).
-	gcThreshold int
-	gcBase      int
-	gcRuns      int
+	// gcFloor and gcLive pace the collections: MaybeGC collects once the
+	// unique-table population reaches the largest of gcFloor, twice gcLive
+	// (the nodes that survived the last collection) and a fixed share of the
+	// arena slot count (see gcTrigger).  gcFloor is DefaultGCThreshold, or
+	// SetGCThreshold's override.
+	gcFloor int
+	gcLive  int
+	gcRuns  int
 
 	// nodeLimit, when positive, makes node creation panic with a
 	// *LimitError once the unique tables exceed it.  Long-running clients
@@ -329,9 +334,15 @@ func (p *Package) faultPoint() {
 	p.faults.BeforeApply(p, p.faultEvents)
 }
 
-// DefaultGCThreshold is the initial unique-table population that triggers
-// garbage collection via MaybeGC.
-const DefaultGCThreshold = 250_000
+// DefaultGCThreshold is the floor of MaybeGC's collection trigger: the
+// smallest unique-table population at which it collects (see gcTrigger).
+// It is small enough that a check whose live DD is a few hundred nodes —
+// the alternating miter of an equivalent pair stays near the identity —
+// keeps its arena, unique tables and compute tables cache-resident, and
+// large enough that the mark and sweep stay a small share of the work.
+// Workloads whose dead nodes are worth keeping raise it with
+// SetGCThreshold: the flow's simulation stage does (see core).
+const DefaultGCThreshold = 1 << 13
 
 // DefaultGateCacheLimit bounds the gate-DD cache population: a garbage
 // collection that finds more cached gates than this flushes the cache instead
@@ -351,10 +362,10 @@ func New(n int, tol float64) *Package {
 		panic(fmt.Sprintf("dd: unsupported qubit count %d", n))
 	}
 	p := &Package{
-		n:           n,
-		CN:          cn.NewTable(tol),
-		gcThreshold: DefaultGCThreshold,
-		gcBase:      DefaultGCThreshold,
+		n:       n,
+		CN:      cn.NewTable(tol),
+		gen:     1,
+		gcFloor: DefaultGCThreshold,
 
 		gateCache:      make(map[gateKey]MEdge, 64),
 		gateCacheOn:    true,

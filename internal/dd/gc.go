@@ -6,10 +6,15 @@ package dd
 // live roots.  Collection marks the live slots, then sweeps each arena in
 // index order: survivors are re-interned into the emptied unique table
 // (capacity kept), every other slot is scrubbed and listed free.  It also
-// clears the compute tables, because a cached result pointing at a
+// invalidates the compute tables, because a cached result pointing at a
 // collected slot would break canonicity: the slot may be reused for a
 // functionally different node while the stale cache entry resurrects the
 // old index.
+//
+// MaybeGC paces the collections to the live set (see gcTrigger), so a
+// package's arena, unique tables and compute tables stay near twice what
+// its caller actually holds instead of filling with dead nodes between
+// rare collections.
 
 // markBits is a plain bitset sized to an arena's slot count — the arena
 // makes reachability marking an indexed bit flip instead of a map insert.
@@ -29,13 +34,13 @@ func (b markBits) set(i uint32) bool {
 func (b markBits) has(i uint32) bool { return b[i>>6]&(uint64(1)<<(i&63)) != 0 }
 
 // GC removes all nodes not reachable from the given roots (the identity
-// chain is always retained) and clears the compute tables.  Gate-DD cache
-// entries are re-rooted — marked live so the cached edges stay canonical
-// across the collection — unless the cache has outgrown its limit, in which
-// case it is flushed and rebuilt on demand.  Freed slots go onto the arena
-// free lists for reuse, lowest index first, and the unique tables are
-// rebuilt from the survivors; both depend only on which slots survive, so a
-// collection leaves the same layout however the package got there.  It
+// chain is always retained) and invalidates the compute tables.  Gate-DD
+// cache entries are re-rooted — marked live so the cached edges stay
+// canonical across the collection — unless the cache has outgrown its limit,
+// in which case it is flushed and rebuilt on demand.  Freed slots go onto
+// the arena free lists for reuse, lowest index first, and the unique tables
+// are rebuilt from the survivors; both depend only on which slots survive,
+// so a collection leaves the same layout however the package got there.  It
 // returns the number of nodes removed.
 func (p *Package) GC(rootsV []VEdge, rootsM []MEdge) int {
 	markedV := newMarkBits(p.vA.slots())
@@ -81,44 +86,51 @@ func (p *Package) GC(rootsV []VEdge, rootsM []MEdge) int {
 
 	// The apply-kernel id map carries no edges, so it needs no re-rooting;
 	// it is only reset when it outgrows the same bound as the gate cache.
-	// That is safe exactly here because clearComputeTables below wipes the
-	// apply table that interprets the ids; the epoch bump makes prepared
-	// gates re-register instead of reusing ids that may be reassigned.
+	// That is safe exactly here because invalidateComputeTables below
+	// empties the apply tables that interpret the ids; the epoch bump makes
+	// prepared gates re-register instead of reusing ids that may be
+	// reassigned.
 	if len(p.apIDs) > p.gateCacheLimit {
 		clear(p.apIDs)
 		p.apEpoch++
 	}
 
 	removed := p.sweepV(markedV) + p.sweepM(markedM)
-	p.clearComputeTables()
+	p.invalidateComputeTables()
 	p.gcRuns++
 	p.gcReclaimed += uint64(removed)
+	p.gcLive = p.NodeCount()
 	p.updateOccupancy()
 	return removed
 }
 
-// gcGrowthCap bounds how far adaptive backoff may raise gcThreshold above
-// its configured base: at most gcGrowthCap×gcBase.  Without the cap a
-// long-lived package that once held a node-heavy working set would double
-// its threshold unboundedly and effectively stop collecting for the rest of
-// its life, creeping toward the watchdog hard limit.
-const gcGrowthCap = 8
+// gcSweepShare bounds the sweep's cost per allocation: MaybeGC never
+// collects before the population reaches 1/gcSweepShare of the arena slot
+// count, so each sweep (which visits every slot) is paid for by at least
+// that many allocations since the previous one — even when the arena was
+// grown by an earlier, larger live set and now holds mostly free slots.
+const gcSweepShare = 4
 
-// MaybeGC runs GC when the unique-table population exceeds the current
-// threshold, or unconditionally when the memory watchdog has bumped its
-// pressure epoch since the last check (see SetPressure) — a pressure-forced
-// collection also flushes the gate cache, whose entries are rebuildable
-// ballast.
-//
-// The threshold adapts in both directions: if a threshold-triggered
-// collection reclaims less than a quarter of the nodes, the threshold
-// doubles (capped at gcGrowthCap times the configured base) so the package
-// does not thrash on genuinely large working sets; if a collection reclaims
-// at least half, occupancy has genuinely fallen and the threshold halves
-// back toward the base, re-arming regular collection for the next phase of
-// a long-lived package's life.  Pressure-forced collections leave the
-// threshold alone: reclaiming little under memory pressure is expected, not
-// a reason to collect less.  It reports whether a collection ran.
+// gcTrigger returns the unique-table population at which MaybeGC collects:
+// the largest of the floor (gcFloor), twice the nodes that survived the
+// last collection, and the arena slot count divided by gcSweepShare.  The
+// doubling lets a genuinely large working set grow without thrashing, and
+// the trigger falls back to the floor as soon as a collection finds the
+// live set small again.  A floor of 1 switches the pacing off: every
+// MaybeGC collects, which is what the collection stress tests rely on.
+func (p *Package) gcTrigger() int {
+	if p.gcFloor == 1 {
+		return 1
+	}
+	slots := p.vA.slots() + p.mA.slots() - 2 // excluding the two terminals
+	return max(p.gcFloor, 2*p.gcLive, slots/gcSweepShare)
+}
+
+// MaybeGC runs GC when the unique-table population reaches gcTrigger, or
+// unconditionally when the memory watchdog has bumped its pressure epoch
+// since the last check (see SetPressure) — a pressure-forced collection
+// also flushes the gate cache, whose entries are rebuildable ballast.  It
+// reports whether a collection ran.
 func (p *Package) MaybeGC(rootsV []VEdge, rootsM []MEdge) bool {
 	forced := false
 	if p.pressure != nil {
@@ -127,8 +139,7 @@ func (p *Package) MaybeGC(rootsV []VEdge, rootsM []MEdge) bool {
 			forced = true
 		}
 	}
-	before := p.NodeCount()
-	if !forced && before < p.gcThreshold {
+	if !forced && p.NodeCount() < p.gcTrigger() {
 		return false
 	}
 	if forced {
@@ -138,34 +149,20 @@ func (p *Package) MaybeGC(rootsV []VEdge, rootsM []MEdge) bool {
 			p.gateFlushes++
 		}
 	}
-	removed := p.GC(rootsV, rootsM)
-	if !forced {
-		switch {
-		case removed*4 < before:
-			if t := p.gcThreshold * 2; t <= gcGrowthCap*p.gcBase {
-				p.gcThreshold = t
-			}
-		case removed*2 >= before && p.gcThreshold > p.gcBase:
-			if t := p.gcThreshold / 2; t >= p.gcBase {
-				p.gcThreshold = t
-			} else {
-				p.gcThreshold = p.gcBase
-			}
-		}
-	}
+	p.GC(rootsV, rootsM)
 	return true
 }
 
 // GCRuns returns how many collections have been performed.
 func (p *Package) GCRuns() int { return p.gcRuns }
 
-// SetGCThreshold overrides the collection trigger (primarily for tests).
-// The value becomes the new base that adaptive backoff grows from (at most
-// gcGrowthCap times it) and re-arms toward.
+// SetGCThreshold sets the floor of the collection trigger (see gcTrigger);
+// values < 1 are clamped to 1, and a floor of 1 collects at every MaybeGC.
+// The simulation stage raises its packages' floor (its garbage is the
+// compute-table state the next run replays); stress tests lower it to 1.
 func (p *Package) SetGCThreshold(n int) {
 	if n < 1 {
 		n = 1
 	}
-	p.gcThreshold = n
-	p.gcBase = n
+	p.gcFloor = n
 }

@@ -12,9 +12,10 @@ import (
 )
 
 // gcValidator rides the fault-injection seam without injecting anything: at
-// a package's first gate application it sets the collection threshold to 1,
-// so every MaybeGC collects, and at every later application it validates
-// the unique tables and arenas if a collection ran since the last one.
+// a package's first gate application it sets the collection floor to 1,
+// which switches the pacing off so every MaybeGC collects, and at every
+// later application it validates the unique tables and arenas if a
+// collection ran since the last one.
 type gcValidator struct {
 	mu       sync.Mutex
 	lastRuns map[*dd.Package]int
@@ -73,11 +74,17 @@ func TestCollectionsKeepTablesValid(t *testing.T) {
 	if got.Verdict != ref.Verdict || got.NumSims != ref.NumSims {
 		t.Errorf("pressured run: %v after %d sims, reference %v after %d", got.Verdict, got.NumSims, ref.Verdict, ref.NumSims)
 	}
-	if got.DD.GCRuns == 0 || got.EC.DD.GCRuns == 0 {
-		t.Fatalf("no collections: sim %d, ec %d", got.DD.GCRuns, got.EC.DD.GCRuns)
-	}
+	// A collection at every safe point: after each gate of every simulation
+	// run, and after each step of the complete check (the proportional
+	// scheme takes one step per gate of G).
 	t.Logf("%d validations over %d packages; collections: sim %d, ec %d",
 		v.checks, len(v.lastRuns), got.DD.GCRuns, got.EC.DD.GCRuns)
+	if runs := got.NumSims * (pair.Source.NumGates() + pair.Compiled.NumGates()); got.DD.GCRuns < runs {
+		t.Errorf("simulation stage collected %d times over %d gate steps, want every step", got.DD.GCRuns, runs)
+	}
+	if got.EC.DD.GCRuns < pair.Source.NumGates() {
+		t.Errorf("complete check collected %d times for %d gates of G, want a collection per step", got.EC.DD.GCRuns, pair.Source.NumGates())
+	}
 	if len(v.lastRuns) < 2 || v.checks < got.EC.DD.GCRuns/2 {
 		t.Errorf("validated %d times over %d packages; sim collected %d times, ec %d",
 			v.checks, len(v.lastRuns), got.DD.GCRuns, got.EC.DD.GCRuns)

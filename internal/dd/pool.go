@@ -24,8 +24,8 @@ import (
 //     lists and the backing arrays are recycled in place, so a pooled worker
 //     package re-allocates nothing on its next job;
 //   - cleared: all nodes unreachable from the kept roots, every compute-table
-//     entry (in place, capacity retained), and all statistics counters, so
-//     the next job's Snapshot reports only its own work;
+//     entry (by a generation bump, O(1)), and all statistics counters, so the
+//     next job's Snapshot reports only its own work;
 //   - cleared, so per-job control state can never leak across jobs: the node
 //     limit, the operation deadline, the cancellation hook, the memory
 //     watchdog's pressure hook and last-seen epoch, and the fault injector
@@ -49,12 +49,12 @@ func (p *Package) Reset() {
 
 	// Restore the cache configuration a previous job may have customized,
 	// then collect everything not reachable from the warm roots.  GC keeps
-	// the gate cache and identity chain live and clears the compute tables
-	// in place (ctab.clear zeroes entries but keeps the backing array).
+	// the gate cache and identity chain live, invalidates the compute tables
+	// without touching their arrays, and leaves the collection trigger at
+	// the floor unless the warm roots alone outgrow it.
 	p.gateCacheOn = true
 	p.gateCacheLimit = DefaultGateCacheLimit
-	p.gcThreshold = DefaultGCThreshold
-	p.gcBase = DefaultGCThreshold
+	p.gcFloor = DefaultGCThreshold
 	p.GC(nil, nil)
 
 	// Zero the counters after the collection so the reset's own GC does not
@@ -79,6 +79,22 @@ type poolKey struct {
 	n   int
 	tol float64
 }
+
+// poolMaxWeights and poolMaxSlots bound what a pooled package may carry
+// into its next job.  Reset keeps the interned weights and never shrinks the
+// arena slabs, so without a bound a long-lived package only ever grows: the
+// weight table keeps every value any job interned, and a package that once
+// held a large live set would sweep its big arena (see gcSweepShare) and
+// probe its big tables in every later small job.  Put drops a package past
+// either bound, and the next Get starts fresh.  Both sit far above what
+// hundreds of routed 5-qubit checks accumulate (about 46k weights after
+// 160 distinct pairs, arenas near the collection floor); the slot bound is
+// twice the simulation stage's floor (2^18 nodes, see core), so a package
+// whose stimuli filled the arena up to that floor stays poolable.
+const (
+	poolMaxWeights = 1 << 18
+	poolMaxSlots   = 1 << 19 // vector plus matrix arena slots
+)
 
 // DefaultPoolPerBucket bounds how many idle packages a Pool retains per
 // (qubits, tolerance) bucket.  Idle packages pin their warm gate caches and
@@ -105,7 +121,7 @@ type PoolStats struct {
 	Gets      uint64 // packages handed out
 	Reuses    uint64 // of those, served from the free list (warm)
 	Puts      uint64 // packages returned
-	Discards  uint64 // returns dropped because the bucket was full
+	Discards  uint64 // returns dropped: bucket full, or the package outgrew the pool's bounds
 	Forgotten uint64 // suspect packages recorded via Forget
 	Idle      int    // packages currently pooled across all buckets
 }
@@ -138,23 +154,31 @@ func (pl *Pool) Get(n int, tol float64) *Package {
 	return New(n, tol)
 }
 
-// Put resets the package and returns it to its bucket; when the bucket is
-// full the package is dropped (the Go GC reclaims it).  The caller must not
-// touch the package — or any edge obtained from it — afterwards.
+// Put resets the package and returns it to its bucket.  The package is
+// dropped instead (the Go GC reclaims it) when the bucket is full, or when
+// its interned weights or arena slots exceed the pool's bounds
+// (poolMaxWeights, poolMaxSlots).  The caller must not touch the package —
+// or any edge obtained from it — afterwards.
 func (pl *Pool) Put(p *Package) {
 	if p == nil {
 		return
 	}
-	// Reset outside the lock: its collection — a mark over the warm gate
-	// cache, a sweep over the arena slabs and a rebuild of the unique
-	// tables, all linear in what the job left behind — is the expensive
-	// part, and it only touches p, which the caller still owns.
-	p.Reset()
+	// Reset never drops weights or shrinks the slabs, so an outgrown
+	// package is dropped without paying for it.
+	keep := p.CN.Size() <= poolMaxWeights && p.vA.slots()+p.mA.slots() <= poolMaxSlots
+	if keep {
+		// Reset outside the lock: its collection — a mark over the warm
+		// gate cache, a sweep over the arena slabs and a rebuild of the
+		// unique tables, all linear in what the job left behind — is the
+		// expensive part, and it only touches p, which the caller still
+		// owns.
+		p.Reset()
+	}
 	k := poolKey{n: p.n, tol: p.CN.Tolerance()}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	pl.puts++
-	if len(pl.idle[k]) >= pl.perBucket {
+	if !keep || len(pl.idle[k]) >= pl.perBucket {
 		pl.discards++
 		return
 	}

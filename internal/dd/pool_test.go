@@ -63,7 +63,7 @@ func TestResetClearsPerJobState(t *testing.T) {
 	if p.faults != nil {
 		t.Errorf("per-package fault injector survived Reset")
 	}
-	if !p.GateCacheEnabled() || p.gateCacheLimit != DefaultGateCacheLimit || p.gcThreshold != DefaultGCThreshold {
+	if !p.GateCacheEnabled() || p.gateCacheLimit != DefaultGateCacheLimit || p.gcFloor != DefaultGCThreshold {
 		t.Errorf("cache configuration not restored to defaults")
 	}
 	s := p.Snapshot()
@@ -222,6 +222,52 @@ func TestPoolReuseBoundsAndBuckets(t *testing.T) {
 	}
 	if st.Gets != 4 || st.Reuses != 1 || st.Puts != 3 || st.Forgotten != 1 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestPoolDropsOutgrownPackages: Reset keeps the interned weights and the
+// arena slabs, so Put drops a package past either bound instead of
+// carrying it into every later job, and counts it as a discard.
+func TestPoolDropsOutgrownPackages(t *testing.T) {
+	pl := NewPool(4)
+	p := pl.Get(3, 1e-10)
+	ghzJob(t, p)
+	pl.Put(p)
+	if st := pl.Stats(); st.Idle != 1 || st.Discards != 0 {
+		t.Fatalf("an ordinary job's package was not pooled: %+v", st)
+	}
+
+	// Weight bound: a job on the pooled package interned more values than
+	// the bound.
+	p = pl.Get(3, 1e-10)
+	for i := 0; p.CN.Size() <= poolMaxWeights; i++ {
+		p.CN.LookupReal(0.5 + float64(i))
+	}
+	if p.vA.slots()+p.mA.slots() > poolMaxSlots {
+		t.Fatalf("weight case also crossed the slot bound")
+	}
+	pl.Put(p)
+	if st := pl.Stats(); st.Discards != 1 || st.Idle != 0 {
+		t.Errorf("package with %d weights: stats %+v, want it dropped", p.CN.Size(), st)
+	}
+
+	// Slot bound: slabs grown past the bound by an earlier large live set
+	// (every slot dead by now, as after any job).
+	p = pl.Get(3, 1e-10)
+	for p.vA.slots()+p.mA.slots() <= poolMaxSlots {
+		p.vA.alloc()
+	}
+	if p.CN.Size() > poolMaxWeights {
+		t.Fatalf("slot case also crossed the weight bound")
+	}
+	pl.Put(p)
+	if st := pl.Stats(); st.Discards != 2 || st.Idle != 0 {
+		t.Errorf("package with %d arena slots: stats %+v, want it dropped", p.vA.slots()+p.mA.slots(), st)
+	}
+
+	// The next Get starts fresh rather than inheriting either.
+	if q := pl.Get(3, 1e-10); q.CN.Size() > poolMaxWeights || q.vA.slots()+q.mA.slots() > poolMaxSlots {
+		t.Errorf("pool handed out an outgrown package")
 	}
 }
 

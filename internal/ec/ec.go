@@ -153,13 +153,6 @@ type Options struct {
 	// DisableGateCache turns off the DD package's gate-DD cache for this
 	// check (benchmark baseline runs only; verdicts are identical either way).
 	DisableGateCache bool
-	// DisableApplyKernel is plumbed alongside DisableGateCache so one knob
-	// configures a whole flow (core.Check and the portfolio forward it).
-	// The complete routine's own gate applications are matrix-matrix
-	// products, which the vector kernel does not cover, so the flag
-	// currently changes nothing here; it exists so callers need not know
-	// which stages a configuration reaches.
-	DisableApplyKernel bool
 	// MemSoftLimit / MemHardLimit, in bytes, put the check under a memory
 	// watchdog (internal/resource): above the soft limit the DD package is
 	// forced to collect and flush caches, above the hard limit the check is
@@ -222,7 +215,13 @@ type Result struct {
 	// ProbeMuls counts the speculative matrix multiplications the Lookahead
 	// scheme performs to size up its two candidates; they are real DD work
 	// that GatesApplied alone would hide from scheme comparisons.
-	ProbeMuls      int
+	ProbeMuls int
+	// PeakNodes is the largest unique-table population seen between gate
+	// applications: the live miter plus garbage not yet collected.  The
+	// package collects once the population reaches the larger of a floor
+	// (dd.DefaultGCThreshold) and twice the nodes that survived its last
+	// collection, so a check whose live DD stays small peaks near the
+	// floor, and only a live set above half the floor moves the peak.
 	PeakNodes      int
 	FinalNodes     int
 	Strategy       Strategy

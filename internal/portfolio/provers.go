@@ -240,16 +240,15 @@ func GateCostProver(cfg Config) Prover {
 				return Outcome{Stop: StopError, Detail: "no cost profile and no compilation blow-up"}
 			}
 			return ecOutcome(ec.Check(g1, g2, ec.Options{
-				Strategy:           ec.StrategyGateCost,
-				CostProfile:        cfg.CostProfile,
-				Context:            ctx,
-				Timeout:            cfg.ECTimeout,
-				NodeLimit:          cfg.ECNodeLimit,
-				UpToGlobalPhase:    cfg.UpToGlobalPhase,
-				OutputPerm:         cfg.OutputPerm,
-				Tolerance:          cfg.Tolerance,
-				DisableGateCache:   cfg.DisableGateCache,
-				DisableApplyKernel: cfg.DisableApplyKernel,
+				Strategy:         ec.StrategyGateCost,
+				CostProfile:      cfg.CostProfile,
+				Context:          ctx,
+				Timeout:          cfg.ECTimeout,
+				NodeLimit:        cfg.ECNodeLimit,
+				UpToGlobalPhase:  cfg.UpToGlobalPhase,
+				OutputPerm:       cfg.OutputPerm,
+				Tolerance:        cfg.Tolerance,
+				DisableGateCache: cfg.DisableGateCache,
 			}))
 		},
 	}
@@ -260,16 +259,15 @@ func ecProver(name string, strategy ec.Strategy, cfg Config) Prover {
 		Name: name,
 		Run: func(ctx context.Context, g1, g2 *circuit.Circuit) Outcome {
 			return ecOutcome(ec.Check(g1, g2, ec.Options{
-				Strategy:           strategy,
-				CostProfile:        cfg.CostProfile,
-				Context:            ctx,
-				Timeout:            cfg.ECTimeout,
-				NodeLimit:          cfg.ECNodeLimit,
-				UpToGlobalPhase:    cfg.UpToGlobalPhase,
-				OutputPerm:         cfg.OutputPerm,
-				Tolerance:          cfg.Tolerance,
-				DisableGateCache:   cfg.DisableGateCache,
-				DisableApplyKernel: cfg.DisableApplyKernel,
+				Strategy:         strategy,
+				CostProfile:      cfg.CostProfile,
+				Context:          ctx,
+				Timeout:          cfg.ECTimeout,
+				NodeLimit:        cfg.ECNodeLimit,
+				UpToGlobalPhase:  cfg.UpToGlobalPhase,
+				OutputPerm:       cfg.OutputPerm,
+				Tolerance:        cfg.Tolerance,
+				DisableGateCache: cfg.DisableGateCache,
 			}))
 		},
 	}

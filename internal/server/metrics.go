@@ -226,7 +226,7 @@ func (m *metrics) write(w io.Writer, queueDepth, queueCap, inflight, workers int
 
 	counter("qcecd_dd_pool_gets_total", "DD packages handed to jobs.", pool.Gets)
 	counter("qcecd_dd_pool_reuses_total", "Of those, warm packages served from the pool.", pool.Reuses)
-	counter("qcecd_dd_pool_discards_total", "Returned packages dropped by the per-bucket bound.", pool.Discards)
+	counter("qcecd_dd_pool_discards_total", "Returned packages dropped by the per-bucket bound or for outgrowing the pool's size bounds.", pool.Discards)
 	counter("qcecd_dd_pool_forgotten_total", "Suspect packages dropped after recovered panics.", pool.Forgotten)
 	gauge("qcecd_dd_pool_idle", "Warm packages currently pooled.", pool.Idle)
 

@@ -97,6 +97,12 @@ type Simulator struct {
 	// the experiment reports.
 	GatesApplied int64
 
+	// PinnedM lists matrix DDs that every garbage collection during a run
+	// keeps alive, such as an un-permutation matrix the caller applies to
+	// the run's result.  Edges not rooted here or in the run's state pins
+	// may be collected at any gate.
+	PinnedM []dd.MEdge
+
 	// prep caches each circuit's kernel-prepared program (one entry per
 	// circuit gate; SWAPs contribute their three CX factors) so the
 	// r-stimuli loop translates every gate exactly once.  Keyed by circuit
@@ -192,7 +198,7 @@ func (s *Simulator) RunProgramWithPins(prog *Program, state dd.VEdge, pins []dd.
 		faultStep(s.GatesApplied)
 		roots = append(roots[:0], pins...)
 		roots = append(roots, state)
-		s.P.MaybeGC(roots, nil)
+		s.P.MaybeGC(roots, s.PinnedM)
 	}
 	return state
 }
@@ -253,7 +259,7 @@ func (s *Simulator) RunFrom(c *circuit.Circuit, state dd.VEdge) dd.VEdge {
 			state = ApplyGateLegacy(s.P, state, g)
 			s.GatesApplied++
 			faultStep(s.GatesApplied)
-			s.P.MaybeGC([]dd.VEdge{state}, nil)
+			s.P.MaybeGC([]dd.VEdge{state}, s.PinnedM)
 		}
 		return state
 	}
@@ -263,7 +269,7 @@ func (s *Simulator) RunFrom(c *circuit.Circuit, state dd.VEdge) dd.VEdge {
 		}
 		s.GatesApplied++
 		faultStep(s.GatesApplied)
-		s.P.MaybeGC([]dd.VEdge{state}, nil)
+		s.P.MaybeGC([]dd.VEdge{state}, s.PinnedM)
 	}
 	return state
 }
@@ -280,7 +286,7 @@ func (s *Simulator) RunFromWithPins(c *circuit.Circuit, state dd.VEdge, pins []d
 			faultStep(s.GatesApplied)
 			roots = append(roots[:0], pins...)
 			roots = append(roots, state)
-			s.P.MaybeGC(roots, nil)
+			s.P.MaybeGC(roots, s.PinnedM)
 		}
 		return state
 	}
@@ -292,7 +298,7 @@ func (s *Simulator) RunFromWithPins(c *circuit.Circuit, state dd.VEdge, pins []d
 		faultStep(s.GatesApplied)
 		roots = append(roots[:0], pins...)
 		roots = append(roots, state)
-		s.P.MaybeGC(roots, nil)
+		s.P.MaybeGC(roots, s.PinnedM)
 	}
 	return state
 }
