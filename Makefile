@@ -42,21 +42,15 @@ fmt:
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 
-# Simulation benchmark over the seed circuits: writes BENCH_sim.json
-# comparing the apply kernel, the cached legacy path and the uncached legacy
-# path (gate-application rates plus verdict parity), plus a multi-worker
-# scaling curve (1/2/4/NumCPU stimulus workers over one shared prepared
-# program set) per equivalent pair.  -r 32 amortizes the per-check setup
-# cost that otherwise dominates the sub-millisecond seed circuits.  The
-# -min-* gates make the run fail below the advertised speedups; the scaling
-# floor (0.5 efficiency at 4 workers = a 2x speedup) is only enforced on
-# machines with at least 4 CPUs.  CI runs it non-blocking and archives the
-# artifact instead.
-# The kernel floor is 1.3 rather than the 1.5 it once was: the arena node
-# storage sped up the *denominator* (the cached legacy path is dominated by
-# matrix-DD traffic, which benefits most from slab storage), compressing the
-# kernel's relative advantage while its absolute throughput is unchanged
-# (benchcmp and the parity tests watch that side).
+# Simulation benchmark over the seed circuits: writes BENCH_sim.json with
+# the simulation stage's gate-application rates and verdicts, plus a
+# multi-worker scaling curve (1/2/4/NumCPU stimulus workers over one shared
+# prepared program set) per equivalent pair.  -r 32 amortizes the per-check
+# setup cost that otherwise dominates the sub-millisecond seed circuits.
+# The -min-* gates make the run fail below the advertised floors; the
+# scaling floor (0.5 efficiency at 4 workers = a 2x speedup) is only
+# enforced on machines with at least 4 CPUs.  CI runs it non-blocking and
+# archives the artifact instead.
 # The Clifford sweep (stabilizer tableau vs the complete DD checker on
 # random Clifford pairs, 8-24 qubits) rides in the same artifact; its floor
 # asserts the polynomial fast path is at least 10x ahead of DD on the
@@ -66,14 +60,11 @@ staticcheck:
 # schedule keeps the miter at most half the proportional scheme's peak size
 # (geomean over equivalent pairs; peak node counts are deterministic).
 BENCH_R ?= 32
-BENCH_MIN_SPEEDUP ?= 1.5
-BENCH_MIN_KERNEL_SPEEDUP ?= 1.3
 BENCH_MIN_SCALING_EFF ?= 0.5
 BENCH_MIN_STAB_SPEEDUP ?= 10
 BENCH_MIN_GATECOST_RATIO ?= 2
 bench:
 	$(GO) run ./cmd/qbench -out BENCH_sim.json -r $(BENCH_R) \
-		-min-speedup $(BENCH_MIN_SPEEDUP) -min-kernel-speedup $(BENCH_MIN_KERNEL_SPEEDUP) \
 		-min-scaling-eff $(BENCH_MIN_SCALING_EFF) -min-stab-speedup $(BENCH_MIN_STAB_SPEEDUP) \
 		-min-gatecost-ratio $(BENCH_MIN_GATECOST_RATIO)
 

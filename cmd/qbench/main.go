@@ -1,10 +1,8 @@
 // Command qbench measures the simulation hot path on the seed benchmark
-// circuits: every circuit pair is simulated in three configurations — the
-// direct apply kernel (the default path), the legacy GateDD+MulMV path with
-// the gate-DD cache, and the legacy path with the cache disabled — and the
-// resulting gate-application rates, hit rates, and verdict parity are
-// written to a JSON artifact (BENCH_sim.json) so the speedups are recorded,
-// not asserted.
+// circuits: every circuit pair runs through the flow's simulation stage (the
+// direct apply kernel), and the resulting gate-application rates, hit rates
+// and verdicts are written to a JSON artifact (BENCH_sim.json) so the rates
+// are recorded, not asserted.
 //
 // Usage:
 //
@@ -13,11 +11,7 @@
 // Two variants are measured per circuit: an equivalent pair (the circuit
 // against its clone — the paper's hot loop, r stimuli of agreeing
 // simulations) and an error-injected pair (internal/errinject), which the
-// simulation stage refutes almost immediately.  The headline geometric-mean
-// speedups are computed over the equivalent pairs, where the repeated gate
-// structure the caches memoize actually recurs; the error-injected pairs
-// exist to demonstrate verdict parity, and their speedups are reported but
-// not aggregated.
+// simulation stage refutes almost immediately.
 //
 // Each equivalent pair is additionally swept over stimulus worker counts
 // (1, 2, 4, NumCPU) on the kernel path — the same check driven through one
@@ -89,34 +83,25 @@ func loadCircuit(path string) (*circuit.Circuit, error) {
 	}
 }
 
-// measurement is one timed configuration (kernel, cached, or uncached).
+// measurement is one pair's timed simulation stage.
 type measurement struct {
 	Seconds        float64 `json:"seconds"`
 	NumSims        int     `json:"num_sims"`
 	GateApps       int     `json:"gate_apps"`
 	GateAppsPerSec float64 `json:"gate_apps_per_sec"`
-	GateHitRate    float64 `json:"gate_hit_rate"`
 	ApplyHitRate   float64 `json:"apply_hit_rate,omitempty"`
 	Verdict        string  `json:"verdict"`
 	Counterexample *uint64 `json:"counterexample,omitempty"`
 }
 
-// result is one benchmark variant: a named pair measured in all three
-// configurations.  Speedup is the historic gate-cache ratio (cached over
-// uncached, both on the legacy path); KernelSpeedup is the apply kernel over
-// the best legacy configuration (cached).
+// result is one benchmark variant: a named pair and its measurement.
 type result struct {
-	Name          string      `json:"name"`
-	Qubits        int         `json:"qubits"`
-	Gates         int         `json:"gates"`
-	Equivalent    bool        `json:"equivalent_pair"`
-	Injection     string      `json:"injection,omitempty"`
-	Kernel        measurement `json:"kernel"`
-	Cached        measurement `json:"cached"`
-	Uncached      measurement `json:"uncached"`
-	Speedup       float64     `json:"speedup"`
-	KernelSpeedup float64     `json:"kernel_speedup"`
-	VerdictsMatch bool        `json:"verdicts_match"`
+	Name       string      `json:"name"`
+	Qubits     int         `json:"qubits"`
+	Gates      int         `json:"gates"`
+	Equivalent bool        `json:"equivalent_pair"`
+	Injection  string      `json:"injection,omitempty"`
+	Kernel     measurement `json:"kernel"`
 }
 
 // scalingPoint is one multi-worker measurement of the simulation stage: the
@@ -192,11 +177,7 @@ type gateCostPoint struct {
 }
 
 type summary struct {
-	GeomeanSpeedupEquiv       float64 `json:"geomean_speedup_equiv"`
-	MinSpeedupEquiv           float64 `json:"min_speedup_equiv"`
-	GeomeanKernelSpeedupEquiv float64 `json:"geomean_kernel_speedup_equiv"`
-	MinKernelSpeedupEquiv     float64 `json:"min_kernel_speedup_equiv"`
-	AllVerdictsMatch          bool    `json:"all_verdicts_match"`
+	AllVerdictsMatch bool `json:"all_verdicts_match"`
 	// Scaling aggregates over the equivalent pairs' 4-worker points.
 	GeomeanScalingSpeedup4 float64 `json:"geomean_scaling_speedup_4w,omitempty"`
 	MinScalingEfficiency4  float64 `json:"min_scaling_efficiency_4w,omitempty"`
@@ -222,97 +203,62 @@ type artifact struct {
 	Summary   summary         `json:"summary"`
 }
 
-// simConfig selects one of the three measured configurations.
-type simConfig struct {
-	disableCache  bool
-	disableKernel bool
-}
-
-// Batching bounds: each timed repetition accumulates checks until every
-// configuration's summed simulation time reaches minBatchTime (or
-// maxBatchIters runs, whichever comes first).  The seed circuits simulate in
-// well under a millisecond, far below scheduler-noise resolution; only
-// aggregated batches produce rates that are stable from run to run.
+// Batching bounds: each timed repetition accumulates checks until the
+// summed simulation time reaches minBatchTime (or maxBatchIters runs,
+// whichever comes first).  The seed circuits simulate in well under a
+// millisecond, far below scheduler-noise resolution; only aggregated
+// batches produce rates that are stable from run to run.
 const (
 	minBatchTime  = 50 * time.Millisecond
 	maxBatchIters = 1000
 )
 
-// measureConfigs is the fixed measurement order: the kernel path, the legacy
-// path with the gate-DD cache (its default), and the legacy path without it.
-var measureConfigs = [3]simConfig{
-	{},
-	{disableKernel: true},
-	{disableKernel: true, disableCache: true},
-}
-
-// measureAll runs the simulation stage in all three configurations,
-// interleaved check by check so machine noise (frequency scaling, scheduler
-// pressure) lands on every configuration equally rather than biasing
-// whichever happened to run during a slow stretch.  It runs reps timed
-// repetitions after one untimed warm-up and keeps each configuration's
-// fastest repetition (noise only ever slows a run down).  Gate applications
-// count both circuits' gates once per completed simulation; the reported
-// rate is the batch aggregate.
-func measureAll(g1, g2 *circuit.Circuit, r int, seed int64, reps int) [3]measurement {
-	var best [3]measurement
+// measure runs the simulation stage on one pair: reps timed repetitions
+// after one untimed warm-up, keeping the fastest repetition (noise only
+// ever slows a run down).  Gate applications count both circuits' gates
+// once per completed simulation; the reported rate is the batch aggregate.
+func measure(g1, g2 *circuit.Circuit, r int, seed int64, reps int) measurement {
+	var best measurement
 	for rep := -1; rep < reps; rep++ {
-		var batch [3]measurement
-		for iter := 0; iter < maxBatchIters; iter++ {
-			done := true
-			for c, cfg := range measureConfigs {
-				repRes := core.Check(g1, g2, core.Options{
-					R:                  r,
-					Seed:               seed,
-					SkipEC:             true,
-					DisableGateCache:   cfg.disableCache,
-					DisableApplyKernel: cfg.disableKernel,
-				})
-				m := &batch[c]
-				m.Seconds += repRes.SimTime.Seconds()
-				m.NumSims = repRes.NumSims
-				m.GateApps += repRes.NumSims * (g1.NumGates() + g2.NumGates())
-				m.GateHitRate = repRes.DD.GateHitRate()
-				m.ApplyHitRate = repRes.DD.ApplyHitRate()
-				var ce *uint64
-				if repRes.Counterexample != nil {
-					v := repRes.Counterexample.Input
-					ce = &v
-				}
-				if iter == 0 {
-					m.Verdict = repRes.Verdict.String()
-					m.Counterexample = ce
-				} else if m.Verdict != repRes.Verdict.String() || !ceEqual(m.Counterexample, ce) {
-					// Verdicts are deterministic for a fixed seed; fail
-					// loudly if a run ever disagrees.
-					fmt.Fprintf(os.Stderr, "qbench: verdict changed across runs (%s vs %s)\n",
-						m.Verdict, repRes.Verdict)
-					os.Exit(1)
-				}
-				if m.Seconds < minBatchTime.Seconds() {
-					done = false
-				}
+		var m measurement
+		for iter := 0; iter < maxBatchIters && m.Seconds < minBatchTime.Seconds(); iter++ {
+			repRes := core.Check(g1, g2, core.Options{R: r, Seed: seed, SkipEC: true})
+			m.Seconds += repRes.SimTime.Seconds()
+			m.NumSims = repRes.NumSims
+			m.GateApps += repRes.NumSims * (g1.NumGates() + g2.NumGates())
+			m.ApplyHitRate = repRes.DD.ApplyHitRate()
+			var ce *uint64
+			if repRes.Counterexample != nil {
+				v := repRes.Counterexample.Input
+				ce = &v
 			}
-			if rep < 0 || done {
-				break
+			if iter == 0 {
+				m.Verdict = repRes.Verdict.String()
+				m.Counterexample = ce
+			} else if m.Verdict != repRes.Verdict.String() || !ceEqual(m.Counterexample, ce) {
+				// Verdicts are deterministic for a fixed seed; fail
+				// loudly if a run ever disagrees.
+				fmt.Fprintf(os.Stderr, "qbench: verdict changed across runs (%s vs %s)\n",
+					m.Verdict, repRes.Verdict)
+				os.Exit(1)
+			}
+			if rep < 0 {
+				break // warm-up: one check
 			}
 		}
 		if rep < 0 {
 			continue
 		}
-		for c := range batch {
-			m := &batch[c]
-			if m.Seconds > 0 {
-				m.GateAppsPerSec = float64(m.GateApps) / m.Seconds
+		if m.Seconds > 0 {
+			m.GateAppsPerSec = float64(m.GateApps) / m.Seconds
+		}
+		if rep == 0 || m.GateAppsPerSec > best.GateAppsPerSec {
+			if rep > 0 && (best.Verdict != m.Verdict || !ceEqual(best.Counterexample, m.Counterexample)) {
+				fmt.Fprintf(os.Stderr, "qbench: verdict changed across repetitions (%s vs %s)\n",
+					best.Verdict, m.Verdict)
+				os.Exit(1)
 			}
-			if rep == 0 || m.GateAppsPerSec > best[c].GateAppsPerSec {
-				if rep > 0 && (best[c].Verdict != m.Verdict || !ceEqual(best[c].Counterexample, m.Counterexample)) {
-					fmt.Fprintf(os.Stderr, "qbench: verdict changed across repetitions (%s vs %s)\n",
-						best[c].Verdict, m.Verdict)
-					os.Exit(1)
-				}
-				best[c] = *m
-			}
+			best = m
 		}
 	}
 	return best
@@ -332,9 +278,8 @@ func scalingWorkerCounts() []int {
 	return out
 }
 
-// measureScaling sweeps the simulation stage over worker counts on the
-// kernel path, batching and keeping the fastest repetition exactly like
-// measureAll.  All points run the same stimuli from the same seed, so every
+// measureScaling sweeps the simulation stage over worker counts, batching
+// and keeping the fastest repetition exactly like measure.  All points run the same stimuli from the same seed, so every
 // verdict must agree; the curve records parity explicitly.
 func measureScaling(g1, g2 *circuit.Circuit, r int, seed int64, reps int) []scalingPoint {
 	workers := scalingWorkerCounts()
@@ -494,16 +439,6 @@ func ceEqual(a, b *uint64) bool {
 	return a == nil || *a == *b
 }
 
-// baselineRate extracts the comparison reference rate from a prior artifact's
-// result: the kernel rate when the artifact has one, else the cached rate
-// (artifacts written before the kernel existed).
-func baselineRate(r result) float64 {
-	if r.Kernel.GateAppsPerSec > 0 {
-		return r.Kernel.GateAppsPerSec
-	}
-	return r.Cached.GateAppsPerSec
-}
-
 // compareBaseline prints per-pair and geomean kernel gate-application-rate
 // deltas of the fresh artifact against a committed baseline.  Pairs present
 // on only one side are reported and skipped from the geomean.
@@ -518,7 +453,7 @@ func compareBaseline(art artifact, path string) error {
 	}
 	baseRates := make(map[string]float64, len(base.Results))
 	for _, r := range base.Results {
-		baseRates[r.Name] = baselineRate(r)
+		baseRates[r.Name] = r.Kernel.GateAppsPerSec
 	}
 	fmt.Printf("comparison against %s (generated %s):\n", path, base.Generated)
 	logSum, logCount := 0.0, 0
@@ -558,8 +493,6 @@ func run() int {
 		r          = flag.Int("r", core.DefaultR, "random simulations per pair")
 		seed       = flag.Int64("seed", 1, "stimulus and error-injection seed")
 		reps       = flag.Int("reps", 7, "timed repetitions per configuration (fastest kept)")
-		minSpeed   = flag.Float64("min-speedup", 0, "fail unless the equiv-pair geomean gate-cache speedup reaches this (0 = record only)")
-		minKernel  = flag.Float64("min-kernel-speedup", 0, "fail unless the equiv-pair geomean kernel speedup over the cached legacy path reaches this (0 = record only)")
 		minScalEff = flag.Float64("min-scaling-eff", 0, "fail unless every equiv pair's 4-worker parallel efficiency reaches this; only enforced when NumCPU >= 4 (0 = record only)")
 		scalReps   = flag.Int("scaling-reps", 3, "timed repetitions per scaling point (fastest kept); 0 disables the scaling sweep")
 		minStab    = flag.Float64("min-stab-speedup", 0, "fail unless the >=20-qubit equiv-pair geomean stabilizer-over-DD speedup reaches this (0 = record only)")
@@ -574,9 +507,8 @@ func run() int {
 
 	// Every Check builds a fresh DD package (unique tables, compute tables,
 	// weight table), so the measurement loop allocates heavily and the default
-	// GC target fires collections mid-batch, at different moments for each
-	// configuration.  A higher target keeps collections out of most batches;
-	// it applies to all three configurations equally.
+	// GC target fires collections mid-batch, at different moments from run to
+	// run.  A higher target keeps collections out of most batches.
 	debug.SetGCPercent(400)
 
 	if *cpuProf != "" {
@@ -634,8 +566,6 @@ func run() int {
 		Reps:      *reps,
 		NumCPU:    runtime.NumCPU(),
 	}
-	cacheLogSum, kernelLogSum, logCount := 0.0, 0.0, 0
-	minEquiv, minKernelEquiv := math.Inf(1), math.Inf(1)
 	scalLogSum, scalCount := 0.0, 0
 	minScalEff4 := math.Inf(1)
 	allMatch := true
@@ -658,41 +588,17 @@ func run() int {
 			})
 		}
 		for _, v := range variants {
-			ms := measureAll(g, v.gp, *r, *seed, *reps)
 			res := result{
 				Name:       v.name,
 				Qubits:     g.N,
 				Gates:      g.NumGates(),
 				Equivalent: v.equiv,
 				Injection:  v.injection,
-				Kernel:     ms[0],
-				Cached:     ms[1],
-				Uncached:   ms[2],
-			}
-			res.VerdictsMatch = res.Kernel.Verdict == res.Cached.Verdict &&
-				res.Cached.Verdict == res.Uncached.Verdict &&
-				ceEqual(res.Kernel.Counterexample, res.Cached.Counterexample) &&
-				ceEqual(res.Cached.Counterexample, res.Uncached.Counterexample)
-			if res.Uncached.GateAppsPerSec > 0 {
-				res.Speedup = res.Cached.GateAppsPerSec / res.Uncached.GateAppsPerSec
-			}
-			if res.Cached.GateAppsPerSec > 0 {
-				res.KernelSpeedup = res.Kernel.GateAppsPerSec / res.Cached.GateAppsPerSec
-			}
-			if !res.VerdictsMatch {
-				allMatch = false
-			}
-			if v.equiv && res.Speedup > 0 && res.KernelSpeedup > 0 {
-				cacheLogSum += math.Log(res.Speedup)
-				kernelLogSum += math.Log(res.KernelSpeedup)
-				logCount++
-				minEquiv = math.Min(minEquiv, res.Speedup)
-				minKernelEquiv = math.Min(minKernelEquiv, res.KernelSpeedup)
+				Kernel:     measure(g, v.gp, *r, *seed, *reps),
 			}
 			art.Results = append(art.Results, res)
-			fmt.Printf("%-22s %8.0f apps/s kernel  %8.0f cached  %8.0f uncached  kernel %5.2fx  cache %5.2fx  parity %v\n",
-				v.name, res.Kernel.GateAppsPerSec, res.Cached.GateAppsPerSec, res.Uncached.GateAppsPerSec,
-				res.KernelSpeedup, res.Speedup, res.VerdictsMatch)
+			fmt.Printf("%-22s %8.0f apps/s  apply hit %5.1f%%  %s\n",
+				v.name, res.Kernel.GateAppsPerSec, 100*res.Kernel.ApplyHitRate, res.Kernel.Verdict)
 
 			// Scaling sweep: equivalent pairs only (error-injected pairs stop
 			// at the first failing stimulus, so worker counts change nothing).
@@ -702,8 +608,7 @@ func run() int {
 			points := measureScaling(g, v.gp, *r, *seed, *scalReps)
 			curve := scalingCurve{Name: v.name, Points: points, VerdictsMatch: true}
 			for _, pt := range points {
-				// Sequential (1 worker) == parallel == the kernel measurement
-				// above: the full three-way parity the artifact asserts.
+				// Sequential (1 worker) == parallel == the measurement above.
 				if pt.Verdict != res.Kernel.Verdict {
 					curve.VerdictsMatch = false
 					allMatch = false
@@ -793,12 +698,6 @@ func run() int {
 			art.Summary.MinGateCostRatio = minGC
 		}
 	}
-	if logCount > 0 {
-		art.Summary.GeomeanSpeedupEquiv = math.Exp(cacheLogSum / float64(logCount))
-		art.Summary.MinSpeedupEquiv = minEquiv
-		art.Summary.GeomeanKernelSpeedupEquiv = math.Exp(kernelLogSum / float64(logCount))
-		art.Summary.MinKernelSpeedupEquiv = minKernelEquiv
-	}
 	art.Summary.AllVerdictsMatch = allMatch
 
 	// Compare against the committed baseline before overwriting it: -out and
@@ -825,20 +724,9 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "qbench:", err)
 		return 1
 	}
-	fmt.Printf("geomean speedups (equivalent pairs): kernel %.2fx over cached legacy, cache %.2fx over uncached, verdict parity: %v -> %s\n",
-		art.Summary.GeomeanKernelSpeedupEquiv, art.Summary.GeomeanSpeedupEquiv, allMatch, *out)
+	fmt.Printf("verdict parity: %v -> %s\n", allMatch, *out)
 	if !allMatch {
 		fmt.Fprintln(os.Stderr, "qbench: verdicts diverged across configurations")
-		return 1
-	}
-	if *minSpeed > 0 && art.Summary.GeomeanSpeedupEquiv < *minSpeed {
-		fmt.Fprintf(os.Stderr, "qbench: geomean cache speedup %.2fx below required %.2fx\n",
-			art.Summary.GeomeanSpeedupEquiv, *minSpeed)
-		return 1
-	}
-	if *minKernel > 0 && art.Summary.GeomeanKernelSpeedupEquiv < *minKernel {
-		fmt.Fprintf(os.Stderr, "qbench: geomean kernel speedup %.2fx below required %.2fx\n",
-			art.Summary.GeomeanKernelSpeedupEquiv, *minKernel)
 		return 1
 	}
 	if *minStab > 0 && len(art.Clifford) > 0 {

@@ -96,9 +96,7 @@ func run() int {
 		portf     = flag.Bool("portfolio", false, "race the selected provers concurrently; first definitive verdict wins")
 		provers   = flag.String("provers", "sim,dd,alt,gatecost,sat,zx,stab", "comma-separated prover subset for -portfolio")
 		nodeLimit = flag.Int("node-limit", 0, "DD node budget per complete prover (0 = none)")
-		stats     = flag.Bool("stats", false, "print DD-package statistics (gate-cache/compute-table hit rates, unique-table activity, GC reclaims); with -json they are embedded in the report")
-		noCache   = flag.Bool("no-gate-cache", false, "disable the gate-DD cache (benchmark baseline; verdicts are identical)")
-		noKernel  = flag.Bool("no-apply-kernel", false, "use the legacy GateDD+MulMV path for simulation gate application (benchmark baseline; verdicts are identical)")
+		stats     = flag.Bool("stats", false, "print DD-package statistics (gate-registry/compute-table hit rates, unique-table activity, GC reclaims); with -json they are embedded in the report")
 		memLimit  = flag.Int("mem-limit", 0, "hard heap budget in MiB; the check is cancelled cleanly when exceeded (0 = none)")
 		memSoft   = flag.Int("mem-soft-limit", 0, "soft heap budget in MiB: force DD collections and cache flushes above it (0 = 80% of -mem-limit)")
 		retry     = flag.Bool("retry-crashed", false, "with -portfolio: re-run a panicked prover once with a degraded configuration")
@@ -178,8 +176,6 @@ func run() int {
 			parallel:  *parallel,
 			jsonOut:   *jsonOut,
 			stats:     *stats,
-			noCache:   *noCache,
-			noKernel:  *noKernel,
 			memSoft:   memSoftBytes,
 			memHard:   memHardBytes,
 			retry:     *retry,
@@ -187,20 +183,18 @@ func run() int {
 	}
 
 	rep := core.Check(g1, g2, core.Options{
-		R:                  *r,
-		Seed:               *seed,
-		SkipEC:             *simOnly,
-		Strategy:           strat,
-		ECTimeout:          *timeout,
-		UpToGlobalPhase:    *phase,
-		Parallel:           *parallel,
-		RewritePrefilter:   *rewrite,
-		ZXPrefilter:        *zxFlag,
-		FidelityThreshold:  *fidThresh,
-		DisableGateCache:   *noCache,
-		DisableApplyKernel: *noKernel,
-		MemSoftLimit:       memSoftBytes,
-		MemHardLimit:       memHardBytes,
+		R:                 *r,
+		Seed:              *seed,
+		SkipEC:            *simOnly,
+		Strategy:          strat,
+		ECTimeout:         *timeout,
+		UpToGlobalPhase:   *phase,
+		Parallel:          *parallel,
+		RewritePrefilter:  *rewrite,
+		ZXPrefilter:       *zxFlag,
+		FidelityThreshold: *fidThresh,
+		MemSoftLimit:      memSoftBytes,
+		MemHardLimit:      memHardBytes,
 	})
 	if rep.Err != nil {
 		fmt.Fprintln(os.Stderr, "qcec:", rep.Err)
@@ -232,8 +226,6 @@ type portfolioConfig struct {
 	parallel  int
 	jsonOut   bool
 	stats     bool
-	noCache   bool
-	noKernel  bool
 	memSoft   uint64
 	memHard   uint64
 	retry     bool
@@ -243,14 +235,12 @@ type portfolioConfig struct {
 // plus a per-prover outcome table; exit codes match the sequential flow.
 func runPortfolio(g1, g2 *circuit.Circuit, cfg portfolioConfig) int {
 	ps, err := portfolio.FromNames(cfg.names, portfolio.Config{
-		R:                  cfg.r,
-		Seed:               cfg.seed,
-		SimParallel:        cfg.parallel,
-		Strategy:           cfg.strategy,
-		ECNodeLimit:        cfg.nodeLimit,
-		UpToGlobalPhase:    cfg.phase,
-		DisableGateCache:   cfg.noCache,
-		DisableApplyKernel: cfg.noKernel,
+		R:               cfg.r,
+		Seed:            cfg.seed,
+		SimParallel:     cfg.parallel,
+		Strategy:        cfg.strategy,
+		ECNodeLimit:     cfg.nodeLimit,
+		UpToGlobalPhase: cfg.phase,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qcec:", err)
@@ -281,7 +271,7 @@ func runPortfolio(g1, g2 *circuit.Circuit, cfg portfolioConfig) int {
 // given label.
 func printDDStats(label string, s dd.Stats) {
 	fmt.Printf("%s DD stats:\n", label)
-	fmt.Printf("  gate cache:    %d hits / %d misses (%.1f%% hit rate, %d entries, %d GC flushes)\n",
+	fmt.Printf("  gate registry: %d hits / %d misses (%.1f%% hit rate, %d gate DDs, %d GC flushes)\n",
 		s.GateHits, s.GateMisses, 100*s.GateHitRate(), s.GateCacheSize, s.GateFlushes)
 	fmt.Printf("  compute table: %d hits / %d misses (%.1f%% hit rate)\n",
 		s.CacheHits, s.CacheMisses, 100*s.ComputeHitRate())

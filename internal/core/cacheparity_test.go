@@ -1,63 +1,23 @@
 package core
 
 import (
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"qcec/internal/circuit"
+	"qcec/internal/dd"
 	"qcec/internal/errinject"
-	"qcec/internal/qasm"
-	"qcec/internal/revlib"
 )
 
-// loadSeedCircuit parses one of the repo's seed benchmark circuits.
-func loadSeedCircuit(t *testing.T, path string) *circuit.Circuit {
-	t.Helper()
-	switch {
-	case strings.HasSuffix(path, ".real"):
-		f, err := revlib.ParseFile(path)
-		if err != nil {
-			t.Fatalf("parse %s: %v", path, err)
-		}
-		return f.Circuit
-	case strings.HasSuffix(path, ".qasm"):
-		prog, err := qasm.ParseFile(path)
-		if err != nil {
-			t.Fatalf("parse %s: %v", path, err)
-		}
-		return prog.Circuit
-	default:
-		t.Fatalf("unsupported circuit format %q", path)
-		return nil
-	}
-}
-
-func seedCircuitFiles(t *testing.T) []string {
-	t.Helper()
-	dir := filepath.Join("..", "..", "circuits")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("read seed circuits: %v", err)
-	}
-	var files []string
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".qasm") || strings.HasSuffix(e.Name(), ".real") {
-			files = append(files, filepath.Join(dir, e.Name()))
-		}
-	}
-	if len(files) == 0 {
-		t.Fatal("no seed circuits found")
-	}
-	return files
-}
-
-// TestGateCacheParity checks that the gate-DD cache is invisible to results:
-// on every seed circuit, both for an equivalent pair and an error-injected
-// one, the cached run, the uncached run, and a cached run under constant
-// garbage-collection pressure (which forces the cache's re-root/flush paths)
-// must produce identical verdicts, simulation counts, and counterexamples.
+// TestGateCacheParity checks that the gate registry (the gate-DD memo) is
+// invisible to results through the whole flow, complete check included: on
+// every seed circuit, both for an equivalent pair and an error-injected one,
+// a run on fresh packages (a cold registry that builds each gate DD once) and
+// a pooled rerun whose registry the same job already filled must produce
+// identical verdicts, simulation counts, deciding stages and
+// counterexamples.  When the complete check runs, the warm rerun must answer
+// every gate DD from the registry and build none.  Collection pressure is
+// covered by TestApplyKernelParity.
 func TestGateCacheParity(t *testing.T) {
 	const r = 6
 	for _, path := range seedCircuitFiles(t) {
@@ -73,42 +33,59 @@ func TestGateCacheParity(t *testing.T) {
 		for _, pr := range pairs {
 			pr := pr
 			t.Run(pr.name, func(t *testing.T) {
-				base := Options{R: r, Seed: 1, SkipEC: true}
+				base := Options{R: r, Seed: 1}
+				ref := Check(g, pr.gp, base)
+				if ref.Err != nil {
+					t.Fatalf("cold run failed: %v", ref.Err)
+				}
 
-				cached := base
-				ref := Check(g, pr.gp, cached)
+				// One sequential worker and a one-package bucket: the rerun
+				// gets back the very package whose registry the warm-up
+				// filled, for the simulation stage and the complete check.
+				pool := dd.NewPool(1)
+				pooled := base
+				pooled.Pool = pool
+				if warm := Check(g, pr.gp, pooled); warm.Err != nil {
+					t.Fatalf("warm-up run failed: %v", warm.Err)
+				}
+				got := Check(g, pr.gp, pooled)
+				if got.Err != nil {
+					t.Fatalf("warm run failed: %v", got.Err)
+				}
+				if st := pool.Stats(); st.Reuses == 0 {
+					t.Fatalf("warm run did not reuse the pooled package: %+v", st)
+				}
 
-				uncached := base
-				uncached.DisableGateCache = true
+				if got.Verdict != ref.Verdict {
+					t.Errorf("warm registry: verdict %v, cold run said %v", got.Verdict, ref.Verdict)
+				}
+				if got.NumSims != ref.NumSims {
+					t.Errorf("warm registry: %d sims, cold run used %d", got.NumSims, ref.NumSims)
+				}
+				if got.DecidedBy != ref.DecidedBy {
+					t.Errorf("warm registry: decided by %q, cold run by %q", got.DecidedBy, ref.DecidedBy)
+				}
+				switch {
+				case (got.Counterexample == nil) != (ref.Counterexample == nil):
+					t.Errorf("warm registry: counterexample presence mismatch (%v vs %v)",
+						got.Counterexample, ref.Counterexample)
+				case got.Counterexample != nil && got.Counterexample.Input != ref.Counterexample.Input:
+					t.Errorf("warm registry: counterexample |%b>, cold run found |%b>",
+						got.Counterexample.Input, ref.Counterexample.Input)
+				}
 
-				gcPressure := base
-				// Collect after nearly every node allocation so the cache is
-				// re-rooted (and, with its limit forced down, flushed)
-				// mid-simulation many times over.
-				gcPressure.GCThreshold = 32
-
-				for _, alt := range []struct {
-					name string
-					opts Options
-				}{
-					{"uncached", uncached},
-					{"gc-pressure", gcPressure},
-				} {
-					got := Check(g, pr.gp, alt.opts)
-					if got.Verdict != ref.Verdict {
-						t.Errorf("%s: verdict %v, cached run said %v", alt.name, got.Verdict, ref.Verdict)
-					}
-					if got.NumSims != ref.NumSims {
-						t.Errorf("%s: %d sims, cached run used %d", alt.name, got.NumSims, ref.NumSims)
-					}
-					switch {
-					case (got.Counterexample == nil) != (ref.Counterexample == nil):
-						t.Errorf("%s: counterexample presence mismatch (%v vs %v)",
-							alt.name, got.Counterexample, ref.Counterexample)
-					case got.Counterexample != nil && got.Counterexample.Input != ref.Counterexample.Input:
-						t.Errorf("%s: counterexample |%b>, cached run found |%b>",
-							alt.name, got.Counterexample.Input, ref.Counterexample.Input)
-					}
+				if (got.EC == nil) != (ref.EC == nil) {
+					t.Fatalf("complete check ran in one run only (warm %v, cold %v)", got.EC != nil, ref.EC != nil)
+				}
+				if ref.EC == nil {
+					return
+				}
+				if ref.EC.DD.GateMisses == 0 {
+					t.Errorf("cold complete check built no gate DD: %+v", ref.EC.DD)
+				}
+				if st := got.EC.DD; st.GateMisses != 0 || st.GateHits == 0 {
+					t.Errorf("warm complete check built %d gate DDs and reused %d; want 0 built",
+						st.GateMisses, st.GateHits)
 				}
 			})
 		}

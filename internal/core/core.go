@@ -119,22 +119,13 @@ type Options struct {
 	// agreementTolerance), so coarsening or tightening the weight tolerance
 	// coarsens or tightens the equivalence criterion consistently.
 	Tolerance float64
-	// DisableGateCache turns off the per-package gate-DD cache in the
-	// simulation stage (and, via ec.Options, in the complete routine).  Only
-	// the benchmark runner uses this; verdicts are identical either way.
-	DisableGateCache bool
-	// DisableApplyKernel switches the simulation stage's gate application
-	// from the direct kernel (dd.ApplyGateV) back to the legacy
-	// GateDD+MulMV reference path.  Only the benchmark runner and the
-	// parity tests use this; verdicts are identical either way.
-	DisableApplyKernel bool
 	// GCThreshold overrides the floor of the DD garbage-collection trigger
 	// of the simulation packages (0 = simGCFloor; a package collects once
 	// its population reaches the largest of the floor and twice the nodes
 	// that survived its last collection, see dd.Package.MaybeGC).  The
 	// complete check keeps dd.DefaultGCThreshold.  Tests use a tiny floor
 	// to force collections (1 collects at every safe point) and exercise
-	// the gate cache's GC re-rooting.
+	// the apply tables' invalidation and the gate registry's re-rooting.
 	GCThreshold int
 	// MemSoftLimit / MemHardLimit, in bytes, put the whole flow under a
 	// memory watchdog (internal/resource): above the soft limit every
@@ -158,7 +149,7 @@ type Options struct {
 	// Pool, when non-nil, supplies warm DD packages for the simulation
 	// workers and the complete routine instead of building fresh ones
 	// (dd.New) per check.  A pooled package keeps its interned weights,
-	// grown compute tables and gate-DD cache across jobs, which is the
+	// grown compute tables and gate registry across jobs, which is the
 	// serving layer's amortization lever; packages are returned reset on
 	// clean completion and dropped after genuine panics (their internal
 	// state is no longer trustworthy).  Verdicts are identical either way.
@@ -207,7 +198,7 @@ type Report struct {
 	// cause — a *resource.MemoryLimitError when the memory watchdog's hard
 	// limit stopped the run, context.Canceled/DeadlineExceeded otherwise.
 	CancelCause error
-	// DD aggregates the simulation stage's DD-package statistics (gate-cache
+	// DD aggregates the simulation stage's DD-package statistics (gate-registry
 	// and compute-table hit rates, unique-table activity, GC reclaims),
 	// summed across parallel workers.  The complete routine's own statistics
 	// live in EC.DD.
@@ -389,15 +380,14 @@ func check(g1, g2 *circuit.Circuit, opts Options) Report {
 	}
 
 	res := ec.Check(g1, g2, ec.Options{
-		Strategy:         opts.Strategy,
-		Context:          opts.Context,
-		Timeout:          opts.ECTimeout,
-		NodeLimit:        opts.ECNodeLimit,
-		UpToGlobalPhase:  opts.UpToGlobalPhase,
-		OutputPerm:       opts.OutputPerm,
-		Tolerance:        opts.Tolerance,
-		DisableGateCache: opts.DisableGateCache,
-		Pool:             opts.Pool,
+		Strategy:        opts.Strategy,
+		Context:         opts.Context,
+		Timeout:         opts.ECTimeout,
+		NodeLimit:       opts.ECNodeLimit,
+		UpToGlobalPhase: opts.UpToGlobalPhase,
+		OutputPerm:      opts.OutputPerm,
+		Tolerance:       opts.Tolerance,
+		Pool:            opts.Pool,
 	})
 	report.EC = &res
 	if res.Verdict != ec.TimedOut {

@@ -18,10 +18,12 @@ func loadBenchCircuit(b *testing.B, name string) *circuit.Circuit {
 	return prog.Circuit
 }
 
-func benchSim(b *testing.B, disableKernel bool) {
+// BenchmarkSimKernel measures the simulation stage (the direct apply
+// kernel) on one equivalent pair.
+func BenchmarkSimKernel(b *testing.B) {
 	g := loadBenchCircuit(b, "grover4_cx.qasm")
 	gp := g.Clone()
-	opts := Options{R: 10, Seed: 1, SkipEC: true, DisableApplyKernel: disableKernel}
+	opts := Options{R: 10, Seed: 1, SkipEC: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep := Check(g, gp, opts)
@@ -30,11 +32,3 @@ func benchSim(b *testing.B, disableKernel bool) {
 		}
 	}
 }
-
-// BenchmarkSimKernel measures the simulation stage on the direct
-// apply-kernel path (the default).
-func BenchmarkSimKernel(b *testing.B) { benchSim(b, false) }
-
-// BenchmarkSimLegacy measures the same workload on the legacy
-// GateDD+MulMV path.
-func BenchmarkSimLegacy(b *testing.B) { benchSim(b, true) }

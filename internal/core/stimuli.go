@@ -65,9 +65,6 @@ func newSimRunner(n int, opts Options) *simRunner {
 		agreeTol:  agreementTolerance(tol),
 		threshold: opts.FidelityThreshold,
 	}
-	if opts.DisableGateCache {
-		r.p.SetGateCacheEnabled(false)
-	}
 	if opts.GCThreshold > 0 {
 		r.p.SetGCThreshold(opts.GCThreshold)
 	} else {
@@ -86,7 +83,6 @@ func newSimRunner(n int, opts Options) *simRunner {
 		r.removeGauge = w.AddGauge(r.p.OccupancyGauge())
 	}
 	r.s = sim.NewOn(r.p)
-	r.s.Legacy = opts.DisableApplyKernel
 	if r.havePerm {
 		// Pinned for the runs' collections: compare applies it after both.
 		r.unperm = sim.PermutationDD(r.p, invertPerm(opts.OutputPerm))
@@ -123,37 +119,26 @@ func (r *simRunner) close(errp *error) {
 // every stimulus worker drives.  The programs are immutable after
 // prepareShared returns; each worker binds them to its private package
 // (sim.Simulator keeps the binding per package), so nothing here is ever
-// written concurrently.  Zero-valued programs select the legacy
-// circuit-walking path.
+// written concurrently.
 type sharedProgs struct {
 	g1, g2 *sim.Program
 }
 
-// prepareShared compiles the pair once for all workers.  The legacy path
-// (DisableApplyKernel) builds matrix DDs per gate and has no program form.
-func prepareShared(g1, g2 *circuit.Circuit, opts Options) sharedProgs {
-	if opts.DisableApplyKernel {
-		return sharedProgs{}
-	}
+// prepareShared compiles the pair once for all workers.
+func prepareShared(g1, g2 *circuit.Circuit) sharedProgs {
 	return sharedProgs{g1: sim.Prepare(g1), g2: sim.Prepare(g2)}
 }
 
 // compare simulates both circuits on |input>, returning the output fidelity
 // and a counterexample if the outputs disagree (under the exact or the
 // approximate criterion), nil otherwise.
-func (r *simRunner) compare(g1, g2 *circuit.Circuit, progs sharedProgs, input uint64) (*Counterexample, float64) {
+func (r *simRunner) compare(progs sharedProgs, input uint64) (*Counterexample, float64) {
 	// Build the stimulus once and reuse it for both runs.  It must be pinned
 	// across the first run's garbage collections: the second run starts from
 	// the same edge, so its nodes have to stay interned until then.
 	in := r.p.BasisState(input)
-	var u, v dd.VEdge
-	if progs.g1 != nil {
-		u = r.s.RunProgramWithPins(progs.g1, in, []dd.VEdge{in})
-		v = r.s.RunProgramWithPins(progs.g2, in, []dd.VEdge{u})
-	} else {
-		u = r.s.RunFromWithPins(g1, in, []dd.VEdge{in})
-		v = r.s.RunFromWithPins(g2, in, []dd.VEdge{u})
-	}
+	u := r.s.RunProgramWithPins(progs.g1, in, []dd.VEdge{in})
+	v := r.s.RunProgramWithPins(progs.g2, in, []dd.VEdge{u})
 	if r.havePerm {
 		v = r.p.MulMV(r.unperm, v)
 	}
@@ -252,12 +237,12 @@ func runStimuliSequential(g1, g2 *circuit.Circuit, stimuli []uint64, opts Option
 	completed := 0
 	defer func() { n = completed }()
 	defer recoverWorker("core.sim", &err)
-	progs := prepareShared(g1, g2, opts)
+	progs := prepareShared(g1, g2)
 	for _, input := range stimuli {
 		if cancelled(opts) {
 			return completed, nil, stats, ddStats, nil
 		}
-		ce, fid := r.compare(g1, g2, progs, input)
+		ce, fid := r.compare(progs, input)
 		stats.add(fid)
 		completed++
 		if ce != nil {
@@ -281,7 +266,7 @@ func runStimuliParallel(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options)
 	if workers > len(stimuli) {
 		workers = len(stimuli)
 	}
-	progs := prepareShared(g1, g2, opts)
+	progs := prepareShared(g1, g2)
 	ces := make([]*Counterexample, len(stimuli))
 	fids := make([]float64, len(stimuli))
 	evaluated := make([]bool, len(stimuli))
@@ -309,7 +294,7 @@ func runStimuliParallel(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options)
 				if evalHook != nil {
 					evalHook(i)
 				}
-				ce, fid := r.compare(g1, g2, progs, stimuli[i])
+				ce, fid := r.compare(progs, stimuli[i])
 				fids[i] = fid
 				evaluated[i] = true
 				if ce != nil {

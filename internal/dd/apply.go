@@ -1,10 +1,6 @@
 package dd
 
-import (
-	"fmt"
-
-	"qcec/internal/cn"
-)
+import "qcec/internal/cn"
 
 // Direct gate application.  ApplyGateV computes (U applied to target under
 // controls) · x without ever materializing the full-register matrix DD of
@@ -27,11 +23,10 @@ import (
 //     no control-projector matrix DD is built.
 //
 // Results are memoized in a dedicated compute table (see apEntry) keyed by
-// (state node, gate id, opcode), where the gate id is a small integer the
-// package assigns per distinct gateKey.  Like every other compute table it
-// is invalidated by garbage collection; the gate-id map survives collections
-// (clearing it would only waste ids) unless it outgrows the gate-cache
-// limit, in which case GC resets it together with the table.
+// (state node, gate id, opcode), where the gate id is the gate's entry in
+// the package's gate registry (see registry.go).  Like every other compute
+// table it is invalidated by garbage collection; the registry survives
+// collections unless the collection flushes it.
 
 // applyClass labels the structure of the 2×2 matrix being applied, detected
 // from the interned entries (pointer comparison against the canonical zero).
@@ -83,7 +78,7 @@ type apbEntry struct {
 
 // applySpec carries one ApplyGateV invocation through the recursion: the
 // interned matrix entries, the target level, the control masks (lowCtl is
-// the subset of controls strictly below the target) and the memoization id.
+// the subset of controls strictly below the target) and the registry id.
 type applySpec struct {
 	w00, w01, w10, w11 *cn.Value
 	target             int
@@ -96,51 +91,18 @@ func apHash(gid uint32, op uint8, n VRef) uint64 {
 	return mix(mix(0xD6E8FEB86659FD93, uint64(gid)<<3|uint64(op)), uint64(n))
 }
 
-// applyID returns the stable small id for a gate key, assigning the next
-// one on first sight.  Ids key the apply compute table in place of the full
-// gateKey, keeping its entries small.
-func (p *Package) applyID(k gateKey) uint32 {
-	if p.apIDs == nil {
-		p.apIDs = make(map[gateKey]uint32, 64)
-	}
-	if id, ok := p.apIDs[k]; ok {
-		return id
-	}
-	id := uint32(len(p.apIDs) + 1)
-	p.apIDs[k] = id
-	return id
-}
-
-// buildApplySpec validates the gate arguments and translates them into the
-// kernel's internal form (interned entries, control masks, structure class,
-// memo id).
-func (p *Package) buildApplySpec(u [2][2]complex128, target int, controls []Control) applySpec {
-	if target < 0 || target >= p.n {
-		panic(fmt.Sprintf("dd: gate target %d out of range", target))
-	}
-	var pos, neg uint64
-	for _, c := range controls {
-		if c.Qubit < 0 || c.Qubit >= p.n || c.Qubit == target {
-			panic(fmt.Sprintf("dd: invalid control qubit %d", c.Qubit))
-		}
-		bit := uint64(1) << uint(c.Qubit)
-		if (pos|neg)&bit != 0 {
-			panic(fmt.Sprintf("dd: duplicate control qubit %d", c.Qubit))
-		}
-		if c.Neg {
-			neg |= bit
-		} else {
-			pos |= bit
-		}
-	}
+// applySpecOf translates a registered gate into the kernel's internal form
+// (interned entries, control masks, structure class, registry id).
+func (p *Package) applySpecOf(k gateKey) applySpec {
 	s := applySpec{
-		w00: p.CN.Lookup(u[0][0]), w01: p.CN.Lookup(u[0][1]),
-		w10: p.CN.Lookup(u[1][0]), w11: p.CN.Lookup(u[1][1]),
-		target: target,
-		ctl:    pos | neg,
-		neg:    neg,
+		w00: p.CN.ByID(k.w00), w01: p.CN.ByID(k.w01),
+		w10: p.CN.ByID(k.w10), w11: p.CN.ByID(k.w11),
+		target: k.target,
+		ctl:    k.posCtl | k.negCtl,
+		neg:    k.negCtl,
+		gid:    p.gateID(k),
 	}
-	s.lowCtl = s.ctl & (uint64(1)<<uint(target) - 1)
+	s.lowCtl = s.ctl & (uint64(1)<<uint(k.target) - 1)
 	zero := p.CN.Zero
 	switch {
 	case s.w01 == zero && s.w10 == zero:
@@ -150,10 +112,6 @@ func (p *Package) buildApplySpec(u [2][2]complex128, target int, controls []Cont
 	default:
 		s.class = applyGeneric
 	}
-	s.gid = p.applyID(gateKey{
-		w00: s.w00, w01: s.w01, w10: s.w10, w11: s.w11,
-		target: target, posCtl: pos, negCtl: neg,
-	})
 	return s
 }
 
@@ -175,10 +133,10 @@ func (p *Package) countApply(class applyClass) {
 // hot-path replacement for MulMV(GateDD(u, target, controls), x): the two
 // compute identical canonical edges on the same package, but ApplyGateV
 // skips the matrix machinery entirely.  Callers applying the same gate many
-// times should prepare it once (PrepareGate/ApplyPrepared) to skip the
+// times should prepare it once (PrepareSpec/ApplyPrepared) to skip the
 // per-call translation.
 func (p *Package) ApplyGateV(u [2][2]complex128, target int, controls []Control, x VEdge) VEdge {
-	s := p.buildApplySpec(u, target, controls)
+	s := p.applySpecOf(p.gateKeyOf(u, target, controls))
 	p.faultPoint()
 	p.countApply(s.class)
 	if x.W == p.CN.Zero {
@@ -190,23 +148,16 @@ func (p *Package) ApplyGateV(u [2][2]complex128, target int, controls []Control,
 // PreparedGate is a gate pre-translated for ApplyPrepared.  It holds interned
 // weights and masks but no DD nodes, so it stays valid across garbage
 // collections and needs no re-rooting; it is bound to the package that
-// prepared it.
+// prepared it.  key and epoch let it re-register after a registry flush.
 type PreparedGate struct {
 	spec  applySpec
+	key   gateKey
 	epoch uint64
-}
-
-// PrepareGate validates and translates a gate once, so the r-stimuli × |G|-
-// gates simulation loop pays only the kernel recursion per application —
-// not the weight interning, control-mask building and memo-id lookup, nor
-// the trigonometry of reconstructing parameterized matrices.
-func (p *Package) PrepareGate(u [2][2]complex128, target int, controls []Control) *PreparedGate {
-	return &PreparedGate{spec: p.buildApplySpec(u, target, controls), epoch: p.apEpoch}
 }
 
 // GateSpec is a package-independent, immutable gate description: the raw
 // 2×2 matrix plus placement, with none of the per-package translation
-// (weight interning, control masks, memo ids) applied yet.  A GateSpec can
+// (weight interning, control masks, registry ids) applied yet.  A GateSpec can
 // be built once — paying any trigonometry of parameterized matrices a single
 // time — and then shared read-only across any number of packages and
 // goroutines; each package binds it locally with PrepareSpec.  Neither the
@@ -217,26 +168,26 @@ type GateSpec struct {
 	Controls []Control
 }
 
-// PrepareSpec binds a shared GateSpec to this package, producing the
-// package-local prepared form (see PrepareGate).  The binding reads the spec
-// without retaining it, so many packages may bind the same spec concurrently
-// as long as each call runs on its own package's goroutine.
+// PrepareSpec binds a shared GateSpec to this package: it validates and
+// translates the gate once, so the r-stimuli × |G|-gates simulation loop
+// pays only the kernel recursion per application — not the weight
+// interning, control-mask building and registry lookup, nor the
+// trigonometry of reconstructing parameterized matrices.  The binding reads
+// the spec without retaining it, so many packages may bind the same spec
+// concurrently as long as each call runs on its own package's goroutine.
 func (p *Package) PrepareSpec(g GateSpec) *PreparedGate {
-	return &PreparedGate{spec: p.buildApplySpec(g.U, g.Target, g.Controls), epoch: p.apEpoch}
+	k := p.gateKeyOf(g.U, g.Target, g.Controls)
+	return &PreparedGate{spec: p.applySpecOf(k), key: k, epoch: p.gateEpoch}
 }
 
 // ApplyPrepared applies a prepared gate to the state DD x (see ApplyGateV
 // for semantics).
 func (p *Package) ApplyPrepared(g *PreparedGate, x VEdge) VEdge {
-	if g.epoch != p.apEpoch {
-		// A collection reset the gate-id map since this gate was prepared;
+	if g.epoch != p.gateEpoch {
+		// A collection flushed the registry since this gate was prepared;
 		// re-register so the id cannot alias a newer gate's memo entries.
-		s := &g.spec
-		g.spec.gid = p.applyID(gateKey{
-			w00: s.w00, w01: s.w01, w10: s.w10, w11: s.w11,
-			target: s.target, posCtl: s.ctl &^ s.neg, negCtl: s.neg,
-		})
-		g.epoch = p.apEpoch
+		g.spec.gid = p.gateID(g.key)
+		g.epoch = p.gateEpoch
 	}
 	p.faultPoint()
 	p.countApply(g.spec.class)

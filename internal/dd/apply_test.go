@@ -146,19 +146,20 @@ func TestApplyGateVTelemetry(t *testing.T) {
 }
 
 // TestApplyGateVAcrossGC checks that garbage collection (which clears the
-// apply compute table, and — with the limit forced down — resets the gate-id
-// map) never changes kernel results.
+// apply compute table, and — forced by memory pressure — flushes the gate
+// registry) never changes kernel results.
 func TestApplyGateVAcrossGC(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	p := NewDefault(4)
-	p.SetGateCacheLimit(1) // force the apIDs reset path on every GC
+	epoch := uint64(0)
+	p.SetPressure(func() uint64 { epoch++; return epoch }) // every MaybeGC flushes
 	st := randomKernelState(p, rng)
 	for trial := 0; trial < 40; trial++ {
 		u := randomUnitary(rng)
 		tgt := rng.Intn(4)
 		ctl := randomControls(rng, 4, tgt)
 		got := p.ApplyGateV(u, tgt, ctl, st)
-		p.GC([]VEdge{st, got}, nil)
+		p.MaybeGC([]VEdge{st, got}, nil)
 		again := p.ApplyGateV(u, tgt, ctl, st)
 		if got != again {
 			t.Fatalf("trial %d: kernel result changed across GC (%v vs %v)", trial, got, again)

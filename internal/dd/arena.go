@@ -30,7 +30,7 @@ import "qcec/internal/cn"
 //     never freed.  A VEdge/MEdge with N == 0 points at the terminal.
 //   - A live index stays valid until a collection runs without that node
 //     being reachable from the passed roots (or from the package's own
-//     roots: the identity chain and the gate cache).  Freed slots are
+//     roots: the identity chain and the gate registry).  Freed slots are
 //     reused by later allocations, so holding an edge across an unrooted
 //     collection is a correctness bug, not just a canonicity leak — exactly
 //     the rooting discipline GC's documentation has always demanded.

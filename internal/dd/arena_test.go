@@ -236,7 +236,7 @@ func TestComputeGenerationWrap(t *testing.T) {
 		t.Fatalf("repeated product missed within one generation")
 	}
 
-	p.GC(nil, nil) // the gate cache keeps a and b alive across the wrap
+	p.GC(nil, nil) // the gate registry keeps a and b alive across the wrap
 	for _, h := range []uint64{first, last, untouched} {
 		if e := p.mm.slot(h); e.gen == p.gen {
 			t.Errorf("slot %d reads as valid after the wrap: %+v", h, *e)

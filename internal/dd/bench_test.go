@@ -81,7 +81,7 @@ func BenchmarkInnerProduct(b *testing.B) {
 	}
 }
 
-// The next four benchmarks pin the gate-cache hot paths.  NewPackage matters
+// The next four benchmarks pin the gate registry's hot paths.  NewPackage matters
 // because every checker run (and every parallel worker) creates its own
 // Package: with the lazily allocated compute tables this costs microseconds,
 // not the tens of milliseconds the old eagerly zeroed 2^17-entry tables took.
@@ -94,10 +94,9 @@ func BenchmarkNewPackage(b *testing.B) {
 
 func BenchmarkGateDDUncached8(b *testing.B) {
 	p := NewDefault(8)
-	p.SetGateCacheEnabled(false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.GateDD(hMat, i%8, []Control{{Qubit: (i + 1) % 8}})
+		p.buildGateDD(hMat, i%8, []Control{{Qubit: (i + 1) % 8}})
 	}
 }
 
@@ -172,7 +171,7 @@ func BenchmarkMulMMMiter(b *testing.B) {
 
 // BenchmarkResetAfterProduct measures Package.Reset after a
 // BenchmarkMulMMMiter-sized job: the collection that hands a pooled package
-// back empty except for its identity chain and gate cache.
+// back empty except for its identity chain and gate registry.
 func BenchmarkResetAfterProduct(b *testing.B) {
 	const n = 10
 	rng := rand.New(rand.NewSource(5))

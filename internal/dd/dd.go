@@ -31,11 +31,13 @@
 //     invalidates them all by bumping one generation stamp (see arith.go).
 //   - Collections are paced to the live set (see MaybeGC), so the arenas
 //     and tables of a check whose live DD stays small stay cache-sized.
-//   - Whole gate DDs are memoized in a per-package gate cache keyed by the
-//     interned 2×2 matrix entries, the target and the control masks, so the
-//     hot simulation loop (r stimuli × |G| gates) builds each distinct gate
-//     once.  Unlike the compute tables, the cache survives garbage
-//     collection: its entries are marked as GC roots (see GC).
+//   - Every distinct gate — its interned 2×2 matrix entries, target and
+//     control masks — gets one small id in a per-package gate registry
+//     (see registry.go).  The id keys the apply kernel's compute tables,
+//     and the registry memoizes the gate's full-register matrix DD, so the
+//     complete check builds each distinct gate once.  Unlike the compute
+//     tables, the registry survives garbage collection: its DDs are marked
+//     as GC roots (see GC).
 //
 // Concurrency: a Package (and the cn.Table it owns) is NOT safe for
 // concurrent use.  Concurrent clients — the parallel simulation stage in
@@ -77,18 +79,6 @@ type Control struct {
 	Neg   bool
 }
 
-// gateKey identifies a full-register gate DD: the four interned entries of
-// the 2×2 operation matrix, the target qubit, and the positive/negative
-// control sets encoded as bitmasks (exact for MaxQubits = 64).  Because the
-// entries are interned through the package's cn.Table, two matrices equal up
-// to the weight tolerance share a key — the same equivalence the DD itself
-// applies to edge weights.
-type gateKey struct {
-	w00, w01, w10, w11 *cn.Value
-	target             int
-	posCtl, negCtl     uint64
-}
-
 // Package owns the unique tables, compute tables and complex table for DDs on
 // a fixed number of qubits.  It is not safe for concurrent use.
 type Package struct {
@@ -126,14 +116,14 @@ type Package struct {
 	ap   ctab[apEntry]
 	apb  ctab[apbEntry]
 
-	// apIDs assigns each distinct gate key a small id that keys the apply
-	// compute tables (see applyID).  The map survives garbage collections —
-	// ids stay valid because entries referencing them live in ap and apb,
-	// which GC invalidates — unless it outgrows gateCacheLimit, in which
-	// case GC resets it alongside the tables and bumps apEpoch so prepared
-	// gates re-register their ids.
-	apIDs   map[gateKey]uint32
-	apEpoch uint64
+	// gateIDs and gates are the gate registry (see registry.go): gateIDs
+	// assigns each distinct gateKey a small id, and gates[id-1] holds that
+	// gate's matrix DD once GateDD has built it.  gateEpoch counts registry
+	// flushes, so prepared gates notice that their ids were reassigned.
+	gateIDs   map[gateKey]uint32
+	gates     []gateSlot
+	gateBuilt int
+	gateEpoch uint64
 
 	applyCalls     uint64
 	applyDiag      uint64
@@ -172,7 +162,7 @@ type Package struct {
 	// pressure, when set, is polled at GC decision points (MaybeGC): a value
 	// different from pressureSeen means the memory watchdog bumped its
 	// pressure epoch, and the next MaybeGC collects unconditionally and
-	// flushes the gate cache.  The hook must be safe to call from this
+	// flushes the gate registry.  The hook must be safe to call from this
 	// package's owning goroutine while the watchdog writes the epoch (an
 	// atomic load — see resource.Watchdog.Epoch).
 	pressure     func() uint64
@@ -196,20 +186,9 @@ type Package struct {
 
 	cacheHits, cacheMisses uint64
 
-	// gateCache memoizes full-register gate DDs across gate applications:
-	// the simulation loop applies the same few dozen distinct gates to r
-	// stimuli, and the uncached path rebuilds the O(n)-node matrix DD every
-	// time.  Entries are treated as GC roots (re-rooted, not invalidated),
-	// unless the cache has outgrown gateCacheLimit, in which case the
-	// collection flushes it and construction starts over on demand.  Like
-	// everything else in the Package, the cache is strictly per-Package and
-	// never crosses goroutines.
-	gateCache      map[gateKey]MEdge
-	gateCacheOn    bool
-	gateCacheLimit int
-	gateHits       uint64
-	gateMisses     uint64
-	gateFlushes    uint64
+	gateHits    uint64
+	gateMisses  uint64
+	gateFlushes uint64
 
 	uniqueLookups uint64
 	uniqueHits    uint64
@@ -278,7 +257,7 @@ func (p *Package) checkLimit() {
 // SetPressure installs (or with nil removes) a memory-pressure hook, polled
 // at every MaybeGC decision.  When the returned epoch differs from the last
 // observed one, the next MaybeGC collects unconditionally and flushes the
-// gate cache — this is how the resource watchdog's soft limit reaches a
+// gate registry — this is how the resource watchdog's soft limit reaches a
 // package it must not touch directly (Package is single-goroutine).  The
 // typical hook is resource.Watchdog.Epoch.
 func (p *Package) SetPressure(f func() uint64) {
@@ -344,14 +323,6 @@ func (p *Package) faultPoint() {
 // SetGCThreshold: the flow's simulation stage does (see core).
 const DefaultGCThreshold = 1 << 13
 
-// DefaultGateCacheLimit bounds the gate-DD cache population: a garbage
-// collection that finds more cached gates than this flushes the cache instead
-// of re-rooting it.  Real workloads stay far below the limit (a circuit
-// contributes at most one entry per distinct (matrix, target, controls)
-// triple), so the bound only guards against pathological parameterized-gate
-// streams.
-const DefaultGateCacheLimit = 1 << 16
-
 // MaxQubits is the largest supported register size (basis-state indices are
 // addressed with uint64).
 const MaxQubits = 64
@@ -366,10 +337,7 @@ func New(n int, tol float64) *Package {
 		CN:      cn.NewTable(tol),
 		gen:     1,
 		gcFloor: DefaultGCThreshold,
-
-		gateCache:      make(map[gateKey]MEdge, 64),
-		gateCacheOn:    true,
-		gateCacheLimit: DefaultGateCacheLimit,
+		gateIDs: make(map[gateKey]uint32, 64),
 	}
 	p.vA.init()
 	p.mA.init()
@@ -401,12 +369,12 @@ func (p *Package) NodeCount() int { return p.vU.n + p.mU.n }
 // counters measure hash-consing effectiveness (a "hit" is a makeNode call
 // that found a structurally identical node already interned, a miss is an
 // insertion; probe lengths and slot collisions are not counted); the gate
-// counters cover the gate-DD cache.
+// counters cover the gate registry's matrix DDs.
 type Stats struct {
 	VectorNodes   int
 	MatrixNodes   int
 	WeightsStored int
-	GateCacheSize int
+	GateCacheSize int // gate DDs held by the gate registry
 	NodesCreated  uint64
 	GCRuns        int
 	GCReclaimed   uint64 // total nodes removed across all collections
@@ -416,9 +384,9 @@ type Stats struct {
 	UniqueHits    uint64 // probes answered by an existing node
 	WeightLookups int64  // cn.Table lookups
 	WeightHits    int64  // cn.Table lookups answered by an existing value
-	GateHits      uint64 // gate-DD cache hits
-	GateMisses    uint64 // gate-DD cache misses (full bottom-up builds)
-	GateFlushes   uint64 // gate-DD cache flushes forced by oversized GCs
+	GateHits      uint64 // GateDD calls answered by a registered gate DD
+	GateMisses    uint64 // GateDD calls that built the gate DD bottom-up
+	GateFlushes   uint64 // gate-registry flushes (oversized or pressure-forced GCs)
 	ApplyCalls    uint64 // direct kernel gate applications (ApplyGateV)
 	ApplyDiag     uint64 // of those, diagonal fast-path applications
 	ApplyPerm     uint64 // of those, permutation (cofactor-swap) applications
@@ -436,7 +404,7 @@ func (p *Package) Snapshot() Stats {
 		VectorNodes:   p.vU.n,
 		MatrixNodes:   p.mU.n,
 		WeightsStored: p.CN.Size(),
-		GateCacheSize: len(p.gateCache),
+		GateCacheSize: p.gateBuilt,
 		NodesCreated:  p.nodesCreated,
 		GCRuns:        p.gcRuns,
 		GCReclaimed:   p.gcReclaimed,
@@ -496,7 +464,7 @@ func (s *Stats) Add(o Stats) {
 }
 
 // GateHitRate returns the fraction of GateDD calls answered by the gate
-// cache (0 when no calls were made).
+// registry (0 when no calls were made).
 func (s Stats) GateHitRate() float64 {
 	total := s.GateHits + s.GateMisses
 	if total == 0 {
@@ -531,29 +499,6 @@ func (s Stats) UniqueHitRate() float64 {
 		return 0
 	}
 	return float64(s.UniqueHits) / float64(s.UniqueLookups)
-}
-
-// SetGateCacheEnabled turns the gate-DD cache on or off (it is on by
-// default).  Disabling also drops all current entries, so a subsequent GC no
-// longer treats them as roots; re-enabling starts from an empty cache.
-func (p *Package) SetGateCacheEnabled(on bool) {
-	if !on {
-		clear(p.gateCache)
-	}
-	p.gateCacheOn = on
-}
-
-// GateCacheEnabled reports whether the gate-DD cache is active.
-func (p *Package) GateCacheEnabled() bool { return p.gateCacheOn }
-
-// SetGateCacheLimit overrides the population bound above which a garbage
-// collection flushes the gate cache instead of re-rooting it (primarily for
-// tests; values < 1 are clamped to 1).
-func (p *Package) SetGateCacheLimit(n int) {
-	if n < 1 {
-		n = 1
-	}
-	p.gateCacheLimit = n
 }
 
 // VZero returns the canonical zero vector edge.
@@ -743,51 +688,6 @@ func (p *Package) BasisState(i uint64) VEdge {
 
 // ZeroState returns |0...0>.
 func (p *Package) ZeroState() VEdge { return p.BasisState(0) }
-
-// GateDD returns the n-qubit matrix DD of a single-qubit operation u applied
-// to target, optionally controlled (positively or negatively) by the given
-// qubits.  Results are memoized in the per-package gate cache (see Stats's
-// GateHits/GateMisses and SetGateCacheEnabled); a miss falls through to the
-// bottom-up construction used by the JKU package.
-func (p *Package) GateDD(u [2][2]complex128, target int, controls []Control) MEdge {
-	if target < 0 || target >= p.n {
-		panic(fmt.Sprintf("dd: gate target %d out of range", target))
-	}
-	// Validate via the control bitmasks (exact for MaxQubits = 64): range,
-	// target collision and duplicates, without allocating on the hit path.
-	var pos, neg uint64
-	for _, c := range controls {
-		if c.Qubit < 0 || c.Qubit >= p.n || c.Qubit == target {
-			panic(fmt.Sprintf("dd: invalid control qubit %d", c.Qubit))
-		}
-		bit := uint64(1) << uint(c.Qubit)
-		if (pos|neg)&bit != 0 {
-			panic(fmt.Sprintf("dd: duplicate control qubit %d", c.Qubit))
-		}
-		if c.Neg {
-			neg |= bit
-		} else {
-			pos |= bit
-		}
-	}
-	p.faultPoint()
-	if !p.gateCacheOn {
-		return p.buildGateDD(u, target, controls)
-	}
-	key := gateKey{
-		w00: p.CN.Lookup(u[0][0]), w01: p.CN.Lookup(u[0][1]),
-		w10: p.CN.Lookup(u[1][0]), w11: p.CN.Lookup(u[1][1]),
-		target: target, posCtl: pos, negCtl: neg,
-	}
-	if e, ok := p.gateCache[key]; ok {
-		p.gateHits++
-		return e
-	}
-	p.gateMisses++
-	e := p.buildGateDD(u, target, controls)
-	p.gateCache[key] = e
-	return e
-}
 
 // buildGateDD performs the bottom-up gate-DD construction.  The caller has
 // already validated target and controls.

@@ -34,15 +34,24 @@ func (b markBits) set(i uint32) bool {
 func (b markBits) has(i uint32) bool { return b[i>>6]&(uint64(1)<<(i&63)) != 0 }
 
 // GC removes all nodes not reachable from the given roots (the identity
-// chain is always retained) and invalidates the compute tables.  Gate-DD
-// cache entries are re-rooted — marked live so the cached edges stay
-// canonical across the collection — unless the cache has outgrown its limit,
-// in which case it is flushed and rebuilt on demand.  Freed slots go onto
-// the arena free lists for reuse, lowest index first, and the unique tables
-// are rebuilt from the survivors; both depend only on which slots survive,
-// so a collection leaves the same layout however the package got there.  It
+// chain is always retained) and invalidates the compute tables.  The gate
+// registry's DDs are re-rooted — marked live so they stay canonical across
+// the collection — unless the registry has outgrown gateRegistryLimit, in
+// which case it is flushed and rebuilt on demand.  Freed slots go onto the
+// arena free lists for reuse, lowest index first, and the unique tables are
+// rebuilt from the survivors; both depend only on which slots survive, so a
+// collection leaves the same layout however the package got there.  It
 // returns the number of nodes removed.
 func (p *Package) GC(rootsV []VEdge, rootsM []MEdge) int {
+	return p.collect(rootsV, rootsM, false)
+}
+
+// collect is GC, plus the one rule for flushing the gate registry: a
+// collection flushes it when it has outgrown gateRegistryLimit or when
+// flush is set (a collection forced by memory pressure).  Flushing is safe
+// only here, because invalidateComputeTables below empties the apply tables
+// that interpret the freed ids.
+func (p *Package) collect(rootsV []VEdge, rootsM []MEdge, flush bool) int {
 	markedV := newMarkBits(p.vA.slots())
 	markedM := newMarkBits(p.mA.slots())
 	markedV.set(0)
@@ -75,24 +84,13 @@ func (p *Package) GC(rootsV []VEdge, rootsM []MEdge) int {
 	for _, id := range p.idents {
 		markM(id.N)
 	}
-	if len(p.gateCache) > p.gateCacheLimit {
-		clear(p.gateCache)
-		p.gateFlushes++
-	} else {
-		for _, e := range p.gateCache {
-			markM(e.N)
-		}
+	if flush || len(p.gateIDs) > gateRegistryLimit {
+		p.flushGates()
 	}
-
-	// The apply-kernel id map carries no edges, so it needs no re-rooting;
-	// it is only reset when it outgrows the same bound as the gate cache.
-	// That is safe exactly here because invalidateComputeTables below
-	// empties the apply tables that interpret the ids; the epoch bump makes
-	// prepared gates re-register instead of reusing ids that may be
-	// reassigned.
-	if len(p.apIDs) > p.gateCacheLimit {
-		clear(p.apIDs)
-		p.apEpoch++
+	for _, g := range p.gates {
+		if g.built {
+			markM(g.n)
+		}
 	}
 
 	removed := p.sweepV(markedV) + p.sweepM(markedM)
@@ -129,7 +127,7 @@ func (p *Package) gcTrigger() int {
 // MaybeGC runs GC when the unique-table population reaches gcTrigger, or
 // unconditionally when the memory watchdog has bumped its pressure epoch
 // since the last check (see SetPressure) — a pressure-forced collection
-// also flushes the gate cache, whose entries are rebuildable ballast.  It
+// also flushes the gate registry, whose DDs are rebuildable ballast.  It
 // reports whether a collection ran.
 func (p *Package) MaybeGC(rootsV []VEdge, rootsM []MEdge) bool {
 	forced := false
@@ -144,12 +142,8 @@ func (p *Package) MaybeGC(rootsV []VEdge, rootsM []MEdge) bool {
 	}
 	if forced {
 		p.pressureGCs++
-		if len(p.gateCache) > 0 {
-			clear(p.gateCache)
-			p.gateFlushes++
-		}
 	}
-	p.GC(rootsV, rootsM)
+	p.collect(rootsV, rootsM, forced)
 	return true
 }
 

@@ -16,13 +16,13 @@ import (
 // Reset returns the package to a like-new state for the next job while
 // keeping what is expensive to rebuild:
 //
-//   - kept: the interned weight table (cn.Table values stay valid — gate and
-//     apply keys hold weight pointers), the gate-DD cache with its node
-//     structure (re-rooted by the collection below), the apply-kernel gate-id
-//     map, the grown compute-table and unique-table capacity, the identity
-//     chain, and the arena slabs themselves — dead slots go onto the free
-//     lists and the backing arrays are recycled in place, so a pooled worker
-//     package re-allocates nothing on its next job;
+//   - kept: the interned weight table (cn.Table values stay valid — gate
+//     keys hold weight IDs), the gate registry with its gate DDs (re-rooted
+//     by the collection below), the grown compute-table and unique-table
+//     capacity, the identity chain, and the arena slabs themselves — dead
+//     slots go onto the free lists and the backing arrays are recycled in
+//     place, so a pooled worker package re-allocates nothing on its next
+//     job;
 //   - cleared: all nodes unreachable from the kept roots, every compute-table
 //     entry (by a generation bump, O(1)), and all statistics counters, so the
 //     next job's Snapshot reports only its own work;
@@ -47,13 +47,11 @@ func (p *Package) Reset() {
 		p.faults = nil
 	}
 
-	// Restore the cache configuration a previous job may have customized,
-	// then collect everything not reachable from the warm roots.  GC keeps
-	// the gate cache and identity chain live, invalidates the compute tables
+	// Restore the collection floor a previous job may have raised, then
+	// collect everything not reachable from the warm roots.  GC keeps the
+	// gate registry and identity chain live, invalidates the compute tables
 	// without touching their arrays, and leaves the collection trigger at
 	// the floor unless the warm roots alone outgrow it.
-	p.gateCacheOn = true
-	p.gateCacheLimit = DefaultGateCacheLimit
 	p.gcFloor = DefaultGCThreshold
 	p.GC(nil, nil)
 
@@ -97,7 +95,7 @@ const (
 )
 
 // DefaultPoolPerBucket bounds how many idle packages a Pool retains per
-// (qubits, tolerance) bucket.  Idle packages pin their warm gate caches and
+// (qubits, tolerance) bucket.  Idle packages pin their warm gate registries and
 // compute-table arrays, so the bound is the pool's memory ceiling; a serving
 // deployment sizes it to its worker count.
 const DefaultPoolPerBucket = 8
@@ -168,7 +166,7 @@ func (pl *Pool) Put(p *Package) {
 	keep := p.CN.Size() <= poolMaxWeights && p.vA.slots()+p.mA.slots() <= poolMaxSlots
 	if keep {
 		// Reset outside the lock: its collection — a mark over the warm
-		// gate cache, a sweep over the arena slabs and a rebuild of the
+		// gate registry, a sweep over the arena slabs and a rebuild of the
 		// unique tables, all linear in what the job left behind — is the
 		// expensive part, and it only touches p, which the caller still
 		// owns.

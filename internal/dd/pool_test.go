@@ -45,8 +45,6 @@ func TestResetClearsPerJobState(t *testing.T) {
 	p.SetCancel(func() bool { return false })
 	p.SetPressure(func() uint64 { return 7 })
 	p.SetGCThreshold(123)
-	p.SetGateCacheLimit(5)
-	p.SetGateCacheEnabled(false)
 	ghzJob(t, p)
 	if inj.calls == 0 {
 		t.Fatalf("injector never fired; test exercises nothing")
@@ -63,8 +61,8 @@ func TestResetClearsPerJobState(t *testing.T) {
 	if p.faults != nil {
 		t.Errorf("per-package fault injector survived Reset")
 	}
-	if !p.GateCacheEnabled() || p.gateCacheLimit != DefaultGateCacheLimit || p.gcFloor != DefaultGCThreshold {
-		t.Errorf("cache configuration not restored to defaults")
+	if p.gcFloor != DefaultGCThreshold {
+		t.Errorf("collection floor %d not restored to the default", p.gcFloor)
 	}
 	s := p.Snapshot()
 	if s.NodesCreated != 0 || s.CacheHits != 0 || s.CacheMisses != 0 ||
@@ -85,7 +83,8 @@ func TestResetClearsPerJobState(t *testing.T) {
 }
 
 // warmGates builds the GHZ alphabet's full-register gate DDs (the apply
-// kernel used by ghzJob bypasses the gate-DD cache, so warm it directly).
+// kernel used by ghzJob registers its gates but builds no matrix DDs, so
+// warm them directly).
 func warmGates(p *Package) {
 	p.GateDD(hMat, 0, nil)
 	for q := 1; q < p.Qubits(); q++ {
@@ -94,7 +93,7 @@ func warmGates(p *Package) {
 }
 
 // rootedNodes counts the nodes reachable from the package's own roots (the
-// identity chain and the gate cache): all a Reset may keep.
+// identity chain and the gate registry): all a Reset may keep.
 func rootedNodes(p *Package) int {
 	seen := map[MRef]bool{}
 	var walk func(n MRef)
@@ -110,8 +109,10 @@ func rootedNodes(p *Package) int {
 	for _, e := range p.idents {
 		walk(e.N)
 	}
-	for _, e := range p.gateCache {
-		walk(e.N)
+	for _, g := range p.gates {
+		if g.built {
+			walk(g.n)
+		}
 	}
 	return len(seen)
 }
@@ -128,7 +129,7 @@ func TestResetKeepsWarmState(t *testing.T) {
 	}
 	before := p.Snapshot()
 	if before.GateCacheSize == 0 {
-		t.Fatalf("job built no cached gates; warmth cannot be observed")
+		t.Fatalf("job built no gate DDs; warmth cannot be observed")
 	}
 	weights := before.WeightsStored
 	arBefore := p.Arena()
@@ -147,7 +148,7 @@ func TestResetKeepsWarmState(t *testing.T) {
 		t.Errorf("Reset kept %d vector nodes; nothing roots a vector", p.vU.n)
 	}
 	if want := rootedNodes(p); p.mU.n != want {
-		t.Errorf("Reset kept %d matrix nodes, want the %d rooted by the identity chain and gate cache", p.mU.n, want)
+		t.Errorf("Reset kept %d matrix nodes, want the %d rooted by the identity chain and gate registry", p.mU.n, want)
 	}
 	if err := p.ValidateTables(); err != nil {
 		t.Errorf("tables after Reset: %v", err)
@@ -155,7 +156,7 @@ func TestResetKeepsWarmState(t *testing.T) {
 
 	after := p.Snapshot()
 	if after.GateCacheSize != before.GateCacheSize {
-		t.Errorf("gate cache size %d after Reset, want %d (kept warm)",
+		t.Errorf("%d registered gate DDs after Reset, want %d (kept warm)",
 			after.GateCacheSize, before.GateCacheSize)
 	}
 	if after.WeightsStored != weights {
@@ -170,7 +171,7 @@ func TestResetKeepsWarmState(t *testing.T) {
 	}
 
 	// The second, identical job must be answered entirely by the warm gate
-	// cache: zero misses (a fresh package pays one build per distinct gate).
+	// registry: zero misses (a fresh package pays one build per distinct gate).
 	ghzJob(t, p)
 	warmGates(p)
 	s := p.Snapshot()
@@ -178,7 +179,7 @@ func TestResetKeepsWarmState(t *testing.T) {
 		t.Errorf("warm package rebuilt %d gate DDs", s.GateMisses)
 	}
 	if s.GateHits == 0 {
-		t.Errorf("warm package recorded no gate-cache hits")
+		t.Errorf("warm package recorded no gate-registry hits")
 	}
 	// And it must be served from the recycled slabs: the arenas ran the same
 	// workload out of the free lists without growing.

@@ -3,6 +3,7 @@ package dd
 import (
 	"math"
 	"math/cmplx"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -50,9 +51,9 @@ func TestGateCacheKeyDistinguishes(t *testing.T) {
 	}
 }
 
-// TestGateCacheMatchesUncached: the cached construction must be entry-wise
-// identical to an uncached package's construction for a spread of gates,
-// including multi-controlled and negative-controlled ones.
+// TestGateCacheMatchesUncached: the registered gate DD must be entry-wise
+// identical to a bare bottom-up construction on another package for a
+// spread of gates, including multi-controlled and negative-controlled ones.
 func TestGateCacheMatchesUncached(t *testing.T) {
 	type gate struct {
 		u        [2][2]complex128
@@ -67,12 +68,11 @@ func TestGateCacheMatchesUncached(t *testing.T) {
 	}
 	pc := NewDefault(4)
 	pu := NewDefault(4)
-	pu.SetGateCacheEnabled(false)
 	for gi, g := range gates {
-		// Build twice on the cached package so the second build is a hit.
+		// Build twice on the registry package so the second build is a hit.
 		pc.GateDD(g.u, g.target, g.controls)
 		mc := pc.GateDD(g.u, g.target, g.controls)
-		mu := pu.GateDD(g.u, g.target, g.controls)
+		mu := pu.buildGateDD(g.u, g.target, g.controls)
 		for r := uint64(0); r < 16; r++ {
 			for c := uint64(0); c < 16; c++ {
 				a, b := pc.MatrixEntry(mc, r, c), pu.MatrixEntry(mu, r, c)
@@ -82,8 +82,9 @@ func TestGateCacheMatchesUncached(t *testing.T) {
 			}
 		}
 	}
-	if s := pu.Snapshot(); s.GateHits != 0 || s.GateMisses != 0 {
-		t.Fatalf("disabled cache must not count: %d hits %d misses", s.GateHits, s.GateMisses)
+	if s := pu.Snapshot(); s.GateHits != 0 || s.GateMisses != 0 || s.GateCacheSize != 0 {
+		t.Fatalf("bare construction must bypass the registry: %d hits %d misses %d entries",
+			s.GateHits, s.GateMisses, s.GateCacheSize)
 	}
 }
 
@@ -107,48 +108,134 @@ func TestGateCacheSurvivesGC(t *testing.T) {
 	}
 }
 
-// TestGateCacheFlushOnOversizedGC: when the cache exceeds its limit, a
+// TestGateCacheFlushOnOversizedGC: when the registry exceeds its limit, a
 // collection flushes it instead of rooting an unbounded population.
 func TestGateCacheFlushOnOversizedGC(t *testing.T) {
 	p := NewDefault(3)
-	p.SetGateCacheLimit(4)
 	for i := 0; i < 16; i++ {
 		p.GateDD(phaseMat(float64(i)/7), 0, nil)
 	}
 	if s := p.Snapshot(); s.GateCacheSize != 16 {
-		t.Fatalf("want 16 cached gates, got %d", s.GateCacheSize)
+		t.Fatalf("want 16 registered gate DDs, got %d", s.GateCacheSize)
+	}
+	// Registering ids alone (the kernel's path) counts against the limit too.
+	for i := 16; i <= gateRegistryLimit; i++ {
+		p.PrepareSpec(GateSpec{U: phaseMat(float64(i) / 7), Target: 0})
+	}
+	if len(p.gateIDs) != gateRegistryLimit+1 {
+		t.Fatalf("want %d registered gates, got %d", gateRegistryLimit+1, len(p.gateIDs))
 	}
 	p.GC(nil, nil)
 	s := p.Snapshot()
-	if s.GateCacheSize != 0 {
-		t.Fatalf("oversized cache must be flushed, still %d entries", s.GateCacheSize)
+	if s.GateCacheSize != 0 || len(p.gateIDs) != 0 {
+		t.Fatalf("oversized registry must be flushed, still %d DDs / %d ids", s.GateCacheSize, len(p.gateIDs))
 	}
 	if s.GateFlushes != 1 {
 		t.Fatalf("want 1 flush, got %d", s.GateFlushes)
 	}
-	// The flushed cache must rebuild correctly.
+	// The flushed registry must rebuild correctly.
 	m := p.GateDD(phaseMat(1.0/7), 0, nil)
 	if got := p.MatrixEntry(m, 1, 1); cmplx.Abs(got-cmplx.Exp(complex(0, 1.0/7))) > 1e-12 {
 		t.Fatalf("post-flush rebuild wrong: %v", got)
 	}
 }
 
-// TestGateCacheDisableDropsEntries: disabling the cache clears it so GC no
-// longer roots stale gates.
-func TestGateCacheDisableDropsEntries(t *testing.T) {
+// TestGateRegistryKeyIsPointerFree: the registry's map key and slots hold
+// weight IDs and node refs, never pointers, so Go's collector skips them.
+func TestGateRegistryKeyIsPointerFree(t *testing.T) {
+	for _, typ := range []reflect.Type{reflect.TypeOf(gateKey{}), reflect.TypeOf(gateSlot{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			switch typ.Field(i).Type.Kind() {
+			case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Interface, reflect.String:
+				t.Errorf("%s.%s holds a pointer (%s)", typ.Name(), typ.Field(i).Name, typ.Field(i).Type)
+			}
+		}
+	}
+}
+
+// TestGateRegistrySharedByKernelAndGateDD: GateDD, ApplyGateV and
+// PrepareSpec register one gate under one id, so the kernel's memo id and
+// the memoized matrix DD live in a single entry.
+func TestGateRegistrySharedByKernelAndGateDD(t *testing.T) {
 	p := NewDefault(3)
-	p.GateDD(hMat, 0, nil)
-	p.SetGateCacheEnabled(false)
-	if s := p.Snapshot(); s.GateCacheSize != 0 {
-		t.Fatalf("disable must clear the cache, %d entries left", s.GateCacheSize)
+	ctl := []Control{{Qubit: 2, Neg: true}}
+	st := p.BasisState(0b011)
+	p.ApplyGateV(hMat, 1, ctl, st)
+	pg := p.PrepareSpec(GateSpec{U: hMat, Target: 1, Controls: ctl})
+	m := p.GateDD(hMat, 1, ctl)
+	if len(p.gateIDs) != 1 {
+		t.Fatalf("one gate through three entry points registered %d ids", len(p.gateIDs))
 	}
-	if p.GateCacheEnabled() {
-		t.Fatal("cache still reports enabled")
+	if pg.spec.gid != 1 {
+		t.Fatalf("prepared gate holds id %d, want the shared id 1", pg.spec.gid)
 	}
-	p.SetGateCacheEnabled(true)
-	p.GateDD(hMat, 0, nil)
-	if s := p.Snapshot(); s.GateCacheSize != 1 {
-		t.Fatalf("re-enabled cache must repopulate, got %d entries", s.GateCacheSize)
+	if got, want := p.ApplyPrepared(pg, st), p.MulMV(m, st); got != want {
+		t.Fatalf("kernel %v, matrix product %v", got, want)
+	}
+	p.GateDD(xMat, 1, ctl)
+	if len(p.gateIDs) != 2 {
+		t.Fatalf("a second gate must get its own id, have %d", len(p.gateIDs))
+	}
+}
+
+// TestGateRegistryWarmAcrossPoolReset: a pooled package keeps its registry
+// through Put's Reset, so the next job rebuilds no gate DD and its prepared
+// gates keep their ids.
+func TestGateRegistryWarmAcrossPoolReset(t *testing.T) {
+	pl := NewPool(1)
+	p := pl.Get(4, 1e-10)
+	pg := p.PrepareSpec(GateSpec{U: hMat, Target: 0})
+	warmGates(p)
+	built := p.Snapshot().GateCacheSize
+	pl.Put(p)
+
+	q := pl.Get(4, 1e-10)
+	if q != p {
+		t.Fatal("pool did not hand back the warm package")
+	}
+	warmGates(q)
+	s := q.Snapshot()
+	if s.GateMisses != 0 || s.GateHits != uint64(built) {
+		t.Fatalf("warm job: %d misses, %d hits; want 0 and %d", s.GateMisses, s.GateHits, built)
+	}
+	st := q.ApplyPrepared(pg, q.ZeroState())
+	if pg.epoch != q.gateEpoch || pg.spec.gid != 1 {
+		t.Fatalf("prepared gate re-registered across Reset (epoch %d/%d, id %d)", pg.epoch, q.gateEpoch, pg.spec.gid)
+	}
+	if want := q.MulMV(q.GateDD(hMat, 0, nil), q.ZeroState()); st != want {
+		t.Fatalf("prepared gate after Reset: %v, want %v", st, want)
+	}
+}
+
+// TestGateRegistryPressureFlush: a collection forced by memory pressure
+// flushes the registry, and a gate prepared before it re-registers instead
+// of reusing an id that now names another gate.
+func TestGateRegistryPressureFlush(t *testing.T) {
+	p := NewDefault(3)
+	pg := p.PrepareSpec(GateSpec{U: hMat, Target: 1, Controls: []Control{{Qubit: 0}}})
+	p.GateDD(xMat, 2, nil)
+	epoch := uint64(0)
+	p.SetPressure(func() uint64 { return epoch })
+	st := p.BasisState(0b001)
+	epoch++
+	if !p.MaybeGC([]VEdge{st}, nil) {
+		t.Fatal("pressure did not force a collection")
+	}
+	s := p.Snapshot()
+	if s.PressureGCs != 1 || s.GateFlushes != 1 || s.GateCacheSize != 0 || len(p.gateIDs) != 0 {
+		t.Fatalf("pressure collection kept the registry: %+v, %d ids", s, len(p.gateIDs))
+	}
+	// The freed id 1 goes to another gate first.
+	p.ApplyGateV(zMat, 2, nil, st)
+	got := p.ApplyPrepared(pg, st)
+	if pg.spec.gid == 1 || pg.epoch != p.gateEpoch {
+		t.Fatalf("prepared gate kept its stale id %d (epoch %d/%d)", pg.spec.gid, pg.epoch, p.gateEpoch)
+	}
+	if want := p.MulMV(p.GateDD(hMat, 1, []Control{{Qubit: 0}}), st); got != want {
+		t.Fatalf("re-registered gate: %v, want %v", got, want)
+	}
+	if s := p.Snapshot(); s.GateMisses != 2 {
+		t.Fatalf("want 2 gate-DD builds (one per side of the flush), got %d", s.GateMisses)
 	}
 }
 

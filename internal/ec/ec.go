@@ -7,21 +7,25 @@
 // relabels qubits instead of un-swapping them).  The product U'·U† is built
 // gate by gate on a DD package; the order in which gates from the two
 // circuits are consumed is the checker's main degree of freedom
-// (paper ref [22]):
+// (paper ref [22]).  Construction builds U and U' independently and
+// compares them — the textbook baseline ("construct and compare the
+// complete functionality").  Every other DD strategy alternates between the
+// sides, and all but one fix the order up front as a cumulative schedule,
+// where sched[i] gates of G' are applied before inverted gate i of G (see
+// schedule):
 //
-//   - Construction: build U and U' independently and compare — the textbook
-//     baseline ("construct and compare the complete functionality").
-//   - Sequential: apply all gates of G', then all inverted gates of G.
+//   - Sequential: all gates of G', then all inverted gates of G.
 //   - Proportional: interleave the two sides in proportion to their gate
 //     counts, keeping the accumulated product close to the identity (small)
 //     whenever the circuits are in fact equivalent.
-//   - Lookahead: at each step apply whichever side's next gate yields the
-//     smaller intermediate DD.
-//   - GateCost: consume one inverted gate of G, then as many gates of G' as
-//     that gate lowered to, per a per-gate cost profile — either emitted
+//   - GateCost: one inverted gate of G, then as many gates of G' as that
+//     gate lowered to, per a per-gate cost profile — either emitted
 //     natively by internal/decompose and internal/mapping or estimated from
 //     a static per-kind cost table (the compilation-flow scheme of
 //     Burgholzer, Raymond & Wille 2020).
+//
+// Lookahead is the one strategy that chooses as it goes: at each step it
+// applies whichever side's next gate yields the smaller intermediate DD.
 //
 // All strategies support cooperative timeouts and node budgets, making
 // "Timeout" a first-class verdict exactly as in the paper's evaluation.
@@ -150,9 +154,6 @@ type Options struct {
 	// static per-kind estimate (EstimateCostProfile).  Other strategies
 	// ignore it.
 	CostProfile []int
-	// DisableGateCache turns off the DD package's gate-DD cache for this
-	// check (benchmark baseline runs only; verdicts are identical either way).
-	DisableGateCache bool
 	// MemSoftLimit / MemHardLimit, in bytes, put the check under a memory
 	// watchdog (internal/resource): above the soft limit the DD package is
 	// forced to collect and flush caches, above the hard limit the check is
@@ -166,6 +167,21 @@ type Options struct {
 	// cleanly.  Packages that survived a genuine panic are dropped, not
 	// returned.  Verdicts are identical either way.
 	Pool *dd.Pool
+}
+
+// DegradedNodeLimit returns the node budget of a conservative re-run after
+// a crash or transient failure: an unbounded limit (zero or negative)
+// becomes 2^20 live nodes and a limit above 4096 is halved, so the retry
+// cannot repeat a resource blow-up.  The portfolio's crash retry and the
+// server's transient retry both derive their budget from it.
+func DegradedNodeLimit(limit int) int {
+	switch {
+	case limit <= 0:
+		return 1 << 20
+	case limit > 4096:
+		return limit / 2
+	}
+	return limit
 }
 
 // StopCause identifies the resource bound that ended an inconclusive check.
@@ -231,7 +247,7 @@ type Result struct {
 	// Err carries the typed failure behind CauseError (*resource.PanicError)
 	// or CauseMemLimit (*resource.MemoryLimitError); nil otherwise.
 	Err error
-	// DD snapshots the check's DD-package statistics (gate-cache and
+	// DD snapshots the check's DD-package statistics (gate-registry and
 	// compute-table hit rates, unique-table activity, GC reclaims).
 	DD dd.Stats
 	// Mem snapshots the memory watchdog's counters when this check started
@@ -357,9 +373,6 @@ func Check(g1, g2 *circuit.Circuit, opts Options) Result {
 	}
 	if opts.NodeLimit > 0 {
 		p.SetNodeLimit(opts.NodeLimit)
-	}
-	if opts.DisableGateCache {
-		p.SetGateCacheEnabled(false)
 	}
 	if ctx := opts.Context; ctx != nil {
 		// Reach cancellation inside long DD operations, where the per-gate
@@ -507,103 +520,47 @@ func (c *checker) runConstruction(g1, g2 *circuit.Circuit) {
 }
 
 // runAlternating consumes gates of G' (left multiplications) and inverted
-// gates of G (right multiplications), producing U'·U†.
+// gates of G (right multiplications), producing U'·U†.  A schedule strategy
+// applies the next gate of G' while fewer than sched[i] of them precede
+// inverted gate i of G; Lookahead (no schedule) probes both sides whenever
+// both have gates left.  Every application is followed by the budget polls
+// and a collection safe point, so even a long chunk of one side is bounded.
 func (c *checker) runAlternating(g1, g2 *circuit.Circuit) {
 	target := c.target()
 	m := c.p.Identity()
+	sched := schedule(c.opts.Strategy, g1, g2, c.opts.CostProfile)
+	n1, n2 := len(g1.Gates), len(g2.Gates)
 	i, j := 0, 0 // i indexes g1 (right side), j indexes g2 (left side)
-	applyLeft := func() {
-		m = c.p.MulMM(sim.GateDD(c.p, g2.Gates[j]), m)
-		j++
-		c.result.GatesApplied++
-	}
-	applyRight := func() {
-		m = c.p.MulMM(m, sim.GateDD(c.p, g1.Gates[i].Inverse()))
-		i++
-		c.result.GatesApplied++
-	}
-
-	// Per-step gate ratio for the proportional strategy.
-	ratioLeft, ratioRight := 1, 1
-	if c.opts.Strategy == Proportional {
-		n1, n2 := len(g1.Gates), len(g2.Gates)
+	for i < n1 || j < n2 {
 		switch {
-		case n1 == 0 || n2 == 0:
-			// degenerate; sequential behavior below
-		case n2 >= n1:
-			ratioLeft = (n2 + n1 - 1) / n1
+		case i == n1 || (sched != nil && j < sched[i]):
+			m = c.p.MulMM(sim.GateDD(c.p, g2.Gates[j]), m)
+			j++
+		case j == n2 || sched != nil:
+			m = c.p.MulMM(m, sim.GateDD(c.p, g1.Gates[i].Inverse()))
+			i++
 		default:
-			ratioRight = (n1 + n2 - 1) / n2
-		}
-	}
-
-	// Cumulative schedule for the gate-cost strategy: sched[i] gates of g2
-	// are consumed before inverted gate i of g1 is undone.
-	var sched []int
-	if c.opts.Strategy == StrategyGateCost {
-		sched = gateCostSchedule(g1, g2, c.opts.CostProfile)
-	}
-
-	for i < len(g1.Gates) || j < len(g2.Gates) {
-		switch c.opts.Strategy {
-		case Sequential:
-			if j < len(g2.Gates) {
-				applyLeft()
+			left := c.p.MulMM(sim.GateDD(c.p, g2.Gates[j]), m)
+			c.result.ProbeMuls++
+			// A probe is a full matrix product; poll the budgets between
+			// the two so a blown-up candidate aborts before the second
+			// probe repeats the damage.
+			c.note()
+			if c.expired() {
+				c.result.Verdict = TimedOut
+				return
+			}
+			right := c.p.MulMM(m, sim.GateDD(c.p, g1.Gates[i].Inverse()))
+			c.result.ProbeMuls++
+			if c.p.MSize(left) <= c.p.MSize(right) {
+				m = left
+				j++
 			} else {
-				applyRight()
+				m = right
+				i++
 			}
-		case Proportional:
-			for k := 0; k < ratioLeft && j < len(g2.Gates); k++ {
-				applyLeft()
-			}
-			for k := 0; k < ratioRight && i < len(g1.Gates); k++ {
-				applyRight()
-			}
-		case StrategyGateCost:
-			// Apply at most one gate per outer iteration so the per-iteration
-			// note()/expired()/MaybeGC polling below bounds every chunk of a
-			// high-cost source gate, not just its boundary.
-			switch {
-			case i >= len(g1.Gates):
-				applyLeft()
-			case j >= len(g2.Gates):
-				applyRight()
-			case j < sched[i]:
-				applyLeft()
-			default:
-				applyRight()
-			}
-		case Lookahead:
-			switch {
-			case j >= len(g2.Gates):
-				applyRight()
-			case i >= len(g1.Gates):
-				applyLeft()
-			default:
-				left := c.p.MulMM(sim.GateDD(c.p, g2.Gates[j]), m)
-				c.result.ProbeMuls++
-				// A probe is a full matrix product; poll the budgets between
-				// the two so a blown-up candidate aborts before the second
-				// probe repeats the damage.
-				c.note()
-				if c.expired() {
-					c.result.Verdict = TimedOut
-					return
-				}
-				right := c.p.MulMM(m, sim.GateDD(c.p, g1.Gates[i].Inverse()))
-				c.result.ProbeMuls++
-				if c.p.MSize(left) <= c.p.MSize(right) {
-					m = left
-					j++
-				} else {
-					m = right
-					i++
-				}
-				c.result.GatesApplied++
-			}
-		default:
-			panic(fmt.Sprintf("ec: unknown strategy %v", c.opts.Strategy))
 		}
+		c.result.GatesApplied++
 		c.note()
 		if c.expired() {
 			c.result.Verdict = TimedOut
@@ -612,6 +569,54 @@ func (c *checker) runAlternating(g1, g2 *circuit.Circuit) {
 		c.p.MaybeGC(nil, []dd.MEdge{m, target})
 	}
 	c.classify(m, target)
+}
+
+// schedule returns the cumulative schedule of a schedule strategy: sched[i]
+// gates of g2 are applied before inverted gate i of g1, with sched
+// non-decreasing and at most len(g2.Gates).  It returns nil for Lookahead,
+// which chooses at every step instead.
+func schedule(s Strategy, g1, g2 *circuit.Circuit, profile []int) []int {
+	n1, n2 := len(g1.Gates), len(g2.Gates)
+	switch s {
+	case Sequential:
+		return sequentialSchedule(n1, n2)
+	case Proportional:
+		return proportionalSchedule(n1, n2)
+	case StrategyGateCost:
+		return gateCostSchedule(g1, g2, profile)
+	case Lookahead:
+		return nil
+	}
+	panic(fmt.Sprintf("ec: unknown strategy %v", s))
+}
+
+// sequentialSchedule applies all n2 gates of G' before the first inverted
+// gate of G.
+func sequentialSchedule(n1, n2 int) []int {
+	sched := make([]int, n1)
+	for i := range sched {
+		sched[i] = n2
+	}
+	return sched
+}
+
+// proportionalSchedule interleaves the sides in proportion to their gate
+// counts: ceil(n2/n1) gates of G' before each inverted gate of G when G' is
+// at least as long, else one gate of G' before each run of ceil(n1/n2)
+// inverted gates of G.
+func proportionalSchedule(n1, n2 int) []int {
+	sched := make([]int, n1)
+	if n2 == 0 {
+		return sched
+	}
+	for i := range sched {
+		if n2 >= n1 {
+			sched[i] = min((i+1)*((n2+n1-1)/n1), n2)
+		} else {
+			sched[i] = min(i/((n1+n2-1)/n2)+1, n2)
+		}
+	}
+	return sched
 }
 
 // findCounterexample searches for a basis state |i> on which the accumulated

@@ -69,11 +69,12 @@ func TheoryExperiment(n int, seed int64) ([]TheoryRow, error) {
 
 		p := dd.NewDefault(n)
 		s := sim.NewOn(p)
+		prog, progp := sim.Prepare(g), sim.Prepare(gp)
 		mismatches := 0
 		total := 1 << uint(n)
 		for i := 0; i < total; i++ {
-			u := s.Run(g, uint64(i))
-			v := s.RunFromWithPins(gp, p.BasisState(uint64(i)), []dd.VEdge{u})
+			u := s.RunProgram(prog, uint64(i))
+			v := s.RunProgramWithPins(progp, p.BasisState(uint64(i)), []dd.VEdge{u})
 			if f := p.Fidelity(u, v); f < 1-1e-9 {
 				mismatches++
 			}

@@ -40,12 +40,6 @@ type Config struct {
 	OutputPerm []int
 	// Tolerance is the DD weight tolerance (0 = default).
 	Tolerance float64
-	// DisableGateCache turns off the gate-DD cache in every DD-building
-	// prover (benchmark baseline runs only).
-	DisableGateCache bool
-	// DisableApplyKernel switches the sim prover's gate application to the
-	// legacy GateDD+MulMV path (see core.Options.DisableApplyKernel).
-	DisableApplyKernel bool
 	// CostProfile is the native per-gate compilation cost profile of the
 	// pair (g1 gate i lowered to CostProfile[i] gates of g2); when set, the
 	// gatecost prover uses it directly instead of the static estimate.  See
@@ -54,20 +48,13 @@ type Config struct {
 }
 
 // degraded derives the conservative fallback configuration used when a
-// crashed prover is retried (Options.RetryCrashed): sequential simulation,
-// kernel and gate cache disabled (the smallest code paths), and a reduced
-// node budget so the retry cannot repeat a resource blow-up.
+// crashed prover is retried (Options.RetryCrashed): sequential simulation
+// and a reduced node budget (ec.DegradedNodeLimit) so the retry cannot
+// repeat a resource blow-up.
 func (c Config) degraded() Config {
 	d := c
-	d.DisableApplyKernel = true
-	d.DisableGateCache = true
 	d.SimParallel = 0
-	switch {
-	case d.ECNodeLimit <= 0: // unlimited (0 or the explicit -1): bound the retry
-		d.ECNodeLimit = 1 << 20
-	case d.ECNodeLimit > 4096:
-		d.ECNodeLimit /= 2
-	}
+	d.ECNodeLimit = ec.DegradedNodeLimit(d.ECNodeLimit)
 	return d
 }
 
@@ -129,16 +116,14 @@ func SimProver(cfg Config) Prover {
 		Name: "sim",
 		Run: func(ctx context.Context, g1, g2 *circuit.Circuit) Outcome {
 			rep := core.Check(g1, g2, core.Options{
-				Context:            ctx,
-				R:                  cfg.R,
-				Seed:               cfg.Seed,
-				Parallel:           cfg.SimParallel,
-				SkipEC:             true,
-				UpToGlobalPhase:    cfg.UpToGlobalPhase,
-				OutputPerm:         cfg.OutputPerm,
-				Tolerance:          cfg.Tolerance,
-				DisableGateCache:   cfg.DisableGateCache,
-				DisableApplyKernel: cfg.DisableApplyKernel,
+				Context:         ctx,
+				R:               cfg.R,
+				Seed:            cfg.Seed,
+				Parallel:        cfg.SimParallel,
+				SkipEC:          true,
+				UpToGlobalPhase: cfg.UpToGlobalPhase,
+				OutputPerm:      cfg.OutputPerm,
+				Tolerance:       cfg.Tolerance,
 			})
 			ddStats := rep.DD
 			if rep.Err != nil {
@@ -240,15 +225,14 @@ func GateCostProver(cfg Config) Prover {
 				return Outcome{Stop: StopError, Detail: "no cost profile and no compilation blow-up"}
 			}
 			return ecOutcome(ec.Check(g1, g2, ec.Options{
-				Strategy:         ec.StrategyGateCost,
-				CostProfile:      cfg.CostProfile,
-				Context:          ctx,
-				Timeout:          cfg.ECTimeout,
-				NodeLimit:        cfg.ECNodeLimit,
-				UpToGlobalPhase:  cfg.UpToGlobalPhase,
-				OutputPerm:       cfg.OutputPerm,
-				Tolerance:        cfg.Tolerance,
-				DisableGateCache: cfg.DisableGateCache,
+				Strategy:        ec.StrategyGateCost,
+				CostProfile:     cfg.CostProfile,
+				Context:         ctx,
+				Timeout:         cfg.ECTimeout,
+				NodeLimit:       cfg.ECNodeLimit,
+				UpToGlobalPhase: cfg.UpToGlobalPhase,
+				OutputPerm:      cfg.OutputPerm,
+				Tolerance:       cfg.Tolerance,
 			}))
 		},
 	}
@@ -259,15 +243,14 @@ func ecProver(name string, strategy ec.Strategy, cfg Config) Prover {
 		Name: name,
 		Run: func(ctx context.Context, g1, g2 *circuit.Circuit) Outcome {
 			return ecOutcome(ec.Check(g1, g2, ec.Options{
-				Strategy:         strategy,
-				CostProfile:      cfg.CostProfile,
-				Context:          ctx,
-				Timeout:          cfg.ECTimeout,
-				NodeLimit:        cfg.ECNodeLimit,
-				UpToGlobalPhase:  cfg.UpToGlobalPhase,
-				OutputPerm:       cfg.OutputPerm,
-				Tolerance:        cfg.Tolerance,
-				DisableGateCache: cfg.DisableGateCache,
+				Strategy:        strategy,
+				CostProfile:     cfg.CostProfile,
+				Context:         ctx,
+				Timeout:         cfg.ECTimeout,
+				NodeLimit:       cfg.ECNodeLimit,
+				UpToGlobalPhase: cfg.UpToGlobalPhase,
+				OutputPerm:      cfg.OutputPerm,
+				Tolerance:       cfg.Tolerance,
 			}))
 		},
 	}
@@ -289,14 +272,13 @@ func StabProver(cfg Config) Prover {
 				return Outcome{Stop: StopError, Detail: "non-Clifford gate set"}
 			}
 			return ecOutcome(ec.Check(g1, g2, ec.Options{
-				Strategy:         ec.StrategyStabilizer,
-				Context:          ctx,
-				Timeout:          cfg.ECTimeout,
-				NodeLimit:        cfg.ECNodeLimit,
-				UpToGlobalPhase:  cfg.UpToGlobalPhase,
-				OutputPerm:       cfg.OutputPerm,
-				Tolerance:        cfg.Tolerance,
-				DisableGateCache: cfg.DisableGateCache,
+				Strategy:        ec.StrategyStabilizer,
+				Context:         ctx,
+				Timeout:         cfg.ECTimeout,
+				NodeLimit:       cfg.ECNodeLimit,
+				UpToGlobalPhase: cfg.UpToGlobalPhase,
+				OutputPerm:      cfg.OutputPerm,
+				Tolerance:       cfg.Tolerance,
 			}))
 		},
 	}

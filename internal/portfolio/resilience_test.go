@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"qcec/internal/circuit"
+	"qcec/internal/ec"
 	"qcec/internal/resource"
 )
 
@@ -102,6 +103,19 @@ func TestRetryCrashedDegradedRecovers(t *testing.T) {
 	var perr *resource.PanicError
 	if !errors.As(rep.Err, &perr) {
 		t.Fatalf("first crash not kept on record: err = %v", rep.Err)
+	}
+}
+
+// TestConfigDegraded: the crash-retry configuration runs the simulation
+// sequentially and takes its node budget from ec.DegradedNodeLimit, the one
+// rule the server's transient retry applies too; nothing else changes.
+func TestConfigDegraded(t *testing.T) {
+	for _, limit := range []int{-1, 0, 100, 8192} {
+		cfg := Config{R: 7, SimParallel: 4, ECNodeLimit: limit}
+		d := cfg.degraded()
+		if d.SimParallel != 0 || d.ECNodeLimit != ec.DegradedNodeLimit(limit) || d.R != cfg.R {
+			t.Errorf("limit %d: degraded config %+v", limit, d)
+		}
 	}
 }
 

@@ -436,6 +436,9 @@ var builtins = map[string]builtin{
 // emitBuiltin appends one builtin gate to the circuit, validated in place.
 // Its Controls and Params are carved from shared chunks.
 func (p *parser) emitBuiltin(name string, b builtin, params []float64, wires []int) error {
+	if p.maxGates > 0 && len(p.circ.Gates) == p.maxGates {
+		return &LimitError{What: "gates", Limit: p.maxGates}
+	}
 	targets := 1
 	if b.kind == circuit.SWAP {
 		targets = 2 // swap ignores any parameters instead of rejecting them

@@ -69,6 +69,10 @@ type parser struct {
 	params   []float64         // unused tail of the current Params chunk
 	measures []Measurement
 
+	// maxQubits and maxGates bound the circuit the parse may build (see
+	// ParseLimited); zero or negative is unbounded.
+	maxQubits, maxGates int
+
 	// Scratch reused across statements: compiled expression code and its
 	// value stack, the qubit arguments of a top-level call, and argument
 	// stacks holding the parameter values and wires of the call being
@@ -131,15 +135,39 @@ func (p *parser) expectInt() (int, error) {
 }
 
 // Parse parses OpenQASM 2.0 source text.
-func Parse(src string) (*Program, error) {
+func Parse(src string) (*Program, error) { return ParseLimited(src, 0, 0) }
+
+// LimitError reports a source whose circuit passes a ParseLimited bound.
+type LimitError struct {
+	What  string // "qubits" or "gates"
+	Limit int
+}
+
+func (e *LimitError) Error() string {
+	return fmt.Sprintf("qasm: circuit exceeds the limit of %d %s", e.Limit, e.What)
+}
+
+// ParseLimited parses like Parse, but stops with a *LimitError at the first
+// register declaration that takes the total width past maxQubits, or at the
+// first gate past maxGates (counted after broadcasts and macro expansion);
+// zero or negative is unbounded.  A short source can ask for far more: a
+// broadcast over a huge register emits one gate per wire, and nested macros
+// expand exponentially, so the bounds are checked while the circuit is
+// built rather than after.
+func ParseLimited(src string, maxQubits, maxGates int) (*Program, error) {
 	// Pre-size the gate slice from the statement count, but never beyond
 	// one gate per 7 source bytes (the shortest gate statement, `x q[0];`),
 	// so a body of bare semicolons cannot buy an outsized allocation.
 	hint := min(strings.Count(src, ";"), len(src)/7)
+	if maxGates > 0 {
+		hint = min(hint, maxGates)
+	}
 	p := &parser{
-		lex:    lexer{src: src, line: 1},
-		macros: make(map[string]*macroDef),
-		circ:   &circuit.Circuit{Gates: make([]circuit.Gate, 0, hint)},
+		lex:       lexer{src: src, line: 1},
+		macros:    make(map[string]*macroDef),
+		circ:      &circuit.Circuit{Gates: make([]circuit.Gate, 0, hint)},
+		maxQubits: maxQubits,
+		maxGates:  maxGates,
 	}
 	p.advance()
 	prog, err := p.parse()
@@ -220,6 +248,9 @@ func (p *parser) parseStatement() error {
 		}
 		r := p.qregs[len(p.qregs)-1]
 		p.circ.N = r.Offset + r.Size
+		if p.maxQubits > 0 && p.circ.N > p.maxQubits {
+			return &LimitError{What: "qubits", Limit: p.maxQubits}
+		}
 		return nil
 	case "creg":
 		return p.parseReg(&p.cregs)

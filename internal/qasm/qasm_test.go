@@ -1,6 +1,7 @@
 package qasm
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"os"
@@ -407,5 +408,28 @@ func TestMalformedInputsAreErrors(t *testing.T) {
 		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%q: error %v, want %q", src, err, want)
 		}
+	}
+}
+
+func TestParseLimited(t *testing.T) {
+	src := "OPENQASM 2.0;\nqreg a[2];\nqreg b[2];\ngate pair x, y { cx x, y; cx y, x; }\npair a, b;\n"
+	if _, err := ParseLimited(src, 4, 4); err != nil {
+		t.Fatalf("a circuit at both limits must parse: %v", err)
+	}
+	for _, tc := range []struct {
+		maxQubits, maxGates int
+		what                string
+	}{
+		{3, 0, "qubits"},
+		{0, 3, "gates"},
+	} {
+		_, err := ParseLimited(src, tc.maxQubits, tc.maxGates)
+		var le *LimitError
+		if !errors.As(err, &le) || le.What != tc.what {
+			t.Errorf("limits %d/%d: err = %v, want a *LimitError on %s", tc.maxQubits, tc.maxGates, err, tc.what)
+		}
+	}
+	if prog, err := Parse(src); err != nil || len(prog.Circuit.Gates) != 4 {
+		t.Fatalf("Parse must stay unbounded: %v", err)
 	}
 }

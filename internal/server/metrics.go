@@ -258,8 +258,8 @@ func (m *metrics) write(w io.Writer, queueDepth, queueCap, inflight, workers int
 	writeHistogram(w, "qcecd_queue_wait_seconds", "Time between admission and worker pickup.", &m.queueSeconds)
 
 	// DD-engine aggregates across all finished jobs.
-	counter("qcecd_dd_gate_cache_hits_total", "Gate-DD cache hits.", m.dd.GateHits)
-	counter("qcecd_dd_gate_cache_misses_total", "Gate-DD cache misses.", m.dd.GateMisses)
+	counter("qcecd_dd_gate_cache_hits_total", "GateDD calls answered by the gate registry.", m.dd.GateHits)
+	counter("qcecd_dd_gate_cache_misses_total", "GateDD calls that built the gate DD.", m.dd.GateMisses)
 	counter("qcecd_dd_compute_hits_total", "Compute-table hits.", m.dd.CacheHits)
 	counter("qcecd_dd_compute_misses_total", "Compute-table misses.", m.dd.CacheMisses)
 	counter("qcecd_dd_apply_calls_total", "Direct-kernel gate applications.", m.dd.ApplyCalls)

@@ -9,6 +9,7 @@ import (
 
 	"qcec/internal/circuit"
 	"qcec/internal/core"
+	"qcec/internal/ec"
 	"qcec/internal/resource"
 )
 
@@ -277,19 +278,11 @@ func (s *Server) runCheck(j *job) core.Report {
 		Pool:              s.ddPool,
 	}
 	if j.attempt > 0 {
-		// Degraded re-run after a transient failure, mirroring the portfolio
-		// engine's post-crash policy: sequential simulation, reference gate
-		// application, no shared caches or warm packages, bounded DD growth.
+		// Degraded re-run after a transient failure: sequential simulation,
+		// fresh packages instead of warm pooled ones, bounded DD growth.
 		opts.Parallel = 0
-		opts.DisableApplyKernel = true
-		opts.DisableGateCache = true
 		opts.Pool = nil
-		switch {
-		case opts.ECNodeLimit <= 0:
-			opts.ECNodeLimit = 1 << 20
-		case opts.ECNodeLimit > 4096:
-			opts.ECNodeLimit /= 2
-		}
+		opts.ECNodeLimit = ec.DegradedNodeLimit(opts.ECNodeLimit)
 	}
 	return core.Check(j.g1, j.g2, opts)
 }

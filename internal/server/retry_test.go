@@ -189,8 +189,8 @@ func TestPermanentFailureNotRetried(t *testing.T) {
 	}
 }
 
-// TestDegradedRetryBudget: the real executor's retry budget mirrors the
-// portfolio's degraded policy (sequential, reference path, bounded DD).
+// TestDegradedRetryBudget: the real executor's retry runs the degraded
+// configuration (sequential, fresh packages, ec.DegradedNodeLimit).
 // Exercised through runCheck by checking a real pair with attempt > 0 — the
 // verdict must still be correct under the degraded configuration.
 func TestDegradedRetryBudget(t *testing.T) {

@@ -4,7 +4,7 @@
 // The daemon turns the library into infrastructure: compiler CI posts a pair
 // of QASM circuits and gets back a verdict, a counterexample stimulus when
 // the pair differs, per-stage timings, and the DD-engine telemetry — without
-// linking the checker or paying a process start per query (the gate-DD cache
+// linking the checker or paying a process start per query (the gate registry
 // and interned-weight tables amortize across requests within a worker).
 //
 // The serving core is a bounded worker pool over a bounded queue:
@@ -326,23 +326,22 @@ func (s *Server) failDecode(w http.ResponseWriter, err error) {
 	s.fail(w, http.StatusBadRequest, CodeBadRequest, "invalid JSON: "+err.Error())
 }
 
-// parseCircuit parses one QASM source and enforces the size envelope.
+// parseCircuit parses one QASM source under the size envelope.  The parser
+// enforces the envelope while it expands the source, so a short body that
+// asks for a huge register or an exponential macro expansion is rejected
+// before it is built.
 func (s *Server) parseCircuit(field, src string) (*circuit.Circuit, *apiError) {
-	prog, err := qasm.Parse(src)
-	if err != nil {
+	prog, err := qasm.ParseLimited(src, s.cfg.MaxQubits, s.cfg.MaxGates)
+	var tooLarge *qasm.LimitError
+	switch {
+	case errors.As(err, &tooLarge):
+		return nil, &apiError{http.StatusRequestEntityTooLarge, CodeCircuitTooLarge,
+			fmt.Sprintf("circuit %q exceeds the limit of %d %s", field, tooLarge.Limit, tooLarge.What)}
+	case err != nil:
 		return nil, &apiError{http.StatusBadRequest, CodeBadQASM,
 			fmt.Sprintf("circuit %q: %v", field, err)}
 	}
-	c := prog.Circuit
-	if s.cfg.MaxQubits > 0 && c.N > s.cfg.MaxQubits {
-		return nil, &apiError{http.StatusRequestEntityTooLarge, CodeCircuitTooLarge,
-			fmt.Sprintf("circuit %q has %d qubits (limit %d)", field, c.N, s.cfg.MaxQubits)}
-	}
-	if s.cfg.MaxGates > 0 && len(c.Gates) > s.cfg.MaxGates {
-		return nil, &apiError{http.StatusRequestEntityTooLarge, CodeCircuitTooLarge,
-			fmt.Sprintf("circuit %q has %d gates (limit %d)", field, len(c.Gates), s.cfg.MaxGates)}
-	}
-	return c, nil
+	return prog.Circuit, nil
 }
 
 // cachedResponse answers j from the verdict cache when possible, stamping

@@ -81,9 +81,9 @@ func TestKernelParityRandomCircuits(t *testing.T) {
 	}
 }
 
-// TestKernelParitySimulatorRuns checks the Simulator-level switch: a Legacy
-// simulator and a kernel simulator on separate packages must agree on all
-// amplitudes (separate packages, so pointer identity does not apply).
+// TestKernelParitySimulatorRuns checks whole Simulator runs against the
+// legacy reference run on a separate package: all amplitudes must agree
+// (separate packages, so pointer identity does not apply).
 func TestKernelParitySimulatorRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 6; trial++ {
@@ -92,18 +92,18 @@ func TestKernelParitySimulatorRuns(t *testing.T) {
 		input := rng.Uint64() & (uint64(1)<<uint(n) - 1)
 
 		fast := New(n)
-		slow := New(n)
-		slow.Legacy = true
+		slow := dd.NewDefault(n)
 		vFast := fast.P.Vector(fast.Run(c, input))
-		vSlow := slow.P.Vector(slow.Run(c, input))
+		st, slowApplied := runLegacy(slow, c, input)
+		vSlow := slow.Vector(st)
 		for i := range vFast {
 			if d := vFast[i] - vSlow[i]; real(d)*real(d)+imag(d)*imag(d) > 1e-18 {
 				t.Fatalf("trial %d: amplitude[%d] kernel %v, legacy %v", trial, i, vFast[i], vSlow[i])
 			}
 		}
-		if fast.GatesApplied != slow.GatesApplied {
+		if fast.GatesApplied != slowApplied {
 			t.Fatalf("trial %d: %d kernel gate applications vs %d legacy",
-				trial, fast.GatesApplied, slow.GatesApplied)
+				trial, fast.GatesApplied, slowApplied)
 		}
 	}
 }

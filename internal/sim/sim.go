@@ -71,27 +71,9 @@ func ApplyGate(p *dd.Package, state dd.VEdge, g circuit.Gate) dd.VEdge {
 	return p.ApplyGateV(g.Matrix(), g.Target, ToDDControls(g.Controls), state)
 }
 
-// ApplyGateLegacy applies a single gate by building its full-register
-// matrix DD and running the generic matrix-vector product — the reference
-// path the kernel is checked against (see core.Options.DisableApplyKernel).
-func ApplyGateLegacy(p *dd.Package, state dd.VEdge, g circuit.Gate) dd.VEdge {
-	if g.Kind == circuit.SWAP {
-		for _, cx := range swapAsCXs(g) {
-			state = ApplyGateLegacy(p, state, cx)
-		}
-		return state
-	}
-	return p.MulMV(p.GateDD(g.Matrix(), g.Target, ToDDControls(g.Controls)), state)
-}
-
 // Simulator runs circuits on a DD package, garbage-collecting as needed.
 type Simulator struct {
 	P *dd.Package
-
-	// Legacy switches gate application from the direct kernel
-	// (dd.ApplyGateV) back to the full-matrix GateDD+MulMV reference path.
-	// Results are identical either way; only the cost differs.
-	Legacy bool
 
 	// GatesApplied counts the elementary gate applications performed, for
 	// the experiment reports.
@@ -102,13 +84,6 @@ type Simulator struct {
 	// the run's result.  Edges not rooted here or in the run's state pins
 	// may be collected at any gate.
 	PinnedM []dd.MEdge
-
-	// prep caches each circuit's kernel-prepared program (one entry per
-	// circuit gate; SWAPs contribute their three CX factors) so the
-	// r-stimuli loop translates every gate exactly once.  Keyed by circuit
-	// pointer: callers must not mutate a circuit's gates between runs on
-	// the same simulator.
-	prep map[*circuit.Circuit][][]*dd.PreparedGate
 
 	// bound caches the package-local binding of each shared Program this
 	// simulator has run, so a worker binds a program once and then pays only
@@ -186,8 +161,8 @@ func (s *Simulator) RunProgram(prog *Program, input uint64) dd.VEdge {
 
 // RunProgramWithPins simulates a shared program starting from an arbitrary
 // state DD, keeping the given states alive across garbage collections.  It
-// applies exactly the same prepared-gate sequence as RunFromWithPins would
-// for the originating circuit, so results are bit-identical.
+// is the simulator's one gate-application loop: every run, whether of a
+// shared program or of a circuit (RunFrom), goes through it.
 func (s *Simulator) RunProgramWithPins(prog *Program, state dd.VEdge, pins []dd.VEdge) dd.VEdge {
 	roots := make([]dd.VEdge, 0, len(pins)+1)
 	for _, steps := range s.bind(prog) {
@@ -201,39 +176,6 @@ func (s *Simulator) RunProgramWithPins(prog *Program, state dd.VEdge, pins []dd.
 		s.P.MaybeGC(roots, s.PinnedM)
 	}
 	return state
-}
-
-// apply dispatches one gate application according to the Legacy switch.
-func (s *Simulator) apply(state dd.VEdge, g circuit.Gate) dd.VEdge {
-	if s.Legacy {
-		return ApplyGateLegacy(s.P, state, g)
-	}
-	return ApplyGate(s.P, state, g)
-}
-
-// prepared returns (building and caching on first use) the kernel-prepared
-// program of a circuit.
-func (s *Simulator) prepared(c *circuit.Circuit) [][]*dd.PreparedGate {
-	if pg, ok := s.prep[c]; ok {
-		return pg
-	}
-	prepare := func(g circuit.Gate) *dd.PreparedGate {
-		return s.P.PrepareGate(g.Matrix(), g.Target, ToDDControls(g.Controls))
-	}
-	pg := make([][]*dd.PreparedGate, len(c.Gates))
-	for i, g := range c.Gates {
-		if g.Kind == circuit.SWAP {
-			cxs := swapAsCXs(g)
-			pg[i] = []*dd.PreparedGate{prepare(cxs[0]), prepare(cxs[1]), prepare(cxs[2])}
-		} else {
-			pg[i] = []*dd.PreparedGate{prepare(g)}
-		}
-	}
-	if s.prep == nil {
-		s.prep = make(map[*circuit.Circuit][][]*dd.PreparedGate, 2)
-	}
-	s.prep[c] = pg
-	return pg
 }
 
 // New creates a simulator on a fresh default package for n qubits.
@@ -254,53 +196,18 @@ func (s *Simulator) Run(c *circuit.Circuit, input uint64) dd.VEdge {
 
 // RunFrom simulates the circuit starting from an arbitrary state DD.
 func (s *Simulator) RunFrom(c *circuit.Circuit, state dd.VEdge) dd.VEdge {
-	if s.Legacy {
-		for _, g := range c.Gates {
-			state = ApplyGateLegacy(s.P, state, g)
-			s.GatesApplied++
-			faultStep(s.GatesApplied)
-			s.P.MaybeGC([]dd.VEdge{state}, s.PinnedM)
-		}
-		return state
-	}
-	for _, steps := range s.prepared(c) {
-		for _, pg := range steps {
-			state = s.P.ApplyPrepared(pg, state)
-		}
-		s.GatesApplied++
-		faultStep(s.GatesApplied)
-		s.P.MaybeGC([]dd.VEdge{state}, s.PinnedM)
-	}
-	return state
+	return s.RunFromWithPins(c, state, nil)
 }
 
 // RunFromWithPins simulates like RunFrom but additionally keeps the given
 // states alive across garbage collections (used when comparing runs of two
-// circuits on one package).
+// circuits on one package).  It compiles the circuit afresh on every call
+// and keeps no binding of it; a caller that runs one circuit many times
+// should Prepare it once and use RunProgramWithPins.
 func (s *Simulator) RunFromWithPins(c *circuit.Circuit, state dd.VEdge, pins []dd.VEdge) dd.VEdge {
-	roots := make([]dd.VEdge, 0, len(pins)+1)
-	if s.Legacy {
-		for _, g := range c.Gates {
-			state = ApplyGateLegacy(s.P, state, g)
-			s.GatesApplied++
-			faultStep(s.GatesApplied)
-			roots = append(roots[:0], pins...)
-			roots = append(roots, state)
-			s.P.MaybeGC(roots, s.PinnedM)
-		}
-		return state
-	}
-	for _, steps := range s.prepared(c) {
-		for _, pg := range steps {
-			state = s.P.ApplyPrepared(pg, state)
-		}
-		s.GatesApplied++
-		faultStep(s.GatesApplied)
-		roots = append(roots[:0], pins...)
-		roots = append(roots, state)
-		s.P.MaybeGC(roots, s.PinnedM)
-	}
-	return state
+	prog := Prepare(c)
+	defer delete(s.bound, prog)
+	return s.RunProgramWithPins(prog, state, pins)
 }
 
 // faultHook, when installed, observes every circuit-gate step of every
@@ -400,5 +307,5 @@ func (s *Simulator) SampleCounts(c *circuit.Circuit, input uint64, shots int, rn
 // probability of qubit q being 0 minus the probability of it being 1.
 func (s *Simulator) ExpectationZ(state dd.VEdge, q int) float64 {
 	zGate := circuit.Gate{Kind: circuit.Z, Target: q, Target2: -1}
-	return real(s.P.InnerProduct(state, s.apply(state, zGate)))
+	return real(s.P.InnerProduct(state, ApplyGate(s.P, state, zGate)))
 }
