@@ -13,7 +13,7 @@ FUZZTIME ?= 20s
 # deliberately, together with fixing whatever the new version reports.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test race vet fmt staticcheck fuzz-smoke chaos serve-smoke bench benchcmp perfbench-test ci
+.PHONY: all build test race vet fmt staticcheck fuzz-smoke chaos serve-smoke bench benchcmp perfbench-test examples ci
 
 all: build
 
@@ -108,4 +108,11 @@ serve-smoke:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-ci: build test vet fmt race perfbench-test
+# Runs every program under examples/ end to end (`go build ./...` only
+# compiles them); the first non-zero exit fails the target.
+examples:
+	@set -e; for d in examples/*/; do \
+		echo "== $$d"; $(GO) run ./$$d > /dev/null; \
+	done
+
+ci: build test vet fmt race examples perfbench-test

@@ -144,9 +144,9 @@ func BenchmarkFlowFig3(b *testing.B) {
 	all := append(append([]harness.Instance{}, eq...), neq...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := harness.RunFlow(all, harness.RunOptions{
+		s := harness.RunFlow(all, core.Options{
 			R: 10, ECTimeout: 2 * time.Second, ECNodeLimit: 500_000,
-			ECStrategy: ec.Proportional, Seed: int64(i),
+			Strategy: ec.Proportional, Seed: int64(i),
 		})
 		if s.WrongVerdicts != 0 {
 			b.Fatalf("flow produced %d wrong verdicts", s.WrongVerdicts)

@@ -653,7 +653,7 @@ func run() int {
 		}
 	}
 	if *gcSweep {
-		rows, err := harness.RunGateCostComparison(*seed, harness.RunOptions{ECTimeout: time.Minute})
+		rows, err := harness.RunGateCostComparison(*seed, core.Options{ECTimeout: time.Minute})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "qbench:", err)
 			return 1

@@ -6,10 +6,15 @@
 //
 //	qcec [flags] <circuit1> <circuit2>
 //
-// With -portfolio the selected provers (-provers=sim,dd,alt,gatecost,sat,zx,stab)
-// race
-// concurrently and the first definitive verdict wins; the losers are
-// cancelled and a per-prover report is printed.
+// The flags translate into one core.Options for core.Check.  With
+// -portfolio the selected provers (-provers=sim,dd,alt,gatecost,sat,zx,stab)
+// race concurrently instead, bounded by -timeout, and the first definitive
+// verdict wins; the losers are cancelled and a per-prover report is
+// printed.  The pipeline-only flags -sim-only, -rewrite, -zx and
+// -fidelity-threshold cannot be combined with -portfolio (exit 2).
+//
+// Exit codes: 0 equivalent, 1 not equivalent, 2 usage, input or option
+// error, 3 inconclusive.
 //
 // Circuit files may be OpenQASM 2.0 (.qasm) or RevLib (.real).
 package main
@@ -17,6 +22,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -29,7 +35,6 @@ import (
 	"qcec/internal/core"
 	"qcec/internal/dd"
 	"qcec/internal/ec"
-	"qcec/internal/portfolio"
 	"qcec/internal/qasm"
 	"qcec/internal/resource"
 	"qcec/internal/revlib"
@@ -54,59 +59,46 @@ func loadCircuit(path string) (*circuit.Circuit, error) {
 	}
 }
 
-func parseStrategy(s string) (ec.Strategy, error) {
-	switch s {
-	case "construction":
-		return ec.Construction, nil
-	case "sequential":
-		return ec.Sequential, nil
-	case "proportional":
-		return ec.Proportional, nil
-	case "lookahead":
-		return ec.Lookahead, nil
-	case "gate-cost", "gatecost", "gate_cost":
-		return ec.StrategyGateCost, nil
-	case "stabilizer":
-		return ec.StrategyStabilizer, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q", s)
-	}
-}
-
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-// run is main's body, returning the exit code instead of calling os.Exit so
-// the profiling defers always flush.
-func run() int {
+// run is main's body on the command-line arguments, returning the exit code
+// instead of calling os.Exit so the profiling defers always flush.
+func run(args []string) int {
+	fs := flag.NewFlagSet("qcec", flag.ContinueOnError)
 	var (
-		r         = flag.Int("r", core.DefaultR, "number of random basis-state simulations before complete checking")
-		seed      = flag.Int64("seed", 0, "stimulus selection seed")
-		timeout   = flag.Duration("timeout", time.Minute, "complete-check timeout (0 = none)")
-		strategy  = flag.String("strategy", "proportional", "complete-check strategy: construction|sequential|proportional|lookahead|gate-cost|stabilizer (gate-cost = compilation-flow schedule from a per-gate cost profile; stabilizer = polynomial-time tableau, Clifford-only circuits)")
-		phase     = flag.Bool("up-to-phase", false, "treat circuits differing only by a global phase as equivalent")
-		simOnly   = flag.Bool("sim-only", false, "skip the complete check (simulation stage only)")
-		parallel  = flag.Int("parallel", 1, "simulation workers (each with a private DD package)")
-		rewrite   = flag.Bool("rewrite", false, "try the gate-rewriting prover first (sound, incomplete)")
-		zxFlag    = flag.Bool("zx", false, "try the ZX-calculus prover first (sound, incomplete, up-to-phase)")
-		fidThresh = flag.Float64("fidelity-threshold", 0, "approximate mode: accept per-stimulus fidelities above this (0 = exact)")
-		jsonOut   = flag.Bool("json", false, "print the full report as JSON")
-		verbose   = flag.Bool("v", false, "print per-stage details")
-		portf     = flag.Bool("portfolio", false, "race the selected provers concurrently; first definitive verdict wins")
-		provers   = flag.String("provers", "sim,dd,alt,gatecost,sat,zx,stab", "comma-separated prover subset for -portfolio")
-		nodeLimit = flag.Int("node-limit", 0, "DD node budget per complete prover (0 = none)")
-		stats     = flag.Bool("stats", false, "print DD-package statistics (gate-registry/compute-table hit rates, unique-table activity, GC reclaims); with -json they are embedded in the report")
-		memLimit  = flag.Int("mem-limit", 0, "hard heap budget in MiB; the check is cancelled cleanly when exceeded (0 = none)")
-		memSoft   = flag.Int("mem-soft-limit", 0, "soft heap budget in MiB: force DD collections and cache flushes above it (0 = 80% of -mem-limit)")
-		retry     = flag.Bool("retry-crashed", false, "with -portfolio: re-run a panicked prover once with a degraded configuration")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		r         = fs.Int("r", core.DefaultR, "number of random basis-state simulations before complete checking")
+		seed      = fs.Int64("seed", 0, "stimulus selection seed")
+		timeout   = fs.Duration("timeout", time.Minute, "complete-check timeout; with -portfolio, the whole race's (0 = none)")
+		strategy  = fs.String("strategy", "proportional", "complete-check strategy: construction|sequential|proportional|lookahead|gate-cost|stabilizer (gate-cost = compilation-flow schedule from a per-gate cost profile; stabilizer = polynomial-time tableau, Clifford-only circuits)")
+		phase     = fs.Bool("up-to-phase", false, "treat circuits differing only by a global phase as equivalent")
+		simOnly   = fs.Bool("sim-only", false, "skip the complete check (simulation stage only)")
+		parallel  = fs.Int("parallel", 1, "simulation workers (each with a private DD package)")
+		rewrite   = fs.Bool("rewrite", false, "try the gate-rewriting prover first (sound, incomplete)")
+		zxFlag    = fs.Bool("zx", false, "try the ZX-calculus prover first (sound, incomplete, up-to-phase)")
+		fidThresh = fs.Float64("fidelity-threshold", 0, "approximate mode: accept per-stimulus fidelities above this (0 = exact)")
+		jsonOut   = fs.Bool("json", false, "print the full report as JSON")
+		verbose   = fs.Bool("v", false, "print per-stage details")
+		portf     = fs.Bool("portfolio", false, "race the selected provers concurrently; first definitive verdict wins")
+		provers   = fs.String("provers", strings.Join(core.ProverNames, ","), "comma-separated prover subset for -portfolio")
+		nodeLimit = fs.Int("node-limit", 0, "DD node budget of the complete check, per complete prover with -portfolio (0 = none)")
+		stats     = fs.Bool("stats", false, "print DD-package statistics (gate-registry/compute-table hit rates, unique-table activity, GC reclaims); with -json they are embedded in the report")
+		memLimit  = fs.Int("mem-limit", 0, "hard heap budget in MiB; the check is cancelled cleanly when exceeded (0 = none)")
+		memSoft   = fs.Int("mem-soft-limit", 0, "soft heap budget in MiB: force DD collections and cache flushes above it (0 = 80% of -mem-limit)")
+		retry     = fs.Bool("retry-crashed", false, "with -portfolio: re-run a panicked prover once with a degraded configuration")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	flag.Parse()
-	if flag.NArg() != 2 {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: qcec [flags] <circuit1> <circuit2>")
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 		return 2
 	}
 	if *cpuProf != "" {
@@ -139,7 +131,7 @@ func run() int {
 			}
 		}()
 	}
-	strat, err := parseStrategy(*strategy)
+	strat, err := ec.ParseStrategy(*strategy)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qcec:", err)
 		return 2
@@ -149,45 +141,28 @@ func run() int {
 	if memSoftBytes == 0 && memHardBytes > 0 {
 		memSoftBytes = memHardBytes / 10 * 8
 	}
-	g1, err := loadCircuit(flag.Arg(0))
+	g1, err := loadCircuit(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qcec:", err)
 		return 2
 	}
-	g2, err := loadCircuit(flag.Arg(1))
+	g2, err := loadCircuit(fs.Arg(1))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qcec:", err)
 		return 2
 	}
 	if *verbose {
-		fmt.Printf("G : %s — %d qubits, %d gates\n", flag.Arg(0), g1.N, g1.NumGates())
-		fmt.Printf("G': %s — %d qubits, %d gates\n", flag.Arg(1), g2.N, g2.NumGates())
+		fmt.Printf("G : %s — %d qubits, %d gates\n", fs.Arg(0), g1.N, g1.NumGates())
+		fmt.Printf("G': %s — %d qubits, %d gates\n", fs.Arg(1), g2.N, g2.NumGates())
 	}
 
-	if *portf {
-		return runPortfolio(g1, g2, portfolioConfig{
-			names:     strings.Split(*provers, ","),
-			r:         *r,
-			seed:      *seed,
-			timeout:   *timeout,
-			strategy:  strat,
-			nodeLimit: *nodeLimit,
-			phase:     *phase,
-			parallel:  *parallel,
-			jsonOut:   *jsonOut,
-			stats:     *stats,
-			memSoft:   memSoftBytes,
-			memHard:   memHardBytes,
-			retry:     *retry,
-		})
-	}
-
-	rep := core.Check(g1, g2, core.Options{
+	opts := core.Options{
 		R:                 *r,
 		Seed:              *seed,
 		SkipEC:            *simOnly,
 		Strategy:          strat,
 		ECTimeout:         *timeout,
+		ECNodeLimit:       *nodeLimit,
 		UpToGlobalPhase:   *phase,
 		Parallel:          *parallel,
 		RewritePrefilter:  *rewrite,
@@ -195,73 +170,36 @@ func run() int {
 		FidelityThreshold: *fidThresh,
 		MemSoftLimit:      memSoftBytes,
 		MemHardLimit:      memHardBytes,
-	})
+		RetryCrashed:      *retry,
+	}
+	if *portf {
+		opts.Provers = strings.Split(*provers, ",")
+		if *timeout > 0 {
+			ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+			defer cancel()
+			opts.Context = ctx
+		}
+	}
+	rep := core.Check(g1, g2, opts)
 	if rep.Err != nil {
 		fmt.Fprintln(os.Stderr, "qcec:", rep.Err)
 		return 2
 	}
 
-	if *jsonOut {
+	switch {
+	case *portf && *jsonOut:
+		printPortfolioJSON(g1.N, rep, *stats)
+	case *portf:
+		printPortfolioHuman(g1.N, rep, *stats)
+	case *jsonOut:
 		printJSON(g1.N, rep, *stats)
-	} else {
+	default:
 		printHuman(g1.N, rep, *verbose, *stats)
 	}
 	switch rep.Verdict {
 	case core.NotEquivalent:
 		return 1
 	case core.ProbablyEquivalent:
-		return 3
-	}
-	return 0
-}
-
-type portfolioConfig struct {
-	names     []string
-	r         int
-	seed      int64
-	timeout   time.Duration
-	strategy  ec.Strategy
-	nodeLimit int
-	phase     bool
-	parallel  int
-	jsonOut   bool
-	stats     bool
-	memSoft   uint64
-	memHard   uint64
-	retry     bool
-}
-
-// runPortfolio races the selected provers and prints the winning verdict
-// plus a per-prover outcome table; exit codes match the sequential flow.
-func runPortfolio(g1, g2 *circuit.Circuit, cfg portfolioConfig) int {
-	ps, err := portfolio.FromNames(cfg.names, portfolio.Config{
-		R:               cfg.r,
-		Seed:            cfg.seed,
-		SimParallel:     cfg.parallel,
-		Strategy:        cfg.strategy,
-		ECNodeLimit:     cfg.nodeLimit,
-		UpToGlobalPhase: cfg.phase,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "qcec:", err)
-		return 2
-	}
-	res := portfolio.Run(context.Background(), g1, g2, ps, portfolio.Options{
-		Timeout:      cfg.timeout,
-		RetryCrashed: cfg.retry,
-		MemSoftLimit: cfg.memSoft,
-		MemHardLimit: cfg.memHard,
-	})
-
-	if cfg.jsonOut {
-		printPortfolioJSON(g1.N, res, cfg.stats)
-	} else {
-		printPortfolioHuman(g1.N, res, cfg.stats)
-	}
-	switch res.Verdict {
-	case portfolio.NotEquivalent:
-		return 1
-	case portfolio.Inconclusive:
 		return 3
 	}
 	return 0
@@ -317,17 +255,19 @@ func newMemReport(m *resource.Stats) *memReport {
 	}
 }
 
-func printPortfolioHuman(n int, res portfolio.Result, stats bool) {
-	fmt.Printf("verdict: %s", res.Verdict)
-	if res.Winner != "" {
-		fmt.Printf(" (won by %s)", res.Winner)
+// printPortfolioHuman renders a race: the winning verdict and a per-prover
+// outcome table.
+func printPortfolioHuman(n int, rep core.Report, stats bool) {
+	fmt.Printf("verdict: %s", rep.Verdict)
+	if rep.DecidedBy != "" {
+		fmt.Printf(" (won by %s)", rep.DecidedBy)
 	}
 	fmt.Println()
-	if res.Counterexample != nil {
-		fmt.Printf("counterexample: input |%0*b>\n", n, *res.Counterexample)
+	if rep.Counterexample != nil {
+		fmt.Printf("counterexample: input |%0*b>\n", n, rep.Counterexample.Input)
 	}
 	fmt.Printf("%-6s %-30s %-12s %10s %10s  %s\n", "prover", "verdict", "stopped", "time", "peak", "detail")
-	for _, r := range res.Reports {
+	for _, r := range rep.Provers {
 		peak := ""
 		if r.PeakNodes > 0 {
 			peak = fmt.Sprintf("%d", r.PeakNodes)
@@ -339,18 +279,19 @@ func printPortfolioHuman(n int, res portfolio.Result, stats bool) {
 		fmt.Printf("%-6s %-30s %-12s %9.4fs %10s  %s\n",
 			name, r.Verdict, r.Stop, r.Runtime.Seconds(), peak, r.Detail)
 	}
-	fmt.Printf("total: %.4fs\n", res.Runtime.Seconds())
+	fmt.Printf("total: %.4fs\n", rep.TotalTime.Seconds())
 	if stats {
-		for _, r := range res.Reports {
+		for _, r := range rep.Provers {
 			if r.DD != nil {
 				printDDStats(r.Name, *r.DD)
 			}
 		}
-		printMemStats(res.Mem)
+		printMemStats(rep.Mem)
 	}
 }
 
-func printPortfolioJSON(n int, res portfolio.Result, stats bool) {
+// printPortfolioJSON is printPortfolioHuman's machine-readable form.
+func printPortfolioJSON(n int, rep core.Report, stats bool) {
 	type report struct {
 		Prover    string    `json:"prover"`
 		Verdict   string    `json:"verdict"`
@@ -371,28 +312,30 @@ func printPortfolioJSON(n int, res portfolio.Result, stats bool) {
 		Reports        []report   `json:"provers"`
 		Mem            *memReport `json:"mem,omitempty"`
 	}{
-		Verdict:        res.Verdict.String(),
-		Winner:         res.Winner,
-		Qubits:         n,
-		Counterexample: res.Counterexample,
-		TotalSeconds:   res.Runtime.Seconds(),
+		Verdict:      rep.Verdict.String(),
+		Winner:       rep.DecidedBy,
+		Qubits:       n,
+		TotalSeconds: rep.TotalTime.Seconds(),
 	}
-	for _, r := range res.Reports {
-		rep := report{
+	if rep.Counterexample != nil {
+		out.Counterexample = &rep.Counterexample.Input
+	}
+	for _, r := range rep.Provers {
+		pr := report{
 			Prover: r.Name, Verdict: r.Verdict.String(), Stopped: r.Stop.String(),
 			Seconds: r.Runtime.Seconds(), PeakNodes: r.PeakNodes, Detail: r.Detail,
 			Retried: r.Retried,
 		}
 		if r.Err != nil {
-			rep.Error = r.Err.Error()
+			pr.Error = r.Err.Error()
 		}
 		if stats && r.DD != nil {
-			rep.DD = newDDReport(*r.DD)
+			pr.DD = newDDReport(*r.DD)
 		}
-		out.Reports = append(out.Reports, rep)
+		out.Reports = append(out.Reports, pr)
 	}
 	if stats {
-		out.Mem = newMemReport(res.Mem)
+		out.Mem = newMemReport(rep.Mem)
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

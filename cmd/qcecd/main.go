@@ -43,7 +43,7 @@ func run() int {
 		queueDepth = flag.Int("queue-depth", 64, "admitted-but-not-started job bound; beyond it requests get 429")
 		maxBody    = flag.Int64("max-body-bytes", 4<<20, "request-body size bound in bytes")
 		maxQubits  = flag.Int("max-qubits", 0, "reject circuits with more qubits (0 = no bound)")
-		maxGates   = flag.Int("max-gates", 0, "reject circuits with more gates (0 = no bound)")
+		maxGates   = flag.Int("max-gates", 0, "reject circuits with more gates, or with more than 4x as many macro calls (0 = no bound)")
 		timeout    = flag.Duration("timeout", 30*time.Second, "per-check deadline when the request sets none")
 		maxTimeout = flag.Duration("max-timeout", 2*time.Minute, "largest per-check deadline a request may ask for")
 		memLimit   = flag.Int("mem-limit", 0, "per-job hard heap budget in MiB; the check is cancelled cleanly when exceeded (0 = none)")

@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"qcec/internal/core"
 	"qcec/internal/ec"
 	"qcec/internal/harness"
 )
@@ -61,28 +62,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "qectab: unknown scale %q\n", *scaleName)
 		os.Exit(2)
 	}
-	var strat ec.Strategy
-	switch *strategy {
-	case "construction":
-		strat = ec.Construction
-	case "sequential":
-		strat = ec.Sequential
-	case "proportional":
-		strat = ec.Proportional
-	case "lookahead":
-		strat = ec.Lookahead
-	case "gate-cost", "gatecost", "gate_cost":
-		strat = ec.StrategyGateCost
-	default:
-		fmt.Fprintf(os.Stderr, "qectab: unknown strategy %q\n", *strategy)
+	strat, err := ec.ParseStrategy(*strategy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "qectab:", err)
 		os.Exit(2)
 	}
 
-	opts := harness.RunOptions{
+	opts := core.Options{
 		R:           *r,
 		ECTimeout:   *ecTimeout,
 		ECNodeLimit: *nodeLimit,
-		ECStrategy:  strat,
+		Strategy:    strat,
 		Seed:        *seed,
 	}
 

@@ -12,6 +12,14 @@
 //     verdict is definitive; if it times out, the flow still reports a
 //     high-probability equivalence estimate — strictly more information than
 //     the state of the art, which reports nothing on timeout.
+//
+// Check is the one entry point and Options the one options type.  By
+// default Check runs the flow above as a sequential pipeline (optional
+// rewriting and ZX prefilters, the simulation stage, the complete routine).
+// With Options.Provers set it instead races the named provers (ProverNames)
+// concurrently on the internal/portfolio engine — the portfolio of the
+// journal version of the work — and the first definitive verdict wins.
+// Both modes answer in the same Report.
 package core
 
 import (
@@ -25,6 +33,7 @@ import (
 	"qcec/internal/dd"
 	"qcec/internal/ec"
 	"qcec/internal/ecrw"
+	"qcec/internal/portfolio"
 	"qcec/internal/resource"
 	"qcec/internal/zx"
 )
@@ -74,8 +83,23 @@ type Options struct {
 	// loops (sequential and parallel) poll it between simulations, each
 	// worker's DD package polls it inside long operations, and it is passed
 	// down to the complete routine (ec.Options.Context).  A cancelled run
-	// returns with Report.Cancelled set and an inconclusive verdict.
+	// returns with Report.Cancelled set and an inconclusive verdict.  Its
+	// deadline is also the prover race's timeout.
 	Context context.Context
+	// Provers, when non-nil, races the named provers (see ProverNames)
+	// concurrently instead of running the pipeline; the first definitive
+	// verdict wins and cancels the rest, Report.DecidedBy names the winner
+	// and Report.Provers holds every prover's outcome.  Every prover runs
+	// on these Options (the "dd", "gatecost" and "stab" provers with their
+	// own Strategy).  The race cannot honour SkipEC, RewritePrefilter,
+	// ZXPrefilter or FidelityThreshold; Check rejects them, and an empty or
+	// unknown prover list, with an *OptionsError in Report.Err.
+	Provers []string
+	// RetryCrashed, in a race, re-runs a prover whose goroutine panicked
+	// once on Degraded() options while the race is still undecided (the
+	// sim, dd, alt and gatecost provers; the others have no smaller
+	// configuration).
+	RetryCrashed bool
 	// R is the number of random basis-state simulations (default DefaultR).
 	// If R >= 2^n the flow simulates all basis states, which proves
 	// equivalence exhaustively in strict-phase mode.
@@ -132,9 +156,10 @@ type Options struct {
 	// simulation worker's DD package is forced to collect and flush caches,
 	// above the hard limit the flow's context is cancelled with a
 	// *resource.MemoryLimitError cause (Report.Cancelled plus
-	// Report.CancelCause).  Ignored when Context already carries a watchdog
-	// (the portfolio starts one per race); zero disables the respective
-	// bound.
+	// Report.CancelCause).  In a race the one watchdog covers every
+	// prover, and provers stopped by its hard limit report
+	// portfolio.StopMemLimit.  Ignored when Context already carries a
+	// watchdog; zero disables the respective bound.
 	MemSoftLimit uint64
 	MemHardLimit uint64
 	// FidelityThreshold enables approximate equivalence checking: a
@@ -156,6 +181,33 @@ type Options struct {
 	Pool *dd.Pool
 }
 
+// Degraded returns the conservative configuration of a re-run after a crash
+// or a transient failure: sequential simulation, fresh DD packages instead
+// of pooled ones, and the node budget of ec.DegradedNodeLimit, so the
+// re-run cannot repeat a resource blow-up.  Both retry paths use it: a
+// race's RetryCrashed and qcecd's transient-failure retry.
+func (o Options) Degraded() Options {
+	o.Parallel = 0
+	o.Pool = nil
+	o.ECNodeLimit = ec.DegradedNodeLimit(o.ECNodeLimit)
+	return o
+}
+
+// ecOptions is the complete routine's configuration under o; every
+// ec.Check of the pipeline and of the race's provers starts from it.
+func (o Options) ecOptions() ec.Options {
+	return ec.Options{
+		Strategy:        o.Strategy,
+		Context:         o.Context,
+		Timeout:         o.ECTimeout,
+		NodeLimit:       o.ECNodeLimit,
+		UpToGlobalPhase: o.UpToGlobalPhase,
+		OutputPerm:      o.OutputPerm,
+		Tolerance:       o.Tolerance,
+		Pool:            o.Pool,
+	}
+}
+
 // Counterexample records a distinguishing stimulus found by simulation.
 type Counterexample struct {
 	// Input is the basis state |i> on which the circuits differ.
@@ -175,7 +227,8 @@ type Report struct {
 	Verdict Verdict
 	// DecidedBy names the stage that produced a definitive verdict —
 	// "rewrite", "zx", "sim", or "ec:<strategy>" (e.g. "ec:proportional",
-	// "ec:stabilizer") — and is empty while the verdict is inconclusive.
+	// "ec:stabilizer"), or in a race the winning prover ("sim", "alt", ...)
+	// — and is empty while the verdict is inconclusive.
 	DecidedBy      string
 	NumSims        int           // simulation runs performed
 	SimTime        time.Duration // paper column t_sim
@@ -215,7 +268,13 @@ type Report struct {
 	// Mem snapshots the memory watchdog's counters when this flow started
 	// its own watchdog (MemSoftLimit/MemHardLimit set and no watchdog on
 	// the context); nil otherwise.
-	Mem       *resource.Stats
+	Mem *resource.Stats
+	// Provers is a race's per-prover table, in Options.Provers order (nil
+	// for the pipeline).  Beyond it a race fills only Verdict, DecidedBy,
+	// the counterexample's Input, the cancellation fields, Mem and
+	// TotalTime (the fidelities stay 1); per-prover failures stay in the
+	// table, so Err is set only for rejected Options.
+	Provers   []portfolio.Report
 	TotalTime time.Duration
 }
 
@@ -236,11 +295,18 @@ func invertPerm(perm []int) []int {
 	return inv
 }
 
-// Check runs the proposed flow on the circuit pair.
+// Check runs the proposed flow on the circuit pair, or with opts.Provers
+// set races those provers.
 func Check(g1, g2 *circuit.Circuit, opts Options) Report {
+	var provers []portfolio.Prover
+	if opts.Provers != nil {
+		var err error
+		if provers, err = raceProvers(opts); err != nil {
+			return Report{Verdict: ProbablyEquivalent, MinFidelity: 1, AvgFidelity: 1, Err: err}
+		}
+	}
 	// Put the flow under a memory watchdog when limits are configured and
-	// the caller has not already provided one through the context (the
-	// portfolio runs one watchdog per race).
+	// the caller has not already provided one through the context.
 	w := resource.FromContext(opts.Context)
 	ownWatchdog := false
 	if w == nil && (opts.MemSoftLimit > 0 || opts.MemHardLimit > 0) {
@@ -250,7 +316,12 @@ func Check(g1, g2 *circuit.Circuit, opts Options) Report {
 		})
 		ownWatchdog = true
 	}
-	report := check(g1, g2, opts)
+	var report Report
+	if provers != nil {
+		report = race(g1, g2, provers, opts)
+	} else {
+		report = check(g1, g2, opts)
+	}
 	if report.Cancelled && report.CancelCause == nil {
 		if ctx := opts.Context; ctx != nil {
 			report.CancelCause = context.Cause(ctx)
@@ -264,7 +335,7 @@ func Check(g1, g2 *circuit.Circuit, opts Options) Report {
 	return report
 }
 
-// check is the flow body; Check wraps it with watchdog setup/teardown.
+// check is the pipeline; Check wraps it with watchdog setup/teardown.
 func check(g1, g2 *circuit.Circuit, opts Options) Report {
 	start := time.Now()
 	report := Report{}
@@ -379,16 +450,7 @@ func check(g1, g2 *circuit.Circuit, opts Options) Report {
 		return report
 	}
 
-	res := ec.Check(g1, g2, ec.Options{
-		Strategy:        opts.Strategy,
-		Context:         opts.Context,
-		Timeout:         opts.ECTimeout,
-		NodeLimit:       opts.ECNodeLimit,
-		UpToGlobalPhase: opts.UpToGlobalPhase,
-		OutputPerm:      opts.OutputPerm,
-		Tolerance:       opts.Tolerance,
-		Pool:            opts.Pool,
-	})
+	res := ec.Check(g1, g2, opts.ecOptions())
 	report.EC = &res
 	if res.Verdict != ec.TimedOut {
 		report.DecidedBy = "ec:" + res.Strategy.String()

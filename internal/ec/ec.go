@@ -92,6 +92,28 @@ func (s Strategy) String() string {
 	}
 }
 
+// ParseStrategy maps a strategy name, as the CLIs' -strategy flags and the
+// server's options.strategy spell it, to its Strategy.  The empty string
+// selects the default, Proportional; the gate-cost scheme answers to
+// "gate-cost", "gatecost", "gate_cost" and "compilation_flow".
+func ParseStrategy(name string) (Strategy, error) {
+	switch name {
+	case "", "proportional":
+		return Proportional, nil
+	case "construction":
+		return Construction, nil
+	case "sequential":
+		return Sequential, nil
+	case "lookahead":
+		return Lookahead, nil
+	case "gate-cost", "gatecost", "gate_cost", "compilation_flow":
+		return StrategyGateCost, nil
+	case "stabilizer":
+		return StrategyStabilizer, nil
+	}
+	return 0, fmt.Errorf("unknown strategy %q (want construction|sequential|proportional|lookahead|gate_cost|stabilizer)", name)
+}
+
 // Verdict is the outcome of a complete equivalence check.
 type Verdict int
 
@@ -158,8 +180,8 @@ type Options struct {
 	// watchdog (internal/resource): above the soft limit the DD package is
 	// forced to collect and flush caches, above the hard limit the check is
 	// cancelled with Cause == CauseMemLimit.  They are ignored when Context
-	// already carries a watchdog (the portfolio starts one per race); zero
-	// disables the respective bound.
+	// already carries a watchdog (core.Check starts one per flow or race);
+	// zero disables the respective bound.
 	MemSoftLimit uint64
 	MemHardLimit uint64
 	// Pool, when non-nil, supplies a warm DD package (dd.Pool.Get) instead
@@ -172,8 +194,8 @@ type Options struct {
 // DegradedNodeLimit returns the node budget of a conservative re-run after
 // a crash or transient failure: an unbounded limit (zero or negative)
 // becomes 2^20 live nodes and a limit above 4096 is halved, so the retry
-// cannot repeat a resource blow-up.  The portfolio's crash retry and the
-// server's transient retry both derive their budget from it.
+// cannot repeat a resource blow-up.  core.Options.Degraded, the one
+// degraded-retry configuration, takes its budget from it.
 func DegradedNodeLimit(limit int) int {
 	switch {
 	case limit <= 0:
@@ -345,8 +367,8 @@ func Check(g1, g2 *circuit.Circuit, opts Options) Result {
 		return checkStabilizer(g1, g2, opts, tol)
 	}
 	// Put the check under a memory watchdog when limits are configured and
-	// the caller has not already provided one through the context (the
-	// portfolio runs one watchdog per race).
+	// the caller has not already provided one through the context (core.Check
+	// runs one watchdog per flow or race).
 	w := resource.FromContext(opts.Context)
 	ownWatchdog := false
 	if w == nil && (opts.MemSoftLimit > 0 || opts.MemHardLimit > 0) {

@@ -109,3 +109,38 @@ func TestDegradedNodeLimit(t *testing.T) {
 		}
 	}
 }
+
+// TestParseStrategy covers every alias the CLIs and the server accept, and
+// checks that each canonical String() spelling parses back to its scheme.
+func TestParseStrategy(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Strategy
+	}{
+		{"", Proportional},
+		{"proportional", Proportional},
+		{"construction", Construction},
+		{"sequential", Sequential},
+		{"lookahead", Lookahead},
+		{"gate-cost", StrategyGateCost},
+		{"gatecost", StrategyGateCost},
+		{"gate_cost", StrategyGateCost},
+		{"compilation_flow", StrategyGateCost},
+		{"stabilizer", StrategyStabilizer},
+	} {
+		got, err := ParseStrategy(tc.name)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+	}
+	for _, s := range []Strategy{Proportional, Construction, Sequential, Lookahead, StrategyGateCost, StrategyStabilizer} {
+		if got, err := ParseStrategy(s.String()); err != nil || got != s {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	for _, bad := range []string{"bogus", "Proportional", " proportional", "gate cost"} {
+		if _, err := ParseStrategy(bad); err == nil {
+			t.Errorf("ParseStrategy(%q) accepted an unknown name", bad)
+		}
+	}
+}

@@ -236,8 +236,9 @@ func TestChaosAllocSpikeTripsWatchdog(t *testing.T) {
 }
 
 // TestChaosOnceEnablesRetry: a Once fault fires exactly one time process-
-// wide, so a retried (degraded) run succeeds — the scenario behind the
-// portfolio's RetryCrashed option.
+// wide, so a retried run on the degraded options (core.Options.Degraded,
+// the configuration of the race's RetryCrashed and of qcecd's transient
+// retry) succeeds.
 func TestChaosOnceEnablesRetry(t *testing.T) {
 	g1 := ghz(3)
 	g2 := g1.Clone()
@@ -248,11 +249,12 @@ func TestChaosOnceEnablesRetry(t *testing.T) {
 	})
 	defer deactivate()
 
-	first := core.Check(g1, g2, core.Options{SkipEC: true})
+	opts := core.Options{SkipEC: true, Parallel: 2}
+	first := core.Check(g1, g2, opts)
 	if first.Err == nil {
 		t.Fatal("first run did not observe the injected fault")
 	}
-	second := core.Check(g1, g2, core.Options{SkipEC: true})
+	second := core.Check(g1, g2, opts.Degraded())
 	if second.Err != nil {
 		t.Fatalf("second run still faulted: %v", second.Err)
 	}

@@ -22,8 +22,8 @@ type StrategyRow struct {
 }
 
 // RunStrategyAblation checks every instance with every strategy.
-func RunStrategyAblation(instances []Instance, opts RunOptions) []StrategyRow {
-	opts = opts.withDefaults()
+func RunStrategyAblation(instances []Instance, opts core.Options) []StrategyRow {
+	opts = withDefaults(opts)
 	var rows []StrategyRow
 	for _, inst := range instances {
 		for _, s := range []ec.Strategy{ec.Construction, ec.Sequential, ec.Proportional, ec.Lookahead} {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"qcec/internal/core"
 	"qcec/internal/ec"
 )
 
@@ -45,8 +46,8 @@ type GateCostRow struct {
 // deeply-compiled workload (CompiledSuite): every scheme checks the
 // same source-vs-compiled pair, with the gate-cost scheme driven by the
 // flow's native cost profile.
-func RunGateCostComparison(seed int64, opts RunOptions) ([]GateCostRow, error) {
-	opts = opts.withDefaults()
+func RunGateCostComparison(seed int64, opts core.Options) ([]GateCostRow, error) {
+	opts = withDefaults(opts)
 	pairs, err := CompiledSuite(seed)
 	if err != nil {
 		return nil, err

@@ -76,7 +76,7 @@ func TestRunInstanceAndTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := RunOptions{R: 16, ECTimeout: 5 * time.Second, ECStrategy: ec.Construction, Seed: 3}
+	opts := core.Options{R: 16, ECTimeout: 5 * time.Second, Strategy: ec.Construction, Seed: 3}
 	rows := RunSuite(suite[:4], opts)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
@@ -101,7 +101,7 @@ func TestRunTable1bShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := RunOptions{R: 10, ECTimeout: 5 * time.Second, ECStrategy: ec.Construction, Seed: 5}
+	opts := core.Options{R: 10, ECTimeout: 5 * time.Second, Strategy: ec.Construction, Seed: 5}
 	rows := RunSuite(suite[:4], opts)
 	for _, r := range rows {
 		if r.SimDetected {
@@ -128,7 +128,7 @@ func TestRunFlowSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := append(append([]Instance{}, eq[:3]...), neq[:3]...)
-	s := RunFlow(all, RunOptions{R: 12, ECTimeout: 10 * time.Second, ECStrategy: ec.Proportional, Seed: 17})
+	s := RunFlow(all, core.Options{R: 12, ECTimeout: 10 * time.Second, Strategy: ec.Proportional, Seed: 17})
 	if s.Total != 6 {
 		t.Fatalf("total = %d", s.Total)
 	}
@@ -196,7 +196,7 @@ func TestStrategyAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := RunStrategyAblation(suite[:2], RunOptions{ECTimeout: 10 * time.Second})
+	rows := RunStrategyAblation(suite[:2], core.Options{ECTimeout: 10 * time.Second})
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d, want 2 instances x 4 strategies", len(rows))
 	}
@@ -255,7 +255,7 @@ func TestBuildClassicalSuiteAndSATComparison(t *testing.T) {
 	if len(suite) < 8 {
 		t.Fatalf("classical suite has %d instances", len(suite))
 	}
-	rows, err := RunSATComparison(suite, RunOptions{R: 16, ECTimeout: 10 * time.Second, Seed: 43})
+	rows, err := RunSATComparison(suite, core.Options{R: 16, ECTimeout: 10 * time.Second, Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestPrefilterComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := RunPrefilterComparison(instances, classes, RunOptions{R: 8, ECTimeout: 10 * time.Second, Seed: 3})
+	rows, err := RunPrefilterComparison(instances, classes, core.Options{R: 8, ECTimeout: 10 * time.Second, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,12 +393,12 @@ func TestECNodeLimitZeroDisablesBudget(t *testing.T) {
 	}
 	inst := Instance{Name: "node-limit", N: 6, G: g, Gp: g.Clone(), WantEquivalent: true}
 
-	tripped := RunInstance(inst, RunOptions{R: 1, ECTimeout: 30 * time.Second, ECNodeLimit: 4})
+	tripped := RunInstance(inst, core.Options{R: 1, ECTimeout: 30 * time.Second, ECNodeLimit: 4})
 	if !tripped.ECTimedOut {
 		t.Fatalf("sanity: a 4-node budget did not trip (verdict %v)", tripped.ECVerdict)
 	}
 
-	free := RunInstance(inst, RunOptions{R: 1, ECTimeout: 30 * time.Second, ECNodeLimit: 0})
+	free := RunInstance(inst, core.Options{R: 1, ECTimeout: 30 * time.Second, ECNodeLimit: 0})
 	if free.ECTimedOut {
 		t.Fatalf("ECNodeLimit 0 still bounded the check (verdict %v)", free.ECVerdict)
 	}
@@ -411,16 +411,19 @@ func TestECNodeLimitZeroDisablesBudget(t *testing.T) {
 // negative node limits both reach the complete routine as "no limit", and
 // the other defaults still apply.
 func TestRunOptionsNodeLimitNormalization(t *testing.T) {
-	if got := (RunOptions{}).withDefaults().ECNodeLimit; got != 0 {
+	if got := withDefaults(core.Options{}).ECNodeLimit; got != 0 {
 		t.Fatalf("zero value normalized to %d, want 0 (no limit)", got)
 	}
-	if got := (RunOptions{ECNodeLimit: -1}).withDefaults().ECNodeLimit; got != 0 {
+	if got := withDefaults(core.Options{ECNodeLimit: -1}).ECNodeLimit; got != 0 {
 		t.Fatalf("-1 normalized to %d, want 0 (no limit)", got)
 	}
-	if got := (RunOptions{ECNodeLimit: 512}).withDefaults().ECNodeLimit; got != 512 {
+	if got := withDefaults(core.Options{ECNodeLimit: 512}).ECNodeLimit; got != 512 {
 		t.Fatalf("explicit budget rewritten to %d, want 512", got)
 	}
-	if got := (RunOptions{}).withDefaults().R; got != core.DefaultR {
+	if got := withDefaults(core.Options{}).R; got != core.DefaultR {
 		t.Fatalf("R default = %d, want %d", got, core.DefaultR)
+	}
+	if got := withDefaults(core.Options{}).ECTimeout; got != 10*time.Second {
+		t.Fatalf("ECTimeout default = %v, want the harness's 10s", got)
 	}
 }

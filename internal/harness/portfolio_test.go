@@ -1,13 +1,16 @@
 package harness
 
 import (
-	"strings"
+	"context"
 	"testing"
 	"time"
+
+	"qcec/internal/core"
 )
 
-// TestRunPortfolioSuite races the portfolio on a slice of the small suites
-// and checks verdict correctness plus the report rendering.
+// TestRunPortfolioSuite races the standard provers through core.Check on a
+// slice of the small suites, output-permuted instances included, and checks
+// every verdict against ground truth.
 func TestRunPortfolioSuite(t *testing.T) {
 	eq, err := BuildEquivalentSuite(Small)
 	if err != nil {
@@ -17,31 +20,39 @@ func TestRunPortfolioSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	instances := append(eq[:3], neq[:3]...)
-	opts := RunOptions{R: 4, ECTimeout: 30 * time.Second, Seed: 5}
-	rows := RunPortfolioSuite(instances, opts)
-	if len(rows) != 6 {
-		t.Fatalf("got %d rows, want 6", len(rows))
+	permuted := 0
+	for _, inst := range append(eq[:3], neq[:3]...) {
+		provers := []string{"sim", "dd", "alt"}
+		if inst.OutputPerm == nil {
+			provers = append(provers, "zx") // zx has no permutation notion
+		} else {
+			permuted++
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		rep := core.Check(inst.G, inst.Gp, core.Options{
+			Context: ctx, Provers: provers, R: 4, Seed: 5, OutputPerm: inst.OutputPerm,
+		})
+		cancel()
+		if rep.Err != nil {
+			t.Fatalf("%s: %v", inst.Name, rep.Err)
+		}
+		switch rep.Verdict {
+		case core.ProbablyEquivalent:
+			t.Errorf("%s: race inconclusive (reports: %+v)", inst.Name, rep.Provers)
+		case core.NotEquivalent:
+			if inst.WantEquivalent {
+				t.Errorf("%s: race says not equivalent (winner %s), want equivalent", inst.Name, rep.DecidedBy)
+			}
+		default:
+			if !inst.WantEquivalent {
+				t.Errorf("%s: race says %v (winner %s), want not equivalent", inst.Name, rep.Verdict, rep.DecidedBy)
+			}
+		}
+		if rep.DecidedBy == "" || len(rep.Provers) != len(provers) {
+			t.Errorf("%s: missing winner or prover reports: %+v", inst.Name, rep)
+		}
 	}
-	for _, r := range rows {
-		if r.Wrong {
-			t.Errorf("%s: portfolio verdict %v (winner %s) contradicts ground truth (want equivalent=%v)",
-				r.Name, r.Verdict, r.Winner, r.WantEquivalent)
-		}
-		if !r.Verdict.Definitive() {
-			t.Errorf("%s: portfolio inconclusive (fates: %s)", r.Name, r.Stops)
-		}
-		if r.Winner == "" || r.Stops == "" {
-			t.Errorf("%s: missing winner/fates in row %+v", r.Name, r)
-		}
-	}
-
-	var sb strings.Builder
-	PrintPortfolioTable(&sb, rows, opts)
-	out := sb.String()
-	for _, want := range []string{"Portfolio vs single strategy", "winner", "wrong verdicts: 0/6"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table output missing %q:\n%s", want, out)
-		}
+	if permuted == 0 {
+		t.Fatal("no output-permuted instance in the slice")
 	}
 }

@@ -124,8 +124,8 @@ func cliffordRecompile(c *circuit.Circuit) *circuit.Circuit {
 }
 
 // RunPrefilterComparison runs all three checkers on the suite.
-func RunPrefilterComparison(instances []Instance, classes []string, opts RunOptions) ([]PrefilterRow, error) {
-	opts = opts.withDefaults()
+func RunPrefilterComparison(instances []Instance, classes []string, opts core.Options) ([]PrefilterRow, error) {
+	opts = withDefaults(opts)
 	var rows []PrefilterRow
 	for i, inst := range instances {
 		row := PrefilterRow{
@@ -144,7 +144,7 @@ func RunPrefilterComparison(instances []Instance, classes []string, opts RunOpti
 		row.TZX = zr.Runtime
 
 		rep := core.Check(inst.G, inst.Gp, core.Options{
-			R: opts.R, Seed: opts.Seed, Strategy: opts.ECStrategy,
+			R: opts.R, Seed: opts.Seed, Strategy: opts.Strategy,
 			ECTimeout: opts.ECTimeout, ECNodeLimit: opts.ECNodeLimit,
 			OutputPerm: inst.OutputPerm,
 		})

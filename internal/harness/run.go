@@ -13,37 +13,22 @@ import (
 	"qcec/internal/resource"
 )
 
-// RunOptions configures an experiment run.
-type RunOptions struct {
-	// R is the number of random simulations (paper: 10).
-	R int
-	// ECTimeout bounds the complete routine per instance (paper: 1 h).
-	ECTimeout time.Duration
-	// ECNodeLimit bounds the complete routine's DD size (0 = none).  CLI
-	// front ends that want a safety net pass DefaultECNodeLimit explicitly;
-	// the zero value genuinely disables the budget, matching ec.Options.
-	ECNodeLimit int
-	// ECStrategy selects the complete routine; the paper's baseline tool
-	// constructs and compares both DDs, i.e. ec.Construction.
-	ECStrategy ec.Strategy
-	// Seed drives stimulus selection.
-	Seed int64
-	// MemSoftLimit / MemHardLimit, in bytes, run every measurement under a
-	// memory watchdog (see internal/resource); 0 disables the bound.
-	MemSoftLimit uint64
-	MemHardLimit uint64
-}
+// The experiments take their configuration as a core.Options, of which they
+// read R (paper: 10), Seed, Strategy (the complete routine; the paper's
+// baseline tool constructs and compares both DDs, i.e. ec.Construction),
+// ECTimeout (per instance; paper: 1 h), ECNodeLimit and the memory limits.
+// A zero ECTimeout means the harness default of 10 s.
 
 // DefaultECNodeLimit is the node budget the CLI front ends (cmd/qectab)
-// apply by default.  It is deliberately NOT applied by withDefaults:
-// RunOptions.ECNodeLimit documents 0 as "no limit", and silently forcing a
-// budget here made that impossible to request (the historical bug).
+// apply by default.  It is deliberately NOT applied by withDefaults: an
+// ECNodeLimit of 0 means "no limit", and silently forcing a budget here
+// made that impossible to request (the historical bug).
 const DefaultECNodeLimit = 2_000_000
 
-// Defaults fills unset fields.  ECNodeLimit is normalized, not defaulted:
-// zero and negative values both mean "no node budget", consistently with
-// ec.Options.NodeLimit and the qcec/qectab flags.
-func (o RunOptions) withDefaults() RunOptions {
+// withDefaults fills unset fields.  ECNodeLimit is normalized, not
+// defaulted: zero and negative values both mean "no node budget",
+// consistently with ec.Options.NodeLimit and the qcec/qectab flags.
+func withDefaults(o core.Options) core.Options {
 	if o.R <= 0 {
 		o.R = core.DefaultR
 	}
@@ -91,8 +76,8 @@ type Row struct {
 
 // RunInstance measures one benchmark pair: first the complete routine alone
 // (the state of the art), then the simulation stage of the proposed flow.
-func RunInstance(inst Instance, opts RunOptions) Row {
-	opts = opts.withDefaults()
+func RunInstance(inst Instance, opts core.Options) Row {
+	opts = withDefaults(opts)
 	row := Row{
 		Name:           inst.Name,
 		N:              inst.N,
@@ -103,7 +88,7 @@ func RunInstance(inst Instance, opts RunOptions) Row {
 	}
 
 	ecRes := ec.Check(inst.G, inst.Gp, ec.Options{
-		Strategy:     opts.ECStrategy,
+		Strategy:     opts.Strategy,
 		Timeout:      opts.ECTimeout,
 		NodeLimit:    opts.ECNodeLimit,
 		OutputPerm:   inst.OutputPerm,
@@ -163,7 +148,7 @@ func ddFooter(rows []Row) string {
 // descending, like the paper's tables.  Instance circuits are released as
 // soon as they are measured so that paper-scale suites (millions of gates
 // per instance) do not accumulate.
-func RunSuite(instances []Instance, opts RunOptions) []Row {
+func RunSuite(instances []Instance, opts core.Options) []Row {
 	rows := make([]Row, 0, len(instances))
 	for i := range instances {
 		rows = append(rows, RunInstance(instances[i], opts))
@@ -180,8 +165,8 @@ func fmtDuration(d time.Duration) string {
 // PrintTable1a renders the non-equivalent table in the paper's layout,
 // followed by a summary line (detection rate, one-sim rate, geometric-mean
 // speedup of the simulation stage over the complete baseline).
-func PrintTable1a(w io.Writer, rows []Row, opts RunOptions) {
-	opts = opts.withDefaults()
+func PrintTable1a(w io.Writer, rows []Row, opts core.Options) {
+	opts = withDefaults(opts)
 	fmt.Fprintf(w, "Table Ia — non-equivalent benchmarks (EC timeout %s)\n", opts.ECTimeout)
 	fmt.Fprintf(w, "%-28s %4s %8s %9s %10s %6s %9s  %s\n",
 		"Benchmark", "n", "|G|", "|G'|", "t_ec[s]", "#sims", "t_sim[s]", "injected error")
@@ -218,8 +203,8 @@ func PrintTable1a(w io.Writer, rows []Row, opts RunOptions) {
 }
 
 // PrintTable1b renders the equivalent table in the paper's layout.
-func PrintTable1b(w io.Writer, rows []Row, opts RunOptions) {
-	opts = opts.withDefaults()
+func PrintTable1b(w io.Writer, rows []Row, opts core.Options) {
+	opts = withDefaults(opts)
 	fmt.Fprintf(w, "Table Ib — equivalent benchmarks (r = %d, EC timeout %s)\n", opts.R, opts.ECTimeout)
 	fmt.Fprintf(w, "%-28s %4s %8s %9s %10s %9s\n",
 		"Benchmark", "n", "|G|", "|G'|", "t_ec[s]", "t_sim[s]")
@@ -247,15 +232,15 @@ type FlowSummary struct {
 }
 
 // RunFlow executes the complete proposed flow on every instance.
-func RunFlow(instances []Instance, opts RunOptions) FlowSummary {
-	opts = opts.withDefaults()
+func RunFlow(instances []Instance, opts core.Options) FlowSummary {
+	opts = withDefaults(opts)
 	var s FlowSummary
 	for _, inst := range instances {
 		rep := core.Check(inst.G, inst.Gp, core.Options{
 			R:            opts.R,
 			Seed:         opts.Seed,
 			ECTimeout:    opts.ECTimeout,
-			Strategy:     opts.ECStrategy,
+			Strategy:     opts.Strategy,
 			OutputPerm:   inst.OutputPerm,
 			MemSoftLimit: opts.MemSoftLimit,
 			MemHardLimit: opts.MemHardLimit,

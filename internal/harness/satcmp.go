@@ -145,8 +145,8 @@ func injectClassical(c *circuit.Circuit, seed int64) (*circuit.Circuit, errinjec
 }
 
 // RunSATComparison runs the three checkers on every classical instance.
-func RunSATComparison(instances []Instance, opts RunOptions) ([]SATRow, error) {
-	opts = opts.withDefaults()
+func RunSATComparison(instances []Instance, opts core.Options) ([]SATRow, error) {
+	opts = withDefaults(opts)
 	var rows []SATRow
 	for _, inst := range instances {
 		row := SATRow{
@@ -164,7 +164,7 @@ func RunSATComparison(instances []Instance, opts RunOptions) ([]SATRow, error) {
 		row.Clauses = satRes.Clauses
 
 		ddRes := ec.Check(inst.G, inst.Gp, ec.Options{
-			Strategy: opts.ECStrategy, Timeout: opts.ECTimeout, NodeLimit: opts.ECNodeLimit,
+			Strategy: opts.Strategy, Timeout: opts.ECTimeout, NodeLimit: opts.ECNodeLimit,
 		})
 		row.DDVerdict = ddRes.Verdict
 		row.TDD = ddRes.Runtime

@@ -1,5 +1,6 @@
-// Package portfolio runs several equivalence-checking provers concurrently
-// on the same circuit pair and returns the first definitive verdict.
+// Package portfolio is the race engine behind core.Check's prover race:
+// it runs several equivalence-checking provers concurrently on the same
+// circuit pair and returns the first definitive verdict.
 //
 // The paper's flow (Fig. 3) already sequences a cheap simulation prefilter
 // before a complete DD-based check; the journal version of the work
@@ -7,11 +8,18 @@
 // available decision procedures — simulation, DD construction, the
 // alternating scheme, SAT miters, ZX rewriting — have wildly different
 // per-instance strengths, and runs them as a concurrent portfolio.  This
-// package is that engine: every prover runs in its own goroutine against a
-// shared context.Context; the first Equivalent / EquivalentUpToGlobalPhase /
-// NotEquivalent answer wins and cancels the rest, which stop cooperatively
-// (see the cancellation contract in DESIGN.md) instead of running to their
-// private timeouts.
+// package is the generic part of that engine: every prover runs in its own
+// goroutine against a shared context.Context; the first Equivalent /
+// EquivalentUpToGlobalPhase / NotEquivalent answer wins and cancels the
+// rest, which stop cooperatively (see the cancellation contract in
+// DESIGN.md) instead of running to their private timeouts.  A panicking
+// prover is isolated into its report.  The standard provers themselves
+// (sim, dd, alt, gatecost, sat, zx, stab) are built by internal/core from
+// one core.Options; this package imports no checker.
+//
+// The race is bounded by the caller's context: its deadline is the race's
+// timeout, and a memory watchdog on it (internal/resource) is the race's
+// memory budget.
 //
 // Concurrency invariant: dd.Package and cn.Table are not safe for concurrent
 // use, so every prover constructs its own package(s); the engine never shares
@@ -82,8 +90,8 @@ const (
 	// StopCancelled: stopped because the shared context was cancelled after
 	// another prover won.
 	StopCancelled
-	// StopTimeout: hit a wall-clock bound — its own or the portfolio's —
-	// with no winner involved.
+	// StopTimeout: hit a wall-clock bound — its own or the race context's
+	// deadline — with no winner involved.
 	StopTimeout
 	// StopNodeLimit: hit its DD node budget.
 	StopNodeLimit
@@ -155,8 +163,9 @@ type Prover struct {
 	Name string
 	Run  func(ctx context.Context, g1, g2 *circuit.Circuit) Outcome
 	// Degraded, when non-nil, is a conservative fallback configuration of
-	// the same prover (smaller node budget, kernel and caches disabled).
-	// With Options.RetryCrashed the engine runs it once after Run panics.
+	// the same prover (sequential, smaller node budget); the engine runs it
+	// once after Run panics, while the race is still undecided.  Leave it
+	// nil to disable the retry.
 	Degraded func(ctx context.Context, g1, g2 *circuit.Circuit) Outcome
 }
 
@@ -174,26 +183,9 @@ type Report struct {
 	// record.
 	Err error
 	// Retried reports that the prover crashed and was re-run once with its
-	// degraded configuration (Options.RetryCrashed).
+	// degraded configuration (Prover.Degraded).
 	Retried bool
 	Detail  string
-}
-
-// Options configures a portfolio run.
-type Options struct {
-	// Timeout bounds the whole race; zero means the race only ends when a
-	// prover returns a definitive verdict or all provers give up.
-	Timeout time.Duration
-	// RetryCrashed re-runs a panicked prover once with its Degraded
-	// configuration (if it has one) while the race is still undecided.
-	RetryCrashed bool
-	// MemSoftLimit / MemHardLimit, in bytes, put the whole race under one
-	// shared memory watchdog (internal/resource): the soft limit forces DD
-	// collections and cache flushes in every prover, the hard limit cancels
-	// the race with a *resource.MemoryLimitError cause (reported as
-	// StopMemLimit).  Zero disables the respective bound.
-	MemSoftLimit uint64
-	MemHardLimit uint64
 }
 
 // Result is the outcome of a portfolio run.
@@ -211,36 +203,21 @@ type Result struct {
 	Runtime time.Duration
 	// Reports lists every prover's outcome in the order provers were given.
 	Reports []Report
-	// Mem snapshots the race's memory-watchdog counters when
-	// MemSoftLimit/MemHardLimit started one; nil otherwise.
-	Mem *resource.Stats
 }
 
 // Run races the provers on the pair (g1, g2) and returns the first
-// definitive verdict.  Losing provers are cancelled through the shared
-// context and Run waits for all of them to acknowledge before returning, so
-// no prover goroutine outlives the call.
-func Run(ctx context.Context, g1, g2 *circuit.Circuit, provers []Prover, opts Options) Result {
+// definitive verdict.  Losing provers are cancelled through a context
+// derived from ctx, and Run waits for all of them to acknowledge before
+// returning, so no prover goroutine outlives the call.  ctx bounds the race:
+// with no winner, provers stopped by its deadline report StopTimeout, and
+// provers stopped by a memory watchdog's hard limit on it (resource.Start)
+// report StopMemLimit.
+func Run(ctx context.Context, g1, g2 *circuit.Circuit, provers []Prover) Result {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// One watchdog guards the whole race: provers discover it through the
-	// context (resource.FromContext) and register their DD packages, so the
-	// per-prover core/ec layers do not start redundant samplers.
-	var watchdog *resource.Watchdog
-	if opts.MemSoftLimit > 0 || opts.MemHardLimit > 0 {
-		watchdog, ctx = resource.Start(ctx, resource.Config{
-			SoftLimit: opts.MemSoftLimit,
-			HardLimit: opts.MemHardLimit,
-		})
-	}
-	var cancel context.CancelFunc
-	if opts.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	res := Result{Reports: make([]Report, len(provers))}
@@ -254,7 +231,7 @@ func Run(ctx context.Context, g1, g2 *circuit.Circuit, provers []Prover, opts Op
 		go func(i int, p Prover) {
 			defer wg.Done()
 			t0 := time.Now()
-			out, retried := runProver(ctx, p, g1, g2, opts)
+			out, retried := runProver(ctx, p, g1, g2)
 			elapsed := time.Since(t0)
 
 			mu.Lock()
@@ -288,8 +265,8 @@ func Run(ctx context.Context, g1, g2 *circuit.Circuit, provers []Prover, opts Op
 	wg.Wait()
 
 	// With no winner, a prover that observed the context going away was
-	// stopped by the portfolio (or caller) deadline — or by the memory
-	// watchdog's hard limit — not by losing a race.
+	// stopped by the caller's deadline — or by the memory watchdog's hard
+	// limit — not by losing a race.
 	if winnerIdx < 0 && ctx.Err() != nil {
 		stop := StopTimeout
 		var mle *resource.MemoryLimitError
@@ -305,21 +282,16 @@ func Run(ctx context.Context, g1, g2 *circuit.Circuit, provers []Prover, opts Op
 			}
 		}
 	}
-	if watchdog != nil {
-		watchdog.Stop()
-		st := watchdog.Stats()
-		res.Mem = &st
-	}
 	res.Runtime = time.Since(start)
 	return res
 }
 
-// runProver executes one prover with panic isolation, optionally retrying a
-// crashed prover once with its degraded configuration.  The second return
-// reports whether a retry ran.
-func runProver(ctx context.Context, p Prover, g1, g2 *circuit.Circuit, opts Options) (Outcome, bool) {
+// runProver executes one prover with panic isolation, retrying a crashed
+// prover once with its degraded configuration when it has one.  The second
+// return reports whether a retry ran.
+func runProver(ctx context.Context, p Prover, g1, g2 *circuit.Circuit) (Outcome, bool) {
 	out := safeRun(p.Name, p.Run, ctx, g1, g2)
-	if out.Stop != StopPanicked || !opts.RetryCrashed || p.Degraded == nil || ctx.Err() != nil {
+	if out.Stop != StopPanicked || p.Degraded == nil || ctx.Err() != nil {
 		return out, false
 	}
 	crash := out.Err

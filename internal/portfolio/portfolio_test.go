@@ -1,17 +1,21 @@
-package portfolio
+package portfolio_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"qcec/internal/circuit"
+	"qcec/internal/core"
 	"qcec/internal/decompose"
 	"qcec/internal/ec"
 	"qcec/internal/errinject"
+	"qcec/internal/portfolio"
 	"qcec/internal/qasm"
 	"qcec/internal/revlib"
 )
@@ -25,15 +29,25 @@ func pairGHZ(t *testing.T) (*circuit.Circuit, *circuit.Circuit) {
 	return g, g.Clone()
 }
 
+// standardProver builds one of core's provers for a hand-assembled race.
+func standardProver(t *testing.T, name string, opts core.Options) portfolio.Prover {
+	t.Helper()
+	p, err := core.NewProver(name, opts)
+	if err != nil {
+		t.Fatalf("NewProver(%q): %v", name, err)
+	}
+	return p
+}
+
 // hungProver blocks until the engine cancels it, then reports how it
 // stopped; done is closed once the prover has observed the cancellation.
-func hungProver(done chan<- struct{}) Prover {
-	return Prover{
+func hungProver(done chan<- struct{}) portfolio.Prover {
+	return portfolio.Prover{
 		Name: "hung",
-		Run: func(ctx context.Context, g1, g2 *circuit.Circuit) Outcome {
+		Run: func(ctx context.Context, g1, g2 *circuit.Circuit) portfolio.Outcome {
 			<-ctx.Done()
 			close(done)
-			return Outcome{Stop: StopCancelled, Detail: ctx.Err().Error()}
+			return portfolio.Outcome{Stop: portfolio.StopCancelled, Detail: ctx.Err().Error()}
 		},
 	}
 }
@@ -44,14 +58,14 @@ func hungProver(done chan<- struct{}) Prover {
 func TestHungProverDoesNotDelayWinner(t *testing.T) {
 	g1, g2 := pairGHZ(t)
 	done := make(chan struct{})
-	provers := []Prover{hungProver(done), AlternatingProver(Config{})}
+	provers := []portfolio.Prover{hungProver(done), standardProver(t, "alt", core.Options{})}
 
 	start := time.Now()
-	res := Run(context.Background(), g1, g2, provers, Options{})
+	res := portfolio.Run(context.Background(), g1, g2, provers)
 	elapsed := time.Since(start)
 
-	if res.Verdict != Equivalent {
-		t.Fatalf("verdict = %v, want %v", res.Verdict, Equivalent)
+	if res.Verdict != portfolio.Equivalent {
+		t.Fatalf("verdict = %v, want %v", res.Verdict, portfolio.Equivalent)
 	}
 	if res.Winner != "alt" {
 		t.Fatalf("winner = %q, want alt", res.Winner)
@@ -64,30 +78,31 @@ func TestHungProverDoesNotDelayWinner(t *testing.T) {
 	default:
 		t.Fatal("hung prover never observed ctx.Done()")
 	}
-	if got := res.Reports[0]; got.Stop != StopCancelled {
-		t.Fatalf("hung prover stop = %v, want %v", got.Stop, StopCancelled)
+	if got := res.Reports[0]; got.Stop != portfolio.StopCancelled {
+		t.Fatalf("hung prover stop = %v, want %v", got.Stop, portfolio.StopCancelled)
 	}
-	if got := res.Reports[1]; got.Stop != StopWon {
-		t.Fatalf("winning prover stop = %v, want %v", got.Stop, StopWon)
+	if got := res.Reports[1]; got.Stop != portfolio.StopWon {
+		t.Fatalf("winning prover stop = %v, want %v", got.Stop, portfolio.StopWon)
 	}
 }
 
-// TestPortfolioTimeout distinguishes the engine's own deadline from
+// TestPortfolioTimeout distinguishes the caller's deadline from
 // lost-the-race cancellation: with no winner, a cancelled prover must be
 // reported as timeout.
 func TestPortfolioTimeout(t *testing.T) {
 	g1, g2 := pairGHZ(t)
 	done := make(chan struct{})
-	res := Run(context.Background(), g1, g2, []Prover{hungProver(done)},
-		Options{Timeout: 50 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	res := portfolio.Run(ctx, g1, g2, []portfolio.Prover{hungProver(done)})
 	if res.Verdict.Definitive() {
 		t.Fatalf("verdict = %v, want inconclusive", res.Verdict)
 	}
 	if res.Winner != "" {
 		t.Fatalf("winner = %q, want none", res.Winner)
 	}
-	if got := res.Reports[0].Stop; got != StopTimeout {
-		t.Fatalf("stop = %v, want %v (engine deadline, not a lost race)", got, StopTimeout)
+	if got := res.Reports[0].Stop; got != portfolio.StopTimeout {
+		t.Fatalf("stop = %v, want %v (caller deadline, not a lost race)", got, portfolio.StopTimeout)
 	}
 }
 
@@ -120,27 +135,29 @@ func deepRandomPair() (*circuit.Circuit, *circuit.Circuit) {
 }
 
 // TestSimWinsAndSlowProversAreCancelled is the acceptance scenario: on a
-// non-equivalent instance whose complete check is intractable, the portfolio
-// must return the simulation prefilter's counterexample while the DD provers
+// non-equivalent instance whose complete check is intractable, the race
+// must return the simulation stage's counterexample while the DD provers
 // are recorded as cancelled — not as having reached their private timeouts.
 func TestSimWinsAndSlowProversAreCancelled(t *testing.T) {
 	g, gp := deepRandomPair()
-	cfg := Config{R: 2, Seed: 7, ECTimeout: 10 * time.Minute}
-	provers := []Prover{SimProver(cfg), DDProver(cfg), AlternatingProver(cfg)}
-
-	res := Run(context.Background(), g, gp, provers, Options{})
-	if res.Verdict != NotEquivalent {
-		t.Fatalf("verdict = %v, want %v", res.Verdict, NotEquivalent)
+	rep := core.Check(g, gp, core.Options{
+		Provers: []string{"sim", "dd", "alt"}, R: 2, Seed: 7, ECTimeout: 10 * time.Minute,
+	})
+	if rep.Verdict != core.NotEquivalent {
+		t.Fatalf("verdict = %v, want %v (err %v)", rep.Verdict, core.NotEquivalent, rep.Err)
 	}
-	if res.Winner != "sim" {
-		t.Fatalf("winner = %q, want sim (reports: %+v)", res.Winner, res.Reports)
+	if rep.DecidedBy != "sim" {
+		t.Fatalf("winner = %q, want sim (reports: %+v)", rep.DecidedBy, rep.Provers)
 	}
-	if res.Counterexample == nil {
-		t.Fatal("no counterexample from the sim prefilter")
+	if rep.Counterexample == nil {
+		t.Fatal("no counterexample from the simulation stage")
 	}
-	for _, r := range res.Reports[1:] {
-		if r.Stop != StopCancelled {
-			t.Fatalf("prover %s stop = %v, want %v (report: %+v)", r.Name, r.Stop, StopCancelled, r)
+	if len(rep.Provers) != 3 {
+		t.Fatalf("got %d prover reports, want 3", len(rep.Provers))
+	}
+	for _, r := range rep.Provers[1:] {
+		if r.Stop != portfolio.StopCancelled {
+			t.Fatalf("prover %s stop = %v, want %v (report: %+v)", r.Name, r.Stop, portfolio.StopCancelled, r)
 		}
 	}
 }
@@ -163,7 +180,7 @@ func loadCircuit(t *testing.T, path string) *circuit.Circuit {
 }
 
 // TestPortfolioMatchesSingleStrategy checks, on the seed benchmark circuits
-// and error-injected variants, that the portfolio verdict agrees with the
+// and error-injected variants, that the race's verdict agrees with the
 // single-strategy complete check.
 func TestPortfolioMatchesSingleStrategy(t *testing.T) {
 	if testing.Short() {
@@ -189,33 +206,50 @@ func TestPortfolioMatchesSingleStrategy(t *testing.T) {
 			if single.Verdict == ec.TimedOut {
 				t.Fatalf("%s/%s: single-strategy check timed out", f, tc.label)
 			}
-			cfg := Config{Seed: 11, UpToGlobalPhase: true, ECTimeout: 2 * time.Minute}
-			provers, err := FromNames([]string{"sim", "dd", "alt", "sat", "zx"}, cfg)
-			if err != nil {
-				t.Fatal(err)
+			rep := core.Check(g, tc.g2, core.Options{
+				Provers: []string{"sim", "dd", "alt", "sat", "zx"},
+				Seed:    11, UpToGlobalPhase: true, ECTimeout: 2 * time.Minute,
+			})
+			if rep.Err != nil {
+				t.Fatal(rep.Err)
 			}
-			res := Run(context.Background(), g, tc.g2, provers, Options{})
 			wantEq := single.Verdict == ec.Equivalent || single.Verdict == ec.EquivalentUpToGlobalPhase
-			gotEq := res.Verdict == Equivalent || res.Verdict == EquivalentUpToGlobalPhase
-			if !res.Verdict.Definitive() || gotEq != wantEq {
-				t.Errorf("%s/%s: portfolio %v (winner %s) vs single-strategy %v",
-					f, tc.label, res.Verdict, res.Winner, single.Verdict)
+			gotEq := rep.Verdict == core.Equivalent || rep.Verdict == core.EquivalentUpToGlobalPhase
+			if rep.Verdict == core.ProbablyEquivalent || gotEq != wantEq {
+				t.Errorf("%s/%s: race %v (winner %s) vs single-strategy %v",
+					f, tc.label, rep.Verdict, rep.DecidedBy, single.Verdict)
 			}
 		}
 	}
 }
 
-// TestFromNamesRejectsUnknown covers the CLI-facing prover selection.
+// TestFromNamesRejectsUnknown covers the CLI-facing prover selection: an
+// unknown or empty list is a typed *core.OptionsError, raised before any
+// prover or watchdog goroutine starts, and names are trimmed.
 func TestFromNamesRejectsUnknown(t *testing.T) {
-	if _, err := FromNames([]string{"sim", "bogus"}, Config{}); err == nil {
-		t.Fatal("unknown prover name accepted")
+	g1, g2 := pairGHZ(t)
+	before := runtime.NumGoroutine()
+	for _, names := range [][]string{{"sim", "bogus"}, {}, {"", " "}} {
+		// A hard limit would start a watchdog goroutine, and nil circuits
+		// would crash any prover that ran.
+		rep := core.Check(nil, nil, core.Options{Provers: names, MemHardLimit: 1})
+		var oe *core.OptionsError
+		if !errors.As(rep.Err, &oe) || oe.Field != "Provers" {
+			t.Fatalf("Provers %q: err = %v (%T), want *core.OptionsError on Provers", names, rep.Err, rep.Err)
+		}
+		if rep.Verdict != core.ProbablyEquivalent || rep.Provers != nil || rep.Mem != nil {
+			t.Fatalf("Provers %q: rejected list still ran: %+v", names, rep)
+		}
 	}
-	if _, err := FromNames(nil, Config{}); err == nil {
-		t.Fatal("empty prover list accepted")
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines before=%d after=%d: a rejected list started work", before, after)
 	}
-	provers, err := FromNames([]string{" sim", "zx "}, Config{})
-	if err != nil || len(provers) != 2 {
-		t.Fatalf("trimmed names: provers=%d err=%v", len(provers), err)
+	if _, err := core.NewProver("bogus", core.Options{}); err == nil {
+		t.Fatal("NewProver accepted an unknown name")
+	}
+	rep := core.Check(g1, g2, core.Options{Provers: []string{" sim", "zx "}})
+	if rep.Err != nil || len(rep.Provers) != 2 {
+		t.Fatalf("trimmed names: provers=%d err=%v", len(rep.Provers), rep.Err)
 	}
 }
 
@@ -223,13 +257,13 @@ func TestFromNamesRejectsUnknown(t *testing.T) {
 // and per-prover reports survive.
 func TestAllInconclusive(t *testing.T) {
 	g1, g2 := pairGHZ(t)
-	idle := Prover{
+	idle := portfolio.Prover{
 		Name: "idle",
-		Run: func(ctx context.Context, g1, g2 *circuit.Circuit) Outcome {
-			return Outcome{Stop: StopInconclusive, Detail: "gave up"}
+		Run: func(ctx context.Context, g1, g2 *circuit.Circuit) portfolio.Outcome {
+			return portfolio.Outcome{Stop: portfolio.StopInconclusive, Detail: "gave up"}
 		},
 	}
-	res := Run(context.Background(), g1, g2, []Prover{idle, idle}, Options{})
+	res := portfolio.Run(context.Background(), g1, g2, []portfolio.Prover{idle, idle})
 	if res.Verdict.Definitive() || res.Winner != "" {
 		t.Fatalf("result = %+v, want inconclusive", res)
 	}
@@ -238,18 +272,19 @@ func TestAllInconclusive(t *testing.T) {
 	}
 }
 
-// TestGateCostProverSelfSelects: the gate-cost prover declines pairs without
-// a cost profile or compilation blow-up, runs compiled-looking pairs with
-// the static estimate, and uses a supplied profile directly.
+// TestGateCostProverSelfSelects: the gate-cost prover declines pairs
+// without a compilation blow-up, leaving them to the alternating prover,
+// and runs compiled-looking pairs with the static cost estimate.
 func TestGateCostProverSelfSelects(t *testing.T) {
-	ctx := context.Background()
-
-	// Similar-length pair, no profile: decline so the plain alternating
-	// prover keeps it.
+	// Similar-length pair: decline so the plain alternating prover keeps it.
 	g1, g2 := pairGHZ(t)
-	out := GateCostProver(Config{}).Run(ctx, g1, g2)
-	if out.Stop != StopError {
-		t.Fatalf("uncompiled pair: stop = %v, want decline", out.Stop)
+	rep := core.Check(g1, g2, core.Options{Provers: []string{"gatecost"}})
+	if got := rep.Provers[0].Stop; got != portfolio.StopError || rep.Verdict != core.ProbablyEquivalent {
+		t.Fatalf("uncompiled pair: stop = %v, verdict %v, want a decline", got, rep.Verdict)
+	}
+	rep = core.Check(g1, g2, core.Options{Provers: []string{"gatecost", "alt"}})
+	if rep.DecidedBy != "alt" || rep.Verdict != core.Equivalent {
+		t.Fatalf("uncompiled pair with alt: winner %q, verdict %v", rep.DecidedBy, rep.Verdict)
 	}
 
 	// Compilation-shaped pair (lowered Toffoli blows up g2): accepted via
@@ -257,15 +292,8 @@ func TestGateCostProverSelfSelects(t *testing.T) {
 	src := circuit.New(3, "ccx")
 	src.CCX(0, 1, 2)
 	lowered := decompose.Circuit(src, decompose.LevelCX)
-	out = GateCostProver(Config{ECTimeout: 10 * time.Second}).Run(ctx, src, lowered)
-	if out.Verdict != Equivalent {
-		t.Fatalf("compiled pair: verdict = %v (stop %v, detail %q)", out.Verdict, out.Stop, out.Detail)
-	}
-
-	// An explicit profile overrides the shape heuristic.
-	lowered2, profile := decompose.WithProfile(src, decompose.LevelCX)
-	out = GateCostProver(Config{CostProfile: profile, ECTimeout: 10 * time.Second}).Run(ctx, src, lowered2)
-	if out.Verdict != Equivalent {
-		t.Fatalf("profiled pair: verdict = %v (stop %v)", out.Verdict, out.Stop)
+	rep = core.Check(src, lowered, core.Options{Provers: []string{"gatecost"}, ECTimeout: 10 * time.Second})
+	if rep.Verdict != core.Equivalent || rep.DecidedBy != "gatecost" {
+		t.Fatalf("compiled pair: verdict = %v by %q (reports %+v)", rep.Verdict, rep.DecidedBy, rep.Provers)
 	}
 }

@@ -1,4 +1,4 @@
-package portfolio
+package portfolio_test
 
 import (
 	"context"
@@ -8,6 +8,8 @@ import (
 
 	"qcec/internal/bench"
 	"qcec/internal/circuit"
+	"qcec/internal/core"
+	"qcec/internal/portfolio"
 )
 
 // TestStabProverWinsCliffordRace races the tableau prover against the full
@@ -16,41 +18,39 @@ import (
 func TestStabProverWinsCliffordRace(t *testing.T) {
 	g1 := bench.RandomClifford(20, 2000, 11)
 	g2 := g1.Clone()
-	provers := []Prover{StabProver(Config{UpToGlobalPhase: true}), DDProver(Config{UpToGlobalPhase: true})}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
 
-	res := Run(context.Background(), g1, g2, provers, Options{Timeout: 2 * time.Minute})
-	if res.Winner != "stab" {
-		t.Fatalf("winner = %q, want stab (reports: %+v)", res.Winner, res.Reports)
+	rep := core.Check(g1, g2, core.Options{Context: ctx, Provers: []string{"stab", "dd"}, UpToGlobalPhase: true})
+	if rep.DecidedBy != "stab" {
+		t.Fatalf("winner = %q, want stab (reports: %+v)", rep.DecidedBy, rep.Provers)
 	}
-	if res.Verdict != Equivalent && res.Verdict != EquivalentUpToGlobalPhase {
-		t.Fatalf("verdict = %v, want equivalent", res.Verdict)
+	if rep.Verdict != core.Equivalent && rep.Verdict != core.EquivalentUpToGlobalPhase {
+		t.Fatalf("verdict = %v, want equivalent", rep.Verdict)
 	}
-	if rep := res.Reports[0]; rep.Stop != StopWon {
-		t.Fatalf("stab stop = %v, want won", rep.Stop)
+	if got := rep.Provers[0]; got.Stop != portfolio.StopWon {
+		t.Fatalf("stab stop = %v, want won", got.Stop)
 	}
 }
 
 // TestStabProverDeclinesNonClifford: a single T gate must make the tableau
 // prover bow out with StopError after only a gate-set scan, leaving the race
-// to the complete provers.
+// to the other provers.
 func TestStabProverDeclinesNonClifford(t *testing.T) {
 	g1 := circuit.New(2, "g").H(0).T(1).CX(0, 1)
 	g2 := g1.Clone()
 
-	out := StabProver(Config{}).Run(context.Background(), g1, g2)
-	if out.Stop != StopError {
-		t.Fatalf("stop = %v, want error decline", out.Stop)
-	}
-	if out.Detail != "non-Clifford gate set" {
-		t.Fatalf("detail = %q", out.Detail)
+	rep := core.Check(g1, g2, core.Options{Provers: []string{"stab"}})
+	if got := rep.Provers[0]; got.Stop != portfolio.StopError || got.Detail != "non-Clifford gate set" {
+		t.Fatalf("stab stop = %v (%q), want the non-Clifford decline", got.Stop, got.Detail)
 	}
 
-	res := Run(context.Background(), g1, g2, []Prover{StabProver(Config{}), SimProver(Config{})}, Options{})
-	if res.Winner == "stab" {
+	rep = core.Check(g1, g2, core.Options{Provers: []string{"stab", "sim"}})
+	if rep.DecidedBy == "stab" {
 		t.Fatalf("stab won on a non-Clifford pair")
 	}
-	if res.Verdict != Equivalent && res.Verdict != EquivalentUpToGlobalPhase {
-		t.Fatalf("verdict = %v, want equivalent from the surviving prover", res.Verdict)
+	if rep.Verdict != core.Equivalent && rep.Verdict != core.EquivalentUpToGlobalPhase {
+		t.Fatalf("verdict = %v, want equivalent from the surviving prover", rep.Verdict)
 	}
 }
 
@@ -60,16 +60,17 @@ func TestStabProverDeclinesNonClifford(t *testing.T) {
 func TestStabProverNoLeakWhenLosing(t *testing.T) {
 	g1 := bench.RandomClifford(16, 4000, 5)
 	g2 := g1.Clone()
-	instant := Prover{
+	stab := standardProver(t, "stab", core.Options{UpToGlobalPhase: true})
+	instant := portfolio.Prover{
 		Name: "instant",
-		Run: func(ctx context.Context, g1, g2 *circuit.Circuit) Outcome {
-			return Outcome{Verdict: EquivalentUpToGlobalPhase, Detail: "oracle"}
+		Run: func(ctx context.Context, g1, g2 *circuit.Circuit) portfolio.Outcome {
+			return portfolio.Outcome{Verdict: portfolio.EquivalentUpToGlobalPhase, Detail: "oracle"}
 		},
 	}
 
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
-		res := Run(context.Background(), g1, g2, []Prover{StabProver(Config{UpToGlobalPhase: true}), instant}, Options{})
+		res := portfolio.Run(context.Background(), g1, g2, []portfolio.Prover{stab, instant})
 		if !res.Verdict.Definitive() {
 			t.Fatalf("iteration %d: race inconclusive", i)
 		}

@@ -367,6 +367,12 @@ func (p *parser) emit(name string, params []float64, wires []int) error {
 	if def.expanding {
 		return p.errf("gate %q expands into itself", name)
 	}
+	if p.maxMacroCalls > 0 {
+		if p.macroCalls == p.maxMacroCalls {
+			return &LimitError{What: "macro calls", Limit: p.maxMacroCalls}
+		}
+		p.macroCalls++
+	}
 	def.expanding = true
 	err := p.expand(name, def, params, wires)
 	def.expanding = false

@@ -69,9 +69,11 @@ type parser struct {
 	params   []float64         // unused tail of the current Params chunk
 	measures []Measurement
 
-	// maxQubits and maxGates bound the circuit the parse may build (see
-	// ParseLimited); zero or negative is unbounded.
-	maxQubits, maxGates int
+	// maxQubits and maxGates bound the circuit the parse may build, and
+	// maxMacroCalls the macro expansions it may perform (see ParseLimited);
+	// zero or negative is unbounded.  macroCalls counts the expansions.
+	maxQubits, maxGates       int
+	maxMacroCalls, macroCalls int
 
 	// Scratch reused across statements: compiled expression code and its
 	// value stack, the qubit arguments of a top-level call, and argument
@@ -139,7 +141,7 @@ func Parse(src string) (*Program, error) { return ParseLimited(src, 0, 0) }
 
 // LimitError reports a source whose circuit passes a ParseLimited bound.
 type LimitError struct {
-	What  string // "qubits" or "gates"
+	What  string // "qubits", "gates" or "macro calls"
 	Limit int
 }
 
@@ -147,13 +149,20 @@ func (e *LimitError) Error() string {
 	return fmt.Sprintf("qasm: circuit exceeds the limit of %d %s", e.Limit, e.What)
 }
 
+// macroCallsPerGate sizes ParseLimited's budget of macro expansions: a
+// source may expand macroCallsPerGate·maxGates macro calls, enough for
+// wrappers nested that deep around every gate it may emit.
+const macroCallsPerGate = 4
+
 // ParseLimited parses like Parse, but stops with a *LimitError at the first
-// register declaration that takes the total width past maxQubits, or at the
-// first gate past maxGates (counted after broadcasts and macro expansion);
-// zero or negative is unbounded.  A short source can ask for far more: a
-// broadcast over a huge register emits one gate per wire, and nested macros
-// expand exponentially, so the bounds are checked while the circuit is
-// built rather than after.
+// register declaration that takes the total width past maxQubits, at the
+// first gate past maxGates (counted after broadcasts and macro expansion),
+// or, when maxGates bounds the gates, at the first macro call past
+// macroCallsPerGate·maxGates; zero or negative is unbounded.  A short
+// source can ask for far more: a broadcast over a huge register emits one
+// gate per wire, and nested macros expand exponentially — even macros with
+// empty bodies, which emit no gate at all — so the bounds are checked while
+// the circuit is built rather than after.
 func ParseLimited(src string, maxQubits, maxGates int) (*Program, error) {
 	// Pre-size the gate slice from the statement count, but never beyond
 	// one gate per 7 source bytes (the shortest gate statement, `x q[0];`),
@@ -168,6 +177,9 @@ func ParseLimited(src string, maxQubits, maxGates int) (*Program, error) {
 		circ:      &circuit.Circuit{Gates: make([]circuit.Gate, 0, hint)},
 		maxQubits: maxQubits,
 		maxGates:  maxGates,
+	}
+	if maxGates > 0 {
+		p.maxMacroCalls = macroCallsPerGate * maxGates
 	}
 	p.advance()
 	prog, err := p.parse()

@@ -2,12 +2,14 @@ package qasm
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"qcec/internal/circuit"
 	"qcec/internal/ec"
@@ -431,5 +433,51 @@ func TestParseLimited(t *testing.T) {
 	}
 	if prog, err := Parse(src); err != nil || len(prog.Circuit.Gates) != 4 {
 		t.Fatalf("Parse must stay unbounded: %v", err)
+	}
+}
+
+// emptyMacroChain nests depth empty-body macros, each calling the one below
+// four times, so one call performs (4^depth-1)/3 expansions and emits no
+// gate.
+func emptyMacroChain(depth int) string {
+	var b strings.Builder
+	b.WriteString("OPENQASM 2.0;\nqreg q[1];\ngate m0 a { }\n")
+	for k := 1; k < depth; k++ {
+		fmt.Fprintf(&b, "gate m%d a { m%[2]d a; m%[2]d a; m%[2]d a; m%[2]d a; }\n", k, k-1)
+	}
+	fmt.Fprintf(&b, "m%d q[0];\n", depth-1)
+	return b.String()
+}
+
+// TestParseLimitedMacroCalls: under a gate bound, macro expansions count
+// against macroCallsPerGate·maxGates, so a chain of empty macros stops at
+// once instead of expanding 4^depth times, while nested macros that emit
+// real gates within the bound still parse.
+func TestParseLimitedMacroCalls(t *testing.T) {
+	start := time.Now()
+	_, err := ParseLimited(emptyMacroChain(16), 64, 1000)
+	var le *LimitError
+	if !errors.As(err, &le) || le.What != "macro calls" || le.Limit != macroCallsPerGate*1000 {
+		t.Fatalf("empty chain: err = %v, want a *LimitError on %d macro calls", err, macroCallsPerGate*1000)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("rejecting the chain took %v", d)
+	}
+
+	// Three levels of wrappers around 64 gates: 1+4+16 = 21 macro calls.
+	nested := "OPENQASM 2.0;\nqreg q[2];\n" +
+		"gate l0 a, b { cx a, b; h a; h b; cx b, a; }\n" +
+		"gate l1 a, b { l0 a, b; l0 b, a; l0 a, b; l0 b, a; }\n" +
+		"gate l2 a, b { l1 a, b; l1 b, a; l1 a, b; l1 b, a; }\n" +
+		"l2 q[0], q[1];\n"
+	prog, err := ParseLimited(nested, 2, 64)
+	if err != nil || len(prog.Circuit.Gates) != 64 {
+		t.Fatalf("nested macros within the bound: err = %v", err)
+	}
+
+	// Without a gate bound nothing changes: a shallow empty chain parses to
+	// an empty circuit.
+	if prog, err := ParseLimited(emptyMacroChain(6), 0, 0); err != nil || len(prog.Circuit.Gates) != 0 {
+		t.Fatalf("unbounded parse of a shallow empty chain: err = %v", err)
 	}
 }

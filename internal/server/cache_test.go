@@ -215,16 +215,17 @@ func assertMetric(t *testing.T, text, name string, want int) {
 
 // TestGateCostAliasesShareCacheKey: every wire spelling of the gate-cost
 // strategy must parse to the same scheme and normalize to one cache-key
-// string, so aliases cannot split the cache.
+// string, so aliases cannot split the cache; the same holds for every
+// alias ec.ParseStrategy accepts.
 func TestGateCostAliasesShareCacheKey(t *testing.T) {
 	aliases := []string{"gate_cost", "gate-cost", "gatecost", "compilation_flow"}
 	for _, a := range aliases {
-		strat, err := parseStrategy(a)
+		strat, err := ec.ParseStrategy(a)
 		if err != nil {
-			t.Fatalf("parseStrategy(%q): %v", a, err)
+			t.Fatalf("ParseStrategy(%q): %v", a, err)
 		}
 		if strat != ec.StrategyGateCost {
-			t.Errorf("parseStrategy(%q) = %v, want StrategyGateCost", a, strat)
+			t.Errorf("ParseStrategy(%q) = %v, want StrategyGateCost", a, strat)
 		}
 		if got := normalizeStrategy(a); got != "gate_cost" {
 			t.Errorf("normalizeStrategy(%q) = %q, want %q", a, got, "gate_cost")
@@ -233,7 +234,18 @@ func TestGateCostAliasesShareCacheKey(t *testing.T) {
 	if got := normalizeStrategy(""); got != "proportional" {
 		t.Errorf("normalizeStrategy(\"\") = %q, want proportional", got)
 	}
-	if _, err := parseStrategy("bogus"); err == nil {
-		t.Error("parseStrategy accepted an unknown strategy")
+	key := map[ec.Strategy]string{}
+	for _, a := range append(aliases, "", "proportional", "construction", "sequential", "lookahead", "stabilizer") {
+		strat, err := ec.ParseStrategy(a)
+		if err != nil {
+			t.Fatalf("ParseStrategy(%q): %v", a, err)
+		}
+		if k, seen := key[strat]; seen && k != normalizeStrategy(a) {
+			t.Errorf("%v has two cache-key spellings: %q and %q", strat, k, normalizeStrategy(a))
+		}
+		key[strat] = normalizeStrategy(a)
+	}
+	if _, err := ec.ParseStrategy("bogus"); err == nil {
+		t.Error("ParseStrategy accepted an unknown strategy")
 	}
 }

@@ -237,9 +237,20 @@ func (s *Server) executeIsolated(j *job) (rep core.Report, panicErr *resource.Pa
 	return rep, nil
 }
 
-// runCheck is the default job executor (Server.exec): it translates the wire
-// options into core.Options under the server's clamps and runs the flow.
+// runCheck is the default job executor (Server.exec): it runs the flow on
+// the job's options.
 func (s *Server) runCheck(j *job) core.Report {
+	opts, cancel := s.jobOptions(j)
+	defer cancel()
+	return core.Check(j.g1, j.g2, opts)
+}
+
+// jobOptions translates the wire options into core.Options under the
+// server's clamps, with a context bounded by the job's timeout (release it
+// with cancel).  A re-run after a transient failure (attempt > 0) runs on
+// the Degraded() options: sequential simulation, fresh packages instead of
+// warm pooled ones, bounded DD growth.
+func (s *Server) jobOptions(j *job) (core.Options, context.CancelFunc) {
 	o := j.req.Options
 	timeout := s.cfg.DefaultTimeout
 	if o.TimeoutMS > 0 {
@@ -249,13 +260,12 @@ func (s *Server) runCheck(j *job) core.Report {
 		}
 	}
 	ctx, cancel := context.WithTimeout(j.ctx, timeout)
-	defer cancel()
 
 	parallel := o.Parallel
 	if parallel > s.cfg.MaxParallel {
 		parallel = s.cfg.MaxParallel
 	}
-	strategy, _ := parseStrategy(o.Strategy) // validated at admission
+	strategy, _ := ec.ParseStrategy(o.Strategy) // validated at admission
 	nodeLimit := o.NodeLimit
 	if nodeLimit < 0 {
 		nodeLimit = 0
@@ -278,13 +288,9 @@ func (s *Server) runCheck(j *job) core.Report {
 		Pool:              s.ddPool,
 	}
 	if j.attempt > 0 {
-		// Degraded re-run after a transient failure: sequential simulation,
-		// fresh packages instead of warm pooled ones, bounded DD growth.
-		opts.Parallel = 0
-		opts.Pool = nil
-		opts.ECNodeLimit = ec.DegradedNodeLimit(opts.ECNodeLimit)
+		opts = opts.Degraded()
 	}
-	return core.Check(j.g1, j.g2, opts)
+	return opts, cancel
 }
 
 // buildResponse converts a flow report (or an isolated panic) into the wire

@@ -17,13 +17,12 @@ import (
 // chose will be exhausted again on every re-run — and retrying them burns a
 // worker slot to learn nothing.  Others are facts about the moment: a
 // recovered panic, a memory-watchdog hard trip, an injected fault.  Those
-// are exactly the failures PR 4 taught the portfolio to retry under a
-// degraded budget, and the serving layer extends the same policy to whole
+// are exactly the failures the prover race retries (core.Options
+// RetryCrashed), and the serving layer applies the same policy to whole
 // jobs: transient failures re-run up to Config.MaxJobRetries times with
-// exponential backoff + full jitter and a progressively degraded
-// core.Options budget (sequential simulation, reference gate-application
-// path, halved node limit, no warm-package reuse), each attempt journaled
-// and counted in qcecd_job_retries_total.
+// exponential backoff + full jitter on core.Options.Degraded() (sequential
+// simulation, no warm-package reuse, the ec.DegradedNodeLimit budget), each
+// attempt journaled and counted in qcecd_job_retries_total.
 //
 // Client-budget cancellations (request deadline, disconnect, server drain)
 // are neither: the outcome the client paid for is "stopped", and retrying

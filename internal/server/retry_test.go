@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -186,6 +187,31 @@ func TestPermanentFailureNotRetried(t *testing.T) {
 	}
 	if res.Attempts != 0 {
 		t.Errorf("Attempts = %d, want omitted for single-attempt jobs", res.Attempts)
+	}
+}
+
+// TestRetryRunsDegradedOptions: a re-run's options are exactly the first
+// attempt's core.Options.Degraded() — the one degraded-retry policy the
+// prover race's crash retry applies too.
+func TestRetryRunsDegradedOptions(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1, MaxParallel: 4})
+	j, apiErr := s.buildJob(CheckRequest{G: bellQASM, Gp: bellQASM,
+		Options: CheckOptions{Parallel: 4, NodeLimit: 10000, Strategy: "lookahead", R: 3}})
+	if apiErr != nil {
+		t.Fatalf("buildJob: %+v", apiErr)
+	}
+	first, cancel := s.jobOptions(j)
+	defer cancel()
+	if first.Parallel != 4 || first.Pool == nil || first.ECNodeLimit != 10000 {
+		t.Fatalf("first attempt options %+v: want 4 workers, the warm pool and the 10000-node budget", first)
+	}
+	j.attempt = 1
+	retry, cancelRetry := s.jobOptions(j)
+	defer cancelRetry()
+	want := first.Degraded()
+	want.Context, retry.Context = nil, nil // fresh per-attempt deadline
+	if !reflect.DeepEqual(retry, want) {
+		t.Fatalf("retry options %+v, want the first attempt's Degraded() %+v", retry, want)
 	}
 }
 

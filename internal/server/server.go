@@ -273,7 +273,7 @@ func (s *Server) buildJobWithID(id string, req CheckRequest) (*job, *apiError) {
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	if _, err := parseStrategy(req.Options.Strategy); err != nil {
+	if _, err := ec.ParseStrategy(req.Options.Strategy); err != nil {
 		return nil, &apiError{http.StatusBadRequest, CodeBadRequest, err.Error()}
 	}
 	j := &job{
@@ -669,28 +669,4 @@ func normalizeTolerance(tol float64) float64 {
 		return 1e-10
 	}
 	return tol
-}
-
-// parseStrategy maps a wire strategy name to the complete routine's scheme.
-// The empty string selects the paper's default, Proportional.
-func parseStrategy(name string) (ec.Strategy, error) {
-	switch name {
-	case "", "proportional":
-		return ec.Proportional, nil
-	case "construction":
-		return ec.Construction, nil
-	case "sequential":
-		return ec.Sequential, nil
-	case "lookahead":
-		return ec.Lookahead, nil
-	case "gate_cost", "gate-cost", "gatecost", "compilation_flow":
-		// The compilation-flow scheme; wire pairs carry no compilation
-		// provenance, so the checker derives the schedule from the static
-		// per-kind cost estimate (ec.EstimateCostProfile).
-		return ec.StrategyGateCost, nil
-	case "stabilizer":
-		return ec.StrategyStabilizer, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q (want construction|sequential|proportional|lookahead|gate_cost|stabilizer)", name)
-	}
 }

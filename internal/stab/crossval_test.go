@@ -1,19 +1,18 @@
 // Cross-validation of the tableau fast path against the DD-based complete
 // checker on randomized Clifford instances.  This lives in an external test
-// package so it can import internal/ec and internal/portfolio (which import
+// package so it can import internal/ec and internal/core (which import
 // internal/stab) without a cycle.
 package stab_test
 
 import (
-	"context"
 	"testing"
 
 	"qcec/internal/bench"
 	"qcec/internal/circuit"
+	"qcec/internal/core"
 	"qcec/internal/dd"
 	"qcec/internal/ec"
 	"qcec/internal/errinject"
-	"qcec/internal/portfolio"
 	"qcec/internal/sim"
 )
 
@@ -97,9 +96,9 @@ func assertDistinguishes(t *testing.T, g1, g2 *circuit.Circuit, input uint64) {
 	}
 }
 
-// TestCrossValidatePortfolio runs the full portfolio race on a Clifford pair
-// and checks the collective verdict agrees with the standalone tableau
-// verdict; with only the stab prover selected, it must decide the race.
+// TestCrossValidatePortfolio runs the prover race on a Clifford pair and
+// checks the race's verdict agrees with the standalone tableau verdict;
+// with only the stab prover selected, it must decide the race.
 func TestCrossValidatePortfolio(t *testing.T) {
 	g1 := bench.RandomClifford(6, 80, 42)
 	g2, _, err := errinject.Inject(g1, errinject.FlippedCNOT, 7)
@@ -108,17 +107,13 @@ func TestCrossValidatePortfolio(t *testing.T) {
 	}
 	want := ec.Check(g1, g2, ec.Options{Strategy: ec.StrategyStabilizer, UpToGlobalPhase: true})
 
-	provers, err := portfolio.FromNames([]string{"stab"}, portfolio.Config{UpToGlobalPhase: true})
-	if err != nil {
-		t.Fatalf("FromNames: %v", err)
+	rep := core.Check(g1, g2, core.Options{Provers: []string{"stab"}, UpToGlobalPhase: true})
+	if rep.DecidedBy != "stab" {
+		t.Fatalf("winner = %q, want stab (reports: %+v, err %v)", rep.DecidedBy, rep.Provers, rep.Err)
 	}
-	res := portfolio.Run(context.Background(), g1, g2, provers, portfolio.Options{})
-	if res.Winner != "stab" {
-		t.Fatalf("winner = %q, want stab (reports: %+v)", res.Winner, res.Reports)
-	}
-	gotEq := res.Verdict == portfolio.Equivalent || res.Verdict == portfolio.EquivalentUpToGlobalPhase
+	gotEq := rep.Verdict == core.Equivalent || rep.Verdict == core.EquivalentUpToGlobalPhase
 	if gotEq != want.Equivalent() {
-		t.Fatalf("portfolio verdict %v disagrees with stabilizer %v", res.Verdict, want.Verdict)
+		t.Fatalf("race verdict %v disagrees with stabilizer %v", rep.Verdict, want.Verdict)
 	}
 }
 

@@ -20,8 +20,8 @@ func TestClaimSimulationDetectsAllErrors(t *testing.T) {
 	oneSim := 0
 	var simTotal, ecTotal time.Duration
 	for _, inst := range neq {
-		row := harness.RunInstance(inst, harness.RunOptions{
-			R: 64, ECTimeout: 2 * time.Second, ECStrategy: ec.Construction, Seed: 7,
+		row := harness.RunInstance(inst, core.Options{
+			R: 64, ECTimeout: 2 * time.Second, Strategy: ec.Construction, Seed: 7,
 		})
 		if !row.SimDetected {
 			t.Errorf("%s: simulation missed the injected error (%s)", row.Name, row.Injection)
@@ -73,8 +73,8 @@ func TestClaimNoFalseCounterexamples(t *testing.T) {
 func TestClaimFlowVerdictsSound(t *testing.T) {
 	eq, neq := suitesT(t)
 	all := append(append([]harness.Instance{}, eq...), neq...)
-	s := harness.RunFlow(all, harness.RunOptions{
-		R: 16, ECTimeout: 2 * time.Second, ECStrategy: ec.Proportional, Seed: 13,
+	s := harness.RunFlow(all, core.Options{
+		R: 16, ECTimeout: 2 * time.Second, Strategy: ec.Proportional, Seed: 13,
 	})
 	if s.WrongVerdicts != 0 {
 		t.Fatalf("flow produced %d wrong verdicts over %d instances", s.WrongVerdicts, s.Total)
