@@ -115,4 +115,4 @@ examples:
 		echo "== $$d"; $(GO) run ./$$d > /dev/null; \
 	done
 
-ci: build test vet fmt race examples perfbench-test
+ci: build test vet fmt race chaos examples perfbench-test

@@ -45,7 +45,7 @@ func main() {
 	flag.Parse()
 
 	if *table == "" && *fig == 0 {
-		fmt.Fprintln(os.Stderr, "usage: qectab -table 1a|1b|flow|theory|ablate|all  or  qectab -fig 1")
+		fmt.Fprintln(os.Stderr, "usage: qectab -table 1a|1b|flow|theory|ablate|sat|prefilter|gatecost|all  or  qectab -fig 1")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}

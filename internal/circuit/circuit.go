@@ -231,6 +231,16 @@ func (c *Circuit) Inverse() *Circuit {
 	return out
 }
 
+// InversePermutation returns perm⁻¹: inv[perm[q]] = q.  The checkers use it
+// to undo an output permutation (see core.Options.OutputPerm).
+func InversePermutation(perm []int) []int {
+	inv := make([]int, len(perm))
+	for q, p := range perm {
+		inv[p] = q
+	}
+	return inv
+}
+
 // NumGates returns the gate count |G| as reported in the paper's tables.
 func (c *Circuit) NumGates() int { return len(c.Gates) }
 

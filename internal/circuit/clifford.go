@@ -3,6 +3,8 @@ package circuit
 import (
 	"fmt"
 	"math"
+
+	"qcec/internal/cn"
 )
 
 // This file is the gate-set analyzer behind the stabilizer fast path: it
@@ -16,8 +18,8 @@ import (
 // when their angle sits on a multiple of π/2 — within a tolerance derived
 // from the checker's weight tolerance, never hardcoded, so coarsening or
 // tightening Options.Tolerance moves the routing decision consistently with
-// the equivalence criterion itself (the same derivation discipline as
-// core's agreementTolerance).
+// the equivalence criterion itself (the same derivation as every other
+// verdict bound, cn.AgreementTolerance).
 
 // CliffordOp enumerates the canonical Clifford generators the stabilizer
 // backend applies directly.  RY90/RY270 are the ±π/2 Y-rotations, which are
@@ -108,21 +110,13 @@ func (g CliffordGate) Inverse() CliffordGate {
 }
 
 // CliffordAngleTolerance derives the rotation-angle snap tolerance of the
-// analyzer from the DD weight tolerance (0 = the package default 1e-10).
-// Weight round-off compounds over the gate sequence exactly as it does for
-// state agreement, so the angle bound sits four orders of magnitude above
-// the interning tolerance — at the default weight tolerance this is 1e-6
-// radians — and is capped at 1e-3 so a coarse custom tolerance can never
-// snap a genuinely non-Clifford rotation onto the fast path.
+// analyzer from the DD weight tolerance (0 = cn.DefaultTolerance).  Weight
+// round-off compounds over the gate sequence exactly as it does for state
+// agreement, so the bound is cn.AgreementTolerance — 1e-6 radians at the
+// default, capped at 1e-3 so a coarse custom tolerance can never snap a
+// genuinely non-Clifford rotation onto the fast path.
 func CliffordAngleTolerance(weightTol float64) float64 {
-	if weightTol == 0 {
-		weightTol = 1e-10
-	}
-	tol := weightTol * 1e4
-	if tol > 1e-3 {
-		tol = 1e-3
-	}
-	return tol
+	return cn.AgreementTolerance(weightTol)
 }
 
 // quarterTurns snaps an angle to its nearest multiple of π/2 and reports

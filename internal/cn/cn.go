@@ -106,6 +106,21 @@ type Table struct {
 // round-off accumulated by circuits with hundreds of thousands of gates.
 const DefaultTolerance = 1e-10
 
+// AgreementTolerance derives every verdict-level bound from a weight
+// tolerance (0 = DefaultTolerance): the simulation stage's state agreement,
+// the complete check's phase band and counterexample threshold, the
+// stabilizer's phase anchor and its Clifford angle snap.  Round-off
+// compounds over the gate sequence, so the bound sits four orders of
+// magnitude above the interning tolerance — 1e-6 at the default — and is
+// capped at 1e-3 so a coarse tolerance can never accept genuinely
+// different states.
+func AgreementTolerance(weightTol float64) float64 {
+	if weightTol == 0 {
+		weightTol = DefaultTolerance
+	}
+	return min(weightTol*1e4, 1e-3)
+}
+
 // NewTable creates a table with the given tolerance.  The tolerance must be
 // positive and smaller than 1e-2 (larger values would merge numerically
 // distinct amplitudes of real circuits).

@@ -11,6 +11,15 @@ import (
 	"qcec/internal/mapping"
 )
 
+// checkAtSimFloor runs Check with the simulation stage's collection floor
+// lowered to floor (1 collects at every safe point) and restores the floor
+// as soon as the run returns, so the next run of a test is unpressured.
+func checkAtSimFloor(floor int, g1, g2 *circuit.Circuit, opts Options) Report {
+	defer func(old int) { simGCFloor = old }(simGCFloor)
+	simGCFloor = floor
+	return Check(g1, g2, opts)
+}
+
 // TestArenaCheckParity checks that the arena node storage is invisible to
 // end-to-end results across every slot-recycling regime.  For each seed
 // circuit, both for an equivalent pair and an error-injected one, a fresh
@@ -59,9 +68,7 @@ func TestArenaCheckParity(t *testing.T) {
 
 				// GC pressure: collect after nearly every allocation, so the
 				// run continuously frees and reallocates arena slots.
-				press := base
-				press.GCThreshold = 32
-				pressed := Check(g, pr.gp, press)
+				pressed := checkAtSimFloor(32, g, pr.gp, base)
 
 				for _, alt := range []struct {
 					name string
@@ -128,9 +135,7 @@ func TestPermutedPairSurvivesCollections(t *testing.T) {
 	for _, gp := range []*circuit.Circuit{routed.Circuit, bad} {
 		base := Options{R: 8, Seed: 5, SkipEC: true, OutputPerm: routed.OutputPerm}
 		ref := Check(g, gp, base)
-		press := base
-		press.GCThreshold = 1
-		got := Check(g, gp, press)
+		got := checkAtSimFloor(1, g, gp, base)
 		if ref.Err != nil || got.Err != nil {
 			t.Fatalf("runs failed: reference %v, collecting %v", ref.Err, got.Err)
 		}
@@ -155,9 +160,7 @@ func TestSimulationStageKeepsItsGarbage(t *testing.T) {
 	g := bench.RandomClifford(10, 200, 3)
 	base := Options{R: 10, Seed: 1, SkipEC: true}
 	got := Check(g, g.Clone(), base)
-	small := base
-	small.GCThreshold = dd.DefaultGCThreshold
-	ref := Check(g, g.Clone(), small)
+	ref := checkAtSimFloor(dd.DefaultGCThreshold, g, g.Clone(), base)
 	if got.Err != nil || ref.Err != nil {
 		t.Fatalf("runs failed: %v, %v", got.Err, ref.Err)
 	}

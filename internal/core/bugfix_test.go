@@ -9,23 +9,30 @@ import (
 	"time"
 
 	"qcec/internal/circuit"
+	"qcec/internal/cn"
 	"qcec/internal/dd"
 	"qcec/internal/resource"
 	"qcec/internal/sim"
 )
 
-// TestAgreementToleranceDerivation pins the mapping from DD weight tolerance
-// to state-agreement tolerance: the historical 1e-6 bound at the default
-// weight tolerance, proportional scaling, and the 1e-3 cap.
+// TestAgreementToleranceDerivation pins the one mapping from DD weight
+// tolerance to every verdict bound (cn.AgreementTolerance): the historical
+// 1e-6 bound at the default weight tolerance, 0 read as the default,
+// proportional scaling, and the 1e-3 cap.  circuit.CliffordAngleTolerance
+// must stay the same function.
 func TestAgreementToleranceDerivation(t *testing.T) {
 	for _, tc := range []struct{ ddTol, want float64 }{
 		{1e-10, 1e-6}, // default: historical bound preserved exactly
+		{0, 1e-6},     // 0 selects the default
 		{1e-8, 1e-4},
 		{1e-12, 1e-8},
 		{1.0, 1e-3}, // capped
 	} {
-		if got := agreementTolerance(tc.ddTol); got != tc.want {
-			t.Errorf("agreementTolerance(%g) = %g, want %g", tc.ddTol, got, tc.want)
+		if got := cn.AgreementTolerance(tc.ddTol); got != tc.want {
+			t.Errorf("cn.AgreementTolerance(%g) = %g, want %g", tc.ddTol, got, tc.want)
+		}
+		if got := circuit.CliffordAngleTolerance(tc.ddTol); got != tc.want {
+			t.Errorf("circuit.CliffordAngleTolerance(%g) = %g, want %g", tc.ddTol, got, tc.want)
 		}
 	}
 }
@@ -226,11 +233,10 @@ func TestCompareReusedStimulusSurvivesGC(t *testing.T) {
 	g.CX(2, 3).CX(1, 2).CX(0, 1)
 
 	for _, parallel := range []int{1, 2} {
-		rep := Check(g, g.Clone(), Options{
-			R:           1 << 4, // exhaustive: all 16 basis states
-			Parallel:    parallel,
-			SkipEC:      true,
-			GCThreshold: 1,
+		rep := checkAtSimFloor(1, g, g.Clone(), Options{
+			R:        1 << 4, // exhaustive: all 16 basis states
+			Parallel: parallel,
+			SkipEC:   true,
 		})
 		if rep.Err != nil {
 			t.Fatalf("parallel=%d: err = %v", parallel, rep.Err)
@@ -246,14 +252,15 @@ func TestCompareReusedStimulusSurvivesGC(t *testing.T) {
 }
 
 // TestNumSimsExcludesCancelledInFlight pins the stimulus accounting under a
-// mid-compare cancellation: when the SetCancel hook's *dd.LimitError panic is
-// absorbed between two stimuli's comparisons, NumSims must count only the
-// comparisons that actually finished — never the in-flight one.  The old loop
-// published the loop index instead of a completed counter, so an absorbed
-// cancellation during stimulus k reported k+1 simulations to the harness
-// CSVs.  The fault hook stands in for the cancellation deterministically:
-// ghz(3) applies 6 gates per stimulus (3 per circuit), so gate 8 is mid-way
-// through the second stimulus's first circuit.
+// mid-compare cancellation: when the *dd.LimitError panic of the lease's
+// cancellation hook is absorbed between two stimuli's comparisons, NumSims
+// must count only the comparisons that actually finished — never the
+// in-flight one.  The old loop published the loop index instead of a
+// completed counter, so an absorbed cancellation during stimulus k reported
+// k+1 simulations to the harness CSVs.  The fault hook stands in for the
+// cancellation deterministically: ghz(3) applies 6 gates per stimulus (3
+// per circuit), so gate 8 is mid-way through the second stimulus's first
+// circuit.
 func TestNumSimsExcludesCancelledInFlight(t *testing.T) {
 	g := ghz(3)
 	var fired atomic.Bool

@@ -138,19 +138,11 @@ type Options struct {
 	// OutputPerm declares that output wire OutputPerm[q] of G' corresponds
 	// to wire q of G (see ec.Options.OutputPerm).
 	OutputPerm []int
-	// Tolerance is the DD weight tolerance (0 = default).  The simulation
-	// stage's state-agreement tolerance is derived from it (see
-	// agreementTolerance), so coarsening or tightening the weight tolerance
-	// coarsens or tightens the equivalence criterion consistently.
+	// Tolerance is the DD weight tolerance (0 = cn.DefaultTolerance).  The
+	// simulation stage's state-agreement tolerance is derived from it (see
+	// cn.AgreementTolerance), so coarsening or tightening the weight
+	// tolerance coarsens or tightens the equivalence criterion consistently.
 	Tolerance float64
-	// GCThreshold overrides the floor of the DD garbage-collection trigger
-	// of the simulation packages (0 = simGCFloor; a package collects once
-	// its population reaches the largest of the floor and twice the nodes
-	// that survived its last collection, see dd.Package.MaybeGC).  The
-	// complete check keeps dd.DefaultGCThreshold.  Tests use a tiny floor
-	// to force collections (1 collects at every safe point) and exercise
-	// the apply tables' invalidation and the gate registry's re-rooting.
-	GCThreshold int
 	// MemSoftLimit / MemHardLimit, in bytes, put the whole flow under a
 	// memory watchdog (internal/resource): above the soft limit every
 	// simulation worker's DD package is forced to collect and flush caches,
@@ -159,7 +151,9 @@ type Options struct {
 	// Report.CancelCause).  In a race the one watchdog covers every
 	// prover, and provers stopped by its hard limit report
 	// portfolio.StopMemLimit.  Ignored when Context already carries a
-	// watchdog; zero disables the respective bound.
+	// watchdog; zero disables the respective bound.  Check is the only
+	// place that starts a watchdog: every DD package the flow or race
+	// leases (dd.Pool.Lease) finds it on the context.
 	MemSoftLimit uint64
 	MemHardLimit uint64
 	// FidelityThreshold enables approximate equivalence checking: a
@@ -285,14 +279,6 @@ func (r Report) ECTime() time.Duration {
 		return 0
 	}
 	return r.EC.Runtime
-}
-
-func invertPerm(perm []int) []int {
-	inv := make([]int, len(perm))
-	for i, p := range perm {
-		inv[p] = i
-	}
-	return inv
 }
 
 // Check runs the proposed flow on the circuit pair, or with opts.Provers
@@ -482,21 +468,6 @@ func check(g1, g2 *circuit.Circuit, opts Options) Report {
 	}
 	report.TotalTime = time.Since(start)
 	return report
-}
-
-// agreementTolerance derives the state-agreement tolerance of statesAgree
-// from the configured DD weight tolerance: weight round-off compounds over
-// the gate sequence, so the overlap bound sits four orders of magnitude
-// above the interning tolerance.  At the default weight tolerance of 1e-10
-// this reproduces the historical 1e-6 agreement bound exactly; it is capped
-// at 1e-3 so a coarse custom tolerance can never silently accept grossly
-// different states.
-func agreementTolerance(ddTol float64) float64 {
-	tol := ddTol * 1e4
-	if tol > 1e-3 {
-		tol = 1e-3
-	}
-	return tol
 }
 
 func statesAgree(overlap complex128, upToPhase bool, tol float64) bool {

@@ -79,10 +79,8 @@ func TestApplyKernelParity(t *testing.T) {
 				base := Options{R: r, Seed: 1, SkipEC: true}
 				ref := Check(g, pr.gp, base)
 
-				gcPressure := base
 				// Collect after nearly every node allocation.
-				gcPressure.GCThreshold = 32
-				got := Check(g, pr.gp, gcPressure)
+				got := checkAtSimFloor(32, g, pr.gp, base)
 
 				if got.Verdict != ref.Verdict {
 					t.Errorf("gc-pressure: verdict %v, default run said %v", got.Verdict, ref.Verdict)

@@ -19,7 +19,7 @@ func TestDegradedChangesOnlyRetryFields(t *testing.T) {
 		"Context": true, "Provers": true, "RetryCrashed": true, "R": true, "Seed": true,
 		"Stimuli": true, "SkipEC": true, "Strategy": true, "ECTimeout": true,
 		"RewritePrefilter": true, "ZXPrefilter": true, "UpToGlobalPhase": true,
-		"OutputPerm": true, "Tolerance": true, "GCThreshold": true,
+		"OutputPerm": true, "Tolerance": true,
 		"MemSoftLimit": true, "MemHardLimit": true, "FidelityThreshold": true,
 	}
 	var opts Options

@@ -6,14 +6,15 @@ import (
 	"sync/atomic"
 
 	"qcec/internal/circuit"
+	"qcec/internal/cn"
 	"qcec/internal/dd"
 	"qcec/internal/resource"
 	"qcec/internal/sim"
 )
 
-// simRunner bundles the per-worker simulation state: one DD package, one
-// simulator, and the pre-built un-permutation matrix if the pair declares an
-// output permutation.
+// simRunner bundles the per-worker simulation state: one leased DD package,
+// one simulator, and the pre-built un-permutation matrix if the pair
+// declares an output permutation.
 type simRunner struct {
 	p         *dd.Package
 	s         *sim.Simulator
@@ -22,14 +23,6 @@ type simRunner struct {
 	upToPhase bool
 	agreeTol  float64 // state-agreement tolerance, derived from the DD tolerance
 	threshold float64 // approximate mode when > 0
-
-	// removeGauge unregisters this runner's occupancy gauge from the memory
-	// watchdog; nil when the flow runs without one.
-	removeGauge func()
-
-	// pool, when non-nil, is where the package came from and where release
-	// returns it.
-	pool *dd.Pool
 }
 
 // simGCFloor is the collection floor of the simulation stage's packages,
@@ -41,78 +34,30 @@ type simRunner struct {
 // nodes and creates about 4.6 times the nodes; at this one the stage of a
 // typical check never collects, while the complete check, whose garbage is
 // rarely revisited, keeps the small floor and its cache-sized tables.
-const simGCFloor = 1 << 18
+// Tests lower it to force collections (1 collects at every safe point) and
+// restore it; it is a variable for them alone.
+var simGCFloor = 1 << 18
 
+// newSimRunner leases the worker's package on the flow's context, so a
+// cancellation reaches inside a single large simulation, not just between
+// stimuli (the resulting *dd.LimitError panic is recovered by the stimulus
+// loops below), and a memory watchdog on the context sees the package.
 func newSimRunner(n int, opts Options) *simRunner {
-	tol := opts.Tolerance
-	if tol == 0 {
-		tol = 1e-10
-	}
-	var p *dd.Package
-	if opts.Pool != nil {
-		// A pooled package arrives reset (Pool.Put resets before re-listing),
-		// so the per-job configuration below starts from the same defaults a
-		// fresh package would.
-		p = opts.Pool.Get(n, tol)
-	} else {
-		p = dd.New(n, tol)
-	}
 	r := &simRunner{
-		p:         p,
-		pool:      opts.Pool,
+		p:         opts.Pool.Lease(opts.Context, n, opts.Tolerance),
 		havePerm:  opts.OutputPerm != nil,
 		upToPhase: opts.UpToGlobalPhase,
-		agreeTol:  agreementTolerance(tol),
+		agreeTol:  cn.AgreementTolerance(opts.Tolerance),
 		threshold: opts.FidelityThreshold,
 	}
-	if opts.GCThreshold > 0 {
-		r.p.SetGCThreshold(opts.GCThreshold)
-	} else {
-		r.p.SetGCThreshold(simGCFloor)
-	}
-	if ctx := opts.Context; ctx != nil {
-		// Cancellation must reach inside a single large simulation, not just
-		// between stimuli; the resulting *dd.LimitError panic is recovered by
-		// the stimulus loops below.
-		r.p.SetCancel(func() bool { return ctx.Err() != nil })
-	}
-	if w := resource.FromContext(opts.Context); w != nil {
-		// Under a memory watchdog: observe pressure epochs at this package's
-		// GC safe points and report its occupancy to the sampler.
-		r.p.SetPressure(w.Epoch)
-		r.removeGauge = w.AddGauge(r.p.OccupancyGauge())
-	}
+	r.p.SetGCThreshold(simGCFloor)
 	r.s = sim.NewOn(r.p)
 	if r.havePerm {
 		// Pinned for the runs' collections: compare applies it after both.
-		r.unperm = sim.PermutationDD(r.p, invertPerm(opts.OutputPerm))
+		r.unperm = sim.PermutationDD(r.p, circuit.InversePermutation(opts.OutputPerm))
 		r.s.PinnedM = []dd.MEdge{r.unperm}
 	}
 	return r
-}
-
-// close unregisters the runner from the watchdog (if any) and hands the
-// package back to the pool; the package must not be sampled after its owning
-// goroutine exits.  *errp distinguishes the exit path: a runner that died on
-// a genuine panic (recoverWorker stored a *resource.PanicError) must not
-// recycle its package — injected chaos may have corrupted internal state the
-// reset cannot undo (e.g. a non-finite weight interned into the shared
-// table).  Absorbed cancellations (err == nil) recycle normally.  Callers
-// must defer close BEFORE deferring recoverWorker so the error is already
-// recorded when close runs, and BEFORE the Snapshot defer so statistics are
-// read before the reset zeroes them.
-func (r *simRunner) close(errp *error) {
-	if r.removeGauge != nil {
-		r.removeGauge()
-	}
-	if r.pool == nil {
-		return
-	}
-	if errp != nil && *errp != nil {
-		r.pool.Forget()
-		return
-	}
-	r.pool.Put(r.p)
 }
 
 // sharedProgs holds the one read-only compilation of the circuit pair that
@@ -194,9 +139,9 @@ func cancelled(opts Options) bool {
 }
 
 // recoverWorker isolates a simulation worker: the *dd.LimitError panic raised
-// by the SetCancel hook mid-simulation is absorbed silently (limit errors can
-// only be cancellations here — the stimulus loops install no node limit or
-// deadline), and any other panic is converted into a typed
+// by the lease's cancellation hook mid-simulation is absorbed silently (limit
+// errors can only be cancellations here — the stimulus loops install no node
+// limit or deadline), and any other panic is converted into a typed
 // *resource.PanicError stored in *errp instead of crashing the process.  Must
 // be installed directly with defer so recover() sees the panic.
 func recoverWorker(op string, errp *error) {
@@ -226,13 +171,17 @@ var (
 // the progress made before the fault.
 func runStimuliSequential(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options) (n int, ce *Counterexample, stats fidStats, ddStats dd.Stats, err error) {
 	r := newSimRunner(g1.N, opts)
-	defer r.close(&err)
+	// Deferred before recoverWorker, so err is set when the lease ends: a
+	// runner that died on a genuine panic (a *resource.PanicError) drops its
+	// package, since injected chaos may have corrupted state the reset
+	// cannot undo (a non-finite interned weight, say), while an absorbed
+	// cancellation (err == nil) recycles it.
+	defer func() { ddStats = r.p.Release(err != nil) }()
 	stats = newFidStats()
-	defer func() { ddStats = r.p.Snapshot() }()
 	// completed counts fully compared stimuli, and the deferred assignment —
 	// not the loop body — publishes it into n.  When a cancellation is
 	// absorbed mid-compare (recoverWorker swallows the *dd.LimitError panic
-	// raised by the SetCancel hook), NumSims therefore reports only the
+	// raised by the lease's cancellation hook), NumSims therefore reports only the
 	// stimuli whose comparison actually finished, never the in-flight one.
 	completed := 0
 	defer func() { n = completed }()
@@ -281,8 +230,7 @@ func runStimuliParallel(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options)
 		go func(w int) {
 			defer wg.Done()
 			r := newSimRunner(g1.N, opts)
-			defer r.close(&workerErr[w])
-			defer func() { workerDD[w] = r.p.Snapshot() }()
+			defer func() { workerDD[w] = r.p.Release(workerErr[w] != nil) }() // before recoverWorker, as in runStimuliSequential
 			defer recoverWorker(fmt.Sprintf("core.sim worker %d", w), &workerErr[w])
 			for i := w; i < len(stimuli); i += workers {
 				if cancelled(opts) {

@@ -152,7 +152,7 @@ func TestApplyGateVAcrossGC(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	p := NewDefault(4)
 	epoch := uint64(0)
-	p.SetPressure(func() uint64 { epoch++; return epoch }) // every MaybeGC flushes
+	p.setPressure(func() uint64 { epoch++; return epoch }) // every MaybeGC flushes
 	st := randomKernelState(p, rng)
 	for trial := 0; trial < 40; trial++ {
 		u := randomUnitary(rng)

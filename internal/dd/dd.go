@@ -43,9 +43,9 @@
 // concurrent use.  Concurrent clients — the parallel simulation stage in
 // internal/core and the prover portfolio in internal/portfolio — must give
 // every goroutine its own Package and never share edges between packages.
-// Cooperative cancellation across that boundary is provided by SetCancel
-// (and SetDeadline), which a goroutine installs on its own package before
-// starting work.
+// Cooperative cancellation across that boundary is provided by Pool.Lease,
+// which wires the package a goroutine checks out to that goroutine's
+// context (and by SetDeadline).
 package dd
 
 import (
@@ -155,7 +155,7 @@ type Package struct {
 	// cancel, when set, is polled at the same allocation checkpoint as the
 	// deadline; returning true panics with a *LimitError whose Cancelled
 	// field is set.  This is how context cancellation reaches inside a
-	// single long-running DD operation.
+	// single long-running DD operation (see Pool.Lease).
 	cancel     func() bool
 	allocCount uint64
 
@@ -170,11 +170,18 @@ type Package struct {
 	pressureGCs  uint64
 
 	// occupancy mirrors the unique-table population for cross-goroutine
-	// observers (the memory watchdog).  It is the only Package field written
-	// by the owner and read by another goroutine, hence the atomic; it is
-	// refreshed at allocation checkpoints and after collections, so it lags
-	// the true population by at most a few hundred nodes.
+	// observers (the memory watchdog samples it as the lease's gauge).  It
+	// is the only Package field written by the owner and read by another
+	// goroutine, hence the atomic; it is refreshed at allocation checkpoints
+	// and after collections, so it lags the true population by at most a
+	// few hundred nodes.
 	occupancy atomic.Int64
+
+	// pool and removeGauge belong to the current lease (see Pool.Lease):
+	// where Release hands the package back, and how it unregisters the
+	// occupancy gauge from the memory watchdog.
+	pool        *Pool
+	removeGauge func()
 
 	// faults is the fault-injection seam: when non-nil, BeforeApply runs at
 	// every gate-application entry point with a per-package ordinal.  It is
@@ -201,7 +208,7 @@ type LimitError struct {
 	Nodes     int
 	Limit     int
 	Deadline  bool // true when the wall-clock deadline tripped
-	Cancelled bool // true when the SetCancel hook requested a stop
+	Cancelled bool // true when the lease's context was cancelled
 }
 
 // Error formats the limit violation.
@@ -226,13 +233,13 @@ func (p *Package) SetNodeLimit(n int) { p.nodeLimit = n }
 // multiplication.
 func (p *Package) SetDeadline(t time.Time) { p.deadline = t }
 
-// SetCancel installs (or with nil removes) a cooperative cancellation hook,
-// polled every few thousand node allocations.  When the hook returns true the
+// setCancel installs (or with nil removes) a cooperative cancellation hook,
+// polled every 8192 node allocations.  When the hook returns true the
 // current DD operation panics with a *LimitError whose Cancelled field is
 // set, which long-running clients (internal/ec, internal/core) recover and
-// turn into a cancelled verdict.  The typical hook closes over a
-// context.Context: func() bool { return ctx.Err() != nil }.
-func (p *Package) SetCancel(f func() bool) { p.cancel = f }
+// turn into a cancelled verdict.  Pool.Lease installs the hook of its
+// context.
+func (p *Package) setCancel(f func() bool) { p.cancel = f }
 
 func (p *Package) checkLimit() {
 	if p.nodeLimit > 0 {
@@ -254,24 +261,18 @@ func (p *Package) checkLimit() {
 	}
 }
 
-// SetPressure installs (or with nil removes) a memory-pressure hook, polled
+// setPressure installs (or with nil removes) a memory-pressure hook, polled
 // at every MaybeGC decision.  When the returned epoch differs from the last
 // observed one, the next MaybeGC collects unconditionally and flushes the
 // gate registry — this is how the resource watchdog's soft limit reaches a
-// package it must not touch directly (Package is single-goroutine).  The
-// typical hook is resource.Watchdog.Epoch.
-func (p *Package) SetPressure(f func() uint64) {
+// package it must not touch directly (Package is single-goroutine).
+// Pool.Lease installs the epoch of its context's watchdog.
+func (p *Package) setPressure(f func() uint64) {
 	p.pressure = f
 	if f != nil {
 		p.pressureSeen = f()
 	}
 }
-
-// OccupancyGauge returns a function reporting the package's approximate live
-// node population, safe to call from any goroutine (the memory watchdog
-// samples it off-thread).  The value is refreshed at allocation checkpoints
-// and after collections.
-func (p *Package) OccupancyGauge() func() int64 { return p.occupancy.Load }
 
 func (p *Package) updateOccupancy() {
 	p.occupancy.Store(int64(p.NodeCount()))

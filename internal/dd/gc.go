@@ -126,7 +126,7 @@ func (p *Package) gcTrigger() int {
 
 // MaybeGC runs GC when the unique-table population reaches gcTrigger, or
 // unconditionally when the memory watchdog has bumped its pressure epoch
-// since the last check (see SetPressure) — a pressure-forced collection
+// since the last check (see setPressure) — a pressure-forced collection
 // also flushes the gate registry, whose DDs are rebuildable ballast.  It
 // reports whether a collection ran.
 func (p *Package) MaybeGC(rootsV []VEdge, rootsM []MEdge) bool {

@@ -1,8 +1,12 @@
 package dd
 
 import (
+	"context"
 	"sync"
 	"time"
+
+	"qcec/internal/cn"
+	"qcec/internal/resource"
 )
 
 // Warm-package pooling.  Creating a Package is cheap since the lazy compute
@@ -32,7 +36,7 @@ import (
 //     (re-copied from the process-wide default, exactly as New does).
 //
 // Reset must be called by the package's owning goroutine, like every other
-// method; a Pool serializes ownership handover.
+// method; a Pool serializes ownership handover (Lease, Release).
 func (p *Package) Reset() {
 	// Per-job control state first: nothing below may observe a stale hook.
 	p.nodeLimit = 0
@@ -83,8 +87,8 @@ type poolKey struct {
 // arena slabs, so without a bound a long-lived package only ever grows: the
 // weight table keeps every value any job interned, and a package that once
 // held a large live set would sweep its big arena (see gcSweepShare) and
-// probe its big tables in every later small job.  Put drops a package past
-// either bound, and the next Get starts fresh.  Both sit far above what
+// probe its big tables in every later small job.  Release drops a package
+// past either bound, and the next Lease starts fresh.  Both sit far above what
 // hundreds of routed 5-qubit checks accumulate (about 46k weights after
 // 160 distinct pairs, arenas near the collection floor); the slot bound is
 // twice the simulation stage's floor (2^18 nodes, see core), so a package
@@ -101,11 +105,11 @@ const (
 const DefaultPoolPerBucket = 8
 
 // Pool is a bounded free list of warm Packages, safe for concurrent use.
-// Get hands out exclusive ownership (the Package itself remains
-// single-goroutine); Put resets the package and, if the bucket has room,
-// retains it for the next Get.  Packages whose state is suspect — e.g. after
-// a recovered panic under fault injection — should be dropped on the floor
-// and recorded with Forget instead of returned.
+// Lease hands out exclusive ownership (the Package itself remains
+// single-goroutine); Release resets the package and, if the bucket has
+// room, retains it for the next Lease.  Packages whose state is suspect —
+// after a recovered panic under fault injection, say — are dropped instead
+// and counted as forgotten.
 type Pool struct {
 	mu        sync.Mutex
 	perBucket int
@@ -116,11 +120,11 @@ type Pool struct {
 
 // PoolStats is a snapshot of a Pool's activity.
 type PoolStats struct {
-	Gets      uint64 // packages handed out
+	Gets      uint64 // packages leased
 	Reuses    uint64 // of those, served from the free list (warm)
-	Puts      uint64 // packages returned
-	Discards  uint64 // returns dropped: bucket full, or the package outgrew the pool's bounds
-	Forgotten uint64 // suspect packages recorded via Forget
+	Puts      uint64 // packages released back
+	Discards  uint64 // releases dropped: bucket full, or the package outgrew the pool's bounds
+	Forgotten uint64 // suspect packages dropped by Release(true)
 	Idle      int    // packages currently pooled across all buckets
 }
 
@@ -133,10 +137,63 @@ func NewPool(perBucket int) *Pool {
 	return &Pool{perBucket: perBucket, idle: make(map[poolKey][]*Package)}
 }
 
-// Get returns a package for n qubits at the given weight tolerance: a warm
-// pooled one when available, a fresh one otherwise.  The caller owns the
-// package exclusively until it calls Put (or drops it).
-func (pl *Pool) Get(n int, tol float64) *Package {
+// Lease checks out a package for one job on n qubits at weight tolerance
+// tol (0 = cn.DefaultTolerance): a warm pooled one when its bucket has one,
+// a fresh one otherwise, and always a fresh one from a nil Pool.  The lease
+// wires the package to ctx, which may be nil: ctx's cancellation reaches
+// inside long DD operations as a *LimitError panic with Cancelled set, and
+// a memory watchdog carried by ctx (resource.FromContext) forces a
+// collection at the package's next MaybeGC after each soft trip and samples
+// its node occupancy.  The caller owns the package exclusively until it
+// calls Release.
+func (pl *Pool) Lease(ctx context.Context, n int, tol float64) *Package {
+	if tol == 0 {
+		tol = cn.DefaultTolerance
+	}
+	var p *Package
+	if pl != nil {
+		p = pl.get(n, tol)
+	} else {
+		p = New(n, tol)
+	}
+	p.pool = pl
+	if ctx != nil {
+		p.setCancel(func() bool { return ctx.Err() != nil })
+	}
+	if w := resource.FromContext(ctx); w != nil {
+		p.setPressure(w.Epoch)
+		p.removeGauge = w.AddGauge(p.occupancy.Load)
+	}
+	return p
+}
+
+// Release ends the lease and returns the package's statistics, snapshotted
+// before anything is reset.  It unregisters the package from the watchdog
+// and hands it back to its pool (see put).  fault reports that the caller
+// recovered a genuine panic on the package — anything but a *LimitError —
+// after which its internal state (an injected non-finite weight in the
+// interning table, say) can no longer be trusted: the package is then
+// dropped and counted in PoolStats.Forgotten.  Neither the package nor any
+// edge obtained from it may be used afterwards.
+func (p *Package) Release(fault bool) Stats {
+	st := p.Snapshot()
+	if p.removeGauge != nil {
+		p.removeGauge()
+	}
+	pl := p.pool
+	p.pool, p.removeGauge = nil, nil
+	switch {
+	case pl == nil:
+	case fault:
+		pl.forget()
+	default:
+		pl.put(p)
+	}
+	return st
+}
+
+// get returns a pooled package for the bucket, or a fresh one.
+func (pl *Pool) get(n int, tol float64) *Package {
 	k := poolKey{n: n, tol: tol}
 	pl.mu.Lock()
 	pl.gets++
@@ -152,15 +209,11 @@ func (pl *Pool) Get(n int, tol float64) *Package {
 	return New(n, tol)
 }
 
-// Put resets the package and returns it to its bucket.  The package is
+// put resets the package and returns it to its bucket.  The package is
 // dropped instead (the Go GC reclaims it) when the bucket is full, or when
 // its interned weights or arena slots exceed the pool's bounds
-// (poolMaxWeights, poolMaxSlots).  The caller must not touch the package —
-// or any edge obtained from it — afterwards.
-func (pl *Pool) Put(p *Package) {
-	if p == nil {
-		return
-	}
+// (poolMaxWeights, poolMaxSlots).
+func (pl *Pool) put(p *Package) {
 	// Reset never drops weights or shrinks the slabs, so an outgrown
 	// package is dropped without paying for it.
 	keep := p.CN.Size() <= poolMaxWeights && p.vA.slots()+p.mA.slots() <= poolMaxSlots
@@ -168,8 +221,8 @@ func (pl *Pool) Put(p *Package) {
 		// Reset outside the lock: its collection — a mark over the warm
 		// gate registry, a sweep over the arena slabs and a rebuild of the
 		// unique tables, all linear in what the job left behind — is the
-		// expensive part, and it only touches p, which the caller still
-		// owns.
+		// expensive part, and it only touches p, which the releasing
+		// caller still owns.
 		p.Reset()
 	}
 	k := poolKey{n: p.n, tol: p.CN.Tolerance()}
@@ -183,11 +236,8 @@ func (pl *Pool) Put(p *Package) {
 	pl.idle[k] = append(pl.idle[k], p)
 }
 
-// Forget records that a package obtained from Get was intentionally not
-// returned — the caller recovered a genuine panic on it and its internal
-// state (e.g. an injected non-finite weight in the interning table) can no
-// longer be trusted.
-func (pl *Pool) Forget() {
+// forget records a leased package dropped after a genuine panic.
+func (pl *Pool) forget() {
 	pl.mu.Lock()
 	pl.forgotten++
 	pl.mu.Unlock()

@@ -1,11 +1,14 @@
 package dd
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
+
+	"qcec/internal/resource"
 )
 
 // ghzJob runs a small GHZ-construction workload on p and sanity-checks the
@@ -42,8 +45,8 @@ func TestResetClearsPerJobState(t *testing.T) {
 	p.SetFaultInjector(inj)
 	p.SetNodeLimit(1 << 20)
 	p.SetDeadline(time.Now().Add(time.Hour))
-	p.SetCancel(func() bool { return false })
-	p.SetPressure(func() uint64 { return 7 })
+	p.setCancel(func() bool { return false })
+	p.setPressure(func() uint64 { return 7 })
 	p.SetGCThreshold(123)
 	ghzJob(t, p)
 	if inj.calls == 0 {
@@ -190,30 +193,30 @@ func TestResetKeepsWarmState(t *testing.T) {
 
 func TestPoolReuseBoundsAndBuckets(t *testing.T) {
 	pl := NewPool(1)
-	p1 := pl.Get(3, 1e-10)
+	p1 := pl.get(3, 1e-10)
 	ghzJob(t, p1)
-	pl.Put(p1)
-	if p2 := pl.Get(3, 1e-10); p2 != p1 {
+	pl.put(p1)
+	if p2 := pl.get(3, 1e-10); p2 != p1 {
 		t.Errorf("pool did not hand back the idle package")
 	} else {
-		pl.Put(p2)
+		pl.put(p2)
 	}
 
 	// A different register size or tolerance is a different bucket.
-	if q := pl.Get(4, 1e-10); q == p1 {
+	if q := pl.get(4, 1e-10); q == p1 {
 		t.Errorf("pool reused a 3-qubit package for a 4-qubit job")
 	} else if q.Qubits() != 4 {
 		t.Errorf("fresh package has %d qubits, want 4", q.Qubits())
 	}
-	if q := pl.Get(3, 1e-6); q == p1 {
+	if q := pl.get(3, 1e-6); q == p1 {
 		t.Errorf("pool reused a package across tolerances")
 	}
 
 	// Bucket bound: with perBucket == 1 and one idle package, a second Put
 	// into the same bucket is discarded.
 	extra := New(3, 1e-10)
-	pl.Put(extra)
-	pl.Forget()
+	pl.put(extra)
+	pl.forget()
 	st := pl.Stats()
 	if st.Discards != 1 {
 		t.Errorf("Discards = %d, want 1", st.Discards)
@@ -231,43 +234,43 @@ func TestPoolReuseBoundsAndBuckets(t *testing.T) {
 // carrying it into every later job, and counts it as a discard.
 func TestPoolDropsOutgrownPackages(t *testing.T) {
 	pl := NewPool(4)
-	p := pl.Get(3, 1e-10)
+	p := pl.get(3, 1e-10)
 	ghzJob(t, p)
-	pl.Put(p)
+	pl.put(p)
 	if st := pl.Stats(); st.Idle != 1 || st.Discards != 0 {
 		t.Fatalf("an ordinary job's package was not pooled: %+v", st)
 	}
 
 	// Weight bound: a job on the pooled package interned more values than
 	// the bound.
-	p = pl.Get(3, 1e-10)
+	p = pl.get(3, 1e-10)
 	for i := 0; p.CN.Size() <= poolMaxWeights; i++ {
 		p.CN.LookupReal(0.5 + float64(i))
 	}
 	if p.vA.slots()+p.mA.slots() > poolMaxSlots {
 		t.Fatalf("weight case also crossed the slot bound")
 	}
-	pl.Put(p)
+	pl.put(p)
 	if st := pl.Stats(); st.Discards != 1 || st.Idle != 0 {
 		t.Errorf("package with %d weights: stats %+v, want it dropped", p.CN.Size(), st)
 	}
 
 	// Slot bound: slabs grown past the bound by an earlier large live set
 	// (every slot dead by now, as after any job).
-	p = pl.Get(3, 1e-10)
+	p = pl.get(3, 1e-10)
 	for p.vA.slots()+p.mA.slots() <= poolMaxSlots {
 		p.vA.alloc()
 	}
 	if p.CN.Size() > poolMaxWeights {
 		t.Fatalf("slot case also crossed the weight bound")
 	}
-	pl.Put(p)
+	pl.put(p)
 	if st := pl.Stats(); st.Discards != 2 || st.Idle != 0 {
 		t.Errorf("package with %d arena slots: stats %+v, want it dropped", p.vA.slots()+p.mA.slots(), st)
 	}
 
 	// The next Get starts fresh rather than inheriting either.
-	if q := pl.Get(3, 1e-10); q.CN.Size() > poolMaxWeights || q.vA.slots()+q.mA.slots() > poolMaxSlots {
+	if q := pl.get(3, 1e-10); q.CN.Size() > poolMaxWeights || q.vA.slots()+q.mA.slots() > poolMaxSlots {
 		t.Errorf("pool handed out an outgrown package")
 	}
 }
@@ -283,9 +286,9 @@ func TestPoolConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				p := pl.Get(3, 1e-10)
+				p := pl.get(3, 1e-10)
 				ghzJob(t, p)
-				pl.Put(p)
+				pl.put(p)
 				pl.Stats()
 			}
 		}()
@@ -306,12 +309,12 @@ func TestPoolConcurrent(t *testing.T) {
 // pool, and the next job on the same package must observe neither.
 func TestPooledFaultedThenCleanJob(t *testing.T) {
 	pl := NewPool(1)
-	p := pl.Get(3, 1e-10)
+	p := pl.get(3, 1e-10)
 
 	// Faulted job: injector panics partway through, watchdog hook installed.
 	p.SetFaultInjector(&panicInjector{at: 2})
 	epoch := uint64(0)
-	p.SetPressure(func() uint64 { epoch++; return epoch })
+	p.setPressure(func() uint64 { epoch++; return epoch })
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -323,11 +326,11 @@ func TestPooledFaultedThenCleanJob(t *testing.T) {
 	if p.Snapshot().FaultEvents == 0 {
 		t.Fatalf("faulted job recorded no fault events")
 	}
-	pl.Put(p)
+	pl.put(p)
 
 	// Clean job on the recycled package: same pointer, no injector, no
 	// pressure hook, correct result, zero fault events.
-	q := pl.Get(3, 1e-10)
+	q := pl.get(3, 1e-10)
 	if q != p {
 		t.Fatalf("pool handed out a different package; regression not exercised")
 	}
@@ -357,5 +360,91 @@ func TestResetWithDefaultInjector(t *testing.T) {
 	ghzJob(t, p)
 	if inj.calls == 0 {
 		t.Errorf("default injector not firing after Reset")
+	}
+}
+
+// fillBasisStates builds every basis state of p's register — 2^(n+1)-2
+// distinct nodes — and returns the panic that stopped it, if any.
+func fillBasisStates(p *Package) (stopped any) {
+	defer func() { stopped = recover() }()
+	for i := uint64(0); i < 1<<p.Qubits(); i++ {
+		p.BasisState(i)
+	}
+	return nil
+}
+
+// TestLeaseWiresContextAndWatchdog: a lease wires its package to the
+// context it is given.  A cancelled context stops a DD operation within one
+// allocation checkpoint (8192 allocations), and a watchdog on the context
+// samples the package's occupancy and forces a collection at its next
+// MaybeGC after a soft trip.
+func TestLeaseWiresContextAndWatchdog(t *testing.T) {
+	const n = 13 // 16382 distinct basis-state nodes: two checkpoints' worth
+
+	ctx, cancel := context.WithCancel(context.Background())
+	p := (*Pool)(nil).Lease(ctx, n, 0)
+	cancel()
+	r := fillBasisStates(p)
+	if le, ok := r.(*LimitError); !ok || !le.Cancelled {
+		t.Fatalf("cancelled lease: allocation stopped with %v, want a *LimitError with Cancelled set", r)
+	}
+	if created := p.Snapshot().NodesCreated; created > 8192 {
+		t.Errorf("cancellation seen after %d allocations, want within one checkpoint (8192)", created)
+	}
+	p.Release(false)
+
+	w, wctx := resource.Start(context.Background(), resource.Config{SoftLimit: 1, Interval: time.Millisecond})
+	defer w.Stop()
+	p = NewPool(1).Lease(wctx, n, 0)
+	if r := fillBasisStates(p); r != nil {
+		t.Fatalf("uncancelled lease panicked: %v", r)
+	}
+	// Every sample trips the 1-byte soft limit, re-armed every few samples;
+	// wait for a trip after the lease read the epoch.
+	deadline := time.Now().Add(10 * time.Second)
+	for w.Stats().PeakDDNodes == 0 || w.Epoch() == p.pressureSeen {
+		if time.Now().After(deadline) {
+			t.Fatalf("watchdog never saw the leased package: %+v", w.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	p.MaybeGC(nil, nil)
+	if st := p.Release(false); st.PressureGCs != 1 {
+		t.Errorf("PressureGCs = %d after a soft trip, want 1", st.PressureGCs)
+	}
+}
+
+// TestLeaseCountsPoolTraffic pins the pool counters through the lease (qcecd
+// exports them as qcecd_dd_pool_*_total, and the pool reuse ratio reads two
+// of them): a pooled lease counts one Get, a second lease of the bucket
+// after Release(false) one Reuse of the same package, and Release(true) one
+// Forgotten and no Put.
+func TestLeaseCountsPoolTraffic(t *testing.T) {
+	pl := NewPool(1)
+	p := pl.Lease(nil, 3, 0)
+	if st := pl.Stats(); st != (PoolStats{Gets: 1}) {
+		t.Errorf("after one lease: %+v", st)
+	}
+	ghzJob(t, p)
+	if st := p.Release(false); st.NodesCreated == 0 {
+		t.Errorf("Release returned statistics read after the reset: %+v", st)
+	}
+	if st := pl.Stats(); st != (PoolStats{Gets: 1, Puts: 1, Idle: 1}) {
+		t.Errorf("after Release(false): %+v", st)
+	}
+	// Tolerance 0 and the default it stands for are one bucket.
+	q := pl.Lease(nil, 3, 1e-10)
+	if q != p {
+		t.Errorf("second lease of the bucket got a fresh package")
+	}
+	if st := pl.Stats(); st != (PoolStats{Gets: 2, Reuses: 1, Puts: 1}) {
+		t.Errorf("after the second lease: %+v", st)
+	}
+	q.Release(true)
+	if st := pl.Stats(); st != (PoolStats{Gets: 2, Reuses: 1, Puts: 1, Forgotten: 1}) {
+		t.Errorf("after Release(true): %+v", st)
+	}
+	if r := pl.Lease(nil, 3, 0); r == p {
+		t.Errorf("a package released after a fault came back from the pool")
 	}
 }

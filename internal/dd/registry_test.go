@@ -183,13 +183,13 @@ func TestGateRegistrySharedByKernelAndGateDD(t *testing.T) {
 // gates keep their ids.
 func TestGateRegistryWarmAcrossPoolReset(t *testing.T) {
 	pl := NewPool(1)
-	p := pl.Get(4, 1e-10)
+	p := pl.get(4, 1e-10)
 	pg := p.PrepareSpec(GateSpec{U: hMat, Target: 0})
 	warmGates(p)
 	built := p.Snapshot().GateCacheSize
-	pl.Put(p)
+	pl.put(p)
 
-	q := pl.Get(4, 1e-10)
+	q := pl.get(4, 1e-10)
 	if q != p {
 		t.Fatal("pool did not hand back the warm package")
 	}
@@ -215,7 +215,7 @@ func TestGateRegistryPressureFlush(t *testing.T) {
 	pg := p.PrepareSpec(GateSpec{U: hMat, Target: 1, Controls: []Control{{Qubit: 0}}})
 	p.GateDD(xMat, 2, nil)
 	epoch := uint64(0)
-	p.SetPressure(func() uint64 { return epoch })
+	p.setPressure(func() uint64 { return epoch })
 	st := p.BasisState(0b001)
 	epoch++
 	if !p.MaybeGC([]VEdge{st}, nil) {

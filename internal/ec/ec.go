@@ -29,6 +29,10 @@
 //
 // All strategies support cooperative timeouts and node budgets, making
 // "Timeout" a first-class verdict exactly as in the paper's evaluation.
+// Every DD run here — the complete check, and the stabilizer strategy's
+// phase anchor — leases its package from Options.Pool (dd.Pool.Lease),
+// which wires it to Options.Context and to any memory watchdog the context
+// carries, and recovers its panics with one guard (see guard).
 package ec
 
 import (
@@ -39,6 +43,7 @@ import (
 	"time"
 
 	"qcec/internal/circuit"
+	"qcec/internal/cn"
 	"qcec/internal/dd"
 	"qcec/internal/resource"
 	"qcec/internal/sim"
@@ -148,10 +153,14 @@ type Options struct {
 	// Strategy selects the gate alternation scheme (default Proportional).
 	Strategy Strategy
 	// Context, when non-nil, cancels the check cooperatively: the gate
-	// application loops poll ctx.Err() between gates, and the DD package
-	// polls it inside long-running operations (see dd.Package.SetCancel).
+	// application loops poll ctx.Err() between gates, and the leased DD
+	// package polls it inside long-running operations (see dd.Pool.Lease).
 	// A cancelled check returns TimedOut with Cause == CauseCancelled.
-	// This is how the prover portfolio stops losing provers promptly.
+	// This is how the prover portfolio stops losing provers promptly.  A
+	// memory watchdog on the context (core.Check starts one for
+	// core.Options.MemSoftLimit/MemHardLimit) forces the package to collect
+	// under its soft limit, and its hard limit stops the check with
+	// CauseMemLimit.
 	Context context.Context
 	// Timeout bounds the wall-clock time of the check; zero means no limit.
 	Timeout time.Duration
@@ -166,7 +175,9 @@ type Options struct {
 	// wire q of G carries (routers that relabel instead of un-swapping).
 	// nil means the identity assignment.
 	OutputPerm []int
-	// Tolerance overrides the DD package weight tolerance (0 = default).
+	// Tolerance overrides the DD package weight tolerance (0 =
+	// cn.DefaultTolerance); the verdict bounds derive from it through
+	// cn.AgreementTolerance.
 	Tolerance float64
 	// CostProfile, for StrategyGateCost, gives the number of gates of g2
 	// that source gate i of g1 lowered to — the native profile emitted by
@@ -176,18 +187,10 @@ type Options struct {
 	// static per-kind estimate (EstimateCostProfile).  Other strategies
 	// ignore it.
 	CostProfile []int
-	// MemSoftLimit / MemHardLimit, in bytes, put the check under a memory
-	// watchdog (internal/resource): above the soft limit the DD package is
-	// forced to collect and flush caches, above the hard limit the check is
-	// cancelled with Cause == CauseMemLimit.  They are ignored when Context
-	// already carries a watchdog (core.Check starts one per flow or race);
-	// zero disables the respective bound.
-	MemSoftLimit uint64
-	MemHardLimit uint64
-	// Pool, when non-nil, supplies a warm DD package (dd.Pool.Get) instead
-	// of a fresh dd.New, and receives it back reset when the check ends
-	// cleanly.  Packages that survived a genuine panic are dropped, not
-	// returned.  Verdicts are identical either way.
+	// Pool, when non-nil, supplies a warm DD package (dd.Pool.Lease)
+	// instead of a fresh one, and receives it back reset when the check
+	// ends cleanly.  Packages that survived a genuine panic are dropped,
+	// not returned.  Verdicts are identical either way.
 	Pool *dd.Pool
 }
 
@@ -272,10 +275,6 @@ type Result struct {
 	// DD snapshots the check's DD-package statistics (gate-registry and
 	// compute-table hit rates, unique-table activity, GC reclaims).
 	DD dd.Stats
-	// Mem snapshots the memory watchdog's counters when this check started
-	// its own watchdog (MemSoftLimit/MemHardLimit set and no watchdog on the
-	// context); nil otherwise.
-	Mem *resource.Stats
 }
 
 // Equivalent reports whether the verdict establishes equivalence under the
@@ -289,25 +288,10 @@ type checker struct {
 	opts     Options
 	deadline time.Time
 	// agreeTol is the classification tolerance derived from the DD weight
-	// tolerance (agreementTolerance); it bounds both the up-to-phase
+	// tolerance (cn.AgreementTolerance); it bounds both the up-to-phase
 	// magnitude band and the counterexample fidelity threshold.
 	agreeTol float64
 	result   Result
-}
-
-// agreementTolerance derives the classification tolerance from the DD weight
-// tolerance: amplitudes drift through long gate chains, so the band is a few
-// orders of magnitude looser than the single-operation tolerance, capped so a
-// sloppy package still cannot certify a genuinely different magnitude.  The
-// same derivation (and cap) is used by core.statesAgree and
-// circuit.CliffordAngleTolerance; with the default weight tolerance of 1e-10
-// it reproduces the historical 1e-6 band.
-func agreementTolerance(ddTol float64) float64 {
-	tol := ddTol * 1e4
-	if tol > 1e-3 {
-		tol = 1e-3
-	}
-	return tol
 }
 
 // cancelCause classifies a context cancellation: a *resource.MemoryLimitError
@@ -355,37 +339,14 @@ func Check(g1, g2 *circuit.Circuit, opts Options) Result {
 			Reason:   fmt.Sprintf("register sizes differ (%d vs %d)", g1.N, g2.N),
 		}
 	}
-	tol := opts.Tolerance
-	if tol == 0 {
-		tol = 1e-10
-	}
 	if opts.Strategy == StrategyStabilizer {
-		// The tableau fast path never touches a DD package unless it has to
-		// anchor a strict-phase verdict, so it is dispatched before any
-		// package or watchdog setup — a non-Clifford pair pays only the
+		// The tableau fast path leases a DD package only to anchor a
+		// strict-phase verdict, so a non-Clifford pair pays only the
 		// gate-set scan.
-		return checkStabilizer(g1, g2, opts, tol)
+		return checkStabilizer(g1, g2, opts)
 	}
-	// Put the check under a memory watchdog when limits are configured and
-	// the caller has not already provided one through the context (core.Check
-	// runs one watchdog per flow or race).
-	w := resource.FromContext(opts.Context)
-	ownWatchdog := false
-	if w == nil && (opts.MemSoftLimit > 0 || opts.MemHardLimit > 0) {
-		w, opts.Context = resource.Start(opts.Context, resource.Config{
-			SoftLimit: opts.MemSoftLimit,
-			HardLimit: opts.MemHardLimit,
-		})
-		ownWatchdog = true
-	}
-	var p *dd.Package
-	if opts.Pool != nil {
-		p = opts.Pool.Get(g1.N, tol)
-	} else {
-		p = dd.New(g1.N, tol)
-	}
-	genuineFault := false
-	c := &checker{p: p, opts: opts, agreeTol: agreementTolerance(tol)}
+	p := opts.Pool.Lease(opts.Context, g1.N, opts.Tolerance)
+	c := &checker{p: p, opts: opts, agreeTol: cn.AgreementTolerance(opts.Tolerance)}
 	c.result.Strategy = opts.Strategy
 	if opts.Timeout > 0 {
 		c.deadline = time.Now().Add(opts.Timeout)
@@ -396,50 +357,10 @@ func Check(g1, g2 *circuit.Circuit, opts Options) Result {
 	if opts.NodeLimit > 0 {
 		p.SetNodeLimit(opts.NodeLimit)
 	}
-	if ctx := opts.Context; ctx != nil {
-		// Reach cancellation inside long DD operations, where the per-gate
-		// expired() polls cannot.
-		p.SetCancel(func() bool { return ctx.Err() != nil })
-	}
-	var removeGauge func()
-	if w != nil {
-		p.SetPressure(w.Epoch)
-		removeGauge = w.AddGauge(p.OccupancyGauge())
-	}
 	start := time.Now()
+	fault := false
 	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				return
-			}
-			if le, ok := r.(*dd.LimitError); ok {
-				c.result.Verdict = TimedOut
-				c.result.Reason = le.Error()
-				switch {
-				case le.Cancelled:
-					if ctx := c.opts.Context; ctx != nil {
-						c.result.Cause, c.result.Reason, c.result.Err = cancelCause(ctx)
-					} else {
-						c.result.Cause = CauseCancelled
-					}
-				case le.Deadline:
-					c.result.Cause = CauseTimeout
-				default:
-					c.result.Cause = CauseNodeLimit
-				}
-				return
-			}
-			// Anything else is a genuine fault (degenerate input, injected
-			// chaos, or a bug): isolate it as a typed error instead of
-			// crossing the prover boundary as a crash.
-			perr := resource.NewPanicError("ec "+c.opts.Strategy.String(), r)
-			genuineFault = true
-			c.result.Verdict = TimedOut
-			c.result.Cause = CauseError
-			c.result.Err = perr
-			c.result.Reason = perr.Error()
-		}()
+		defer guard(opts.Context, "ec "+opts.Strategy.String(), &c.result, &fault)
 		switch opts.Strategy {
 		case Construction:
 			c.runConstruction(g1, g2)
@@ -449,29 +370,38 @@ func Check(g1, g2 *circuit.Circuit, opts Options) Result {
 	}()
 	c.result.Runtime = time.Since(start)
 	c.result.FinalNodes = p.NodeCount()
-	c.result.DD = p.Snapshot()
-	if n := p.NodeCount(); n > c.result.PeakNodes {
-		c.result.PeakNodes = n
-	}
-	if removeGauge != nil {
-		removeGauge()
-	}
-	if ownWatchdog {
-		w.Stop()
-		st := w.Stats()
-		c.result.Mem = &st
-	}
-	if opts.Pool != nil {
-		// Recycle only after the snapshot above — Put resets the package and
-		// zeroes its counters.  A package that survived a genuine panic may
-		// hold corrupted internal state the reset cannot undo; drop it.
-		if genuineFault {
-			opts.Pool.Forget()
-		} else {
-			opts.Pool.Put(p)
-		}
-	}
+	c.result.PeakNodes = max(c.result.PeakNodes, c.result.FinalNodes)
+	c.result.DD = p.Release(fault)
 	return c.result
+}
+
+// guard is the panic guard of every DD run in this package: the complete
+// check and the stabilizer's phase anchor.  Deferred directly, it turns a
+// *dd.LimitError into a TimedOut verdict with the limit's cause, and any
+// other panic (degenerate input, injected chaos, a bug) into CauseError
+// with a *resource.PanicError instead of a crash across the prover
+// boundary.  It reports the latter in *fault: the package that panicked
+// must not go back to its pool.
+func guard(ctx context.Context, op string, res *Result, fault *bool) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	res.Verdict = TimedOut
+	le, ok := r.(*dd.LimitError)
+	switch {
+	case !ok:
+		perr := resource.NewPanicError(op, r)
+		*fault = true
+		res.Cause, res.Reason, res.Err = CauseError, perr.Error(), perr
+	case le.Cancelled:
+		// Only the lease's hook on ctx raises a cancellation.
+		res.Cause, res.Reason, res.Err = cancelCause(ctx)
+	case le.Deadline:
+		res.Cause, res.Reason = CauseTimeout, le.Error()
+	default:
+		res.Cause, res.Reason = CauseNodeLimit, le.Error()
+	}
 }
 
 // target returns the matrix the accumulated product U'·U† must equal for the
@@ -647,8 +577,8 @@ func proportionalSchedule(n1, n2 int) []int {
 // (paper Sec. IV-A), a short deterministic-then-random probe almost always
 // succeeds.  A column counts as disagreeing when its fidelity falls below
 // 1-tol, with tol derived from the package weight tolerance
-// (agreementTolerance) so a loose package does not manufacture witnesses out
-// of its own rounding.
+// (cn.AgreementTolerance) so a loose package does not manufacture witnesses
+// out of its own rounding.
 func findCounterexample(p *dd.Package, m, target dd.MEdge, tol float64) (uint64, bool) {
 	n := p.Qubits()
 	var limit uint64

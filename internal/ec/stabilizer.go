@@ -6,16 +6,17 @@ import (
 	"time"
 
 	"qcec/internal/circuit"
+	"qcec/internal/cn"
 	"qcec/internal/dd"
-	"qcec/internal/resource"
 	"qcec/internal/sim"
 	"qcec/internal/stab"
 )
 
 // This file is the StrategyStabilizer backend: the polynomial-time Clifford
-// checker (internal/stab) dressed in the complete routine's Result shape,
-// resource contracts and pool/watchdog discipline, so the portfolio, the
-// CLI and the server route to it exactly like any DD strategy.
+// checker (internal/stab) dressed in the complete routine's Result shape and
+// resource contracts, so the portfolio, the CLI and the server route to it
+// exactly like any DD strategy.  Its one DD package, for the strict-phase
+// anchor, is leased and guarded exactly like the complete check's.
 
 // NotCliffordError reports why the stabilizer strategy declined a pair: the
 // gate-set analyzer found a gate outside the Clifford set in one of the
@@ -32,22 +33,9 @@ func (e *NotCliffordError) Error() string {
 	return fmt.Sprintf("stabilizer: %s gate %d (%s) is not Clifford", e.Circuit, e.GateIndex, e.Gate)
 }
 
-// anchorTolerance derives the phase-anchor agreement bound from the DD
-// weight tolerance — the same four-orders-of-magnitude derivation as core's
-// agreementTolerance (weight round-off compounds over the gate sequence),
-// capped at 1e-3.  At the default weight tolerance this is 1e-6.
-func anchorTolerance(ddTol float64) float64 {
-	tol := ddTol * 1e4
-	if tol > 1e-3 {
-		tol = 1e-3
-	}
-	return tol
-}
-
-// checkStabilizer runs the tableau fast path.  tol is the already-defaulted
-// DD weight tolerance; the analyzer's angle snap and the phase anchor's
-// agreement bound both derive from it.
-func checkStabilizer(g1, g2 *circuit.Circuit, opts Options, tol float64) Result {
+// checkStabilizer runs the tableau fast path.  The analyzer's angle snap and
+// the phase anchor's agreement bound both derive from opts.Tolerance.
+func checkStabilizer(g1, g2 *circuit.Circuit, opts Options) Result {
 	start := time.Now()
 	res := Result{Strategy: StrategyStabilizer}
 	finish := func() Result {
@@ -56,7 +44,7 @@ func checkStabilizer(g1, g2 *circuit.Circuit, opts Options, tol float64) Result 
 	}
 
 	// One-pass gate-set scan; a non-Clifford gate ends the check here.
-	angleTol := circuit.CliffordAngleTolerance(tol)
+	angleTol := circuit.CliffordAngleTolerance(opts.Tolerance)
 	ops1, bad, ok := circuit.LowerClifford(g1, angleTol)
 	if !ok {
 		res.Verdict = TimedOut
@@ -73,27 +61,6 @@ func checkStabilizer(g1, g2 *circuit.Circuit, opts Options, tol float64) Result 
 		res.Reason = res.Err.Error()
 		return finish()
 	}
-
-	// Same watchdog discipline as the DD strategies: honor one already on
-	// the context, otherwise start our own when limits are configured (the
-	// tableau itself is a few kilobytes, but the strict-phase anchor below
-	// builds state DDs).
-	w := resource.FromContext(opts.Context)
-	ownWatchdog := false
-	if w == nil && (opts.MemSoftLimit > 0 || opts.MemHardLimit > 0) {
-		w, opts.Context = resource.Start(opts.Context, resource.Config{
-			SoftLimit: opts.MemSoftLimit,
-			HardLimit: opts.MemHardLimit,
-		})
-		ownWatchdog = true
-	}
-	defer func() {
-		if ownWatchdog {
-			w.Stop()
-			st := w.Stats()
-			res.Mem = &st
-		}
-	}()
 
 	var deadline time.Time
 	if opts.Timeout > 0 {
@@ -122,7 +89,7 @@ func checkStabilizer(g1, g2 *circuit.Circuit, opts Options, tol float64) Result 
 		res.Verdict = EquivalentUpToGlobalPhase
 		return finish()
 	}
-	anchorPhase(g1, g2, opts, tol, &res)
+	anchorPhase(g1, g2, opts, &res)
 	return finish()
 }
 
@@ -132,84 +99,31 @@ func checkStabilizer(g1, g2 *circuit.Circuit, opts Options, tol float64) Result 
 // <0|P†U'|0> / <0|U|0> — with one overlap.  This is the only place the
 // stabilizer strategy touches a DD package, and only on pairs already
 // proven equivalent up to phase.
-func anchorPhase(g1, g2 *circuit.Circuit, opts Options, tol float64, res *Result) {
-	var p *dd.Package
-	if opts.Pool != nil {
-		p = opts.Pool.Get(g1.N, tol)
-	} else {
-		p = dd.New(g1.N, tol)
-	}
-	genuineFault := false
+func anchorPhase(g1, g2 *circuit.Circuit, opts Options, res *Result) {
+	p := opts.Pool.Lease(opts.Context, g1.N, opts.Tolerance)
+	fault := false
 	defer func() {
 		res.FinalNodes = p.NodeCount()
-		if n := p.NodeCount(); n > res.PeakNodes {
-			res.PeakNodes = n
-		}
-		res.DD = p.Snapshot()
-		if opts.Pool != nil {
-			if genuineFault {
-				opts.Pool.Forget()
-			} else {
-				opts.Pool.Put(p)
-			}
-		}
+		res.PeakNodes = max(res.PeakNodes, res.FinalNodes)
+		res.DD = p.Release(fault)
 	}()
+	defer guard(opts.Context, "ec stabilizer anchor", res, &fault)
 	if opts.Timeout > 0 {
 		p.SetDeadline(time.Now().Add(opts.Timeout))
 	}
 	if opts.NodeLimit > 0 {
 		p.SetNodeLimit(opts.NodeLimit)
 	}
-	if ctx := opts.Context; ctx != nil {
-		p.SetCancel(func() bool { return ctx.Err() != nil })
-	}
-	var removeGauge func()
-	if w := resource.FromContext(opts.Context); w != nil {
-		p.SetPressure(w.Epoch)
-		removeGauge = w.AddGauge(p.OccupancyGauge())
-	}
-	if removeGauge != nil {
-		defer removeGauge()
-	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if le, ok := r.(*dd.LimitError); ok {
-			res.Verdict = TimedOut
-			res.Reason = le.Error()
-			switch {
-			case le.Cancelled:
-				if ctx := opts.Context; ctx != nil {
-					res.Cause, res.Reason, res.Err = cancelCause(ctx)
-				} else {
-					res.Cause = CauseCancelled
-				}
-			case le.Deadline:
-				res.Cause = CauseTimeout
-			default:
-				res.Cause = CauseNodeLimit
-			}
-			return
-		}
-		perr := resource.NewPanicError("ec stabilizer anchor", r)
-		genuineFault = true
-		res.Verdict = TimedOut
-		res.Cause = CauseError
-		res.Err = perr
-		res.Reason = perr.Error()
-	}()
 
 	s := sim.NewOn(p)
 	in := p.BasisState(0)
 	u := s.RunFromWithPins(g1, in, []dd.VEdge{in})
 	v := s.RunFromWithPins(g2, in, []dd.VEdge{u})
 	if opts.OutputPerm != nil {
-		v = p.MulMV(sim.PermutationDD(p, invertPermStab(opts.OutputPerm)), v)
+		v = p.MulMV(sim.PermutationDD(p, circuit.InversePermutation(opts.OutputPerm)), v)
 	}
 	overlap := p.InnerProduct(u, v)
-	atol := anchorTolerance(tol)
+	atol := cn.AgreementTolerance(opts.Tolerance)
 	if math.Abs(real(overlap)-1) < atol && math.Abs(imag(overlap)) < atol {
 		res.Verdict = Equivalent
 		return
@@ -218,14 +132,4 @@ func anchorPhase(g1, g2 *circuit.Circuit, opts Options, tol float64, res *Result
 	res.Reason = "differ by a global phase"
 	ce := uint64(0)
 	res.Counterexample = &ce
-}
-
-// invertPermStab mirrors core's permutation inversion for the anchor's
-// un-permute step (the simulation compares P⁻¹·U'|0> against U|0>).
-func invertPermStab(perm []int) []int {
-	inv := make([]int, len(perm))
-	for i, p := range perm {
-		inv[p] = i
-	}
-	return inv
 }

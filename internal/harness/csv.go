@@ -4,8 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-
-	"qcec/internal/resource"
 )
 
 // CSV writers for the experiment artifacts, so results can be archived and
@@ -23,7 +21,6 @@ func WriteRowsCSV(w io.Writer, rows []Row) error {
 		"ec_compute_hit_rate", "sim_compute_hit_rate",
 		"sim_kernel_applies", "sim_kernel_hit_rate",
 		"gc_reclaimed", "pressure_gcs",
-		"mem_samples", "mem_soft_trips", "mem_hard_trips", "mem_peak_heap_bytes",
 	}); err != nil {
 		return err
 	}
@@ -42,41 +39,12 @@ func WriteRowsCSV(w io.Writer, rows []Row) error {
 			fmt.Sprintf("%.4f", r.SimDD.ApplyHitRate()),
 			fmt.Sprint(r.ECDD.GCReclaimed + r.SimDD.GCReclaimed),
 			fmt.Sprint(r.ECDD.PressureGCs + r.SimDD.PressureGCs),
-			fmt.Sprint(memSum(r, func(s *resource.Stats) uint64 { return s.Samples })),
-			fmt.Sprint(memSum(r, func(s *resource.Stats) uint64 { return s.SoftTrips })),
-			fmt.Sprint(memSum(r, func(s *resource.Stats) uint64 { return s.HardTrips })),
-			fmt.Sprint(memMax(r, func(s *resource.Stats) uint64 { return s.PeakHeapBytes })),
 		}); err != nil {
 			return err
 		}
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// memSum adds a watchdog counter over the row's two measurements (either
-// may have run without a watchdog).
-func memSum(r Row, f func(*resource.Stats) uint64) uint64 {
-	var v uint64
-	if r.ECMem != nil {
-		v += f(r.ECMem)
-	}
-	if r.SimMem != nil {
-		v += f(r.SimMem)
-	}
-	return v
-}
-
-// memMax takes the larger of a watchdog gauge over the row's measurements.
-func memMax(r Row, f func(*resource.Stats) uint64) uint64 {
-	var v uint64
-	if r.ECMem != nil && f(r.ECMem) > v {
-		v = f(r.ECMem)
-	}
-	if r.SimMem != nil && f(r.SimMem) > v {
-		v = f(r.SimMem)
-	}
-	return v
 }
 
 // WriteTheoryCSV writes the Sec. IV-A experiment as CSV.

@@ -66,11 +66,9 @@ func RunGateCostComparison(seed int64, opts core.Options) ([]GateCostRow, error)
 		parity := true
 		for k, strat := range GateCostSchemes {
 			ecOpts := ec.Options{
-				Strategy:     strat,
-				Timeout:      opts.ECTimeout,
-				NodeLimit:    opts.ECNodeLimit,
-				MemSoftLimit: opts.MemSoftLimit,
-				MemHardLimit: opts.MemHardLimit,
+				Strategy:  strat,
+				Timeout:   opts.ECTimeout,
+				NodeLimit: opts.ECNodeLimit,
 			}
 			if strat == ec.StrategyGateCost {
 				ecOpts.CostProfile = pair.Profile

@@ -10,14 +10,13 @@ import (
 	"qcec/internal/core"
 	"qcec/internal/dd"
 	"qcec/internal/ec"
-	"qcec/internal/resource"
 )
 
 // The experiments take their configuration as a core.Options, of which they
 // read R (paper: 10), Seed, Strategy (the complete routine; the paper's
 // baseline tool constructs and compares both DDs, i.e. ec.Construction),
-// ECTimeout (per instance; paper: 1 h), ECNodeLimit and the memory limits.
-// A zero ECTimeout means the harness default of 10 s.
+// ECTimeout (per instance; paper: 1 h) and ECNodeLimit.  A zero ECTimeout
+// means the harness default of 10 s.
 
 // DefaultECNodeLimit is the node budget the CLI front ends (cmd/qectab)
 // apply by default.  It is deliberately NOT applied by withDefaults: an
@@ -67,11 +66,6 @@ type Row struct {
 	// hit rates, unique-table activity, GC reclaims).
 	ECDD  dd.Stats
 	SimDD dd.Stats
-
-	// Memory-watchdog counters of the two measurements; nil unless the run
-	// options set a memory limit.
-	ECMem  *resource.Stats
-	SimMem *resource.Stats
 }
 
 // RunInstance measures one benchmark pair: first the complete routine alone
@@ -88,33 +82,27 @@ func RunInstance(inst Instance, opts core.Options) Row {
 	}
 
 	ecRes := ec.Check(inst.G, inst.Gp, ec.Options{
-		Strategy:     opts.Strategy,
-		Timeout:      opts.ECTimeout,
-		NodeLimit:    opts.ECNodeLimit,
-		OutputPerm:   inst.OutputPerm,
-		MemSoftLimit: opts.MemSoftLimit,
-		MemHardLimit: opts.MemHardLimit,
+		Strategy:   opts.Strategy,
+		Timeout:    opts.ECTimeout,
+		NodeLimit:  opts.ECNodeLimit,
+		OutputPerm: inst.OutputPerm,
 	})
 	row.ECVerdict = ecRes.Verdict
 	row.TEC = ecRes.Runtime
 	row.ECTimedOut = ecRes.Verdict == ec.TimedOut
 	row.ECDD = ecRes.DD
-	row.ECMem = ecRes.Mem
 
 	rep := core.Check(inst.G, inst.Gp, core.Options{
-		R:            opts.R,
-		Seed:         opts.Seed,
-		SkipEC:       true,
-		OutputPerm:   inst.OutputPerm,
-		MemSoftLimit: opts.MemSoftLimit,
-		MemHardLimit: opts.MemHardLimit,
+		R:          opts.R,
+		Seed:       opts.Seed,
+		SkipEC:     true,
+		OutputPerm: inst.OutputPerm,
 	})
 	row.NumSims = rep.NumSims
 	row.TSim = rep.SimTime
 	row.SimDetected = rep.Verdict == core.NotEquivalent
 	row.FlowVerdict = rep.Verdict
 	row.SimDD = rep.DD
-	row.SimMem = rep.Mem
 	return row
 }
 
@@ -237,13 +225,11 @@ func RunFlow(instances []Instance, opts core.Options) FlowSummary {
 	var s FlowSummary
 	for _, inst := range instances {
 		rep := core.Check(inst.G, inst.Gp, core.Options{
-			R:            opts.R,
-			Seed:         opts.Seed,
-			ECTimeout:    opts.ECTimeout,
-			Strategy:     opts.Strategy,
-			OutputPerm:   inst.OutputPerm,
-			MemSoftLimit: opts.MemSoftLimit,
-			MemHardLimit: opts.MemHardLimit,
+			R:          opts.R,
+			Seed:       opts.Seed,
+			ECTimeout:  opts.ECTimeout,
+			Strategy:   opts.Strategy,
+			OutputPerm: inst.OutputPerm,
 		})
 		s.Total++
 		s.TotalTime += rep.TotalTime

@@ -15,9 +15,10 @@
 // gauges on a ticker and enforces two budgets:
 //
 //   - Soft limit: bump a pressure epoch (observed cooperatively by every
-//     dd.Package through SetPressure, forcing a DD collection and cache flush
-//     at the next safe point) and trigger a Go GC, so reclaimable memory is
-//     actually returned before the hard limit is at stake.
+//     dd.Package leased on the run's context, see dd.Pool.Lease, forcing a
+//     DD collection and cache flush at the next safe point) and trigger a Go
+//     GC, so reclaimable memory is actually returned before the hard limit
+//     is at stake.
 //   - Hard limit: cancel the run's context with a typed *MemoryLimitError
 //     cause.  Checkers observe the cancellation through their usual
 //     cooperative hooks and report a Timeout-style verdict attributed to the
@@ -165,7 +166,7 @@ func (s *Stats) Add(o Stats) {
 type Watchdog struct {
 	cfg Config
 
-	epoch     atomic.Uint64 // pressure epoch, observed via dd.Package.SetPressure
+	epoch     atomic.Uint64 // pressure epoch, observed by packages leased on the run's context
 	samples   atomic.Uint64
 	softTrips atomic.Uint64
 	hardTrips atomic.Uint64
@@ -209,13 +210,14 @@ func (w *Watchdog) Stop() {
 	<-w.doneCh
 }
 
-// Epoch returns the current pressure epoch.  A dd.Package installs this
-// method as its pressure hook (SetPressure): every epoch bump forces one DD
-// collection + cache flush at the package's next GC safe point.
+// Epoch returns the current pressure epoch.  dd.Pool.Lease installs this
+// method as the leased package's pressure hook: every epoch bump forces one
+// DD collection + cache flush at the package's next GC safe point.
 func (w *Watchdog) Epoch() uint64 { return w.epoch.Load() }
 
-// AddGauge registers an occupancy gauge (e.g. dd.Package.OccupancyGauge) that
-// the sampling loop sums into the DD-occupancy telemetry.  The returned
+// AddGauge registers an occupancy gauge (dd.Pool.Lease registers the leased
+// package's node count) that the sampling loop sums into the DD-occupancy
+// telemetry.  The returned
 // function unregisters the gauge; callers must invoke it before the gauge's
 // owner is torn down.
 func (w *Watchdog) AddGauge(g func() int64) (remove func()) {

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"qcec/internal/circuit"
+	"qcec/internal/cn"
 	"qcec/internal/core"
 	"qcec/internal/dd"
 	"qcec/internal/ec"
@@ -666,7 +667,7 @@ func normalizeStrategy(name string) string {
 // core.Check actually uses, for the same reason.
 func normalizeTolerance(tol float64) float64 {
 	if tol == 0 {
-		return 1e-10
+		return cn.DefaultTolerance
 	}
 	return tol
 }

@@ -117,10 +117,7 @@ func Check(ctx context.Context, deadline time.Time, n int, ops1, ops2 []circuit.
 // permutation π = perm⁻¹ into transpositions cycle by cycle — (c₀ c₁ … c_k)
 // realized as SWAP(c₀,c₁), SWAP(c₀,c₂), …, SWAP(c₀,c_k).
 func applyPermInverse(t *Tableau, perm []int) {
-	inv := make([]int, len(perm))
-	for q, p := range perm {
-		inv[p] = q
-	}
+	inv := circuit.InversePermutation(perm)
 	seen := make([]bool, len(inv))
 	for c0 := range inv {
 		if seen[c0] || inv[c0] == c0 {
