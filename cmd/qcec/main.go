@@ -407,7 +407,11 @@ func printHuman(n int, rep core.Report, verbose, stats bool) {
 	}
 	fmt.Printf("simulations: %d (%.3fs, min fidelity %.6f)\n", rep.NumSims, rep.SimTime.Seconds(), rep.MinFidelity)
 	if rep.EC != nil {
-		fmt.Printf("complete check: %s via %s (%.3fs)\n", rep.EC.Verdict, rep.EC.Strategy, rep.EC.Runtime.Seconds())
+		outcome := rep.EC.Verdict.String()
+		if rep.EC.Cause == ec.CauseYielded {
+			outcome = rep.EC.Reason
+		}
+		fmt.Printf("complete check: %s via %s (%.3fs)\n", outcome, rep.EC.Strategy, rep.EC.Runtime.Seconds())
 	}
 	if rep.Counterexample != nil {
 		ce := rep.Counterexample
@@ -467,7 +471,10 @@ func printJSON(n int, rep core.Report, stats bool) {
 		TotalSeconds: rep.TotalTime.Seconds(),
 	}
 	if rep.EC != nil {
-		out.ECVerdict = rep.EC.Verdict.String()
+		if rep.EC.Cause != ec.CauseYielded {
+			// A probe that yielded to simulation reached no verdict.
+			out.ECVerdict = rep.EC.Verdict.String()
+		}
 		out.ECSeconds = rep.EC.Runtime.Seconds()
 	}
 	if rep.Rewriting != nil {

@@ -180,7 +180,8 @@ func TestParallelNumSimsExcludesCrashedWorkerGap(t *testing.T) {
 	defer func() { evalHook = nil }()
 
 	opts := Options{Stimuli: stimuli, Parallel: 2, SkipEC: true}
-	n, ce, stats, _, err := runStimuliParallel(g1, g2, stimuli, opts)
+	run := runStimuliParallel(g1, g2, stimuli, opts)
+	n, ce, stats, err := run.n, run.ce, run.stats, run.err
 	if ce == nil || ce.Input != 1 {
 		t.Fatalf("counterexample = %+v, want input 1", ce)
 	}

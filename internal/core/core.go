@@ -12,6 +12,14 @@
 //     verdict is definitive; if it times out, the flow still reports a
 //     high-probability equivalence estimate — strictly more information than
 //     the state of the art, which reports nothing on timeout.
+//   - Simulating all 2^n basis states and finding every pair of outputs
+//     identical is itself a proof (paper Sec. III-B).  So in strict mode the
+//     complete routine runs as a probe: once the columns not yet simulated
+//     are predicted to cost less than the rest of the routine, counted in
+//     DD lookups, it yields and the flow simulates those columns instead
+//     (see finish.go).  Small registers with cheap columns, such as routed
+//     reversible netlists, are decided this way; a failing column is an
+//     ordinary simulation counterexample.
 //
 // Check is the one entry point and Options the one options type.  By
 // default Check runs the flow above as a sequential pipeline (optional
@@ -44,8 +52,8 @@ type Verdict int
 // The flow's possible outcomes (the three boxes at the bottom of Fig. 3,
 // plus the strict/phase distinction).
 const (
-	// Equivalent: proven equivalent (by the complete routine, or exhaustively
-	// by simulating all 2^n basis states).
+	// Equivalent: proven equivalent (by the complete routine, or by
+	// simulating all 2^n basis states and finding every column identical).
 	Equivalent Verdict = iota
 	// EquivalentUpToGlobalPhase: proven equivalent modulo a scalar phase.
 	EquivalentUpToGlobalPhase
@@ -102,7 +110,10 @@ type Options struct {
 	RetryCrashed bool
 	// R is the number of random basis-state simulations (default DefaultR).
 	// If R >= 2^n the flow simulates all basis states, which proves
-	// equivalence exhaustively in strict-phase mode.
+	// equivalence exhaustively in strict-phase mode when every column pair
+	// is identical.  With fewer, the complete routine may still yield to
+	// simulating the remaining 2^n - R columns (see Report.EC), so a
+	// strict-mode check may run more than R simulations.
 	R int
 	// Seed drives stimulus selection; runs are deterministic per seed.
 	Seed int64
@@ -227,10 +238,16 @@ type Report struct {
 	NumSims        int           // simulation runs performed
 	SimTime        time.Duration // paper column t_sim
 	Counterexample *Counterexample
-	Exhaustive     bool         // simulation covered all 2^n basis states
-	EC             *ec.Result   // complete-routine outcome (nil if not run)
-	Rewriting      *ecrw.Result // rewriting prefilter outcome (nil if not run)
-	ZX             *zx.Result   // ZX prefilter outcome (nil if not run)
+	Exhaustive     bool // simulation covered all 2^n distinct basis states
+	// EC is the complete routine's outcome (nil if it never ran).  When it
+	// ran as a probe that yielded to simulating the remaining basis
+	// columns, EC.Cause is ec.CauseYielded and EC keeps the probe's
+	// Runtime and DD statistics, while NumSims, SimTime and DD include
+	// the extra columns; EC.Cause becomes ec.CauseTimeout if the columns
+	// then outran ECTimeout.
+	EC        *ec.Result
+	Rewriting *ecrw.Result // rewriting prefilter outcome (nil if not run)
+	ZX        *zx.Result   // ZX prefilter outcome (nil if not run)
 	// MinFidelity and AvgFidelity summarize the per-stimulus output
 	// fidelities observed by the simulation stage (1 when no simulations
 	// ran).  Under FidelityThreshold these quantify how approximate the
@@ -365,44 +382,33 @@ func check(g1, g2 *circuit.Circuit, opts Options) Report {
 		report.TotalTime = time.Since(start)
 		return report
 	}
-	report.Exhaustive = g1.N < 63 && uint64(len(stimuli)) == uint64(1)<<uint(g1.N)
+	cols := coveredColumns(stimuli)
+	report.Exhaustive = g1.N < 63 && uint64(len(cols)) == uint64(1)<<uint(g1.N)
 
 	simStart := time.Now()
-	var numSims int
-	var ce *Counterexample
-	var stats fidStats
-	var simErr error
-	if opts.Parallel > 1 && len(stimuli) > 1 {
-		numSims, ce, stats, report.DD, simErr = runStimuliParallel(g1, g2, stimuli, opts)
-	} else {
-		numSims, ce, stats, report.DD, simErr = runStimuliSequential(g1, g2, stimuli, opts)
-	}
-	report.NumSims = numSims
+	run := simulate(g1, g2, stimuli, opts)
 	report.SimTime = time.Since(simStart)
-	report.MinFidelity = stats.min
-	report.AvgFidelity = stats.avg()
-	if ce != nil {
+	report.setSim(run)
+	if run.ce != nil {
 		// A concrete distinguishing stimulus is definitive even if another
 		// worker crashed: the counterexample stands on its own, so the crash
 		// only cost coverage that no longer matters.
-		report.Verdict = NotEquivalent
-		report.DecidedBy = "sim"
-		report.Counterexample = ce
+		report.decideBySim(run.ce)
 		report.TotalTime = time.Since(start)
 		return report
 	}
-	if simErr != nil {
+	if run.err != nil {
 		// A worker died mid-stage, so the surviving agreement does not cover
 		// all chosen stimuli — an exhaustive-proof or all-agree claim would
 		// be unsound, and the complete routine would hit the same fault.
 		// Surface the typed error and stop with an inconclusive verdict.
-		report.Err = simErr
+		report.Err = run.err
 		report.Verdict = ProbablyEquivalent
 		report.Exhaustive = false
 		report.TotalTime = time.Since(start)
 		return report
 	}
-	if ctx := opts.Context; ctx != nil && ctx.Err() != nil {
+	if cancelled(opts) {
 		// Cancelled before the stimuli were exhausted: the agreement seen so
 		// far is not the full high-probability estimate, and running the
 		// complete routine would be pointless (it would observe the same
@@ -421,11 +427,11 @@ func check(g1, g2 *circuit.Circuit, opts Options) Report {
 		return report
 	}
 
-	if report.Exhaustive && !opts.UpToGlobalPhase {
-		// <u_i|u'_i> = 1 for every basis state means every column pair is
-		// identical, i.e. U = U' — a complete proof (paper Sec. III-B).
-		report.Verdict = Equivalent
-		report.DecidedBy = "sim"
+	if report.Exhaustive && !opts.UpToGlobalPhase && run.identical {
+		// Every column pair is the same DD edge, i.e. U = U' — a complete
+		// proof (paper Sec. III-B).  A column that agrees only within the
+		// overlap tolerance proves nothing; the complete check decides.
+		report.decideBySim(nil)
 		report.TotalTime = time.Since(start)
 		return report
 	}
@@ -436,38 +442,76 @@ func check(g1, g2 *circuit.Circuit, opts Options) Report {
 		return report
 	}
 
-	res := ec.Check(g1, g2, opts.ecOptions())
-	report.EC = &res
+	ecOpts := opts.ecOptions()
+	if finishEligible(g1.N, opts, run) {
+		ecOpts.Progress = yieldRule(g1.N, run, len(cols))
+	}
+	var deadline time.Time
+	if opts.ECTimeout > 0 {
+		deadline = time.Now().Add(opts.ECTimeout)
+	}
+	res := ec.Check(g1, g2, ecOpts)
+	if res.Cause == ec.CauseYielded {
+		report.finishBySimulation(g1, g2, cols, opts, deadline, run, res)
+	} else {
+		report.decideByEC(res)
+	}
+	report.TotalTime = time.Since(start)
+	return report
+}
+
+// setSim records the simulation stage's outcome: counts, statistics and
+// fidelities.
+func (r *Report) setSim(run simRun) {
+	r.NumSims = run.n
+	r.DD = run.dd
+	r.MinFidelity = run.stats.min
+	r.AvgFidelity = run.stats.avg()
+}
+
+// decideBySim records a verdict of the simulation stage: NotEquivalent with
+// the counterexample, or with ce == nil Equivalent by exhaustive simulation.
+func (r *Report) decideBySim(ce *Counterexample) {
+	r.DecidedBy = "sim"
+	r.Counterexample = ce
+	if ce != nil {
+		r.Verdict = NotEquivalent
+	} else {
+		r.Verdict = Equivalent
+	}
+}
+
+// decideByEC records the complete routine's outcome.
+func (r *Report) decideByEC(res ec.Result) {
+	r.EC = &res
 	if res.Verdict != ec.TimedOut {
-		report.DecidedBy = "ec:" + res.Strategy.String()
+		r.DecidedBy = "ec:" + res.Strategy.String()
 	}
 	switch res.Verdict {
 	case ec.Equivalent:
-		report.Verdict = Equivalent
+		r.Verdict = Equivalent
 	case ec.EquivalentUpToGlobalPhase:
-		report.Verdict = EquivalentUpToGlobalPhase
+		r.Verdict = EquivalentUpToGlobalPhase
 	case ec.NotEquivalent:
 		// Possible in principle (footnote 4 of the paper) though never
 		// observed there: simulation missed the difference but the complete
 		// routine found it.
-		report.Verdict = NotEquivalent
+		r.Verdict = NotEquivalent
 		if res.Counterexample != nil {
-			report.Counterexample = &Counterexample{Input: *res.Counterexample}
+			r.Counterexample = &Counterexample{Input: *res.Counterexample}
 		}
 	case ec.TimedOut:
-		report.Verdict = ProbablyEquivalent
+		r.Verdict = ProbablyEquivalent
 		switch res.Cause {
 		case ec.CauseCancelled:
-			report.Cancelled = true
+			r.Cancelled = true
 		case ec.CauseMemLimit:
-			report.Cancelled = true
-			report.CancelCause = res.Err
+			r.Cancelled = true
+			r.CancelCause = res.Err
 		case ec.CauseError:
-			report.Err = res.Err
+			r.Err = res.Err
 		}
 	}
-	report.TotalTime = time.Since(start)
-	return report
 }
 
 func statesAgree(overlap complex128, upToPhase bool, tol float64) bool {

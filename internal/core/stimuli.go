@@ -74,10 +74,13 @@ func prepareShared(g1, g2 *circuit.Circuit) sharedProgs {
 	return sharedProgs{g1: sim.Prepare(g1), g2: sim.Prepare(g2)}
 }
 
-// compare simulates both circuits on |input>, returning the output fidelity
-// and a counterexample if the outputs disagree (under the exact or the
-// approximate criterion), nil otherwise.
-func (r *simRunner) compare(progs sharedProgs, input uint64) (*Counterexample, float64) {
+// compare simulates both circuits on |input>, returning the output fidelity,
+// whether the two outputs are the same DD edge (node and interned weight,
+// the test ec.classify applies to the miter), and a counterexample if the
+// outputs disagree (under the exact or the approximate criterion), nil
+// otherwise.  Outputs that agree only within the overlap tolerance are no
+// counterexample, but not identical either.
+func (r *simRunner) compare(progs sharedProgs, input uint64) (*Counterexample, float64, bool) {
 	// Build the stimulus once and reuse it for both runs.  It must be pinned
 	// across the first run's garbage collections: the second run starts from
 	// the same edge, so its nodes have to stay interned until then.
@@ -95,7 +98,7 @@ func (r *simRunner) compare(progs sharedProgs, input uint64) (*Counterexample, f
 		agree = fidelity >= r.threshold
 	}
 	if agree {
-		return nil, fidelity
+		return nil, fidelity, u == v
 	}
 	return &Counterexample{
 		Input:    input,
@@ -103,7 +106,7 @@ func (r *simRunner) compare(progs sharedProgs, input uint64) (*Counterexample, f
 		Fidelity: fidelity,
 		StateG:   r.p.FormatState(u, 4),
 		StateGp:  r.p.FormatState(v, 4),
-	}, fidelity
+	}, fidelity, false
 }
 
 // gcBetween drops everything but the permutation matrix between stimuli.
@@ -126,11 +129,54 @@ func (f *fidStats) add(fid float64) {
 	f.count++
 }
 
+func (f *fidStats) merge(o fidStats) {
+	f.min = min(f.min, o.min)
+	f.sum += o.sum
+	f.count += o.count
+}
+
 func (f fidStats) avg() float64 {
 	if f.count == 0 {
 		return 1
 	}
 	return f.sum / float64(f.count)
+}
+
+// simRun is the outcome of simulating one list of stimuli.
+type simRun struct {
+	n         int             // stimuli whose comparison finished
+	ce        *Counterexample // the first counterexample in stimulus order
+	stats     fidStats
+	identical bool     // every finished column's two outputs were the same DD edge
+	dd        dd.Stats // summed across the run's packages
+	// err is a worker's recovered panic (degenerate input or injected
+	// chaos); the other fields then reflect the progress made before it.
+	err error
+}
+
+func newSimRun() simRun { return simRun{stats: newFidStats(), identical: true} }
+
+// add accounts a later run over further stimuli; the earlier run's
+// counterexample and error, if any, stand.
+func (r *simRun) add(o simRun) {
+	r.n += o.n
+	if r.ce == nil {
+		r.ce = o.ce
+	}
+	r.stats.merge(o.stats)
+	r.identical = r.identical && o.identical
+	r.dd.Add(o.dd)
+	if r.err == nil {
+		r.err = o.err
+	}
+}
+
+// simulate runs the stimuli on opts.Parallel workers, or sequentially.
+func simulate(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options) simRun {
+	if opts.Parallel > 1 && len(stimuli) > 1 {
+		return runStimuliParallel(g1, g2, stimuli, opts)
+	}
+	return runStimuliSequential(g1, g2, stimuli, opts)
 }
 
 // cancelled reports whether the flow's context (if any) has been cancelled.
@@ -155,51 +201,53 @@ func recoverWorker(op string, errp *error) {
 	*errp = resource.NewPanicError(op, r)
 }
 
-// evalHook and failHook, when non-nil, observe the parallel runner: evalHook
-// sees every stimulus index about to be evaluated, failHook every index
-// recorded as a failure.  Test-only; they let the fast-forward regression
-// test schedule workers deterministically and assert that nothing past the
-// first failure is simulated.
+// evalHook and failHook, when non-nil, observe the stimulus runners:
+// evalHook sees every stimulus index about to be evaluated (in either
+// runner), failHook every index the parallel runner records as a failure.
+// Test-only; they let the fast-forward regression test schedule workers
+// deterministically and assert that nothing past the first failure is
+// simulated, and the finish-by-simulation tests cancel mid-run.
 var (
 	evalHook func(i int)
 	failHook func(i int)
 )
 
 // runStimuliSequential is the paper's loop: one stimulus at a time, stopping
-// at the first counterexample.  A non-nil err means the runner panicked mid-
-// stage (degenerate input or injected chaos); the other returns then reflect
-// the progress made before the fault.
-func runStimuliSequential(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options) (n int, ce *Counterexample, stats fidStats, ddStats dd.Stats, err error) {
+// at the first counterexample.
+func runStimuliSequential(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options) (run simRun) {
 	r := newSimRunner(g1.N, opts)
-	// Deferred before recoverWorker, so err is set when the lease ends: a
-	// runner that died on a genuine panic (a *resource.PanicError) drops its
-	// package, since injected chaos may have corrupted state the reset
+	// Deferred before recoverWorker, so run.err is set when the lease ends:
+	// a runner that died on a genuine panic (a *resource.PanicError) drops
+	// its package, since injected chaos may have corrupted state the reset
 	// cannot undo (a non-finite interned weight, say), while an absorbed
-	// cancellation (err == nil) recycles it.
-	defer func() { ddStats = r.p.Release(err != nil) }()
-	stats = newFidStats()
-	// completed counts fully compared stimuli, and the deferred assignment —
-	// not the loop body — publishes it into n.  When a cancellation is
-	// absorbed mid-compare (recoverWorker swallows the *dd.LimitError panic
-	// raised by the lease's cancellation hook), NumSims therefore reports only the
-	// stimuli whose comparison actually finished, never the in-flight one.
-	completed := 0
-	defer func() { n = completed }()
-	defer recoverWorker("core.sim", &err)
+	// cancellation (run.err == nil) recycles it.
+	defer func() { run.dd = r.p.Release(run.err != nil) }()
+	run = newSimRun()
+	defer recoverWorker("core.sim", &run.err)
 	progs := prepareShared(g1, g2)
-	for _, input := range stimuli {
+	for i, input := range stimuli {
 		if cancelled(opts) {
-			return completed, nil, stats, ddStats, nil
+			return run
 		}
-		ce, fid := r.compare(progs, input)
-		stats.add(fid)
-		completed++
+		if evalHook != nil {
+			evalHook(i)
+		}
+		ce, fid, same := r.compare(progs, input)
+		// Counted only once the comparison finished: when a cancellation is
+		// absorbed mid-compare (recoverWorker swallows the *dd.LimitError
+		// panic raised by the lease's cancellation hook), NumSims reports
+		// the stimuli whose comparison actually finished, never the
+		// in-flight one.
+		run.stats.add(fid)
+		run.identical = run.identical && same
+		run.n++
 		if ce != nil {
-			return completed, ce, stats, ddStats, nil
+			run.ce = ce
+			return run
 		}
 		r.gcBetween()
 	}
-	return completed, nil, stats, ddStats, nil
+	return run
 }
 
 // runStimuliParallel distributes the stimuli round-robin over
@@ -210,7 +258,7 @@ func runStimuliSequential(g1, g2 *circuit.Circuit, stimuli []uint64, opts Option
 // stimulus in stimulus order is reported, and every stimulus before it has
 // been checked.  Workers fast-forward past indices beyond the current best
 // counterexample, so the early-exit behaviour parallelizes too.
-func runStimuliParallel(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options) (int, *Counterexample, fidStats, dd.Stats, error) {
+func runStimuliParallel(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options) simRun {
 	workers := opts.Parallel
 	if workers > len(stimuli) {
 		workers = len(stimuli)
@@ -221,6 +269,7 @@ func runStimuliParallel(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options)
 	evaluated := make([]bool, len(stimuli))
 	workerDD := make([]dd.Stats, workers)
 	workerErr := make([]error, workers)
+	workerSame := make([]bool, workers)
 	var firstFail atomic.Int64
 	firstFail.Store(int64(len(stimuli)))
 
@@ -232,6 +281,7 @@ func runStimuliParallel(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options)
 			r := newSimRunner(g1.N, opts)
 			defer func() { workerDD[w] = r.p.Release(workerErr[w] != nil) }() // before recoverWorker, as in runStimuliSequential
 			defer recoverWorker(fmt.Sprintf("core.sim worker %d", w), &workerErr[w])
+			workerSame[w] = true
 			for i := w; i < len(stimuli); i += workers {
 				if cancelled(opts) {
 					return
@@ -242,9 +292,10 @@ func runStimuliParallel(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options)
 				if evalHook != nil {
 					evalHook(i)
 				}
-				ce, fid := r.compare(progs, stimuli[i])
+				ce, fid, same := r.compare(progs, stimuli[i])
 				fids[i] = fid
 				evaluated[i] = true
+				workerSame[w] = workerSame[w] && same
 				if ce != nil {
 					ces[i] = ce
 					// Lower firstFail monotonically.
@@ -265,18 +316,14 @@ func runStimuliParallel(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options)
 	}
 	wg.Wait()
 
-	var ddStats dd.Stats
-	for _, s := range workerDD {
-		ddStats.Add(s)
-	}
-	var err error
-	for _, e := range workerErr {
-		if e != nil {
-			err = e
-			break
+	run := newSimRun()
+	for w := range workerDD {
+		run.dd.Add(workerDD[w])
+		run.identical = run.identical && workerSame[w]
+		if run.err == nil {
+			run.err = workerErr[w]
 		}
 	}
-	stats := newFidStats()
 	if idx := firstFail.Load(); idx < int64(len(stimuli)) {
 		// Deterministic statistics: only the sequential prefix counts.  The
 		// reported simulation count is the number of stimuli actually
@@ -285,22 +332,22 @@ func runStimuliParallel(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options)
 		// overstate the work done (harness CSVs and reports trust it).
 		for i := int64(0); i <= idx; i++ {
 			if evaluated[i] {
-				stats.add(fids[i])
+				run.stats.add(fids[i])
 			}
 		}
-		n := stats.count
-		if gap := int(idx) + 1 - n; gap > 0 && err != nil {
-			err = fmt.Errorf("%w (%d of the %d stimuli before the counterexample left unevaluated)",
-				err, gap, int(idx)+1)
+		run.n = run.stats.count
+		run.ce = ces[idx]
+		if gap := int(idx) + 1 - run.n; gap > 0 && run.err != nil {
+			run.err = fmt.Errorf("%w (%d of the %d stimuli before the counterexample left unevaluated)",
+				run.err, gap, int(idx)+1)
 		}
-		return n, ces[idx], stats, ddStats, err
+		return run
 	}
-	n := 0
 	for i := range fids {
 		if evaluated[i] {
-			n++
-			stats.add(fids[i])
+			run.stats.add(fids[i])
 		}
 	}
-	return n, nil, stats, ddStats, err
+	run.n = run.stats.count
+	return run
 }

@@ -464,6 +464,20 @@ func (s *Stats) Add(o Stats) {
 	s.FaultEvents += o.FaultEvents
 }
 
+// Lookups returns the compute-table plus apply-table lookups, hits and
+// misses alike: the DD work unit core.Check's finish-by-simulation rule
+// prices simulation columns and the complete check in.  Unlike wall time it
+// repeats exactly for a given package history.
+func (s Stats) Lookups() uint64 {
+	return s.CacheHits + s.CacheMisses + s.ApplyHits + s.ApplyMisses
+}
+
+// Lookups is Stats.Lookups of the package's current job, without taking a
+// full snapshot: the complete check reads it after every gate.
+func (p *Package) Lookups() uint64 {
+	return p.cacheHits + p.cacheMisses + p.applyHits + p.applyMisses
+}
+
 // GateHitRate returns the fraction of GateDD calls answered by the gate
 // registry (0 when no calls were made).
 func (s Stats) GateHitRate() float64 {

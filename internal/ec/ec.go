@@ -124,7 +124,8 @@ type Verdict int
 
 // Possible verdicts.  TimedOut means neither equivalence nor a
 // counterexample was established within the resource budget — the outcome
-// the paper's simulation stage exists to make rare.
+// the paper's simulation stage exists to make rare — or before
+// Options.Progress yielded the check (Cause says which).
 const (
 	Equivalent Verdict = iota
 	EquivalentUpToGlobalPhase
@@ -187,11 +188,26 @@ type Options struct {
 	// static per-kind estimate (EstimateCostProfile).  Other strategies
 	// ignore it.
 	CostProfile []int
+	// Progress, when non-nil, is called after every gate application of a
+	// DD strategy (the stabilizer strategy applies none); returning true
+	// stops the check with Verdict TimedOut and Cause CauseYielded.
+	// core.Check passes one to run the complete check as a probe that
+	// yields once simulating the remaining basis columns is predicted to
+	// cost less than finishing it.
+	Progress func(Progress) bool
 	// Pool, when non-nil, supplies a warm DD package (dd.Pool.Lease)
 	// instead of a fresh one, and receives it back reset when the check
 	// ends cleanly.  Packages that survived a genuine panic are dropped,
 	// not returned.  Verdicts are identical either way.
 	Pool *dd.Pool
+}
+
+// Progress is a DD check's state after one gate application, as
+// Options.Progress sees it.
+type Progress struct {
+	Applied int    // gate applications so far (Result.GatesApplied)
+	Total   int    // gate applications of the whole check, |G|+|G'|
+	Lookups uint64 // the check's DD work so far (dd.Stats.Lookups)
 }
 
 // DegradedNodeLimit returns the node budget of a conservative re-run after
@@ -226,6 +242,10 @@ const (
 	// the *resource.PanicError) — reachable from degenerate input such as
 	// non-finite gate parameters.
 	CauseError
+	// CauseYielded: Options.Progress stopped the check; no resource bound
+	// expired.  core.Check's probe yields this way to simulating the
+	// remaining basis columns.
+	CauseYielded
 )
 
 // String returns the cause name.
@@ -243,6 +263,8 @@ func (c StopCause) String() string {
 		return "mem-limit"
 	case CauseError:
 		return "error"
+	case CauseYielded:
+		return "yielded"
 	default:
 		return fmt.Sprintf("cause(%d)", int(c))
 	}
@@ -287,6 +309,7 @@ type checker struct {
 	p        *dd.Package
 	opts     Options
 	deadline time.Time
+	gates    int // |G|+|G'|, a Progress's Total
 	// agreeTol is the classification tolerance derived from the DD weight
 	// tolerance (cn.AgreementTolerance); it bounds both the up-to-phase
 	// magnitude band and the counterexample fidelity threshold.
@@ -324,6 +347,20 @@ func (c *checker) expired() bool {
 	return false
 }
 
+// stopped polls after a gate application: the resource bounds (expired),
+// then Options.Progress, which may yield the check.
+func (c *checker) stopped() bool {
+	if c.expired() {
+		return true
+	}
+	if c.opts.Progress == nil || !c.opts.Progress(Progress{Applied: c.result.GatesApplied, Total: c.gates, Lookups: c.p.Lookups()}) {
+		return false
+	}
+	c.result.Cause = CauseYielded
+	c.result.Reason = fmt.Sprintf("yielded to simulation after %d of %d gates", c.result.GatesApplied, c.gates)
+	return true
+}
+
 func (c *checker) note() {
 	if n := c.p.NodeCount(); n > c.result.PeakNodes {
 		c.result.PeakNodes = n
@@ -346,7 +383,7 @@ func Check(g1, g2 *circuit.Circuit, opts Options) Result {
 		return checkStabilizer(g1, g2, opts)
 	}
 	p := opts.Pool.Lease(opts.Context, g1.N, opts.Tolerance)
-	c := &checker{p: p, opts: opts, agreeTol: cn.AgreementTolerance(opts.Tolerance)}
+	c := &checker{p: p, opts: opts, gates: len(g1.Gates) + len(g2.Gates), agreeTol: cn.AgreementTolerance(opts.Tolerance)}
 	c.result.Strategy = opts.Strategy
 	if opts.Timeout > 0 {
 		c.deadline = time.Now().Add(opts.Timeout)
@@ -446,7 +483,7 @@ func (c *checker) runConstruction(g1, g2 *circuit.Circuit) {
 		u1 = c.p.MulMM(sim.GateDD(c.p, g), u1)
 		c.result.GatesApplied++
 		c.note()
-		if c.expired() {
+		if c.stopped() {
 			c.result.Verdict = TimedOut
 			return
 		}
@@ -457,7 +494,7 @@ func (c *checker) runConstruction(g1, g2 *circuit.Circuit) {
 		u2 = c.p.MulMM(sim.GateDD(c.p, g), u2)
 		c.result.GatesApplied++
 		c.note()
-		if c.expired() {
+		if c.stopped() {
 			c.result.Verdict = TimedOut
 			return
 		}
@@ -475,8 +512,9 @@ func (c *checker) runConstruction(g1, g2 *circuit.Circuit) {
 // gates of G (right multiplications), producing U'·U†.  A schedule strategy
 // applies the next gate of G' while fewer than sched[i] of them precede
 // inverted gate i of G; Lookahead (no schedule) probes both sides whenever
-// both have gates left.  Every application is followed by the budget polls
-// and a collection safe point, so even a long chunk of one side is bounded.
+// both have gates left.  Every application is followed by the budget and
+// progress polls and a collection safe point, so even a long chunk of one
+// side is bounded.
 func (c *checker) runAlternating(g1, g2 *circuit.Circuit) {
 	target := c.target()
 	m := c.p.Identity()
@@ -514,7 +552,7 @@ func (c *checker) runAlternating(g1, g2 *circuit.Circuit) {
 		}
 		c.result.GatesApplied++
 		c.note()
-		if c.expired() {
+		if c.stopped() {
 			c.result.Verdict = TimedOut
 			return
 		}

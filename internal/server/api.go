@@ -63,9 +63,11 @@ type Counterexample struct {
 type Timings struct {
 	// QueueMS is the time between admission and a worker picking the job up.
 	QueueMS float64 `json:"queue_ms"`
-	// SimMS is the simulation stage (paper column t_sim).
+	// SimMS is the simulation stage (paper column t_sim), including the
+	// basis columns simulated after a complete-check probe yielded.
 	SimMS float64 `json:"sim_ms"`
-	// ECMS is the complete routine (paper column t_ec; 0 if it never ran).
+	// ECMS is the complete routine (paper column t_ec; 0 if it never ran),
+	// a yielded probe included.
 	ECMS float64 `json:"ec_ms"`
 	// TotalMS is the whole check, excluding queueing.
 	TotalMS float64 `json:"total_ms"`
@@ -116,7 +118,9 @@ type CheckResponse struct {
 	// Exhaustive reports that the simulations covered all 2^n basis states.
 	Exhaustive  bool    `json:"exhaustive,omitempty"`
 	MinFidelity float64 `json:"min_fidelity"`
-	// ECVerdict is the complete routine's own verdict, when it ran.
+	// ECVerdict is the complete routine's own verdict, when it ran; it is
+	// omitted when the routine ran as a probe that yielded to simulating
+	// the remaining basis columns (Timings.ECMS still holds the probe).
 	ECVerdict string `json:"ec_verdict,omitempty"`
 	// DecidedBy names the flow stage that produced a definitive verdict —
 	// "rewrite", "zx", "sim", or "ec:<strategy>" (e.g. "ec:stabilizer");

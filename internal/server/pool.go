@@ -324,7 +324,10 @@ func (s *Server) buildResponse(j *job, rep core.Report, panicErr *resource.Panic
 		}
 	}
 	if rep.EC != nil {
-		res.ECVerdict = rep.EC.Verdict.String()
+		if rep.EC.Cause != ec.CauseYielded {
+			// A probe that yielded to simulation reached no verdict.
+			res.ECVerdict = rep.EC.Verdict.String()
+		}
 		res.Timings.ECMS = float64(rep.EC.Runtime.Microseconds()) / 1e3
 	}
 	res.Timings.SimMS = float64(rep.SimTime.Microseconds()) / 1e3

@@ -40,6 +40,8 @@ func TestClassifyOutcome(t *testing.T) {
 			core.Report{Cancelled: true, CancelCause: &DrainError{Waited: time.Second}}, nil, classNone, "drain"},
 		{"node-limit exhaustion",
 			core.Report{EC: &ec.Result{Cause: ec.CauseNodeLimit}}, nil, classPermanent, "node_limit"},
+		{"probe yielded to simulation",
+			core.Report{DecidedBy: "sim", EC: &ec.Result{Verdict: ec.TimedOut, Cause: ec.CauseYielded}}, nil, classNone, ""},
 		{"other error", core.Report{Err: errors.New("degenerate input")}, nil, classPermanent, "error"},
 	}
 	for _, tc := range cases {

@@ -12,7 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"qcec/internal/bench"
 	"qcec/internal/core"
+	"qcec/internal/decompose"
+	"qcec/internal/mapping"
+	"qcec/internal/qasm"
 )
 
 func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
@@ -114,6 +118,52 @@ func TestCheckNotEquivalentPair(t *testing.T) {
 	}
 	if res.Counterexample.Fidelity >= 1 {
 		t.Errorf("counterexample fidelity = %v, want < 1", res.Counterexample.Fidelity)
+	}
+}
+
+// TestCheckFinishedBySimulation sends a routed reversible netlist, whose 16
+// basis columns cost less than the complete check's miter: the probe yields,
+// the flow simulates every column, and the response reports a simulation
+// verdict with the probe's time but no ec_verdict.
+func TestCheckFinishedBySimulation(t *testing.T) {
+	src, err := bench.RandomReversible(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := decompose.Circuit(src, decompose.LevelCX)
+	m, err := mapping.Map(g, mapping.Options{Arch: mapping.Linear(g.N), RestoreLayout: true, DecomposeSwaps: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gq, err := qasm.WriteString(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpq, err := qasm.WriteString(m.Circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp, data := postJSON(t, ts.URL+"/v1/check", checkBody(gq, gpq))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200; body %s", resp.StatusCode, data)
+	}
+	var res CheckResponse
+	if err := json.Unmarshal(data, &res); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if res.Verdict != VerdictEquivalent || res.DecidedBy != "sim" || !res.Exhaustive || res.NumSims != 16 {
+		t.Fatalf("response %s: want equivalent, decided by sim, exhaustive after 16 sims", data)
+	}
+	if res.ECVerdict != "" || strings.Contains(string(data), "ec_verdict") {
+		t.Errorf("ec_verdict = %q for a yielded probe, want it omitted", res.ECVerdict)
+	}
+	if tm := res.Timings; tm.ECMS <= 0 || tm.SimMS <= 0 || tm.SimMS+tm.ECMS > tm.TotalMS {
+		t.Errorf("timings %+v: want the probe in ec_ms and the columns in sim_ms, both inside total_ms", tm)
+	}
+	_, body := getJSON(t, ts.URL+"/metrics")
+	if want := `qcecd_wins_total{prover="sim"} 1`; !strings.Contains(string(body), want) {
+		t.Errorf("metrics missing %q", want)
 	}
 }
 
