@@ -50,38 +50,18 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"qcec/internal/bench"
 	"qcec/internal/circuit"
+	"qcec/internal/circuitfile"
 	"qcec/internal/core"
 	"qcec/internal/ec"
 	"qcec/internal/errinject"
 	"qcec/internal/harness"
-	"qcec/internal/qasm"
-	"qcec/internal/revlib"
 )
-
-func loadCircuit(path string) (*circuit.Circuit, error) {
-	switch {
-	case strings.HasSuffix(path, ".real"):
-		f, err := revlib.ParseFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return f.Circuit, nil
-	case strings.HasSuffix(path, ".qasm"):
-		prog, err := qasm.ParseFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return prog.Circuit, nil
-	default:
-		return nil, fmt.Errorf("unsupported circuit format %q", path)
-	}
-}
 
 // measurement is one pair's timed simulation stage.
 type measurement struct {
@@ -203,138 +183,111 @@ type artifact struct {
 	Summary   summary         `json:"summary"`
 }
 
-// Batching bounds: each timed repetition accumulates checks until the
-// summed simulation time reaches minBatchTime (or maxBatchIters runs,
-// whichever comes first).  The seed circuits simulate in well under a
-// millisecond, far below scheduler-noise resolution; only aggregated
-// batches produce rates that are stable from run to run.
+// Batching bounds: each timed repetition accumulates runs until their
+// summed stage time reaches minBatchTime (or maxBatchIters runs, whichever
+// comes first).  The seed circuits simulate in well under a millisecond,
+// far below scheduler-noise resolution; only aggregated batches produce
+// rates that are stable from run to run.
 const (
 	minBatchTime  = 50 * time.Millisecond
 	maxBatchIters = 1000
 )
 
-// measure runs the simulation stage on one pair: reps timed repetitions
-// after one untimed warm-up, keeping the fastest repetition (noise only
-// ever slows a run down).  Gate applications count both circuits' gates
-// once per completed simulation; the reported rate is the batch aggregate.
-func measure(g1, g2 *circuit.Circuit, r int, seed int64, reps int) measurement {
-	var best measurement
-	for rep := -1; rep < reps; rep++ {
-		var m measurement
-		for iter := 0; iter < maxBatchIters && m.Seconds < minBatchTime.Seconds(); iter++ {
-			repRes := core.Check(g1, g2, core.Options{R: r, Seed: seed, SkipEC: true})
-			m.Seconds += repRes.SimTime.Seconds()
-			m.NumSims = repRes.NumSims
-			m.GateApps += repRes.NumSims * (g1.NumGates() + g2.NumGates())
-			m.ApplyHitRate = repRes.DD.ApplyHitRate()
-			var ce *uint64
-			if repRes.Counterexample != nil {
-				v := repRes.Counterexample.Input
-				ce = &v
+// batch is one timed repetition: runs of one configuration and their summed
+// stage time.
+type batch struct {
+	seconds float64
+	runs    int
+}
+
+// fastestBatch is qbench's one timing loop: an untimed warm-up batch, then
+// reps timed batches (at least one), keeping the one with the least time
+// per run (noise only ever slows a run down).  run performs one run and
+// returns its stage time and its outcome; the checks are deterministic, so
+// an outcome that differs from the first run's is an error.
+func fastestBatch(reps int, run func() (time.Duration, string)) (batch, error) {
+	var best batch
+	first := ""
+	for rep := -1; rep < max(reps, 1); rep++ {
+		var b batch
+		for b.runs < maxBatchIters && b.seconds < minBatchTime.Seconds() {
+			d, outcome := run()
+			if b.runs == 0 && rep < 0 {
+				first = outcome
+			} else if outcome != first {
+				return batch{}, fmt.Errorf("outcome changed across runs (%s vs %s)", first, outcome)
 			}
-			if iter == 0 {
-				m.Verdict = repRes.Verdict.String()
-				m.Counterexample = ce
-			} else if m.Verdict != repRes.Verdict.String() || !ceEqual(m.Counterexample, ce) {
-				// Verdicts are deterministic for a fixed seed; fail
-				// loudly if a run ever disagrees.
-				fmt.Fprintf(os.Stderr, "qbench: verdict changed across runs (%s vs %s)\n",
-					m.Verdict, repRes.Verdict)
-				os.Exit(1)
-			}
-			if rep < 0 {
-				break // warm-up: one check
-			}
+			b.seconds += d.Seconds()
+			b.runs++
 		}
-		if rep < 0 {
-			continue
-		}
-		if m.Seconds > 0 {
-			m.GateAppsPerSec = float64(m.GateApps) / m.Seconds
-		}
-		if rep == 0 || m.GateAppsPerSec > best.GateAppsPerSec {
-			if rep > 0 && (best.Verdict != m.Verdict || !ceEqual(best.Counterexample, m.Counterexample)) {
-				fmt.Fprintf(os.Stderr, "qbench: verdict changed across repetitions (%s vs %s)\n",
-					best.Verdict, m.Verdict)
-				os.Exit(1)
-			}
-			best = m
+		if rep >= 0 && (best.runs == 0 || b.seconds*float64(best.runs) < best.seconds*float64(b.runs)) {
+			best = b
 		}
 	}
-	return best
+	return best, nil
+}
+
+// measure times the simulation stage on one pair (opts with SkipEC).  Gate
+// applications count both circuits' gates once per completed simulation;
+// the reported rate is the fastest batch's aggregate.
+func measure(g1, g2 *circuit.Circuit, opts core.Options, reps int) (measurement, error) {
+	var m measurement
+	b, err := fastestBatch(reps, func() (time.Duration, string) {
+		rep := core.Check(g1, g2, opts)
+		m.NumSims = rep.NumSims
+		m.ApplyHitRate = rep.DD.ApplyHitRate()
+		m.Verdict = rep.Verdict.String()
+		m.Counterexample = nil
+		outcome := fmt.Sprintf("%s after %d sims", m.Verdict, m.NumSims)
+		if rep.Counterexample != nil {
+			ce := rep.Counterexample.Input
+			m.Counterexample = &ce
+			outcome += fmt.Sprintf(", counterexample %d", ce)
+		}
+		return rep.SimTime, outcome
+	})
+	if err != nil {
+		return measurement{}, err
+	}
+	m.Seconds = b.seconds
+	m.GateApps = b.runs * m.NumSims * (g1.NumGates() + g2.NumGates())
+	if m.Seconds > 0 {
+		m.GateAppsPerSec = float64(m.GateApps) / m.Seconds
+	}
+	return m, nil
 }
 
 // scalingWorkerCounts returns the deduplicated, sorted worker counts the
 // scaling sweep measures: 1, 2, 4, and NumCPU.
 func scalingWorkerCounts() []int {
 	counts := []int{1, 2, 4, runtime.NumCPU()}
-	sort.Ints(counts)
-	out := counts[:0]
-	for _, c := range counts {
-		if len(out) == 0 || out[len(out)-1] != c {
-			out = append(out, c)
-		}
-	}
-	return out
+	slices.Sort(counts)
+	return slices.Compact(counts)
 }
 
-// measureScaling sweeps the simulation stage over worker counts, batching
-// and keeping the fastest repetition exactly like measure.  All points run the same stimuli from the same seed, so every
-// verdict must agree; the curve records parity explicitly.
-func measureScaling(g1, g2 *circuit.Circuit, r int, seed int64, reps int) []scalingPoint {
+// measureScaling sweeps the simulation stage over worker counts.  All
+// points run the same stimuli from the same seed, so every verdict must
+// agree; the curve records parity explicitly.
+func measureScaling(g1, g2 *circuit.Circuit, opts core.Options, reps int) ([]scalingPoint, error) {
 	workers := scalingWorkerCounts()
 	points := make([]scalingPoint, len(workers))
-	for wi, w := range workers {
-		var best scalingPoint
-		for rep := -1; rep < reps; rep++ {
-			var batch scalingPoint
-			batch.Workers = w
-			for iter := 0; iter < maxBatchIters; iter++ {
-				repRes := core.Check(g1, g2, core.Options{
-					R:        r,
-					Seed:     seed,
-					SkipEC:   true,
-					Parallel: w,
-				})
-				batch.Seconds += repRes.SimTime.Seconds()
-				batch.GateApps += repRes.NumSims * (g1.NumGates() + g2.NumGates())
-				if iter == 0 {
-					batch.Verdict = repRes.Verdict.String()
-				} else if batch.Verdict != repRes.Verdict.String() {
-					fmt.Fprintf(os.Stderr, "qbench: scaling verdict changed across runs (%s vs %s)\n",
-						batch.Verdict, repRes.Verdict)
-					os.Exit(1)
-				}
-				if batch.Seconds >= minBatchTime.Seconds() {
-					break
-				}
-			}
-			if rep < 0 {
-				continue // warm-up
-			}
-			if batch.Seconds > 0 {
-				batch.GateAppsPerSec = float64(batch.GateApps) / batch.Seconds
-			}
-			if rep == 0 || batch.GateAppsPerSec > best.GateAppsPerSec {
-				best = batch
-			}
+	for i, w := range workers {
+		opts.Parallel = w
+		m, err := measure(g1, g2, opts, reps)
+		if err != nil {
+			return nil, fmt.Errorf("scaling at %d workers: %w", w, err)
 		}
-		points[wi] = best
+		points[i] = scalingPoint{Workers: w, Seconds: m.Seconds, GateApps: m.GateApps,
+			GateAppsPerSec: m.GateAppsPerSec, Verdict: m.Verdict}
 	}
 	base := points[0].GateAppsPerSec
 	for i := range points {
 		if base > 0 {
 			points[i].Speedup = points[i].GateAppsPerSec / base
 		}
-		hw := points[i].Workers
-		if n := runtime.NumCPU(); hw > n {
-			hw = n
-		}
-		if hw > 0 {
-			points[i].Efficiency = points[i].Speedup / float64(hw)
-		}
+		points[i].Efficiency = points[i].Speedup / float64(min(points[i].Workers, runtime.NumCPU()))
 	}
-	return points
+	return points, nil
 }
 
 // cliffordSizes are the register widths of the stabilizer-vs-DD sweep; the
@@ -347,51 +300,33 @@ var cliffordSizes = []int{8, 12, 16, 20, 24}
 // small instances and the large ones time the tableau alone.
 const ddParityMaxQubits = 12
 
-// measureCliffordStrategy times ec.Check under one strategy on a fixed pair,
-// batching checks until the summed ec runtime reaches minBatchTime (the
-// tableau path finishes in microseconds) and keeping the fastest of reps
-// timed repetitions after one warm-up.
-func measureCliffordStrategy(g1, g2 *circuit.Circuit, strat ec.Strategy, reps int) (cliffordMeasurement, bool) {
-	var best cliffordMeasurement
-	equivalent := false
-	for rep := -1; rep < reps; rep++ {
-		var batch cliffordMeasurement
-		for iter := 0; iter < maxBatchIters; iter++ {
-			res := ec.Check(g1, g2, ec.Options{Strategy: strat, UpToGlobalPhase: true})
-			if res.Verdict == ec.TimedOut {
-				fmt.Fprintf(os.Stderr, "qbench: clifford sweep inconclusive under %v: %s\n", strat, res.Reason)
-				os.Exit(1)
-			}
-			batch.Seconds += res.Runtime.Seconds()
-			batch.Checks++
-			if iter == 0 {
-				batch.Verdict = res.Verdict.String()
-				equivalent = res.Equivalent()
-			} else if batch.Verdict != res.Verdict.String() {
-				fmt.Fprintf(os.Stderr, "qbench: clifford verdict changed across runs (%s vs %s)\n",
-					batch.Verdict, res.Verdict)
-				os.Exit(1)
-			}
-			if batch.Seconds >= minBatchTime.Seconds() {
-				break
-			}
-		}
-		if rep < 0 {
-			continue // warm-up
-		}
-		batch.SecondsPerCheck = batch.Seconds / float64(batch.Checks)
-		if rep == 0 || batch.SecondsPerCheck < best.SecondsPerCheck {
-			best = batch
-		}
+// measureCliffordStrategy times ec.Check under one strategy on a fixed
+// pair (the tableau path finishes in microseconds, so batching matters).
+func measureCliffordStrategy(g1, g2 *circuit.Circuit, strat ec.Strategy, reps int) (cliffordMeasurement, bool, error) {
+	var res ec.Result
+	b, err := fastestBatch(reps, func() (time.Duration, string) {
+		res = ec.Check(g1, g2, ec.Options{Strategy: strat, UpToGlobalPhase: true})
+		return res.Runtime, res.Verdict.String()
+	})
+	if err == nil && res.Verdict == ec.TimedOut {
+		err = fmt.Errorf("inconclusive: %s", res.Reason)
 	}
-	return best, equivalent
+	if err != nil {
+		return cliffordMeasurement{}, false, fmt.Errorf("clifford sweep under %v: %w", strat, err)
+	}
+	return cliffordMeasurement{
+		Seconds:         b.seconds,
+		Checks:          b.runs,
+		SecondsPerCheck: b.seconds / float64(b.runs),
+		Verdict:         res.Verdict.String(),
+	}, res.Equivalent(), nil
 }
 
 // measureClifford runs the stabilizer-vs-DD sweep: for each width, an
 // equivalent pair (random Clifford circuit against its clone) under both
 // strategies, plus a flipped-CNOT pair with DD parity up to
 // ddParityMaxQubits.
-func measureClifford(seed int64, reps int) []cliffordPoint {
+func measureClifford(seed int64, reps int) ([]cliffordPoint, error) {
 	var points []cliffordPoint
 	for _, n := range cliffordSizes {
 		g := bench.RandomClifford(n, 12*n, seed)
@@ -409,8 +344,14 @@ func measureClifford(seed int64, reps int) []cliffordPoint {
 			}
 		}
 		for _, v := range variants {
-			stab, stabEq := measureCliffordStrategy(g, v.gp, ec.StrategyStabilizer, reps)
-			dd, ddEq := measureCliffordStrategy(g, v.gp, ec.Proportional, reps)
+			stab, stabEq, err := measureCliffordStrategy(g, v.gp, ec.StrategyStabilizer, reps)
+			if err != nil {
+				return nil, err
+			}
+			dd, ddEq, err := measureCliffordStrategy(g, v.gp, ec.Proportional, reps)
+			if err != nil {
+				return nil, err
+			}
 			pt := cliffordPoint{
 				Name:          v.name,
 				Qubits:        n,
@@ -429,14 +370,7 @@ func measureClifford(seed int64, reps int) []cliffordPoint {
 				v.name, 1e6*stab.SecondsPerCheck, 1e6*dd.SecondsPerCheck, pt.Speedup, pt.VerdictsMatch)
 		}
 	}
-	return points
-}
-
-func ceEqual(a, b *uint64) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	return a == nil || *a == *b
+	return points, nil
 }
 
 // compareBaseline prints per-pair and geomean kernel gate-application-rate
@@ -481,29 +415,32 @@ func compareBaseline(art artifact, path string) error {
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-// run is main's body, returning the exit code instead of calling os.Exit so
-// the profiling defers always flush.
-func run() int {
+// run is main's body on the command-line arguments, returning the exit code
+// instead of calling os.Exit so the profiling defers always flush.
+func run(args []string) int {
+	fs := flag.NewFlagSet("qbench", flag.ContinueOnError)
 	var (
-		out        = flag.String("out", "BENCH_sim.json", "output artifact path")
-		circDir    = flag.String("circuits", "circuits", "directory with seed benchmark circuits (.qasm/.real)")
-		r          = flag.Int("r", core.DefaultR, "random simulations per pair")
-		seed       = flag.Int64("seed", 1, "stimulus and error-injection seed")
-		reps       = flag.Int("reps", 7, "timed repetitions per configuration (fastest kept)")
-		minScalEff = flag.Float64("min-scaling-eff", 0, "fail unless every equiv pair's 4-worker parallel efficiency reaches this; only enforced when NumCPU >= 4 (0 = record only)")
-		scalReps   = flag.Int("scaling-reps", 3, "timed repetitions per scaling point (fastest kept); 0 disables the scaling sweep")
-		minStab    = flag.Float64("min-stab-speedup", 0, "fail unless the >=20-qubit equiv-pair geomean stabilizer-over-DD speedup reaches this (0 = record only)")
-		minGCRatio = flag.Float64("min-gatecost-ratio", 0, "fail unless the equiv-pair geomean proportional-over-gate-cost peak-node ratio on deeply-compiled pairs reaches this (0 = record only)")
-		gcSweep    = flag.Bool("gatecost-sweep", true, "run the compilation-flow application-scheme sweep (deterministic, single run)")
-		cliffReps  = flag.Int("clifford-reps", 3, "timed repetitions per clifford point (fastest kept); 0 disables the clifford sweep")
-		comparePth = flag.String("compare", "", "read a committed artifact and print per-pair and geomean gate-apps/s deltas against it")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		out        = fs.String("out", "BENCH_sim.json", "output artifact path")
+		circDir    = fs.String("circuits", "circuits", "directory with seed benchmark circuits (.qasm/.real)")
+		r          = fs.Int("r", core.DefaultR, "random simulations per pair")
+		seed       = fs.Int64("seed", 1, "stimulus and error-injection seed")
+		reps       = fs.Int("reps", 7, "timed repetitions per configuration (fastest kept)")
+		minScalEff = fs.Float64("min-scaling-eff", 0, "fail unless every equiv pair's 4-worker parallel efficiency reaches this; only enforced when NumCPU >= 4 (0 = record only)")
+		scalReps   = fs.Int("scaling-reps", 3, "timed repetitions per scaling point (fastest kept); 0 disables the scaling sweep")
+		minStab    = fs.Float64("min-stab-speedup", 0, "fail unless the >=20-qubit equiv-pair geomean stabilizer-over-DD speedup reaches this (0 = record only)")
+		minGCRatio = fs.Float64("min-gatecost-ratio", 0, "fail unless the equiv-pair geomean proportional-over-gate-cost peak-node ratio on deeply-compiled pairs reaches this (0 = record only)")
+		gcSweep    = fs.Bool("gatecost-sweep", true, "run the compilation-flow application-scheme sweep (deterministic, single run)")
+		cliffReps  = fs.Int("clifford-reps", 3, "timed repetitions per clifford point (fastest kept); 0 disables the clifford sweep")
+		comparePth = fs.String("compare", "", "read a committed artifact and print per-pair and geomean gate-apps/s deltas against it")
+		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf    = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	// Every Check builds a fresh DD package (unique tables, compute tables,
 	// weight table), so the measurement loop allocates heavily and the default
@@ -549,11 +486,11 @@ func run() int {
 	}
 	var files []string
 	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".qasm") || strings.HasSuffix(e.Name(), ".real") {
+		if circuitfile.Supported(e.Name()) {
 			files = append(files, e.Name())
 		}
 	}
-	sort.Strings(files)
+	slices.Sort(files)
 	if len(files) == 0 {
 		fmt.Fprintf(os.Stderr, "qbench: no circuits in %s\n", *circDir)
 		return 1
@@ -569,8 +506,9 @@ func run() int {
 	scalLogSum, scalCount := 0.0, 0
 	minScalEff4 := math.Inf(1)
 	allMatch := true
+	simOpts := core.Options{R: *r, Seed: *seed, SkipEC: true}
 	for _, name := range files {
-		g, err := loadCircuit(filepath.Join(*circDir, name))
+		g, err := circuitfile.Load(filepath.Join(*circDir, name))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "qbench:", err)
 			return 1
@@ -588,13 +526,18 @@ func run() int {
 			})
 		}
 		for _, v := range variants {
+			m, err := measure(g, v.gp, simOpts, *reps)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "qbench: %s: %v\n", v.name, err)
+				return 1
+			}
 			res := result{
 				Name:       v.name,
 				Qubits:     g.N,
 				Gates:      g.NumGates(),
 				Equivalent: v.equiv,
 				Injection:  v.injection,
-				Kernel:     measure(g, v.gp, *r, *seed, *reps),
+				Kernel:     m,
 			}
 			art.Results = append(art.Results, res)
 			fmt.Printf("%-22s %8.0f apps/s  apply hit %5.1f%%  %s\n",
@@ -605,7 +548,11 @@ func run() int {
 			if !v.equiv || *scalReps <= 0 {
 				continue
 			}
-			points := measureScaling(g, v.gp, *r, *seed, *scalReps)
+			points, err := measureScaling(g, v.gp, simOpts, *scalReps)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "qbench: %s: %v\n", v.name, err)
+				return 1
+			}
 			curve := scalingCurve{Name: v.name, Points: points, VerdictsMatch: true}
 			for _, pt := range points {
 				// Sequential (1 worker) == parallel == the measurement above.
@@ -634,7 +581,10 @@ func run() int {
 		art.Summary.MinScalingEfficiency4 = minScalEff4
 	}
 	if *cliffReps > 0 {
-		art.Clifford = measureClifford(*seed, *cliffReps)
+		if art.Clifford, err = measureClifford(*seed, *cliffReps); err != nil {
+			fmt.Fprintln(os.Stderr, "qbench:", err)
+			return 1
+		}
 		stabLogSum, stabCount := 0.0, 0
 		minStab20 := math.Inf(1)
 		for _, pt := range art.Clifford {
@@ -659,7 +609,6 @@ func run() int {
 			return 1
 		}
 		minGC := math.Inf(1)
-		gcLogSum, gcCount := 0.0, 0
 		for _, row := range rows {
 			pt := gateCostPoint{
 				Name:          row.Name,
@@ -684,8 +633,6 @@ func run() int {
 				allMatch = false
 			}
 			if row.Equivalent && row.NodeRatio > 0 {
-				gcLogSum += math.Log(row.NodeRatio)
-				gcCount++
 				minGC = math.Min(minGC, row.NodeRatio)
 			}
 			art.GateCost = append(art.GateCost, pt)
@@ -693,8 +640,8 @@ func run() int {
 				row.Name, pt.Schemes["gate-cost"].PeakNodes, pt.Schemes["proportional"].PeakNodes,
 				row.NodeRatio, row.VerdictParity)
 		}
-		if gcCount > 0 {
-			art.Summary.GeomeanGateCostRatio = math.Exp(gcLogSum / float64(gcCount))
+		if g := harness.GateCostGeomeanRatio(rows); g > 0 {
+			art.Summary.GeomeanGateCostRatio = g
 			art.Summary.MinGateCostRatio = minGC
 		}
 	}

@@ -31,33 +31,12 @@ import (
 	"strings"
 	"time"
 
-	"qcec/internal/circuit"
+	"qcec/internal/circuitfile"
 	"qcec/internal/core"
 	"qcec/internal/dd"
 	"qcec/internal/ec"
-	"qcec/internal/qasm"
 	"qcec/internal/resource"
-	"qcec/internal/revlib"
 )
-
-func loadCircuit(path string) (*circuit.Circuit, error) {
-	switch {
-	case strings.HasSuffix(path, ".real"):
-		f, err := revlib.ParseFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return f.Circuit, nil
-	case strings.HasSuffix(path, ".qasm"):
-		prog, err := qasm.ParseFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return prog.Circuit, nil
-	default:
-		return nil, fmt.Errorf("unsupported circuit format %q (want .qasm or .real)", path)
-	}
-}
 
 func main() {
 	os.Exit(run(os.Args[1:]))
@@ -141,12 +120,12 @@ func run(args []string) int {
 	if memSoftBytes == 0 && memHardBytes > 0 {
 		memSoftBytes = memHardBytes / 10 * 8
 	}
-	g1, err := loadCircuit(fs.Arg(0))
+	g1, err := circuitfile.Load(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qcec:", err)
 		return 2
 	}
-	g2, err := loadCircuit(fs.Arg(1))
+	g2, err := circuitfile.Load(fs.Arg(1))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qcec:", err)
 		return 2

@@ -12,49 +12,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"qcec/internal/circuit"
+	"qcec/internal/circuitfile"
 	"qcec/internal/decompose"
 	"qcec/internal/opt"
-	"qcec/internal/qasm"
-	"qcec/internal/revlib"
 )
-
-func load(path string) (*circuit.Circuit, error) {
-	switch {
-	case strings.HasSuffix(path, ".real"):
-		f, err := revlib.ParseFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return f.Circuit, nil
-	case strings.HasSuffix(path, ".qasm"):
-		prog, err := qasm.ParseFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return prog.Circuit, nil
-	default:
-		return nil, fmt.Errorf("unsupported input format %q", path)
-	}
-}
-
-func save(path string, c *circuit.Circuit) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	switch {
-	case strings.HasSuffix(path, ".real"):
-		return revlib.Write(f, c)
-	case strings.HasSuffix(path, ".qasm"):
-		return qasm.Write(f, c)
-	default:
-		return fmt.Errorf("unsupported output format %q", path)
-	}
-}
 
 func main() {
 	var (
@@ -69,7 +31,7 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	c, err := load(flag.Arg(0))
+	c, err := circuitfile.Load(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qconv:", err)
 		os.Exit(1)
@@ -88,7 +50,7 @@ func main() {
 	if *optimize {
 		c, _ = opt.Optimize(c, opt.Options{})
 	}
-	if err := save(*out, c); err != nil {
+	if err := circuitfile.Save(*out, c); err != nil {
 		fmt.Fprintln(os.Stderr, "qconv:", err)
 		os.Exit(1)
 	}

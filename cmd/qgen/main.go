@@ -20,10 +20,9 @@ import (
 
 	"qcec/internal/bench"
 	"qcec/internal/circuit"
+	"qcec/internal/circuitfile"
 	"qcec/internal/decompose"
 	"qcec/internal/errinject"
-	"qcec/internal/qasm"
-	"qcec/internal/revlib"
 )
 
 // parseErrKind maps a flag value onto an error-injection class by its
@@ -131,21 +130,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "qgen:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	switch {
-	case strings.HasSuffix(*out, ".qasm"):
-		err = qasm.Write(f, c)
-	case strings.HasSuffix(*out, ".real"):
-		err = revlib.Write(f, c)
-	default:
-		err = fmt.Errorf("unsupported output format %q", *out)
-	}
-	if err != nil {
+	if err := circuitfile.Save(*out, c); err != nil {
 		fmt.Fprintln(os.Stderr, "qgen:", err)
 		os.Exit(1)
 	}

@@ -14,32 +14,10 @@ import (
 	"math/rand"
 	"os"
 	"sort"
-	"strings"
 
-	"qcec/internal/circuit"
-	"qcec/internal/qasm"
-	"qcec/internal/revlib"
+	"qcec/internal/circuitfile"
 	"qcec/internal/sim"
 )
-
-func loadCircuit(path string) (*circuit.Circuit, error) {
-	switch {
-	case strings.HasSuffix(path, ".real"):
-		f, err := revlib.ParseFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return f.Circuit, nil
-	case strings.HasSuffix(path, ".qasm"):
-		prog, err := qasm.ParseFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return prog.Circuit, nil
-	default:
-		return nil, fmt.Errorf("unsupported circuit format %q (want .qasm or .real)", path)
-	}
-}
 
 func main() {
 	var (
@@ -55,7 +33,7 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	c, err := loadCircuit(flag.Arg(0))
+	c, err := circuitfile.Load(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qsim:", err)
 		os.Exit(2)

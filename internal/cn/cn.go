@@ -121,6 +121,18 @@ func AgreementTolerance(weightTol float64) float64 {
 	return min(weightTol*1e4, 1e-3)
 }
 
+// StatesAgree judges two unit states by their overlap ⟨u|u′⟩ within tol
+// (an AgreementTolerance): strictly the overlap must be 1, up to a global
+// phase only its magnitude.  Every basis-state comparison of the flow, the
+// stabilizer's phase anchor and the theory experiment uses it.
+func StatesAgree(overlap complex128, upToPhase bool, tol float64) bool {
+	if upToPhase {
+		re, im := real(overlap), imag(overlap)
+		return re*re+im*im > 1-tol
+	}
+	return math.Abs(real(overlap)-1) < tol && math.Abs(imag(overlap)) < tol
+}
+
 // NewTable creates a table with the given tolerance.  The tolerance must be
 // positive and smaller than 1e-2 (larger values would merge numerically
 // distinct amplitudes of real circuits).

@@ -42,7 +42,8 @@ func TestAgreementToleranceDerivation(t *testing.T) {
 // by an overlap imaginary part of ~3e-6 — outside the default 1e-6 agreement
 // bound but inside the 1e-4 bound derived from a coarser Tolerance=1e-8.
 // Before the fix the second check also reported NotEquivalent because the
-// configured tolerance never reached statesAgree.
+// configured tolerance never reached the state-agreement predicate
+// (now cn.StatesAgree).
 func TestStatesAgreeUsesConfiguredTolerance(t *testing.T) {
 	g1 := circuit.New(1, "rz-tiny")
 	g1.RZ(6e-6, 0)
@@ -180,7 +181,7 @@ func TestParallelNumSimsExcludesCrashedWorkerGap(t *testing.T) {
 	defer func() { evalHook = nil }()
 
 	opts := Options{Stimuli: stimuli, Parallel: 2, SkipEC: true}
-	run := runStimuliParallel(g1, g2, stimuli, opts)
+	run := runStimuli(g1, g2, stimuli, opts)
 	n, ce, stats, err := run.n, run.ce, run.stats, run.err
 	if ce == nil || ce.Input != 1 {
 		t.Fatalf("counterexample = %+v, want input 1", ce)
@@ -215,6 +216,27 @@ func TestParallelNumSimsExcludesCrashedWorkerGap(t *testing.T) {
 	}
 	if rep.NumSims != 1 {
 		t.Fatalf("Report.NumSims = %d, want 1", rep.NumSims)
+	}
+}
+
+// TestOversizedRegisterFailsTyped is the regression for a panic in a
+// stimulus worker's setup: the DD package caps registers at dd.MaxQubits,
+// and the lease for a larger pair panics.  Every worker runs on its own
+// goroutine, so the panic must be recovered there and surface as the
+// report's typed error, for one worker and for several, not crash the
+// process.
+func TestOversizedRegisterFailsTyped(t *testing.T) {
+	g := circuit.New(dd.MaxQubits+1, "wide")
+	g.H(0).CX(0, dd.MaxQubits)
+	for _, parallel := range []int{0, 2} {
+		rep := Check(g, g.Clone(), Options{Parallel: parallel})
+		var perr *resource.PanicError
+		if !errors.As(rep.Err, &perr) {
+			t.Fatalf("Parallel %d: err = %v, want a *resource.PanicError", parallel, rep.Err)
+		}
+		if rep.Verdict != ProbablyEquivalent {
+			t.Fatalf("Parallel %d: verdict = %v, want probably equivalent (inconclusive)", parallel, rep.Verdict)
+		}
 	}
 }
 

@@ -33,7 +33,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -88,11 +87,11 @@ const DefaultR = 10
 // Options configures the flow.
 type Options struct {
 	// Context, when non-nil, cancels the flow cooperatively: the stimulus
-	// loops (sequential and parallel) poll it between simulations, each
-	// worker's DD package polls it inside long operations, and it is passed
-	// down to the complete routine (ec.Options.Context).  A cancelled run
-	// returns with Report.Cancelled set and an inconclusive verdict.  Its
-	// deadline is also the prover race's timeout.
+	// workers poll it between simulations, each worker's DD package polls
+	// it inside long operations, and it is passed down to the complete
+	// routine (ec.Options.Context).  A cancelled run returns with
+	// Report.Cancelled set and an inconclusive verdict.  Its deadline is
+	// also the prover race's timeout.
 	Context context.Context
 	// Provers, when non-nil, races the named provers (see ProverNames)
 	// concurrently instead of running the pipeline; the first definitive
@@ -141,8 +140,8 @@ type Options struct {
 	ZXPrefilter bool
 	// Parallel runs the simulation stage with this many workers, each on
 	// its own DD package (the DD package is single-threaded).  Verdicts and
-	// counterexamples are identical to the sequential run: the first
-	// distinguishing stimulus in stimulus order wins.  0 or 1 = sequential.
+	// counterexamples do not depend on it: the first distinguishing
+	// stimulus in stimulus order wins.  0 or 1 = one worker.
 	Parallel int
 	// UpToGlobalPhase compares states and unitaries modulo a scalar phase.
 	UpToGlobalPhase bool
@@ -187,7 +186,7 @@ type Options struct {
 }
 
 // Degraded returns the conservative configuration of a re-run after a crash
-// or a transient failure: sequential simulation, fresh DD packages instead
+// or a transient failure: one simulation worker, fresh DD packages instead
 // of pooled ones, and the node budget of ec.DegradedNodeLimit, so the
 // re-run cannot repeat a resource blow-up.  Both retry paths use it: a
 // race's RetryCrashed and qcecd's transient-failure retry.
@@ -198,9 +197,10 @@ func (o Options) Degraded() Options {
 	return o
 }
 
-// ecOptions is the complete routine's configuration under o; every
-// ec.Check of the pipeline and of the race's provers starts from it.
-func (o Options) ecOptions() ec.Options {
+// ECOptions is the complete routine's configuration under o; every
+// ec.Check of the pipeline, of the race's provers and of the experiments
+// starts from it.
+func (o Options) ECOptions() ec.Options {
 	return ec.Options{
 		Strategy:        o.Strategy,
 		Context:         o.Context,
@@ -386,7 +386,7 @@ func check(g1, g2 *circuit.Circuit, opts Options) Report {
 	report.Exhaustive = g1.N < 63 && uint64(len(cols)) == uint64(1)<<uint(g1.N)
 
 	simStart := time.Now()
-	run := simulate(g1, g2, stimuli, opts)
+	run := runStimuli(g1, g2, stimuli, opts)
 	report.SimTime = time.Since(simStart)
 	report.setSim(run)
 	if run.ce != nil {
@@ -442,7 +442,7 @@ func check(g1, g2 *circuit.Circuit, opts Options) Report {
 		return report
 	}
 
-	ecOpts := opts.ecOptions()
+	ecOpts := opts.ECOptions()
 	if finishEligible(g1.N, opts, run) {
 		ecOpts.Progress = yieldRule(g1.N, run, len(cols))
 	}
@@ -512,14 +512,6 @@ func (r *Report) decideByEC(res ec.Result) {
 			r.Err = res.Err
 		}
 	}
-}
-
-func statesAgree(overlap complex128, upToPhase bool, tol float64) bool {
-	if upToPhase {
-		re, im := real(overlap), imag(overlap)
-		return re*re+im*im > 1-tol
-	}
-	return math.Abs(real(overlap)-1) < tol && math.Abs(imag(overlap)) < tol
 }
 
 // StimulusRangeError reports a caller-supplied stimulus that does not fit

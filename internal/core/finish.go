@@ -75,13 +75,14 @@ const columnChunk = 1 << 12
 
 // finishBySimulation runs the columns the simulation stage has not covered
 // (every basis state but cols) after the probe yielded with result probe,
-// and decides the report from them.  The columns run under the complete
-// check's deadline and the flow's context; report.EC keeps the probe's
-// result (its Runtime and DD), while SimTime, NumSims and DD include the
-// extra columns.  Every column identical proves equivalence; a failing one
-// is an ordinary simulation counterexample.  A column that agrees only
-// within the overlap tolerance withdraws the proof, and the complete check
-// decides after all, in what is left of its deadline.
+// and decides the report from them.  The columns run on the stage's one
+// runner (runStimuli), under the complete check's deadline and the flow's
+// context; report.EC keeps the probe's result (its Runtime and DD), while
+// SimTime, NumSims and DD include the extra columns.  Every column
+// identical proves equivalence; a failing one is an ordinary simulation
+// counterexample.  A column that agrees only within the overlap tolerance
+// withdraws the proof, and the complete check decides after all, in what
+// is left of its deadline.
 func (r *Report) finishBySimulation(g1, g2 *circuit.Circuit, cols []uint64, opts Options, deadline time.Time, run simRun, probe ec.Result) {
 	r.EC = &probe
 	o := opts
@@ -118,7 +119,7 @@ func (r *Report) finishBySimulation(g1, g2 *circuit.Circuit, cols []uint64, opts
 		r.decideBySim(nil)
 	default:
 		r.Exhaustive = true
-		ecOpts := opts.ecOptions()
+		ecOpts := opts.ECOptions()
 		if !deadline.IsZero() {
 			// At least 1ns: a zero Timeout would mean no limit.
 			ecOpts.Timeout = max(time.Until(deadline), time.Nanosecond)
@@ -146,7 +147,7 @@ func simulateRemaining(g1, g2 *circuit.Circuit, cols []uint64, o Options) simRun
 			}
 			chunk = append(chunk, x)
 		}
-		run.add(simulate(g1, g2, chunk, o))
+		run.add(runStimuli(g1, g2, chunk, o))
 		if run.ce != nil || run.err != nil {
 			break
 		}

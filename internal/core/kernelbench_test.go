@@ -6,17 +6,11 @@ import (
 
 	"qcec/internal/circuit"
 	"qcec/internal/dd"
-	"qcec/internal/qasm"
 )
 
-// loadBenchCircuit is loadSeedCircuit for benchmarks (no *testing.T).
+// loadBenchCircuit loads a seed benchmark circuit by file name.
 func loadBenchCircuit(b *testing.B, name string) *circuit.Circuit {
-	b.Helper()
-	prog, err := qasm.ParseFile(filepath.Join("..", "..", "circuits", name))
-	if err != nil {
-		b.Fatalf("parse %s: %v", name, err)
-	}
-	return prog.Circuit
+	return loadSeedCircuit(b, filepath.Join("..", "..", "circuits", name))
 }
 
 // BenchmarkSimKernel measures the simulation stage (the direct apply

@@ -3,35 +3,21 @@ package core
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"qcec/internal/circuit"
+	"qcec/internal/circuitfile"
 	"qcec/internal/errinject"
-	"qcec/internal/qasm"
-	"qcec/internal/revlib"
 )
 
 // loadSeedCircuit parses one of the repo's seed benchmark circuits.
-func loadSeedCircuit(t *testing.T, path string) *circuit.Circuit {
-	t.Helper()
-	switch {
-	case strings.HasSuffix(path, ".real"):
-		f, err := revlib.ParseFile(path)
-		if err != nil {
-			t.Fatalf("parse %s: %v", path, err)
-		}
-		return f.Circuit
-	case strings.HasSuffix(path, ".qasm"):
-		prog, err := qasm.ParseFile(path)
-		if err != nil {
-			t.Fatalf("parse %s: %v", path, err)
-		}
-		return prog.Circuit
-	default:
-		t.Fatalf("unsupported circuit format %q", path)
-		return nil
+func loadSeedCircuit(tb testing.TB, path string) *circuit.Circuit {
+	tb.Helper()
+	c, err := circuitfile.Load(path)
+	if err != nil {
+		tb.Fatalf("load %s: %v", path, err)
 	}
+	return c
 }
 
 func seedCircuitFiles(t *testing.T) []string {
@@ -43,7 +29,7 @@ func seedCircuitFiles(t *testing.T) []string {
 	}
 	var files []string
 	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".qasm") || strings.HasSuffix(e.Name(), ".real") {
+		if circuitfile.Supported(e.Name()) {
 			files = append(files, filepath.Join(dir, e.Name()))
 		}
 	}

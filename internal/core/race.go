@@ -251,7 +251,7 @@ func ecOutcome(res ec.Result) portfolio.Outcome {
 // raceEC runs the complete routine on o: the "alt" prover, whose scheme is
 // Options.Strategy, and the body of the provers that pick their own.
 func raceEC(g1, g2 *circuit.Circuit, o Options) portfolio.Outcome {
-	return ecOutcome(ec.Check(g1, g2, o.ecOptions()))
+	return ecOutcome(ec.Check(g1, g2, o.ECOptions()))
 }
 
 // raceConstruction runs the complete routine with the construction
@@ -321,7 +321,10 @@ func raceSAT(g1, g2 *circuit.Circuit, o Options) portfolio.Outcome {
 }
 
 // raceZX runs the ZX-calculus rewriter: sound, incomplete, and only able to
-// prove equivalence up to global phase.
+// prove equivalence up to global phase.  In a strict race (UpToGlobalPhase
+// unset) such a proof answers a weaker question than the one asked, so it
+// is inconclusive, with the proof kept in the detail: only a strict verdict
+// may win, whichever prover finishes first.
 func raceZX(g1, g2 *circuit.Circuit, o Options) portfolio.Outcome {
 	if o.OutputPerm != nil {
 		return portfolio.Outcome{Stop: portfolio.StopError, Detail: "output permutation unsupported"}
@@ -331,11 +334,15 @@ func raceZX(g1, g2 *circuit.Circuit, o Options) portfolio.Outcome {
 		return portfolio.Outcome{Stop: portfolio.StopError, Err: err, Detail: err.Error()}
 	}
 	out := portfolio.Outcome{Detail: fmt.Sprintf("spiders %d -> %d", res.SpidersBefore, res.SpidersAfter)}
-	if res.Verdict == zx.EquivalentUpToPhase {
+	switch {
+	case res.Verdict == zx.EquivalentUpToPhase && o.UpToGlobalPhase:
 		out.Verdict = portfolio.EquivalentUpToGlobalPhase
-	} else if res.Cancelled {
+	case res.Verdict == zx.EquivalentUpToPhase:
+		out.Stop = portfolio.StopInconclusive
+		out.Detail = "equivalent up to global phase, not a strict proof; " + out.Detail
+	case res.Cancelled:
 		out.Stop = portfolio.StopCancelled
-	} else {
+	default:
 		out.Stop = portfolio.StopInconclusive
 	}
 	return out

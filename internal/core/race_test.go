@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -111,5 +112,33 @@ func TestRaceReport(t *testing.T) {
 	}
 	if got := rep.Provers[0].Stop; got != portfolio.StopTimeout {
 		t.Fatalf("prover stopped by the caller's context: stop = %v, want %v", got, portfolio.StopTimeout)
+	}
+}
+
+// TestStrictRaceNeedsStrictVerdict: zx proves equivalence only up to a
+// global phase, so in a strict race its proof is inconclusive and cannot
+// beat a strict verdict that is still running.  Alone it leaves the race
+// undecided; against alt the answer is alt's strict Equivalent on every
+// run, whichever prover finishes first.  An up-to-phase race still takes
+// zx's proof.
+func TestStrictRaceNeedsStrictVerdict(t *testing.T) {
+	g := loadSeedCircuit(t, filepath.Join("..", "..", "circuits", "qft8.qasm"))
+	rep := Check(g, g.Clone(), Options{Provers: []string{"zx"}})
+	if rep.Verdict == EquivalentUpToGlobalPhase || rep.DecidedBy != "" {
+		t.Fatalf("zx alone in a strict race: %v by %q, want no winner", rep.Verdict, rep.DecidedBy)
+	}
+	if got := rep.Provers[0].Stop; got != portfolio.StopInconclusive {
+		t.Fatalf("zx in a strict race: stop = %v, want %v", got, portfolio.StopInconclusive)
+	}
+	for i := 0; i < 20; i++ {
+		rep := Check(g, g.Clone(), Options{Provers: []string{"zx", "alt"}})
+		if rep.Verdict != Equivalent || rep.DecidedBy != "alt" {
+			t.Fatalf("run %d: zx racing alt: %v by %q, want equivalent by alt", i, rep.Verdict, rep.DecidedBy)
+		}
+	}
+	rep = Check(g, g.Clone(), Options{Provers: []string{"zx"}, UpToGlobalPhase: true})
+	if rep.Verdict != EquivalentUpToGlobalPhase || rep.DecidedBy != "zx" {
+		t.Fatalf("zx alone in an up-to-phase race: %v by %q, want equivalent up to global phase by zx",
+			rep.Verdict, rep.DecidedBy)
 	}
 }

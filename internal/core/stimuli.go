@@ -12,14 +12,12 @@ import (
 	"qcec/internal/sim"
 )
 
-// simRunner bundles the per-worker simulation state: one leased DD package,
-// one simulator, and the pre-built un-permutation matrix if the pair
-// declares an output permutation.
+// simRunner bundles the per-worker simulation state: one leased DD package
+// and the circuit pair bound to it (sim.Pair, which also holds the
+// un-permutation matrix if the pair declares an output permutation).
 type simRunner struct {
 	p         *dd.Package
-	s         *sim.Simulator
-	unperm    dd.MEdge
-	havePerm  bool
+	pair      *sim.Pair
 	upToPhase bool
 	agreeTol  float64 // state-agreement tolerance, derived from the DD tolerance
 	threshold float64 // approximate mode when > 0
@@ -38,79 +36,46 @@ type simRunner struct {
 // restore it; it is a variable for them alone.
 var simGCFloor = 1 << 18
 
-// newSimRunner leases the worker's package on the flow's context, so a
-// cancellation reaches inside a single large simulation, not just between
-// stimuli (the resulting *dd.LimitError panic is recovered by the stimulus
-// loops below), and a memory watchdog on the context sees the package.
-func newSimRunner(n int, opts Options) *simRunner {
-	r := &simRunner{
-		p:         opts.Pool.Lease(opts.Context, n, opts.Tolerance),
-		havePerm:  opts.OutputPerm != nil,
+// newSimRunner binds the circuit pair to the worker's package p.  The
+// package is leased on the flow's context, so a cancellation reaches inside
+// a single large simulation, not just between stimuli (the resulting
+// *dd.LimitError panic is recovered by the stimulus loop below), and a
+// memory watchdog on the context sees the package.
+func newSimRunner(p *dd.Package, g1, g2 *sim.Program, opts Options) *simRunner {
+	p.SetGCThreshold(simGCFloor)
+	return &simRunner{
+		p:         p,
+		pair:      sim.NewPair(p, g1, g2, opts.OutputPerm),
 		upToPhase: opts.UpToGlobalPhase,
 		agreeTol:  cn.AgreementTolerance(opts.Tolerance),
 		threshold: opts.FidelityThreshold,
 	}
-	r.p.SetGCThreshold(simGCFloor)
-	r.s = sim.NewOn(r.p)
-	if r.havePerm {
-		// Pinned for the runs' collections: compare applies it after both.
-		r.unperm = sim.PermutationDD(r.p, circuit.InversePermutation(opts.OutputPerm))
-		r.s.PinnedM = []dd.MEdge{r.unperm}
-	}
-	return r
 }
 
-// sharedProgs holds the one read-only compilation of the circuit pair that
-// every stimulus worker drives.  The programs are immutable after
-// prepareShared returns; each worker binds them to its private package
-// (sim.Simulator keeps the binding per package), so nothing here is ever
-// written concurrently.
-type sharedProgs struct {
-	g1, g2 *sim.Program
-}
-
-// prepareShared compiles the pair once for all workers.
-func prepareShared(g1, g2 *circuit.Circuit) sharedProgs {
-	return sharedProgs{g1: sim.Prepare(g1), g2: sim.Prepare(g2)}
-}
-
-// compare simulates both circuits on |input>, returning the output fidelity,
-// whether the two outputs are the same DD edge (node and interned weight,
-// the test ec.classify applies to the miter), and a counterexample if the
-// outputs disagree (under the exact or the approximate criterion), nil
-// otherwise.  Outputs that agree only within the overlap tolerance are no
+// compare runs one column comparison (sim.Pair.Compare), returning the
+// output fidelity, whether the two outputs are the same DD edge (the test
+// ec.classify applies to the miter), and a counterexample if the outputs
+// disagree (under the exact or the approximate criterion), nil otherwise.
+// Outputs that agree only within the overlap tolerance are no
 // counterexample, but not identical either.
-func (r *simRunner) compare(progs sharedProgs, input uint64) (*Counterexample, float64, bool) {
-	// Build the stimulus once and reuse it for both runs.  It must be pinned
-	// across the first run's garbage collections: the second run starts from
-	// the same edge, so its nodes have to stay interned until then.
-	in := r.p.BasisState(input)
-	u := r.s.RunProgramWithPins(progs.g1, in, []dd.VEdge{in})
-	v := r.s.RunProgramWithPins(progs.g2, in, []dd.VEdge{u})
-	if r.havePerm {
-		v = r.p.MulMV(r.unperm, v)
-	}
-	overlap := r.p.InnerProduct(u, v)
-	re, im := real(overlap), imag(overlap)
-	fidelity := re*re + im*im
-	agree := statesAgree(overlap, r.upToPhase, r.agreeTol)
+func (r *simRunner) compare(input uint64) (*Counterexample, float64, bool) {
+	col := r.pair.Compare(input)
+	fidelity := col.Fidelity()
+	agree := cn.StatesAgree(col.Overlap, r.upToPhase, r.agreeTol)
 	if r.threshold > 0 {
 		agree = fidelity >= r.threshold
 	}
 	if agree {
-		return nil, fidelity, u == v
+		return nil, fidelity, col.Identical
 	}
 	return &Counterexample{
 		Input:    input,
-		Overlap:  overlap,
+		Overlap:  col.Overlap,
 		Fidelity: fidelity,
-		StateG:   r.p.FormatState(u, 4),
-		StateGp:  r.p.FormatState(v, 4),
+		StateG:   r.p.FormatState(col.U, 4),
+		StateGp:  r.p.FormatState(col.V, 4),
 	}, fidelity, false
 }
-
-// gcBetween drops everything but the permutation matrix between stimuli.
-func (r *simRunner) gcBetween() { r.p.MaybeGC(nil, r.s.PinnedM) }
 
 // fidStats accumulates per-stimulus output fidelities.
 type fidStats struct {
@@ -171,14 +136,6 @@ func (r *simRun) add(o simRun) {
 	}
 }
 
-// simulate runs the stimuli on opts.Parallel workers, or sequentially.
-func simulate(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options) simRun {
-	if opts.Parallel > 1 && len(stimuli) > 1 {
-		return runStimuliParallel(g1, g2, stimuli, opts)
-	}
-	return runStimuliSequential(g1, g2, stimuli, opts)
-}
-
 // cancelled reports whether the flow's context (if any) has been cancelled.
 func cancelled(opts Options) bool {
 	return opts.Context != nil && opts.Context.Err() != nil
@@ -201,69 +158,31 @@ func recoverWorker(op string, errp *error) {
 	*errp = resource.NewPanicError(op, r)
 }
 
-// evalHook and failHook, when non-nil, observe the stimulus runners:
-// evalHook sees every stimulus index about to be evaluated (in either
-// runner), failHook every index the parallel runner records as a failure.
-// Test-only; they let the fast-forward regression test schedule workers
-// deterministically and assert that nothing past the first failure is
-// simulated, and the finish-by-simulation tests cancel mid-run.
+// evalHook and failHook, when non-nil, observe the stimulus runner:
+// evalHook sees every stimulus index about to be evaluated, failHook every
+// index recorded as a failure.  Test-only; they let the fast-forward
+// regression test schedule workers deterministically and assert that
+// nothing past the first failure is simulated, and the finish-by-simulation
+// tests cancel mid-run.
 var (
 	evalHook func(i int)
 	failHook func(i int)
 )
 
-// runStimuliSequential is the paper's loop: one stimulus at a time, stopping
-// at the first counterexample.
-func runStimuliSequential(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options) (run simRun) {
-	r := newSimRunner(g1.N, opts)
-	// Deferred before recoverWorker, so run.err is set when the lease ends:
-	// a runner that died on a genuine panic (a *resource.PanicError) drops
-	// its package, since injected chaos may have corrupted state the reset
-	// cannot undo (a non-finite interned weight, say), while an absorbed
-	// cancellation (run.err == nil) recycles it.
-	defer func() { run.dd = r.p.Release(run.err != nil) }()
-	run = newSimRun()
-	defer recoverWorker("core.sim", &run.err)
-	progs := prepareShared(g1, g2)
-	for i, input := range stimuli {
-		if cancelled(opts) {
-			return run
-		}
-		if evalHook != nil {
-			evalHook(i)
-		}
-		ce, fid, same := r.compare(progs, input)
-		// Counted only once the comparison finished: when a cancellation is
-		// absorbed mid-compare (recoverWorker swallows the *dd.LimitError
-		// panic raised by the lease's cancellation hook), NumSims reports
-		// the stimuli whose comparison actually finished, never the
-		// in-flight one.
-		run.stats.add(fid)
-		run.identical = run.identical && same
-		run.n++
-		if ce != nil {
-			run.ce = ce
-			return run
-		}
-		r.gcBetween()
-	}
-	return run
-}
-
-// runStimuliParallel distributes the stimuli round-robin over
-// opts.Parallel workers, each with a private DD package.  The circuit pair
-// is compiled once (prepareShared) and the read-only programs are driven by
-// every worker, so per-worker setup is just a package and a binding.  The
-// result is bit-identical to the sequential run: the first distinguishing
-// stimulus in stimulus order is reported, and every stimulus before it has
-// been checked.  Workers fast-forward past indices beyond the current best
-// counterexample, so the early-exit behaviour parallelizes too.
-func runStimuliParallel(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options) simRun {
-	workers := opts.Parallel
-	if workers > len(stimuli) {
-		workers = len(stimuli)
-	}
-	progs := prepareShared(g1, g2)
+// runStimuli is the simulation stage's one stimulus loop.  It distributes
+// the stimuli round-robin over opts.Parallel workers (at least one, at most
+// one per stimulus), each with a private DD package.  The circuit pair is
+// compiled once into read-only sim.Programs that every worker binds to its
+// package and drives, so per-worker setup is just a package and a binding.
+// A single worker is the paper's loop: one stimulus at a time, stopping at
+// the first counterexample.  The result does not depend on the worker
+// count: the first distinguishing stimulus in stimulus order is reported,
+// and every stimulus before it has been checked.  Workers fast-forward past
+// indices beyond the current best counterexample, so the early exit
+// parallelizes too.
+func runStimuli(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options) simRun {
+	workers := max(1, min(opts.Parallel, len(stimuli)))
+	prog1, prog2 := sim.Prepare(g1), sim.Prepare(g2)
 	ces := make([]*Counterexample, len(stimuli))
 	fids := make([]float64, len(stimuli))
 	evaluated := make([]bool, len(stimuli))
@@ -273,48 +192,84 @@ func runStimuliParallel(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options)
 	var firstFail atomic.Int64
 	firstFail.Store(int64(len(stimuli)))
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := newSimRunner(g1.N, opts)
-			defer func() { workerDD[w] = r.p.Release(workerErr[w] != nil) }() // before recoverWorker, as in runStimuliSequential
-			defer recoverWorker(fmt.Sprintf("core.sim worker %d", w), &workerErr[w])
-			workerSame[w] = true
-			for i := w; i < len(stimuli); i += workers {
-				if cancelled(opts) {
-					return
-				}
-				if int64(i) >= firstFail.Load() {
-					return // this or an earlier stimulus already failed
-				}
-				if evalHook != nil {
-					evalHook(i)
-				}
-				ce, fid, same := r.compare(progs, stimuli[i])
-				fids[i] = fid
-				evaluated[i] = true
-				workerSame[w] = workerSame[w] && same
-				if ce != nil {
-					ces[i] = ce
-					// Lower firstFail monotonically.
-					for {
-						cur := firstFail.Load()
-						if int64(i) >= cur || firstFail.CompareAndSwap(cur, int64(i)) {
-							break
-						}
-					}
-					if failHook != nil {
-						failHook(i)
-					}
-					return
-				}
-				r.gcBetween()
+	// work is worker w's loop over its share of the stimuli.  A single
+	// worker runs on the calling goroutine; several each get their own, as
+	// a worker left on the caller delays the start of the others (2-worker
+	// qbench rates on 5-8 qubit pairs fell by 13-32%).
+	work := func(w int) {
+		var p *dd.Package
+		// Deferred before recoverWorker, so workerErr[w] is set when the
+		// lease ends: a worker that died on a genuine panic (a
+		// *resource.PanicError) drops its package, since injected chaos
+		// may have corrupted state the reset cannot undo (a non-finite
+		// interned weight, say), while an absorbed cancellation recycles
+		// it.
+		defer func() {
+			if p != nil {
+				workerDD[w] = p.Release(workerErr[w] != nil)
 			}
-		}(w)
+		}()
+		// Installed before the lease, so a panic while leasing or
+		// binding (an unsupported register size, or a cancellation while
+		// the un-permutation is built) becomes the worker's error too:
+		// escaping a worker goroutine, it would end the process.
+		label := "core.sim"
+		if workers > 1 {
+			label = fmt.Sprintf("core.sim worker %d", w)
+		}
+		defer recoverWorker(label, &workerErr[w])
+		p = opts.Pool.Lease(opts.Context, g1.N, opts.Tolerance)
+		r := newSimRunner(p, prog1, prog2, opts)
+		workerSame[w] = true
+		for i := w; i < len(stimuli); i += workers {
+			if cancelled(opts) {
+				return
+			}
+			if int64(i) >= firstFail.Load() {
+				return // this or an earlier stimulus already failed
+			}
+			if evalHook != nil {
+				evalHook(i)
+			}
+			ce, fid, same := r.compare(stimuli[i])
+			// Recorded only once the comparison finished: when a
+			// cancellation is absorbed mid-compare (recoverWorker
+			// swallows the *dd.LimitError panic raised by the lease's
+			// cancellation hook), NumSims counts the stimuli whose
+			// comparison actually finished, never the in-flight one.
+			fids[i] = fid
+			evaluated[i] = true
+			workerSame[w] = workerSame[w] && same
+			if ce != nil {
+				ces[i] = ce
+				// Lower firstFail monotonically.
+				for {
+					cur := firstFail.Load()
+					if int64(i) >= cur || firstFail.CompareAndSwap(cur, int64(i)) {
+						break
+					}
+				}
+				if failHook != nil {
+					failHook(i)
+				}
+				return
+			}
+			r.pair.MaybeGC()
+		}
 	}
-	wg.Wait()
+	if workers == 1 {
+		work(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(w)
+			}()
+		}
+		wg.Wait()
+	}
 
 	run := newSimRun()
 	for w := range workerDD {
@@ -324,30 +279,25 @@ func runStimuliParallel(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options)
 			run.err = workerErr[w]
 		}
 	}
-	if idx := firstFail.Load(); idx < int64(len(stimuli)) {
-		// Deterministic statistics: only the sequential prefix counts.  The
-		// reported simulation count is the number of stimuli actually
-		// evaluated, not idx+1 — a crashed worker may have left indices
-		// before the counterexample unevaluated, and NumSims must never
-		// overstate the work done (harness CSVs and reports trust it).
-		for i := int64(0); i <= idx; i++ {
-			if evaluated[i] {
-				run.stats.add(fids[i])
-			}
-		}
-		run.n = run.stats.count
-		run.ce = ces[idx]
-		if gap := int(idx) + 1 - run.n; gap > 0 && run.err != nil {
-			run.err = fmt.Errorf("%w (%d of the %d stimuli before the counterexample left unevaluated)",
-				run.err, gap, int(idx)+1)
-		}
-		return run
-	}
-	for i := range fids {
+	fail := int(firstFail.Load()) // the first failing index, or len(stimuli)
+	prefix := min(fail+1, len(stimuli))
+	// Deterministic statistics: only the prefix through the first failure
+	// counts.  The reported simulation count is the number of stimuli
+	// actually evaluated, not the prefix length — a crashed worker may have
+	// left indices before the counterexample unevaluated, and NumSims must
+	// never overstate the work done (harness CSVs and reports trust it).
+	for i := range prefix {
 		if evaluated[i] {
 			run.stats.add(fids[i])
 		}
 	}
 	run.n = run.stats.count
+	if fail < len(stimuli) {
+		run.ce = ces[fail]
+		if gap := prefix - run.n; gap > 0 && run.err != nil {
+			run.err = fmt.Errorf("%w (%d of the %d stimuli before the counterexample left unevaluated)",
+				run.err, gap, prefix)
+		}
+	}
 	return run
 }

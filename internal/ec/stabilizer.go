@@ -2,12 +2,10 @@ package ec
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"qcec/internal/circuit"
 	"qcec/internal/cn"
-	"qcec/internal/dd"
 	"qcec/internal/sim"
 	"qcec/internal/stab"
 )
@@ -95,10 +93,11 @@ func checkStabilizer(g1, g2 *circuit.Circuit, opts Options) Result {
 
 // anchorPhase resolves the residual global scalar in the strict phase
 // convention: the tableau has proven U' = e^{iφ}·P·U (P the declared output
-// relabeling), so a single basis-state simulation of both circuits pins φ —
-// <0|P†U'|0> / <0|U|0> — with one overlap.  This is the only place the
-// stabilizer strategy touches a DD package, and only on pairs already
-// proven equivalent up to phase.
+// relabeling), so a single basis-state comparison of both circuits
+// (sim.Pair) pins φ — <0|P†U'|0> / <0|U|0> — with one overlap, judged
+// strictly by cn.StatesAgree.  This is the only place the stabilizer
+// strategy touches a DD package, and only on pairs already proven
+// equivalent up to phase.
 func anchorPhase(g1, g2 *circuit.Circuit, opts Options, res *Result) {
 	p := opts.Pool.Lease(opts.Context, g1.N, opts.Tolerance)
 	fault := false
@@ -115,16 +114,8 @@ func anchorPhase(g1, g2 *circuit.Circuit, opts Options, res *Result) {
 		p.SetNodeLimit(opts.NodeLimit)
 	}
 
-	s := sim.NewOn(p)
-	in := p.BasisState(0)
-	u := s.RunFromWithPins(g1, in, []dd.VEdge{in})
-	v := s.RunFromWithPins(g2, in, []dd.VEdge{u})
-	if opts.OutputPerm != nil {
-		v = p.MulMV(sim.PermutationDD(p, circuit.InversePermutation(opts.OutputPerm)), v)
-	}
-	overlap := p.InnerProduct(u, v)
-	atol := cn.AgreementTolerance(opts.Tolerance)
-	if math.Abs(real(overlap)-1) < atol && math.Abs(imag(overlap)) < atol {
+	pair := sim.NewPair(p, sim.Prepare(g1), sim.Prepare(g2), opts.OutputPerm)
+	if cn.StatesAgree(pair.Compare(0).Overlap, false, cn.AgreementTolerance(opts.Tolerance)) {
 		res.Verdict = Equivalent
 		return
 	}

@@ -23,16 +23,13 @@ type StrategyRow struct {
 
 // RunStrategyAblation checks every instance with every strategy.
 func RunStrategyAblation(instances []Instance, opts core.Options) []StrategyRow {
-	opts = withDefaults(opts)
+	ecOpts := withDefaults(opts).ECOptions()
 	var rows []StrategyRow
 	for _, inst := range instances {
+		ecOpts.OutputPerm = inst.OutputPerm
 		for _, s := range []ec.Strategy{ec.Construction, ec.Sequential, ec.Proportional, ec.Lookahead} {
-			r := ec.Check(inst.G, inst.Gp, ec.Options{
-				Strategy:   s,
-				Timeout:    opts.ECTimeout,
-				NodeLimit:  opts.ECNodeLimit,
-				OutputPerm: inst.OutputPerm,
-			})
+			ecOpts.Strategy = s
+			r := ec.Check(inst.G, inst.Gp, ecOpts)
 			rows = append(rows, StrategyRow{
 				Name: inst.Name, Strategy: s, Verdict: r.Verdict,
 				Runtime: r.Runtime, PeakNodes: r.PeakNodes,

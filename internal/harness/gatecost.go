@@ -65,11 +65,8 @@ func RunGateCostComparison(seed int64, opts core.Options) ([]GateCostRow, error)
 		var prop, gc GateCostCell
 		parity := true
 		for k, strat := range GateCostSchemes {
-			ecOpts := ec.Options{
-				Strategy:  strat,
-				Timeout:   opts.ECTimeout,
-				NodeLimit: opts.ECNodeLimit,
-			}
+			ecOpts := opts.ECOptions()
+			ecOpts.Strategy = strat
 			if strat == ec.StrategyGateCost {
 				ecOpts.CostProfile = pair.Profile
 			}

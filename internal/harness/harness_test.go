@@ -407,6 +407,23 @@ func TestECNodeLimitZeroDisablesBudget(t *testing.T) {
 	}
 }
 
+// TestRunFlowHonoursECNodeLimit: the flow experiment runs on the caller's
+// options, ECNodeLimit included, so a budget too small for the complete
+// check leaves an equivalent pair the simulations cannot cover probably
+// equivalent (qectab -table flow -ec-node-limit used to be ignored).
+func TestRunFlowHonoursECNodeLimit(t *testing.T) {
+	g := circuit.New(6, "ghz6")
+	g.H(0)
+	for q := 0; q < 5; q++ {
+		g.CX(q, q+1)
+	}
+	inst := Instance{Name: "node-limit", N: 6, G: g, Gp: g.Clone(), WantEquivalent: true}
+	s := RunFlow([]Instance{inst}, core.Options{R: 1, ECTimeout: 30 * time.Second, ECNodeLimit: 4})
+	if s.ProbablyEquivalent != 1 || s.Equivalent != 0 {
+		t.Fatalf("flow under a 4-node budget: %+v, want the pair probably equivalent", s)
+	}
+}
+
 // TestRunOptionsNodeLimitNormalization pins the withDefaults contract: 0 and
 // negative node limits both reach the complete routine as "no limit", and
 // the other defaults still apply.

@@ -143,11 +143,8 @@ func RunPrefilterComparison(instances []Instance, classes []string, opts core.Op
 		row.ZX = zr.Verdict
 		row.TZX = zr.Runtime
 
-		rep := core.Check(inst.G, inst.Gp, core.Options{
-			R: opts.R, Seed: opts.Seed, Strategy: opts.Strategy,
-			ECTimeout: opts.ECTimeout, ECNodeLimit: opts.ECNodeLimit,
-			OutputPerm: inst.OutputPerm,
-		})
+		opts.OutputPerm = inst.OutputPerm
+		rep := core.Check(inst.G, inst.Gp, opts)
 		row.Flow = rep.Verdict
 		row.TFlow = rep.TotalTime
 		rows = append(rows, row)

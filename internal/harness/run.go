@@ -12,11 +12,13 @@ import (
 	"qcec/internal/ec"
 )
 
-// The experiments take their configuration as a core.Options, of which they
-// read R (paper: 10), Seed, Strategy (the complete routine; the paper's
-// baseline tool constructs and compares both DDs, i.e. ec.Construction),
-// ECTimeout (per instance; paper: 1 h) and ECNodeLimit.  A zero ECTimeout
-// means the harness default of 10 s.
+// The experiments take their configuration as a core.Options: R (paper:
+// 10), Seed, Strategy (the complete routine; the paper's baseline tool
+// constructs and compares both DDs, i.e. ec.Construction), ECTimeout (per
+// instance; paper: 1 h), ECNodeLimit and the rest.  Each experiment copies
+// it, for the complete routine through core.Options.ECOptions, and
+// overrides only the fields it varies (SkipEC, OutputPerm, Strategy,
+// CostProfile).  A zero ECTimeout means the harness default of 10 s.
 
 // DefaultECNodeLimit is the node budget the CLI front ends (cmd/qectab)
 // apply by default.  It is deliberately NOT applied by withDefaults: an
@@ -81,23 +83,15 @@ func RunInstance(inst Instance, opts core.Options) Row {
 		Injection:      inst.Injection,
 	}
 
-	ecRes := ec.Check(inst.G, inst.Gp, ec.Options{
-		Strategy:   opts.Strategy,
-		Timeout:    opts.ECTimeout,
-		NodeLimit:  opts.ECNodeLimit,
-		OutputPerm: inst.OutputPerm,
-	})
+	opts.OutputPerm = inst.OutputPerm
+	ecRes := ec.Check(inst.G, inst.Gp, opts.ECOptions())
 	row.ECVerdict = ecRes.Verdict
 	row.TEC = ecRes.Runtime
 	row.ECTimedOut = ecRes.Verdict == ec.TimedOut
 	row.ECDD = ecRes.DD
 
-	rep := core.Check(inst.G, inst.Gp, core.Options{
-		R:          opts.R,
-		Seed:       opts.Seed,
-		SkipEC:     true,
-		OutputPerm: inst.OutputPerm,
-	})
+	opts.SkipEC = true
+	rep := core.Check(inst.G, inst.Gp, opts)
 	row.NumSims = rep.NumSims
 	row.TSim = rep.SimTime
 	row.SimDetected = rep.Verdict == core.NotEquivalent
@@ -224,13 +218,8 @@ func RunFlow(instances []Instance, opts core.Options) FlowSummary {
 	opts = withDefaults(opts)
 	var s FlowSummary
 	for _, inst := range instances {
-		rep := core.Check(inst.G, inst.Gp, core.Options{
-			R:          opts.R,
-			Seed:       opts.Seed,
-			ECTimeout:  opts.ECTimeout,
-			Strategy:   opts.Strategy,
-			OutputPerm: inst.OutputPerm,
-		})
+		opts.OutputPerm = inst.OutputPerm
+		rep := core.Check(inst.G, inst.Gp, opts)
 		s.Total++
 		s.TotalTime += rep.TotalTime
 		switch rep.Verdict {

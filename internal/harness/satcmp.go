@@ -163,13 +163,13 @@ func RunSATComparison(instances []Instance, opts core.Options) ([]SATRow, error)
 		row.Vars = satRes.Vars
 		row.Clauses = satRes.Clauses
 
-		ddRes := ec.Check(inst.G, inst.Gp, ec.Options{
-			Strategy: opts.Strategy, Timeout: opts.ECTimeout, NodeLimit: opts.ECNodeLimit,
-		})
+		ddRes := ec.Check(inst.G, inst.Gp, opts.ECOptions())
 		row.DDVerdict = ddRes.Verdict
 		row.TDD = ddRes.Runtime
 
-		rep := core.Check(inst.G, inst.Gp, core.Options{R: opts.R, Seed: opts.Seed, SkipEC: true})
+		simOpts := opts
+		simOpts.SkipEC = true
+		rep := core.Check(inst.G, inst.Gp, simOpts)
 		row.SimVerdict = rep.Verdict
 		row.NumSims = rep.NumSims
 		row.TSim = rep.SimTime

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"qcec/internal/circuit"
+	"qcec/internal/cn"
 	"qcec/internal/core"
 	"qcec/internal/dd"
 	"qcec/internal/sim"
@@ -67,18 +68,14 @@ func TheoryExperiment(n int, seed int64) ([]TheoryRow, error) {
 		}
 		gp.Append(g)
 
-		p := dd.NewDefault(n)
-		s := sim.NewOn(p)
-		prog, progp := sim.Prepare(g), sim.Prepare(gp)
+		pair := sim.NewPair(dd.NewDefault(n), sim.Prepare(g), sim.Prepare(gp), nil)
 		mismatches := 0
 		total := 1 << uint(n)
 		for i := 0; i < total; i++ {
-			u := s.RunProgram(prog, uint64(i))
-			v := s.RunProgramWithPins(progp, p.BasisState(uint64(i)), []dd.VEdge{u})
-			if f := p.Fidelity(u, v); f < 1-1e-9 {
+			if !cn.StatesAgree(pair.Compare(uint64(i)).Overlap, true, cn.AgreementTolerance(0)) {
 				mismatches++
 			}
-			p.MaybeGC(nil, nil)
+			pair.MaybeGC()
 		}
 		rows = append(rows, TheoryRow{
 			Controls:  c,

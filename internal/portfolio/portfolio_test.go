@@ -6,18 +6,16 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
 	"qcec/internal/circuit"
+	"qcec/internal/circuitfile"
 	"qcec/internal/core"
 	"qcec/internal/decompose"
 	"qcec/internal/ec"
 	"qcec/internal/errinject"
 	"qcec/internal/portfolio"
-	"qcec/internal/qasm"
-	"qcec/internal/revlib"
 )
 
 func pairGHZ(t *testing.T) (*circuit.Circuit, *circuit.Circuit) {
@@ -165,18 +163,11 @@ func TestSimWinsAndSlowProversAreCancelled(t *testing.T) {
 // loadCircuit reads a .qasm or .real seed benchmark.
 func loadCircuit(t *testing.T, path string) *circuit.Circuit {
 	t.Helper()
-	if strings.HasSuffix(path, ".real") {
-		f, err := revlib.ParseFile(path)
-		if err != nil {
-			t.Fatalf("parse %s: %v", path, err)
-		}
-		return f.Circuit
-	}
-	prog, err := qasm.ParseFile(path)
+	c, err := circuitfile.Load(path)
 	if err != nil {
-		t.Fatalf("parse %s: %v", path, err)
+		t.Fatalf("load %s: %v", path, err)
 	}
-	return prog.Circuit
+	return c
 }
 
 // TestPortfolioMatchesSingleStrategy checks, on the seed benchmark circuits

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"qcec/internal/ec"
 	"qcec/internal/fingerprint"
 )
 
@@ -25,15 +26,16 @@ import (
 // not_equivalent means per request, so those jobs bypass the cache entirely
 // in both directions.
 
-// cacheKey identifies a checking question.  Strategy is the normalized wire
-// name ("" already folded to "proportional") — the strategy cannot change a
-// correct checker's verdict, but it is part of the key so a strategy-specific
-// bug can never poison answers for the default path.  Tolerance is in the key
+// cacheKey identifies a checking question.  Strategy is the scheme the wire
+// name parses to (ec.ParseStrategy), so "" and "proportional", or the
+// gate-cost aliases, share one entry — the strategy cannot change a correct
+// checker's verdict, but it is part of the key so a strategy-specific bug
+// can never poison answers for the default path.  Tolerance is in the key
 // because it parameterizes the equivalence relation itself (what counts as
 // "the same state"); upToPhase likewise.
 type cacheKey struct {
 	pair      fingerprint.Digest
-	strategy  string
+	strategy  ec.Strategy
 	tolerance float64
 	upToPhase bool
 }

@@ -16,7 +16,7 @@ import (
 func mkKey(b byte) cacheKey {
 	var d fingerprint.Digest
 	d[0] = b
-	return cacheKey{pair: d, strategy: "proportional", tolerance: 1e-10}
+	return cacheKey{pair: d, strategy: ec.Proportional, tolerance: 1e-10}
 }
 
 func defres(verdict string) CheckResponse {
@@ -214,38 +214,52 @@ func assertMetric(t *testing.T, text, name string, want int) {
 }
 
 // TestGateCostAliasesShareCacheKey: every wire spelling of the gate-cost
-// strategy must parse to the same scheme and normalize to one cache-key
-// string, so aliases cannot split the cache; the same holds for every
-// alias ec.ParseStrategy accepts.
+// strategy must give a job the same cache key, so aliases cannot split the
+// cache; the same holds for every alias ec.ParseStrategy accepts ("" and
+// "proportional"), while different strategies keep different keys.
 func TestGateCostAliasesShareCacheKey(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	key := func(strategy string) cacheKey {
+		t.Helper()
+		j, apiErr := s.buildJob(CheckRequest{G: bellQASM, Gp: bellQASM, Options: CheckOptions{Strategy: strategy}})
+		if apiErr != nil {
+			t.Fatalf("buildJob(strategy %q): %+v", strategy, apiErr)
+		}
+		j.cancel(nil)
+		return j.ckey
+	}
 	aliases := []string{"gate_cost", "gate-cost", "gatecost", "compilation_flow"}
 	for _, a := range aliases {
-		strat, err := ec.ParseStrategy(a)
-		if err != nil {
-			t.Fatalf("ParseStrategy(%q): %v", a, err)
-		}
-		if strat != ec.StrategyGateCost {
-			t.Errorf("ParseStrategy(%q) = %v, want StrategyGateCost", a, strat)
-		}
-		if got := normalizeStrategy(a); got != "gate_cost" {
-			t.Errorf("normalizeStrategy(%q) = %q, want %q", a, got, "gate_cost")
+		if k := key(a); k != key("gate_cost") || k.strategy != ec.StrategyGateCost {
+			t.Errorf("strategy %q: cache key %+v, want the gate_cost key", a, k)
 		}
 	}
-	if got := normalizeStrategy(""); got != "proportional" {
-		t.Errorf("normalizeStrategy(\"\") = %q, want proportional", got)
+	if key("") != key("proportional") {
+		t.Error(`strategies "" and "proportional" have two cache keys`)
 	}
-	key := map[ec.Strategy]string{}
+	byStrategy := map[ec.Strategy]cacheKey{}
 	for _, a := range append(aliases, "", "proportional", "construction", "sequential", "lookahead", "stabilizer") {
 		strat, err := ec.ParseStrategy(a)
 		if err != nil {
 			t.Fatalf("ParseStrategy(%q): %v", a, err)
 		}
-		if k, seen := key[strat]; seen && k != normalizeStrategy(a) {
-			t.Errorf("%v has two cache-key spellings: %q and %q", strat, k, normalizeStrategy(a))
+		k := key(a)
+		if seen, ok := byStrategy[strat]; ok && seen != k {
+			t.Errorf("%v has two cache keys: %+v and %+v", strat, seen, k)
 		}
-		key[strat] = normalizeStrategy(a)
+		byStrategy[strat] = k
 	}
-	if _, err := ec.ParseStrategy("bogus"); err == nil {
-		t.Error("ParseStrategy accepted an unknown strategy")
+	if len(byStrategy) != 6 {
+		t.Errorf("%d distinct strategy keys, want 6", len(byStrategy))
+	}
+	for strat, k := range byStrategy {
+		for other, o := range byStrategy {
+			if strat != other && k == o {
+				t.Errorf("%v and %v share the cache key %+v", strat, other, k)
+			}
+		}
+	}
+	if _, apiErr := s.buildJob(CheckRequest{G: bellQASM, Gp: bellQASM, Options: CheckOptions{Strategy: "bogus"}}); apiErr == nil {
+		t.Error("admission accepted an unknown strategy")
 	}
 }

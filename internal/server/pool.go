@@ -265,7 +265,6 @@ func (s *Server) jobOptions(j *job) (core.Options, context.CancelFunc) {
 	if parallel > s.cfg.MaxParallel {
 		parallel = s.cfg.MaxParallel
 	}
-	strategy, _ := ec.ParseStrategy(o.Strategy) // validated at admission
 	nodeLimit := o.NodeLimit
 	if nodeLimit < 0 {
 		nodeLimit = 0
@@ -277,7 +276,7 @@ func (s *Server) jobOptions(j *job) (core.Options, context.CancelFunc) {
 		Seed:              o.Seed,
 		Parallel:          parallel,
 		SkipEC:            o.SimOnly,
-		Strategy:          strategy,
+		Strategy:          j.ckey.strategy, // parsed at admission
 		ECTimeout:         timeout,
 		ECNodeLimit:       nodeLimit,
 		UpToGlobalPhase:   o.UpToGlobalPhase,

@@ -274,7 +274,8 @@ func (s *Server) buildJobWithID(id string, req CheckRequest) (*job, *apiError) {
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	if _, err := ec.ParseStrategy(req.Options.Strategy); err != nil {
+	strategy, err := ec.ParseStrategy(req.Options.Strategy)
+	if err != nil {
 		return nil, &apiError{http.StatusBadRequest, CodeBadRequest, err.Error()}
 	}
 	j := &job{
@@ -287,7 +288,7 @@ func (s *Server) buildJobWithID(id string, req CheckRequest) (*job, *apiError) {
 	}
 	j.ckey = cacheKey{
 		pair:      fingerprint.Pair(g1, g2),
-		strategy:  normalizeStrategy(req.Options.Strategy),
+		strategy:  strategy,
 		tolerance: normalizeTolerance(req.Options.Tolerance),
 		upToPhase: req.Options.UpToGlobalPhase,
 	}
@@ -649,22 +650,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// normalizeStrategy folds the wire strategy's aliases so the cache key
-// cannot split one scheme into several entries: "" selects the default
-// (proportional), and the gate-cost spellings ("gate-cost", "gatecost",
-// "compilation_flow") collapse onto the canonical "gate_cost".
-func normalizeStrategy(name string) string {
-	switch name {
-	case "":
-		return "proportional"
-	case "gate-cost", "gatecost", "compilation_flow":
-		return "gate_cost"
-	}
-	return name
-}
-
 // normalizeTolerance folds the wire tolerance's zero default to the value
-// core.Check actually uses, for the same reason.
+// core.Check actually uses, so the cache key cannot split one question into
+// several entries.
 func normalizeTolerance(tol float64) float64 {
 	if tol == 0 {
 		return cn.DefaultTolerance

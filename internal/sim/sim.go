@@ -291,6 +291,61 @@ func PermutationDD(p *dd.Package, perm []int) dd.MEdge {
 	return u
 }
 
+// Pair compares two circuits column by column on one package: the paper's
+// basic operation (Sec. III-B), simulating G and G' on a basis state and
+// comparing the two outputs.  The flow's simulation stage, the stabilizer
+// strategy's phase anchor and the theory experiment all go through it.
+type Pair struct {
+	s      *Simulator
+	g, gp  *Program
+	unperm dd.MEdge // inverse output permutation of G'; nil weight if none
+}
+
+// NewPair binds the programs of G and G' to a simulator on p.  outputPerm
+// (nil for the identity) declares that output wire outputPerm[q] of G'
+// carries what wire q of G carries; its inverse is built once here and
+// pinned, so every collection of the pair's runs, and MaybeGC, keep it.
+func NewPair(p *dd.Package, g, gp *Program, outputPerm []int) *Pair {
+	pr := &Pair{s: NewOn(p), g: g, gp: gp}
+	if outputPerm != nil {
+		pr.unperm = PermutationDD(p, circuit.InversePermutation(outputPerm))
+		pr.s.PinnedM = []dd.MEdge{pr.unperm}
+	}
+	return pr
+}
+
+// MaybeGC collects the package between columns (dd.Package.MaybeGC),
+// keeping only the un-permutation matrix.
+func (pr *Pair) MaybeGC() { pr.s.P.MaybeGC(nil, pr.s.PinnedM) }
+
+// Column is the outcome of comparing one basis column of G and G'.
+type Column struct {
+	U, V      dd.VEdge   // the outputs of G and of G', un-permuted
+	Overlap   complex128 // <u|u'>
+	Identical bool       // U and V are the same DD edge (node and interned weight)
+}
+
+// Fidelity returns |<u|u'>|^2.
+func (c Column) Fidelity() float64 {
+	re, im := real(c.Overlap), imag(c.Overlap)
+	return re*re + im*im
+}
+
+// Compare simulates both circuits on |input> and compares the outputs.  The
+// input state is built once for both runs, so it is pinned across G's run,
+// and G's output across the run of G'.  The returned edges stay valid
+// until the package's next collection.
+func (pr *Pair) Compare(input uint64) Column {
+	p := pr.s.P
+	in := p.BasisState(input)
+	u := pr.s.RunProgramWithPins(pr.g, in, []dd.VEdge{in})
+	v := pr.s.RunProgramWithPins(pr.gp, in, []dd.VEdge{u})
+	if pr.unperm.W != nil {
+		v = p.MulMV(pr.unperm, v)
+	}
+	return Column{U: u, V: v, Overlap: p.InnerProduct(u, v), Identical: u == v}
+}
+
 // SampleCounts draws shots samples from the final state of the circuit run
 // on |input>.
 func (s *Simulator) SampleCounts(c *circuit.Circuit, input uint64, shots int, rng *rand.Rand) map[uint64]int {
