@@ -7,11 +7,11 @@
 //	qcec [flags] <circuit1> <circuit2>
 //
 // The flags translate into one core.Options for core.Check.  With
-// -portfolio the selected provers (-provers=sim,dd,alt,gatecost,sat,zx,stab)
-// race concurrently instead, bounded by -timeout, and the first definitive
-// verdict wins; the losers are cancelled and a per-prover report is
-// printed.  The pipeline-only flags -sim-only, -rewrite, -zx and
-// -fidelity-threshold cannot be combined with -portfolio (exit 2).
+// -portfolio the selected provers (-provers=sim,dd,...,rewrite,sat,zx,stab)
+// race concurrently instead of the flow, bounded by -timeout, and the first
+// definitive verdict wins; the losers are cancelled and a per-prover report
+// is printed.  The flow-only flags -sim-only and -fidelity-threshold cannot
+// be combined with -portfolio (exit 2).
 //
 // Exit codes: 0 equivalent, 1 not equivalent, 2 usage, input or option
 // error, 3 inconclusive.
@@ -54,8 +54,6 @@ func run(args []string) int {
 		phase     = fs.Bool("up-to-phase", false, "treat circuits differing only by a global phase as equivalent")
 		simOnly   = fs.Bool("sim-only", false, "skip the complete check (simulation stage only)")
 		parallel  = fs.Int("parallel", 1, "simulation workers (each with a private DD package)")
-		rewrite   = fs.Bool("rewrite", false, "try the gate-rewriting prover first (sound, incomplete)")
-		zxFlag    = fs.Bool("zx", false, "try the ZX-calculus prover first (sound, incomplete, up-to-phase)")
 		fidThresh = fs.Float64("fidelity-threshold", 0, "approximate mode: accept per-stimulus fidelities above this (0 = exact)")
 		jsonOut   = fs.Bool("json", false, "print the full report as JSON")
 		verbose   = fs.Bool("v", false, "print per-stage details")
@@ -144,8 +142,6 @@ func run(args []string) int {
 		ECNodeLimit:       *nodeLimit,
 		UpToGlobalPhase:   *phase,
 		Parallel:          *parallel,
-		RewritePrefilter:  *rewrite,
-		ZXPrefilter:       *zxFlag,
 		FidelityThreshold: *fidThresh,
 		MemSoftLimit:      memSoftBytes,
 		MemHardLimit:      memHardBytes,
@@ -245,7 +241,7 @@ func printPortfolioHuman(n int, rep core.Report, stats bool) {
 	if rep.Counterexample != nil {
 		fmt.Printf("counterexample: input |%0*b>\n", n, rep.Counterexample.Input)
 	}
-	fmt.Printf("%-6s %-30s %-12s %10s %10s  %s\n", "prover", "verdict", "stopped", "time", "peak", "detail")
+	fmt.Printf("%-8s %-30s %-12s %10s %10s  %s\n", "prover", "verdict", "stopped", "time", "peak", "detail")
 	for _, r := range rep.Provers {
 		peak := ""
 		if r.PeakNodes > 0 {
@@ -255,7 +251,7 @@ func printPortfolioHuman(n int, rep core.Report, stats bool) {
 		if r.Retried {
 			name += "*" // degraded retry after a crash; see detail column
 		}
-		fmt.Printf("%-6s %-30s %-12s %9.4fs %10s  %s\n",
+		fmt.Printf("%-8s %-30s %-12s %9.4fs %10s  %s\n",
 			name, r.Verdict, r.Stop, r.Runtime.Seconds(), peak, r.Detail)
 	}
 	fmt.Printf("total: %.4fs\n", rep.TotalTime.Seconds())
@@ -375,15 +371,6 @@ func printHuman(n int, rep core.Report, verbose, stats bool) {
 	if rep.Cancelled && rep.CancelCause != nil {
 		fmt.Printf("stopped early: %v\n", rep.CancelCause)
 	}
-	if rep.Rewriting != nil {
-		fmt.Printf("rewriting prover: %s (miter %d -> %d gates, %.4fs)\n",
-			rep.Rewriting.Verdict, rep.Rewriting.MiterGates, rep.Rewriting.ResidualGates,
-			rep.Rewriting.Runtime.Seconds())
-	}
-	if rep.ZX != nil {
-		fmt.Printf("zx prover: %s (spiders %d -> %d, %.4fs)\n",
-			rep.ZX.Verdict, rep.ZX.SpidersBefore, rep.ZX.SpidersAfter, rep.ZX.Runtime.Seconds())
-	}
 	fmt.Printf("simulations: %d (%.3fs, min fidelity %.6f)\n", rep.NumSims, rep.SimTime.Seconds(), rep.MinFidelity)
 	if rep.EC != nil {
 		outcome := rep.EC.Verdict.String()
@@ -430,8 +417,6 @@ func printJSON(n int, rep core.Report, stats bool) {
 		AvgFidelity    float64         `json:"avg_fidelity"`
 		ECVerdict      string          `json:"ec_verdict,omitempty"`
 		ECSeconds      float64         `json:"ec_seconds,omitempty"`
-		Rewriting      string          `json:"rewriting_verdict,omitempty"`
-		ZX             string          `json:"zx_verdict,omitempty"`
 		Counterexample *counterexample `json:"counterexample,omitempty"`
 		Cancelled      bool            `json:"cancelled,omitempty"`
 		CancelCause    string          `json:"cancel_cause,omitempty"`
@@ -455,12 +440,6 @@ func printJSON(n int, rep core.Report, stats bool) {
 			out.ECVerdict = rep.EC.Verdict.String()
 		}
 		out.ECSeconds = rep.EC.Runtime.Seconds()
-	}
-	if rep.Rewriting != nil {
-		out.Rewriting = rep.Rewriting.Verdict.String()
-	}
-	if rep.ZX != nil {
-		out.ZX = rep.ZX.Verdict.String()
 	}
 	if ce := rep.Counterexample; ce != nil {
 		out.Counterexample = &counterexample{

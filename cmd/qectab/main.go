@@ -5,8 +5,9 @@
 //	qectab -table flow     verdict distribution of the proposed flow (Fig. 3)
 //	qectab -table theory   Sec. IV-A detection-probability experiment
 //	qectab -table ablate   EC-strategy / simulation-count / stimuli ablations
-//	qectab -table sat      SAT vs DD vs simulation on the reversible class
-//	qectab -table prefilter  rewriting [16] vs ZX-calculus vs the flow
+//	qectab -table census   every race prover alone and the pipeline, strict
+//	                       and up to phase: what each decides, decides
+//	                       alone and decides fastest
 //	qectab -table gatecost compilation-flow verification: gate-cost vs
 //	                       naive/proportional/lookahead on deeply-compiled pairs
 //	qectab -fig 1          the Fig. 1/2 worked example (system matrices)
@@ -31,7 +32,7 @@ import (
 
 func main() {
 	var (
-		table     = flag.String("table", "", "experiment to run: 1a|1b|flow|theory|ablate|sat|prefilter|gatecost|all")
+		table     = flag.String("table", "", "experiment to run: 1a|1b|flow|theory|ablate|census|gatecost|all")
 		fig       = flag.Int("fig", 0, "figure to reproduce (1 = the worked example)")
 		scaleName = flag.String("scale", "small", "benchmark scale: small|medium|paper")
 		r         = flag.Int("r", 10, "simulation runs per instance (paper: 10)")
@@ -45,7 +46,7 @@ func main() {
 	flag.Parse()
 
 	if *table == "" && *fig == 0 {
-		fmt.Fprintln(os.Stderr, "usage: qectab -table 1a|1b|flow|theory|ablate|sat|prefilter|gatecost|all  or  qectab -fig 1")
+		fmt.Fprintln(os.Stderr, "usage: qectab -table 1a|1b|flow|theory|ablate|census|gatecost|all  or  qectab -fig 1")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
@@ -139,28 +140,12 @@ func main() {
 		writeCSV("theory.csv", func(f *os.File) error { return harness.WriteTheoryCSV(f, rows) })
 		fmt.Println()
 	}
-	runSAT := func() {
-		suite, err := harness.BuildClassicalSuite(scale, *seed)
+	runCensus := func() {
+		suite, err := harness.BuildCensusSuite(scale, *seed)
 		if err != nil {
 			die(err)
 		}
-		rows, err := harness.RunSATComparison(suite, opts)
-		if err != nil {
-			die(err)
-		}
-		harness.PrintSATComparison(os.Stdout, rows)
-		fmt.Println()
-	}
-	runPrefilter := func() {
-		instances, classes, err := harness.BuildPrefilterSuite(scale)
-		if err != nil {
-			die(err)
-		}
-		rows, err := harness.RunPrefilterComparison(instances, classes, opts)
-		if err != nil {
-			die(err)
-		}
-		harness.PrintPrefilterComparison(os.Stdout, rows)
+		harness.PrintCensus(os.Stdout, harness.RunCensus(suite, opts), opts)
 		fmt.Println()
 	}
 	runGateCost := func() {
@@ -214,10 +199,8 @@ func main() {
 		runTheory()
 	case "ablate":
 		runAblate()
-	case "sat":
-		runSAT()
-	case "prefilter":
-		runPrefilter()
+	case "census":
+		runCensus()
 	case "gatecost":
 		runGateCost()
 	case "all":
@@ -226,8 +209,7 @@ func main() {
 		runFlow()
 		runTheory()
 		runAblate()
-		runSAT()
-		runPrefilter()
+		runCensus()
 		runGateCost()
 		if err := runFig1(os.Stdout); err != nil {
 			die(err)

@@ -12,21 +12,23 @@
 //     (internal/sim, internal/dense),
 //   - complete DD-based equivalence checking with naive, proportional and
 //     lookahead gate-alternation strategies (internal/ec),
-//   - the paper's proposed simulation-first equivalence checking flow
-//     (internal/core),
+//   - the paper's proposed simulation-first equivalence checking flow, and
+//     a race of every checker below as its alternative mode (internal/core),
 //   - the compilation substrates that produce the "alternative realizations"
 //     the paper checks: gate decomposition, SWAP-inserting mapping, circuit
 //     optimization and reversible-logic synthesis (internal/decompose,
 //     internal/mapping, internal/opt, internal/synth),
-//   - the other checker families the paper surveys: a CDCL SAT solver with a
-//     reversible-circuit miter encoding (internal/sat, internal/ecsat,
-//     ref [17]), gate-level rewriting (internal/ecrw, ref [16]) and
-//     ZX-calculus rewriting (internal/zx),
+//   - the other checker families the paper surveys, run only as provers of
+//     core's race: a CDCL SAT solver with a reversible-circuit miter
+//     encoding (internal/sat, internal/ecsat, ref [17]), gate-level
+//     rewriting (internal/ecrw, ref [16]) and ZX-calculus rewriting
+//     (internal/zx),
 //   - the paper's benchmark families and error-injection model
 //     (internal/bench, internal/errinject), and
 //   - the experiment harness that regenerates Table Ia/Ib, the Sec. IV-A
-//     theory experiment and the extension studies (internal/harness,
-//     cmd/qectab, bench_test.go, shape_test.go).
+//     theory experiment and the extension studies, among them the census
+//     of every race prover (internal/harness, cmd/qectab, bench_test.go,
+//     shape_test.go).
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured record.

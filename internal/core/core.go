@@ -22,12 +22,11 @@
 //     ordinary simulation counterexample.
 //
 // Check is the one entry point and Options the one options type.  By
-// default Check runs the flow above as a sequential pipeline (optional
-// rewriting and ZX prefilters, the simulation stage, the complete routine).
-// With Options.Provers set it instead races the named provers (ProverNames)
-// concurrently on the internal/portfolio engine — the portfolio of the
-// journal version of the work — and the first definitive verdict wins.
-// Both modes answer in the same Report.
+// default Check runs exactly the flow above.  With Options.Provers set it
+// instead races the named provers (ProverNames) concurrently on the
+// internal/portfolio engine — the portfolio of the journal version of the
+// work, and the one place the checkers beyond the flow run — and the first
+// definitive verdict wins.  Both modes answer in the same Report.
 package core
 
 import (
@@ -39,10 +38,8 @@ import (
 	"qcec/internal/circuit"
 	"qcec/internal/dd"
 	"qcec/internal/ec"
-	"qcec/internal/ecrw"
 	"qcec/internal/portfolio"
 	"qcec/internal/resource"
-	"qcec/internal/zx"
 )
 
 // Verdict is the outcome of the proposed flow.
@@ -98,9 +95,9 @@ type Options struct {
 	// verdict wins and cancels the rest, Report.DecidedBy names the winner
 	// and Report.Provers holds every prover's outcome.  Every prover runs
 	// on these Options (the "dd", "gatecost" and "stab" provers with their
-	// own Strategy).  The race cannot honour SkipEC, RewritePrefilter,
-	// ZXPrefilter or FidelityThreshold; Check rejects them, and an empty or
-	// unknown prover list, with an *OptionsError in Report.Err.
+	// own Strategy).  The race cannot honour SkipEC or FidelityThreshold;
+	// Check rejects them, and an empty or unknown prover list, with an
+	// *OptionsError in Report.Err.
 	Provers []string
 	// RetryCrashed, in a race, re-runs a prover whose goroutine panicked
 	// once on Degraded() options while the race is still undecided (the
@@ -126,18 +123,6 @@ type Options struct {
 	Strategy    ec.Strategy
 	ECTimeout   time.Duration
 	ECNodeLimit int
-	// RewritePrefilter runs the rewriting-based prover (internal/ecrw,
-	// paper ref [16]) before anything else.  It is sound but incomplete:
-	// it proves peephole-style recompilations equivalent in microseconds
-	// and silently falls through otherwise.  Ignored when OutputPerm is
-	// set (the rewriter has no permutation notion).
-	RewritePrefilter bool
-	// ZXPrefilter runs the ZX-calculus prover (internal/zx) before the
-	// simulation stage.  Also sound but incomplete; a positive answer
-	// establishes equivalence up to global phase (ZX drops scalars), so
-	// the flow reports EquivalentUpToGlobalPhase.  Ignored when OutputPerm
-	// is set.
-	ZXPrefilter bool
 	// Parallel runs the simulation stage with this many workers, each on
 	// its own DD package (the DD package is single-threaded).  Verdicts and
 	// counterexamples do not depend on it: the first distinguishing
@@ -230,10 +215,10 @@ type Counterexample struct {
 // Report is the full outcome of the flow.
 type Report struct {
 	Verdict Verdict
-	// DecidedBy names the stage that produced a definitive verdict —
-	// "rewrite", "zx", "sim", or "ec:<strategy>" (e.g. "ec:proportional",
-	// "ec:stabilizer"), or in a race the winning prover ("sim", "alt", ...)
-	// — and is empty while the verdict is inconclusive.
+	// DecidedBy names the stage that produced a definitive verdict — "sim"
+	// or "ec:<strategy>" (e.g. "ec:proportional", "ec:stabilizer") — or in
+	// a race the winning prover (one of ProverNames: "sim", "alt",
+	// "rewrite", ...), and is empty while the verdict is inconclusive.
 	DecidedBy      string
 	NumSims        int           // simulation runs performed
 	SimTime        time.Duration // paper column t_sim
@@ -245,9 +230,7 @@ type Report struct {
 	// Runtime and DD statistics, while NumSims, SimTime and DD include
 	// the extra columns; EC.Cause becomes ec.CauseTimeout if the columns
 	// then outran ECTimeout.
-	EC        *ec.Result
-	Rewriting *ecrw.Result // rewriting prefilter outcome (nil if not run)
-	ZX        *zx.Result   // ZX prefilter outcome (nil if not run)
+	EC *ec.Result
 	// MinFidelity and AvgFidelity summarize the per-stimulus output
 	// fidelities observed by the simulation stage (1 when no simulations
 	// ran).  Under FidelityThreshold these quantify how approximate the
@@ -341,34 +324,11 @@ func Check(g1, g2 *circuit.Circuit, opts Options) Report {
 // check is the pipeline; Check wraps it with watchdog setup/teardown.
 func check(g1, g2 *circuit.Circuit, opts Options) Report {
 	start := time.Now()
-	report := Report{}
+	report := Report{MinFidelity: 1, AvgFidelity: 1} // until a simulation runs
 	if g1.N != g2.N {
 		report.Verdict = NotEquivalent
 		report.TotalTime = time.Since(start)
 		return report
-	}
-
-	if opts.RewritePrefilter && opts.OutputPerm == nil {
-		rw := ecrw.Check(g1, g2)
-		report.Rewriting = &rw
-		if rw.Verdict == ecrw.Equivalent {
-			report.Verdict = Equivalent
-			report.DecidedBy = "rewrite"
-			report.TotalTime = time.Since(start)
-			return report
-		}
-	}
-	if opts.ZXPrefilter && opts.OutputPerm == nil {
-		zr, err := zx.CheckCtx(opts.Context, g1, g2)
-		if err == nil {
-			report.ZX = &zr
-			if zr.Verdict == zx.EquivalentUpToPhase {
-				report.Verdict = EquivalentUpToGlobalPhase
-				report.DecidedBy = "zx"
-				report.TotalTime = time.Since(start)
-				return report
-			}
-		}
 	}
 
 	stimuli, err := chooseStimuli(g1.N, opts)
@@ -377,8 +337,6 @@ func check(g1, g2 *circuit.Circuit, opts Options) Report {
 		// instead of letting dd.BasisState panic deep inside a worker.
 		report.Err = err
 		report.Verdict = ProbablyEquivalent
-		report.MinFidelity = 1
-		report.AvgFidelity = 1
 		report.TotalTime = time.Since(start)
 		return report
 	}

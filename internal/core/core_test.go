@@ -9,6 +9,7 @@ import (
 
 	"qcec/internal/circuit"
 	"qcec/internal/ec"
+	"qcec/internal/portfolio"
 )
 
 func ghz(n int) *circuit.Circuit {
@@ -192,6 +193,11 @@ func TestRegisterMismatch(t *testing.T) {
 	if rep.Verdict != NotEquivalent {
 		t.Fatalf("verdict = %v", rep.Verdict)
 	}
+	// No simulation ran, so the fidelities read 1, as Report documents.
+	if rep.NumSims != 0 || rep.MinFidelity != 1 || rep.AvgFidelity != 1 {
+		t.Fatalf("sims %d, fidelity min %g avg %g; want 0 sims and fidelities 1",
+			rep.NumSims, rep.MinFidelity, rep.AvgFidelity)
+	}
 }
 
 func TestDeterministicPerSeed(t *testing.T) {
@@ -333,32 +339,33 @@ func TestRewritePrefilter(t *testing.T) {
 	g := ghz(4)
 	gp := g.Clone()
 	gp.T(2).Tdg(2) // peephole-removable pair
-	rep := Check(g, gp, Options{RewritePrefilter: true, Seed: 3})
-	if rep.Verdict != Equivalent {
-		t.Fatalf("verdict %v", rep.Verdict)
+	rep := Check(g, gp, Options{Provers: []string{"rewrite"}, Seed: 3})
+	if rep.Verdict != Equivalent || rep.DecidedBy != "rewrite" {
+		t.Fatalf("verdict %v by %q, want equivalent by rewrite", rep.Verdict, rep.DecidedBy)
 	}
-	if rep.Rewriting == nil {
-		t.Fatal("prefilter result not recorded")
+	if rep.Provers[0].Stop != portfolio.StopWon {
+		t.Fatalf("rewrite stop = %v, want won", rep.Provers[0].Stop)
 	}
 	if rep.NumSims != 0 || rep.EC != nil {
-		t.Errorf("prefilter did not short-circuit: sims=%d ec=%v", rep.NumSims, rep.EC)
+		t.Errorf("rewrite alone ran the pipeline: sims=%d ec=%v", rep.NumSims, rep.EC)
 	}
-	// Inconclusive prefilter must fall through to the normal flow.
+	// An inconclusive rewrite loses to the simulations, which still catch
+	// the non-equivalent pair.
 	bad := g.Clone()
 	bad.Gates[1] = circuit.Gate{Kind: circuit.Z, Target: 1, Target2: -1}
-	rep = Check(g, bad, Options{RewritePrefilter: true, Seed: 3, SkipEC: true})
-	if rep.Verdict != NotEquivalent {
-		t.Fatalf("fall-through verdict %v", rep.Verdict)
+	rep = Check(g, bad, Options{Provers: []string{"rewrite", "sim"}, Seed: 3})
+	if rep.Verdict != NotEquivalent || rep.DecidedBy != "sim" {
+		t.Fatalf("verdict %v by %q, want not equivalent by sim", rep.Verdict, rep.DecidedBy)
 	}
-	if rep.Rewriting == nil || rep.NumSims == 0 {
-		t.Error("fall-through did not run simulations")
+	if rep.Provers[0].Stop != portfolio.StopInconclusive {
+		t.Errorf("rewrite on a buggy pair: stop = %v, want inconclusive", rep.Provers[0].Stop)
 	}
-	// With an output permutation the prefilter must be skipped.
+	// With an output permutation rewrite declines.
 	g2 := ghz(4)
 	g2.Swap(0, 3)
-	rep = Check(g, g2, Options{RewritePrefilter: true, Seed: 3, SkipEC: true, OutputPerm: []int{3, 1, 2, 0}})
-	if rep.Rewriting != nil {
-		t.Error("prefilter ran despite OutputPerm")
+	rep = Check(g, g2, Options{Provers: []string{"rewrite"}, Seed: 3, OutputPerm: []int{3, 1, 2, 0}})
+	if rep.Verdict != ProbablyEquivalent || rep.Provers[0].Stop != portfolio.StopError {
+		t.Errorf("rewrite with OutputPerm: verdict %v, stop %v; want it to decline", rep.Verdict, rep.Provers[0].Stop)
 	}
 }
 
@@ -369,22 +376,23 @@ func TestZXPrefilter(t *testing.T) {
 	g1.Z(0).CZ(0, 1).CZ(1, 2)
 	g2 := circuit.New(3, "b")
 	g2.H(0).X(0).H(0).CZ(1, 2).CZ(0, 1)
-	rep := Check(g1, g2, Options{ZXPrefilter: true, Seed: 9})
-	if rep.Verdict != EquivalentUpToGlobalPhase {
-		t.Fatalf("verdict %v", rep.Verdict)
+	rep := Check(g1, g2, Options{Provers: []string{"zx"}, Seed: 9, UpToGlobalPhase: true})
+	if rep.Verdict != EquivalentUpToGlobalPhase || rep.DecidedBy != "zx" {
+		t.Fatalf("verdict %v by %q, want equivalent up to global phase by zx", rep.Verdict, rep.DecidedBy)
 	}
-	if rep.ZX == nil || rep.NumSims != 0 || rep.EC != nil {
-		t.Errorf("ZX prefilter did not short-circuit: %+v", rep)
+	if rep.NumSims != 0 || rep.EC != nil {
+		t.Errorf("zx alone ran the pipeline: %+v", rep)
 	}
-	// Inconclusive ZX falls through; non-equivalent pairs are still caught.
+	// An inconclusive zx loses to the simulations, which still catch the
+	// non-equivalent pair.
 	bad := g1.Clone()
 	bad.T(2)
-	rep = Check(g1, bad, Options{ZXPrefilter: true, Seed: 9, SkipEC: true})
-	if rep.Verdict != NotEquivalent {
-		t.Fatalf("fall-through verdict %v", rep.Verdict)
+	rep = Check(g1, bad, Options{Provers: []string{"zx", "sim"}, Seed: 9})
+	if rep.Verdict != NotEquivalent || rep.DecidedBy != "sim" {
+		t.Fatalf("verdict %v by %q, want not equivalent by sim", rep.Verdict, rep.DecidedBy)
 	}
-	if rep.ZX == nil || rep.NumSims == 0 {
-		t.Error("fall-through did not run simulations")
+	if rep.Provers[0].Verdict != portfolio.Inconclusive {
+		t.Errorf("zx on a buggy pair: verdict %v, want inconclusive", rep.Provers[0].Verdict)
 	}
 }
 

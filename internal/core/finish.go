@@ -56,7 +56,9 @@ func finishEligible(n int, opts Options, run simRun) bool {
 // lookups of the columns not yet covered, colCost·(2^n − covered).  Once
 // the probe has spent at least one column's worth, it yields at the first
 // gate where its spend, extrapolated linearly over the gates still to
-// apply, exceeds rest.  Both estimates lean towards finishing the complete
+// apply, exceeds rest.  The spend is gate work only: the check's set-up,
+// such as an output permutation's target DD, is a one-off cost that
+// ec.Progress leaves out.  Both estimates lean towards finishing the complete
 // check: the stage's first columns run on cold compute tables, so later
 // columns cost less than their mean, and the miter grows along the check,
 // so the linear extrapolation undershoots.

@@ -8,6 +8,7 @@ import (
 
 	"qcec/internal/circuit"
 	"qcec/internal/ec"
+	"qcec/internal/ecrw"
 	"qcec/internal/ecsat"
 	"qcec/internal/portfolio"
 	"qcec/internal/resource"
@@ -21,10 +22,13 @@ import (
 //	dd  — complete DD check, construction strategy (build and compare)
 //	alt — complete DD check, alternating scheme (Options.Strategy)
 //	gatecost — complete DD check, gate-cost schedule (compiled pairs only)
+//	rewrite — miter rewriting (paper ref [16]; sound, incomplete, strict)
 //	sat — SAT miter (classical reversible netlists only)
 //	zx  — ZX-calculus rewriting (sound, incomplete, up to phase)
 //	stab — polynomial-time stabilizer tableau (Clifford-only pairs)
-var ProverNames = []string{"sim", "dd", "alt", "gatecost", "sat", "zx", "stab"}
+//
+// rewrite, sat and zx decline a pair with an output permutation.
+var ProverNames = []string{"sim", "dd", "alt", "gatecost", "rewrite", "sat", "zx", "stab"}
 
 // OptionsError reports Options that Check cannot run: an empty or unknown
 // prover list, or a pipeline-only option combined with Provers.  Check then
@@ -45,10 +49,6 @@ func (o Options) raceError() error {
 	switch {
 	case o.SkipEC:
 		field = "SkipEC"
-	case o.RewritePrefilter:
-		field = "RewritePrefilter"
-	case o.ZXPrefilter:
-		field = "ZXPrefilter"
 	case o.FidelityThreshold > 0:
 		field = "FidelityThreshold"
 	default:
@@ -82,27 +82,16 @@ func raceProvers(opts Options) ([]portfolio.Prover, error) {
 // adapter runs one prover on o, whose Context is the race's.
 type adapter func(g1, g2 *circuit.Circuit, o Options) portfolio.Outcome
 
-// adapterFor returns the named prover and whether its Degraded() run
+// adapters holds each prover of ProverNames and whether its Degraded() run
 // differs from the primary one (it uses the simulation workers or a DD node
 // budget).
-func adapterFor(name string) (adapter, bool) {
-	switch name {
-	case "sim":
-		return raceSim, true
-	case "dd":
-		return raceConstruction, true
-	case "alt":
-		return raceEC, true
-	case "gatecost":
-		return raceGateCost, true
-	case "sat":
-		return raceSAT, false
-	case "zx":
-		return raceZX, false
-	case "stab":
-		return raceStab, false
-	}
-	return nil, false
+var adapters = map[string]struct {
+	run        adapter
+	degradable bool
+}{
+	"sim": {raceSim, true}, "dd": {raceConstruction, true}, "alt": {raceEC, true},
+	"gatecost": {raceGateCost, true}, "rewrite": {raceRewrite, false},
+	"sat": {raceSAT, false}, "zx": {raceZX, false}, "stab": {raceStab, false},
 }
 
 // NewProver builds the named prover (one of ProverNames) on opts for the
@@ -115,14 +104,14 @@ func NewProver(name string, opts Options) (portfolio.Prover, error) {
 	if err := opts.raceError(); err != nil {
 		return portfolio.Prover{}, err
 	}
-	run, degradable := adapterFor(name)
-	if run == nil {
+	a, ok := adapters[name]
+	if !ok {
 		return portfolio.Prover{}, &OptionsError{Field: "Provers",
 			Reason: fmt.Sprintf("unknown prover %q (have %s)", name, strings.Join(ProverNames, ","))}
 	}
-	p := portfolio.Prover{Name: name, Run: bind(run, opts)}
-	if opts.RetryCrashed && degradable {
-		p.Degraded = bind(run, opts.Degraded())
+	p := portfolio.Prover{Name: name, Run: bind(a.run, opts)}
+	if opts.RetryCrashed && a.degradable {
+		p.Degraded = bind(a.run, opts.Degraded())
 	}
 	return p, nil
 }
@@ -289,6 +278,27 @@ func raceStab(g1, g2 *circuit.Circuit, o Options) portfolio.Outcome {
 	}
 	o.Strategy = ec.StrategyStabilizer
 	return raceEC(g1, g2, o)
+}
+
+// raceRewrite reduces the miter G'·G⁻¹ with local rewrite rules: sound,
+// incomplete, and strict, since every rule is an exact identity, so a miter
+// that vanishes proves U = U' in either phase mode.  A miter that does not
+// vanish is inconclusive; the method cannot prove non-equivalence.
+func raceRewrite(g1, g2 *circuit.Circuit, o Options) portfolio.Outcome {
+	if o.OutputPerm != nil {
+		return portfolio.Outcome{Stop: portfolio.StopError, Detail: "output permutation unsupported"}
+	}
+	res := ecrw.CheckCtx(o.Context, g1, g2)
+	out := portfolio.Outcome{Detail: fmt.Sprintf("miter %d -> %d gates", res.MiterGates, res.ResidualGates)}
+	switch {
+	case res.Verdict == ecrw.Equivalent:
+		out.Verdict = portfolio.Equivalent
+	case res.Cancelled:
+		out.Stop = portfolio.StopCancelled
+	default:
+		out.Stop = portfolio.StopInconclusive
+	}
+	return out
 }
 
 // raceSAT runs the SAT miter.  It only applies to classical reversible

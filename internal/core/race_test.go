@@ -3,10 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
+	"qcec/internal/circuit"
+	"qcec/internal/ecrw"
 	"qcec/internal/portfolio"
 )
 
@@ -19,8 +23,7 @@ func TestDegradedChangesOnlyRetryFields(t *testing.T) {
 	kept := map[string]bool{
 		"Context": true, "Provers": true, "RetryCrashed": true, "R": true, "Seed": true,
 		"Stimuli": true, "SkipEC": true, "Strategy": true, "ECTimeout": true,
-		"RewritePrefilter": true, "ZXPrefilter": true, "UpToGlobalPhase": true,
-		"OutputPerm": true, "Tolerance": true,
+		"UpToGlobalPhase": true, "OutputPerm": true, "Tolerance": true,
 		"MemSoftLimit": true, "MemHardLimit": true, "FidelityThreshold": true,
 	}
 	var opts Options
@@ -65,8 +68,6 @@ func TestRaceRejectsPipelineOptions(t *testing.T) {
 	g := ghz(3)
 	for field, opts := range map[string]Options{
 		"SkipEC":            {SkipEC: true},
-		"RewritePrefilter":  {RewritePrefilter: true},
-		"ZXPrefilter":       {ZXPrefilter: true},
 		"FidelityThreshold": {FidelityThreshold: 0.99},
 	} {
 		opts.Provers = []string{"sim", "alt"}
@@ -141,4 +142,49 @@ func TestStrictRaceNeedsStrictVerdict(t *testing.T) {
 		t.Fatalf("zx alone in an up-to-phase race: %v by %q, want equivalent up to global phase by zx",
 			rep.Verdict, rep.DecidedBy)
 	}
+}
+
+// TestRaceCancelsRewrite: the rewrite prover polls the race's context while
+// it reduces the miter, so a race cancelled mid-reduction returns without
+// waiting for the reduction to finish.
+func TestRaceCancelsRewrite(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	long := func() *circuit.Circuit {
+		c := circuit.New(8, "long")
+		for i := 0; i < 50_000; i++ {
+			a := rng.Intn(8)
+			switch rng.Intn(3) {
+			case 0:
+				c.H(a)
+			case 1:
+				c.T(a)
+			default:
+				c.CX(a, (a+1+rng.Intn(7))%8)
+			}
+		}
+		return c
+	}
+	g1, g2 := long(), long()
+	start := time.Now()
+	if res := ecrw.Check(g1, g2); res.Verdict != ecrw.Inconclusive {
+		t.Fatalf("sanity: two random circuits reduced to %v", res.Verdict)
+	}
+	full := time.Since(start)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(full/20, cancel)
+	start = time.Now()
+	rep := Check(g1, g2, Options{Context: ctx, Provers: []string{"rewrite"}})
+	elapsed := time.Since(start)
+	if rep.Verdict != ProbablyEquivalent || !rep.Cancelled {
+		t.Fatalf("cancelled race: verdict %v, cancelled %v", rep.Verdict, rep.Cancelled)
+	}
+	if stop := rep.Provers[0].Stop; stop != portfolio.StopTimeout {
+		t.Fatalf("rewrite stopped by the caller's context: stop = %v, want %v", stop, portfolio.StopTimeout)
+	}
+	if elapsed > full/2 {
+		t.Fatalf("the cancelled race took %v; the whole reduction takes %v", elapsed, full)
+	}
+	t.Logf("reduction %v, race cancelled after %v returned after %v", full, full/20, elapsed)
 }

@@ -207,7 +207,7 @@ type Options struct {
 type Progress struct {
 	Applied int    // gate applications so far (Result.GatesApplied)
 	Total   int    // gate applications of the whole check, |G|+|G'|
-	Lookups uint64 // the check's DD work so far (dd.Stats.Lookups)
+	Lookups uint64 // the gates' DD work so far (dd.Stats.Lookups), set-up excluded
 }
 
 // DegradedNodeLimit returns the node budget of a conservative re-run after
@@ -310,6 +310,9 @@ type checker struct {
 	opts     Options
 	deadline time.Time
 	gates    int // |G|+|G'|, a Progress's Total
+	// setUp is the lookups before the first gate (the identity and the
+	// target), left out of a Progress so a yield rule sees gate work only.
+	setUp uint64
 	// agreeTol is the classification tolerance derived from the DD weight
 	// tolerance (cn.AgreementTolerance); it bounds both the up-to-phase
 	// magnitude band and the counterexample fidelity threshold.
@@ -353,7 +356,7 @@ func (c *checker) stopped() bool {
 	if c.expired() {
 		return true
 	}
-	if c.opts.Progress == nil || !c.opts.Progress(Progress{Applied: c.result.GatesApplied, Total: c.gates, Lookups: c.p.Lookups()}) {
+	if c.opts.Progress == nil || !c.opts.Progress(Progress{Applied: c.result.GatesApplied, Total: c.gates, Lookups: c.p.Lookups() - c.setUp}) {
 		return false
 	}
 	c.result.Cause = CauseYielded
@@ -479,6 +482,7 @@ func (c *checker) classify(m, target dd.MEdge) {
 // runConstruction builds both unitaries independently and compares them.
 func (c *checker) runConstruction(g1, g2 *circuit.Circuit) {
 	u1 := c.p.Identity()
+	c.setUp = c.p.Lookups()
 	for _, g := range g1.Gates {
 		u1 = c.p.MulMM(sim.GateDD(c.p, g), u1)
 		c.result.GatesApplied++
@@ -518,6 +522,7 @@ func (c *checker) runConstruction(g1, g2 *circuit.Circuit) {
 func (c *checker) runAlternating(g1, g2 *circuit.Circuit) {
 	target := c.target()
 	m := c.p.Identity()
+	c.setUp = c.p.Lookups()
 	sched := schedule(c.opts.Strategy, g1, g2, c.opts.CostProfile)
 	n1, n2 := len(g1.Gates), len(g2.Gates)
 	i, j := 0, 0 // i indexes g1 (right side), j indexes g2 (left side)

@@ -6,15 +6,16 @@
 // circuit the pair is proven equivalent; otherwise the method is
 // inconclusive and a complete checker must take over.
 //
-// This is a sound-but-incomplete prefilter: it is extremely fast on pairs
-// that differ by peephole-style recompilation (the common case in practice)
-// and never wrong, but structurally different realizations of the same
-// function (e.g. a synthesized netlist versus its mapped form) defeat it —
-// exactly the gap the paper's simulation-first flow fills from the other
-// side.
+// This sound-but-incomplete prover is the "rewrite" prover of core.Check's
+// race: it is extremely fast on pairs that differ by peephole-style
+// recompilation (the common case in practice) and never wrong, but
+// structurally different realizations of the same function (e.g. a
+// synthesized netlist versus its mapped form) defeat it — exactly the gap
+// the paper's simulation-first flow fills from the other side.
 package ecrw
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -52,11 +53,19 @@ type Result struct {
 	Runtime        time.Duration
 	RewritePasses  int
 	CancelledPairs int
+	Cancelled      bool // Inconclusive because the context was cancelled
 }
 
 // Check builds and reduces the miter.  It returns Equivalent only when the
 // miter vanishes completely.
 func Check(g1, g2 *circuit.Circuit) Result {
+	return CheckCtx(nil, g1, g2)
+}
+
+// CheckCtx is Check under cooperative cancellation: the reduction polls ctx
+// as it goes and stops early when it is cancelled, yielding Inconclusive
+// with Result.Cancelled set.  A nil ctx disables cancellation.
+func CheckCtx(ctx context.Context, g1, g2 *circuit.Circuit) Result {
 	start := time.Now()
 	if g1.N != g2.N {
 		return Result{Verdict: Inconclusive, Runtime: time.Since(start)}
@@ -64,18 +73,18 @@ func Check(g1, g2 *circuit.Circuit) Result {
 	miter := g2.Clone()
 	miter.Name = "miter"
 	miter.Append(g1.Inverse())
-	reduced, stats := opt.Optimize(miter, opt.Options{})
+	reduced, stats, err := opt.OptimizeCtx(ctx, miter, opt.Options{})
 	res := Result{
+		Verdict:        Inconclusive,
 		MiterGates:     miter.NumGates(),
 		ResidualGates:  reduced.NumGates(),
 		Runtime:        time.Since(start),
 		RewritePasses:  stats.Passes,
 		CancelledPairs: stats.CancelledPairs,
+		Cancelled:      err != nil,
 	}
-	if reduced.NumGates() == 0 {
+	if res.ResidualGates == 0 {
 		res.Verdict = Equivalent
-	} else {
-		res.Verdict = Inconclusive
 	}
 	return res
 }

@@ -2,44 +2,15 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
-	"time"
 
 	"qcec/internal/bench"
 	"qcec/internal/circuit"
-	"qcec/internal/core"
-	"qcec/internal/ec"
-	"qcec/internal/ecsat"
 	"qcec/internal/errinject"
 )
 
-// The SAT comparison experiment pits three checkers against each other on
-// the classical reversible benchmark class (the only class the paper's
-// ref [17] baseline applies to): the SAT miter (internal/ecsat), the
-// complete DD routine (internal/ec) and the simulation stage of the
-// proposed flow.  It cross-validates all three and extends the paper's
-// evaluation with the second baseline family it cites.
-
-// SATRow is one line of the comparison.
-type SATRow struct {
-	Name           string
-	N              int
-	SizeG, SizeGp  int
-	WantEquivalent bool
-
-	SATVerdict ecsat.Verdict
-	TSAT       time.Duration
-	Vars       int
-	Clauses    int
-
-	DDVerdict ec.Verdict
-	TDD       time.Duration
-
-	SimVerdict core.Verdict
-	NumSims    int
-	TSim       time.Duration
-}
+// The classical reversible suite is the one class the SAT miter (the
+// "sat" prover, paper ref [17]) applies to; the prover census runs it.
 
 // shuffleControls returns a functionally identical circuit whose control
 // lists are re-ordered and that carries a few inserted cancelling CX pairs —
@@ -142,60 +113,4 @@ func injectClassical(c *circuit.Circuit, seed int64) (*circuit.Circuit, errinjec
 		lastErr = err
 	}
 	return nil, errinject.Injection{}, lastErr
-}
-
-// RunSATComparison runs the three checkers on every classical instance.
-func RunSATComparison(instances []Instance, opts core.Options) ([]SATRow, error) {
-	opts = withDefaults(opts)
-	var rows []SATRow
-	for _, inst := range instances {
-		row := SATRow{
-			Name: inst.Name, N: inst.N,
-			SizeG: inst.G.NumGates(), SizeGp: inst.Gp.NumGates(),
-			WantEquivalent: inst.WantEquivalent,
-		}
-		satRes, err := ecsat.Check(inst.G, inst.Gp, ecsat.Options{ConflictBudget: 2_000_000})
-		if err != nil {
-			return nil, fmt.Errorf("harness: SAT check on %s: %w", inst.Name, err)
-		}
-		row.SATVerdict = satRes.Verdict
-		row.TSAT = satRes.Runtime
-		row.Vars = satRes.Vars
-		row.Clauses = satRes.Clauses
-
-		ddRes := ec.Check(inst.G, inst.Gp, opts.ECOptions())
-		row.DDVerdict = ddRes.Verdict
-		row.TDD = ddRes.Runtime
-
-		simOpts := opts
-		simOpts.SkipEC = true
-		rep := core.Check(inst.G, inst.Gp, simOpts)
-		row.SimVerdict = rep.Verdict
-		row.NumSims = rep.NumSims
-		row.TSim = rep.SimTime
-
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// PrintSATComparison renders the three-way baseline table.
-func PrintSATComparison(w io.Writer, rows []SATRow) {
-	fmt.Fprintln(w, "SAT vs DD vs simulation on the classical reversible class (paper refs [17] vs [26] vs proposed)")
-	fmt.Fprintf(w, "%-20s %4s %7s %7s  %-14s %9s %9s  %-12s %9s  %-20s %6s %9s\n",
-		"Benchmark", "n", "|G|", "|G'|",
-		"sat", "t_sat[s]", "clauses",
-		"dd", "t_dd[s]",
-		"sim", "#sims", "t_sim[s]")
-	for _, r := range rows {
-		sim := "no counterexample"
-		if r.SimVerdict == core.NotEquivalent {
-			sim = "not equivalent"
-		}
-		fmt.Fprintf(w, "%-20s %4d %7d %7d  %-14s %9.3f %9d  %-14s %9.3f  %-18s %6d %9.3f\n",
-			r.Name, r.N, r.SizeG, r.SizeGp,
-			r.SATVerdict, r.TSAT.Seconds(), r.Clauses,
-			r.DDVerdict, r.TDD.Seconds(),
-			sim, r.NumSims, r.TSim.Seconds())
-	}
 }

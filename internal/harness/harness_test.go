@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -103,6 +104,9 @@ func TestRunTable1bShape(t *testing.T) {
 	}
 	opts := core.Options{R: 10, ECTimeout: 5 * time.Second, Strategy: ec.Construction, Seed: 5}
 	rows := RunSuite(suite[:4], opts)
+	if !slices.IsSortedFunc(rows, func(a, b Row) int { return strings.Compare(a.Name, b.Name) }) {
+		t.Errorf("rows not in name order: %v, %v, %v, %v", rows[0].Name, rows[1].Name, rows[2].Name, rows[3].Name)
+	}
 	for _, r := range rows {
 		if r.SimDetected {
 			t.Errorf("%s: simulation 'detected' a difference on an equivalent pair", r.Name)
@@ -247,6 +251,18 @@ func TestScaleStrings(t *testing.T) {
 	}
 }
 
+// censusVerdict returns the census verdict of entry on pair in mode.
+func censusVerdict(t *testing.T, rows []CensusRow, pair, mode, entry string) core.Verdict {
+	t.Helper()
+	for _, r := range rows {
+		if r.Pair == pair && r.Mode == mode && r.Entry == entry {
+			return r.Verdict
+		}
+	}
+	t.Fatalf("no census row for %s on %s in %s mode", entry, pair, mode)
+	return 0
+}
+
 func TestBuildClassicalSuiteAndSATComparison(t *testing.T) {
 	suite, err := BuildClassicalSuite(Small, 41)
 	if err != nil {
@@ -255,72 +271,73 @@ func TestBuildClassicalSuiteAndSATComparison(t *testing.T) {
 	if len(suite) < 8 {
 		t.Fatalf("classical suite has %d instances", len(suite))
 	}
-	rows, err := RunSATComparison(suite, core.Options{R: 16, ECTimeout: 10 * time.Second, Seed: 43})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		// All three checkers must agree with the ground truth (the SAT
-		// miter has no timeout issues at this scale).
-		if r.WantEquivalent {
-			if r.SATVerdict != 0 /* ecsat.Equivalent */ {
-				t.Errorf("%s: SAT verdict %v on equivalent pair", r.Name, r.SATVerdict)
+	opts := core.Options{R: 16, ECTimeout: 10 * time.Second, Seed: 43}
+	rows := RunCensus(suite, opts)
+	for _, inst := range suite {
+		// The SAT miter, the complete DD routine and the simulations must
+		// agree with the ground truth (the SAT miter has no timeout issues
+		// at this scale).
+		sat := censusVerdict(t, rows, inst.Name, "strict", "sat")
+		dd := censusVerdict(t, rows, inst.Name, "strict", "alt")
+		sim := censusVerdict(t, rows, inst.Name, "strict", "sim")
+		if inst.WantEquivalent {
+			if sat != core.Equivalent {
+				t.Errorf("%s: SAT verdict %v on equivalent pair", inst.Name, sat)
 			}
-			if r.DDVerdict != ec.Equivalent {
-				t.Errorf("%s: DD verdict %v on equivalent pair", r.Name, r.DDVerdict)
+			if dd != core.Equivalent {
+				t.Errorf("%s: DD verdict %v on equivalent pair", inst.Name, dd)
 			}
-			if r.SimVerdict == core.NotEquivalent {
-				t.Errorf("%s: simulation false positive", r.Name)
+			if sim == core.NotEquivalent {
+				t.Errorf("%s: simulation false positive", inst.Name)
 			}
 		} else {
-			if r.SATVerdict.String() != "not equivalent" {
-				t.Errorf("%s: SAT verdict %v on buggy pair", r.Name, r.SATVerdict)
+			if sat != core.NotEquivalent {
+				t.Errorf("%s: SAT verdict %v on buggy pair", inst.Name, sat)
 			}
-			if r.DDVerdict != ec.NotEquivalent {
-				t.Errorf("%s: DD verdict %v on buggy pair", r.Name, r.DDVerdict)
+			if dd != core.NotEquivalent {
+				t.Errorf("%s: DD verdict %v on buggy pair", inst.Name, dd)
 			}
-			if r.SimVerdict != core.NotEquivalent {
-				t.Errorf("%s: simulation missed the bug", r.Name)
+			if sim != core.NotEquivalent {
+				t.Errorf("%s: simulation missed the bug", inst.Name)
 			}
 		}
 	}
 	var sb strings.Builder
-	PrintSATComparison(&sb, rows)
-	if !strings.Contains(sb.String(), "SAT vs DD") {
+	PrintCensus(&sb, rows, opts)
+	if !strings.Contains(sb.String(), "Prover census") {
 		t.Error("missing table header")
 	}
 }
 
 func TestPrefilterComparison(t *testing.T) {
-	instances, classes, err := BuildPrefilterSuite(Small)
+	instances, err := BuildPrefilterSuite(Small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := RunPrefilterComparison(instances, classes, core.Options{R: 8, ECTimeout: 10 * time.Second, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
+	opts := core.Options{R: 8, ECTimeout: 10 * time.Second, Seed: 3}
+	rows := RunCensus(instances, opts)
+	for _, inst := range instances {
 		// The flow must conclude on every class.
-		if r.Flow == core.NotEquivalent || r.Flow == core.ProbablyEquivalent {
-			t.Errorf("%s: flow verdict %v on an equivalent pair", r.Name, r.Flow)
+		if flow := censusVerdict(t, rows, inst.Name, "strict", CensusPipeline); flow == core.NotEquivalent || flow == core.ProbablyEquivalent {
+			t.Errorf("%s: flow verdict %v on an equivalent pair", inst.Name, flow)
 		}
-		switch r.Class {
+		switch inst.Name {
 		case "peephole":
-			if r.Rewrite.String() != "equivalent" {
-				t.Errorf("peephole class not proven by gate rewriting: %v", r.Rewrite)
+			if rw := censusVerdict(t, rows, inst.Name, "strict", "rewrite"); rw != core.Equivalent {
+				t.Errorf("peephole class not proven by gate rewriting: %v", rw)
 			}
-		case "clifford":
-			if r.ZX.String() != "equivalent up to global phase" {
-				t.Errorf("clifford class not proven by ZX: %v", r.ZX)
+		case "clifford-recompile":
+			if zx := censusVerdict(t, rows, inst.Name, "up-to-phase", "zx"); zx != core.EquivalentUpToGlobalPhase {
+				t.Errorf("clifford class not proven by ZX: %v", zx)
 			}
-		case "mapped":
-			// Neither prefilter needs to conclude here; assert soundness only.
+		case "decompose+map":
+			// Neither incomplete prover needs to conclude here; assert
+			// soundness only.
 		}
 	}
 	var sb strings.Builder
-	PrintPrefilterComparison(&sb, rows)
-	if !strings.Contains(sb.String(), "Prefilter comparison") {
+	PrintCensus(&sb, rows, opts)
+	if !strings.Contains(sb.String(), "Prover census") {
 		t.Error("missing header")
 	}
 }
@@ -442,5 +459,37 @@ func TestRunOptionsNodeLimitNormalization(t *testing.T) {
 	}
 	if got := withDefaults(core.Options{}).ECTimeout; got != 10*time.Second {
 		t.Fatalf("ECTimeout default = %v, want the harness's 10s", got)
+	}
+}
+
+// TestProbeExtrapolatesGateWorkOnly: on the medium sqr4 pair (n = 12,
+// |G'| = 700, with an output permutation) the complete check builds the
+// permutation target before its first gate.  When the probe counted that
+// set-up as gate work, the yield rule multiplied it by the gate count,
+// yielded after 1 of 716 gates and simulated all 4,096 columns (about 2 s);
+// counting gate work only, the complete check decides after the R stimuli.
+func TestProbeExtrapolatesGateWorkOnly(t *testing.T) {
+	var inst *Instance
+	for _, s := range specs(Medium) {
+		if s.name != "sqr4" {
+			continue
+		}
+		g, err := s.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gp, perm, err := s.pipeline(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst = &Instance{Name: s.name, N: g.N, G: g, Gp: gp, OutputPerm: perm}
+	}
+	if inst == nil || inst.OutputPerm == nil {
+		t.Fatal("no permuted sqr4 instance at medium scale")
+	}
+	rep := core.Check(inst.G, inst.Gp, core.Options{OutputPerm: inst.OutputPerm})
+	if rep.Verdict != core.Equivalent || rep.DecidedBy != "ec:proportional" || rep.NumSims != core.DefaultR {
+		t.Fatalf("sqr4: %v decided by %q after %d simulations, want equivalent by ec:proportional after %d",
+			rep.Verdict, rep.DecidedBy, rep.NumSims, core.DefaultR)
 	}
 }

@@ -1,86 +1,56 @@
 package harness
 
 import (
-	"fmt"
-	"io"
-	"time"
-
 	"qcec/internal/circuit"
-	"qcec/internal/core"
 	"qcec/internal/decompose"
-	"qcec/internal/ecrw"
 	"qcec/internal/mapping"
 	"qcec/internal/opt"
-	"qcec/internal/zx"
 )
 
-// The prefilter experiment compares the two sound-but-incomplete provers
-// (gate-level rewriting, paper ref [16]; ZX-calculus rewriting) against the
-// proposed simulation flow on three classes of equivalent pairs of
-// increasing difficulty: peephole recompilations, Clifford recompilations,
-// and decomposed+mapped realizations.  It demonstrates where each method
-// concludes and where only the paper's flow still gives an answer.
-
-// PrefilterRow is one line of the comparison.
-type PrefilterRow struct {
-	Name    string
-	Class   string
-	N       int
-	SizeG   int
-	SizeGp  int
-	Rewrite ecrw.Verdict
-	TRW     time.Duration
-	ZX      zx.Verdict
-	TZX     time.Duration
-	Flow    core.Verdict
-	TFlow   time.Duration
-}
+// The prefilter suite holds three classes of equivalent pairs of
+// increasing difficulty for the incomplete provers (gate-level rewriting,
+// paper ref [16]; ZX-calculus rewriting): peephole recompilations,
+// Clifford recompilations, and decomposed+mapped realizations.  The prover
+// census runs it to show where each prover concludes and where only the
+// paper's flow still gives an answer.
 
 // BuildPrefilterSuite builds the three instance classes.
-func BuildPrefilterSuite(scale Scale) ([]Instance, []string, error) {
+func BuildPrefilterSuite(scale Scale) ([]Instance, error) {
 	gates := 40
 	n := 5
 	if scale >= Medium {
 		gates, n = 120, 7
 	}
 	var instances []Instance
-	var classes []string
-
-	add := func(name, class string, g, gp *circuit.Circuit, perm []int) {
-		instances = append(instances, Instance{
-			Name: name, N: g.N, G: g, Gp: gp, OutputPerm: perm, WantEquivalent: true,
-		})
-		classes = append(classes, class)
+	add := func(name string, g, gp *circuit.Circuit) {
+		instances = append(instances, Instance{Name: name, N: g.N, G: g, Gp: gp, WantEquivalent: true})
 	}
 
 	// Class 1: peephole recompilation (inserted cancelling pairs, split
-	// rotations) — both prefilters should prove these.
-	base1 := cliffordTCircuit(n, gates, 101)
+	// rotations) — both incomplete provers should prove these.
+	base1 := baseCircuit(n, gates, 101) // H/T/S/CX mix
 	peep := splitRotations(base1)
 	peep.H(0)
 	peep.H(0)
-	add("peephole", "peephole", base1, peep, nil)
+	add("peephole", base1, peep)
 
 	// Class 2: Clifford recompilation (commuted CZs, HXH rewrites) — ZX
 	// should prove these, gate-level rewriting mostly cannot.
 	base2 := cliffordCircuit(n, gates, 102)
-	add("clifford-recompile", "clifford", base2, cliffordRecompile(base2), nil)
+	add("clifford-recompile", base2, cliffordRecompile(base2))
 
-	// Class 3: decomposed and mapped realization — only the flow concludes.
-	base3 := cliffordTCircuit(n, gates/2, 103)
+	// Class 3: decomposed and mapped realization — gate rewriting cannot
+	// conclude; the flow always does.
+	base3 := baseCircuit(n, gates/2, 103)
 	lowered := decompose.Circuit(base3, decompose.LevelCX)
-	mapped, err := mapping.Map(lowered, mapping.Options{Arch: Linear(n), RestoreLayout: true})
+	mapped, err := mapping.Map(lowered, mapping.Options{Arch: mapping.Linear(n), RestoreLayout: true})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	o, _ := opt.Optimize(mapped.Circuit, opt.Options{})
-	add("decompose+map", "mapped", base3, o, nil)
-
-	return instances, classes, nil
+	add("decompose+map", base3, o)
+	return instances, nil
 }
-
-// Linear re-exports the linear architecture for the prefilter suite.
-func Linear(n int) *mapping.Architecture { return mapping.Linear(n) }
 
 func cliffordCircuit(n, gates int, seed int64) *circuit.Circuit {
 	c := baseCircuit(n, gates, seed) // H/T/S/CX mix
@@ -93,10 +63,6 @@ func cliffordCircuit(n, gates int, seed int64) *circuit.Circuit {
 		out.Add(g)
 	}
 	return out
-}
-
-func cliffordTCircuit(n, gates int, seed int64) *circuit.Circuit {
-	return baseCircuit(n, gates, seed)
 }
 
 // cliffordRecompile produces an equivalent variant via commutations and
@@ -121,48 +87,4 @@ func cliffordRecompile(c *circuit.Circuit) *circuit.Circuit {
 		}
 	}
 	return out
-}
-
-// RunPrefilterComparison runs all three checkers on the suite.
-func RunPrefilterComparison(instances []Instance, classes []string, opts core.Options) ([]PrefilterRow, error) {
-	opts = withDefaults(opts)
-	var rows []PrefilterRow
-	for i, inst := range instances {
-		row := PrefilterRow{
-			Name: inst.Name, Class: classes[i], N: inst.N,
-			SizeG: inst.G.NumGates(), SizeGp: inst.Gp.NumGates(),
-		}
-		rw := ecrw.Check(inst.G, inst.Gp)
-		row.Rewrite = rw.Verdict
-		row.TRW = rw.Runtime
-
-		zr, err := zx.Check(inst.G, inst.Gp)
-		if err != nil {
-			return nil, fmt.Errorf("harness: ZX on %s: %w", inst.Name, err)
-		}
-		row.ZX = zr.Verdict
-		row.TZX = zr.Runtime
-
-		opts.OutputPerm = inst.OutputPerm
-		rep := core.Check(inst.G, inst.Gp, opts)
-		row.Flow = rep.Verdict
-		row.TFlow = rep.TotalTime
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// PrintPrefilterComparison renders the three-method table.
-func PrintPrefilterComparison(w io.Writer, rows []PrefilterRow) {
-	fmt.Fprintln(w, "Prefilter comparison on equivalent pairs (rewriting [16] vs ZX vs proposed flow)")
-	fmt.Fprintf(w, "%-20s %-10s %4s %6s %7s  %-13s %9s  %-13s %9s  %-30s %9s\n",
-		"Pair", "class", "n", "|G|", "|G'|",
-		"rewrite", "t[s]", "zx", "t[s]", "flow", "t[s]")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-20s %-10s %4d %6d %7d  %-13s %9.4f  %-13s %9.4f  %-30s %9.4f\n",
-			r.Name, r.Class, r.N, r.SizeG, r.SizeGp,
-			r.Rewrite, r.TRW.Seconds(),
-			r.ZX, r.TZX.Seconds(),
-			r.Flow, r.TFlow.Seconds())
-	}
 }

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"qcec/internal/core"
@@ -126,17 +127,17 @@ func ddFooter(rows []Row) string {
 	return line
 }
 
-// RunSuite measures every instance and sorts rows by simulation time
-// descending, like the paper's tables.  Instance circuits are released as
-// soon as they are measured so that paper-scale suites (millions of gates
-// per instance) do not accumulate.
+// RunSuite measures every instance and sorts rows by name, so a table and
+// its CSV list the rows in the same order on every run.  Instance circuits
+// are released as soon as they are measured so that paper-scale suites
+// (millions of gates per instance) do not accumulate.
 func RunSuite(instances []Instance, opts core.Options) []Row {
 	rows := make([]Row, 0, len(instances))
 	for i := range instances {
 		rows = append(rows, RunInstance(instances[i], opts))
 		instances[i].G, instances[i].Gp = nil, nil
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].TSim > rows[j].TSim })
+	slices.SortFunc(rows, func(a, b Row) int { return strings.Compare(a.Name, b.Name) })
 	return rows
 }
 

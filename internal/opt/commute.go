@@ -102,7 +102,8 @@ func commutes(a, b circuit.Gate) bool {
 const commuteWindow = 24
 
 // commuteCancelPass cancels inverse pairs separated by commuting gates.
-func commuteCancelPass(gates []circuit.Gate) ([]circuit.Gate, int) {
+// It compacts gates in place after its scan.
+func commuteCancelPass(_ int, gates []circuit.Gate, stop func() bool) ([]circuit.Gate, int) {
 	live := make([]bool, len(gates))
 	for i := range live {
 		live[i] = true
@@ -115,6 +116,9 @@ func commuteCancelPass(gates []circuit.Gate) ([]circuit.Gate, int) {
 		g := gates[i]
 		steps := 0
 		for j := i - 1; j >= 0 && steps < commuteWindow; j-- {
+			if stop() {
+				return gates, 0
+			}
 			if !live[j] {
 				continue
 			}

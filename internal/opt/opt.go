@@ -16,6 +16,7 @@
 package opt
 
 import (
+	"context"
 	"math"
 
 	"qcec/internal/circuit"
@@ -42,53 +43,60 @@ type Stats struct {
 // Optimize returns an optimized copy of the circuit together with
 // statistics.  The result is strictly equivalent to the input.
 func Optimize(c *circuit.Circuit, opts Options) (*circuit.Circuit, Stats) {
+	out, stats, _ := OptimizeCtx(nil, c, opts)
+	return out, stats
+}
+
+// pollEvery is how many loop steps a pass takes between polls of its
+// context.
+const pollEvery = 1 << 10
+
+// OptimizeCtx is Optimize under cooperative cancellation: the passes poll
+// ctx as they go, and once one sees it cancelled OptimizeCtx stops and
+// returns c itself with ctx's error.  A nil ctx disables cancellation.
+func OptimizeCtx(ctx context.Context, c *circuit.Circuit, opts Options) (*circuit.Circuit, Stats, error) {
 	stats := Stats{GatesBefore: c.NumGates()}
 	gates := append([]circuit.Gate(nil), c.Gates...)
-	for {
+	// stop is called once per loop step of a pass and polls ctx every
+	// pollEvery steps; once it has seen ctx cancelled it keeps saying so,
+	// and a pass that hears it returns at once.
+	steps, stopped := 0, false
+	stop := func() bool {
+		steps++
+		stopped = stopped || steps%pollEvery == 0 && ctx != nil && ctx.Err() != nil
+		return stopped
+	}
+	passes := []struct {
+		off   bool
+		run   func(int, []circuit.Gate, func() bool) ([]circuit.Gate, int)
+		count *int
+	}{
+		{opts.DisableCancellation, cancelPass, &stats.CancelledPairs},
+		{opts.DisableRotationMerge, mergePass, &stats.MergedRotants},
+		{opts.DisableHRewrites, hRewritePass, &stats.Rewrites},
+		{opts.DisableCommutation, commuteCancelPass, &stats.CancelledPairs},
+	}
+	for changed := true; changed && !stopped && stats.Passes <= 100; {
 		stats.Passes++
-		changed := false
-		if !opts.DisableCancellation {
-			var n int
-			gates, n = cancelPass(c.N, gates)
-			if n > 0 {
-				stats.CancelledPairs += n
-				changed = true
+		changed = false
+		for _, p := range passes {
+			if !p.off && !stopped {
+				var n int
+				gates, n = p.run(c.N, gates, stop)
+				*p.count += n
+				changed = changed || n > 0
 			}
 		}
-		if !opts.DisableRotationMerge {
-			var n int
-			gates, n = mergePass(c.N, gates)
-			if n > 0 {
-				stats.MergedRotants += n
-				changed = true
-			}
-		}
-		if !opts.DisableHRewrites {
-			var n int
-			gates, n = hRewritePass(c.N, gates)
-			if n > 0 {
-				stats.Rewrites += n
-				changed = true
-			}
-		}
-		if !opts.DisableCommutation {
-			var n int
-			gates, n = commuteCancelPass(gates)
-			if n > 0 {
-				stats.CancelledPairs += n
-				changed = true
-			}
-		}
-		if !changed || stats.Passes > 100 {
-			break
-		}
+	}
+	if stopped {
+		return c, stats, ctx.Err()
 	}
 	out := circuit.New(c.N, c.Name+"_opt")
 	for _, g := range gates {
 		out.Add(g)
 	}
 	stats.GatesAfter = out.NumGates()
-	return out, stats
+	return out, stats, nil
 }
 
 // sameQubits reports whether two gates act on exactly the same qubit set.
@@ -152,13 +160,18 @@ func (s *stacks) pop(qs []int) {
 	}
 }
 
-// cancelPass removes adjacent inverse pairs in a single scan.
-func cancelPass(n int, gates []circuit.Gate) ([]circuit.Gate, int) {
+// cancelPass removes adjacent inverse pairs in a single scan.  Like every
+// pass, it returns its input with a count of 0 when stop reports a
+// cancellation.
+func cancelPass(n int, gates []circuit.Gate, stop func() bool) ([]circuit.Gate, int) {
 	out := make([]circuit.Gate, 0, len(gates))
 	live := make([]bool, 0, len(gates))
 	st := newStacks(n)
 	cancelled := 0
 	for _, g := range gates {
+		if stop() {
+			return gates, 0
+		}
 		qs := g.Qubits()
 		if cand := st.top(qs); cand >= 0 && sameQubits(out[cand], g) && isInversePair(out[cand], g) {
 			live[cand] = false
@@ -193,13 +206,16 @@ func rotationPeriod(k circuit.Kind) float64 {
 }
 
 // mergePass fuses adjacent same-kind rotations on identical qubits.
-func mergePass(n int, gates []circuit.Gate) ([]circuit.Gate, int) {
+func mergePass(n int, gates []circuit.Gate, stop func() bool) ([]circuit.Gate, int) {
 	out := make([]circuit.Gate, 0, len(gates))
 	live := make([]bool, 0, len(gates))
 	st := newStacks(n)
 	merged := 0
 	const zeroTol = 1e-12
 	for _, g := range gates {
+		if stop() {
+			return gates, 0
+		}
 		qs := g.Qubits()
 		if rotationPeriod(g.Kind) > 0 {
 			if cand := st.top(qs); cand >= 0 {
@@ -245,7 +261,7 @@ func controlsEqual(a, b []circuit.Control) bool {
 }
 
 // hRewritePass replaces uncontrolled H·X·H with Z and H·Z·H with X.
-func hRewritePass(n int, gates []circuit.Gate) ([]circuit.Gate, int) {
+func hRewritePass(n int, gates []circuit.Gate, stop func() bool) ([]circuit.Gate, int) {
 	out := make([]circuit.Gate, 0, len(gates))
 	st := newStacks(n)
 	rewrites := 0
@@ -253,6 +269,9 @@ func hRewritePass(n int, gates []circuit.Gate) ([]circuit.Gate, int) {
 		return g.Kind == circuit.H && len(g.Controls) == 0
 	}
 	for _, g := range gates {
+		if stop() {
+			return gates, 0
+		}
 		qs := g.Qubits()
 		if isPlainH(g) && len(out) >= 2 {
 			if c1 := st.top(qs); c1 == len(out)-1 && c1 >= 1 {

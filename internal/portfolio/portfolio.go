@@ -14,8 +14,8 @@
 // rest, which stop cooperatively (see the cancellation contract in
 // DESIGN.md) instead of running to their private timeouts.  A panicking
 // prover is isolated into its report.  The standard provers themselves
-// (sim, dd, alt, gatecost, sat, zx, stab) are built by internal/core from
-// one core.Options; this package imports no checker.
+// (sim, dd, alt, gatecost, rewrite, sat, zx, stab) are built by
+// internal/core from one core.Options; this package imports no checker.
 //
 // The race is bounded by the caller's context: its deadline is the race's
 // timeout, and a memory watchdog on it (internal/resource) is the race's

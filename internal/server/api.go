@@ -123,8 +123,9 @@ type CheckResponse struct {
 	// the remaining basis columns (Timings.ECMS still holds the probe).
 	ECVerdict string `json:"ec_verdict,omitempty"`
 	// DecidedBy names the flow stage that produced a definitive verdict —
-	// "rewrite", "zx", "sim", or "ec:<strategy>" (e.g. "ec:stabilizer");
-	// empty for inconclusive outcomes.
+	// "sim" or "ec:<strategy>" (e.g. "ec:stabilizer") — and is empty for
+	// inconclusive outcomes.  qcecd runs the pipeline, never the prover
+	// race, so no other prover name appears here.
 	DecidedBy      string          `json:"decided_by,omitempty"`
 	Counterexample *Counterexample `json:"counterexample,omitempty"`
 	// Cancelled + CancelCause report a check stopped by its deadline, the

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"qcec/internal/core"
+	"qcec/internal/dd"
 )
 
 // Config parameterizes a Server.  The zero value is usable: withDefaults
@@ -28,7 +29,9 @@ type Config struct {
 	// MaxBodyBytes bounds the request body (default 4 MiB → 413).
 	MaxBodyBytes int64
 	// MaxQubits / MaxGates reject circuits beyond the deployment's size
-	// envelope with 413 circuit_too_large (0 = no bound).
+	// envelope with 413 circuit_too_large.  MaxGates 0 means no bound;
+	// MaxQubits 0, or anything above dd.MaxQubits, means dd.MaxQubits, the
+	// widest register the checkers can run.
 	MaxQubits int
 	MaxGates  int
 	// DefaultTimeout bounds a check when the request sets none (default
@@ -98,6 +101,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 4 << 20
+	}
+	if c.MaxQubits <= 0 || c.MaxQubits > dd.MaxQubits {
+		c.MaxQubits = dd.MaxQubits
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second

@@ -6,8 +6,12 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"qcec/internal/core"
+	"qcec/internal/dd"
 )
 
 // broadcastBomb asks for two million wires and one gate per wire in 57
@@ -93,5 +97,33 @@ func TestNestedMacrosWithinLimits(t *testing.T) {
 	var res CheckResponse
 	if err := json.Unmarshal(data, &res); err != nil || res.Verdict != VerdictEquivalent {
 		t.Fatalf("verdict %q (err %v), want equivalent", res.Verdict, err)
+	}
+}
+
+// TestDefaultAdmitsOnlyCheckableRegisters: with MaxQubits unset the size
+// envelope is dd.MaxQubits, so a GHZ pair one qubit wider is refused with
+// 413 circuit_too_large before anything runs.  Without the bound the pair
+// was admitted, ran three attempts and answered "verdict": "error".
+func TestDefaultAdmitsOnlyCheckableRegisters(t *testing.T) {
+	var ran atomic.Bool
+	_, ts := newTestServer(t, Config{testExec: func(*job) core.Report {
+		ran.Store(true)
+		return core.Report{}
+	}})
+	var b strings.Builder
+	fmt.Fprintf(&b, "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[%d];\nh q[0];\n", dd.MaxQubits+1)
+	for q := 0; q < dd.MaxQubits; q++ {
+		fmt.Fprintf(&b, "cx q[%d],q[%d];\n", q, q+1)
+	}
+	resp, data := postJSON(t, ts.URL+"/v1/check", checkBody(b.String(), b.String()))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413; body %s", resp.StatusCode, data)
+	}
+	var eb ErrorBody
+	if err := json.Unmarshal(data, &eb); err != nil || eb.Error.Code != CodeCircuitTooLarge {
+		t.Fatalf("error body %s, want code %q", data, CodeCircuitTooLarge)
+	}
+	if ran.Load() {
+		t.Fatal("the executor ran on a register the checkers cannot hold")
 	}
 }

@@ -218,8 +218,10 @@ func (s *Server) runJob(j *job) {
 	j.result = res
 	j.status.Store(jobDone)
 	j.cancel(nil)
-	close(j.done)
+	// Retire before waking the waiters, so a client answered from j.done
+	// never finds the job still holding its sources.
 	s.retireJob(j)
+	close(j.done)
 }
 
 // executeIsolated runs the check behind a recover barrier, so a panicking

@@ -33,14 +33,11 @@ func (v Verdict) String() string {
 
 // Result reports the outcome and the reduction statistics.
 type Result struct {
-	Verdict          Verdict
-	SpidersBefore    int
-	SpidersAfter     int
-	Fusions          int
-	LocalComplements int
-	Pivots           int
-	Cancelled        bool // Inconclusive because the context was cancelled
-	Runtime          time.Duration
+	Verdict       Verdict
+	SpidersBefore int
+	SpidersAfter  int
+	Cancelled     bool // Inconclusive because the context was cancelled
+	Runtime       time.Duration
 }
 
 // Check translates the miter G'·G⁻¹ into a ZX-diagram, fully reduces it,
@@ -80,9 +77,6 @@ func CheckCtx(ctx context.Context, g1, g2 *circuit.Circuit) (Result, error) {
 		return Result{}, err
 	}
 	res.SpidersAfter = g.NumSpiders()
-	res.Fusions = g.fusions
-	res.LocalComplements = g.lcomps
-	res.Pivots = g.pivots
 	if isIdentityWiring(g, ins, outs) {
 		// A fully reduced identity is a proof even if the context was
 		// cancelled while the last round completed.

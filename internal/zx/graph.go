@@ -19,6 +19,7 @@ package zx
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // vertex kinds.
@@ -214,6 +215,18 @@ func (g *Graph) edgeBetween(u, v int) *edges {
 	return g.adj[mkPair(u, v)]
 }
 
+// neighbours returns v's neighbours in ascending order.  Every rule whose
+// outcome depends on which neighbour it takes first iterates this way
+// rather than over the map, so a reduction is the same on every run.
+func (g *Graph) neighbours(v int) []int {
+	ns := make([]int, 0, len(g.nbr[v]))
+	for w := range g.nbr[v] {
+		ns = append(ns, w)
+	}
+	slices.Sort(ns)
+	return ns
+}
+
 // removeVertex disconnects and kills a vertex.
 func (g *Graph) removeVertex(v int) {
 	for w := range g.nbr[v] {
@@ -256,23 +269,25 @@ func (g *Graph) fuse(u, v int) {
 }
 
 // fusePlainEdges exhaustively applies the spider law along plain
-// spider-spider edges, producing the graph-like form.
+// spider-spider edges, producing the graph-like form.  One pass in vertex
+// order suffices, since fusing into u only changes u's edges.
 func (g *Graph) fusePlainEdges() {
-	for {
-		if g.cancelledNow() {
-			return
-		}
-		var fu, fv int = -1, -1
-		for p, e := range g.adj {
-			if e.plain > 0 && g.kind[p.a] == kindSpider && g.kind[p.b] == kindSpider {
-				fu, fv = p.a, p.b
+	for u := range g.kind {
+		for g.alive[u] && g.kind[u] == kindSpider {
+			if g.cancelledNow() {
+				return
+			}
+			v := -1
+			for w := range g.nbr[u] {
+				if (v < 0 || w < v) && g.kind[w] == kindSpider && g.edgeBetween(u, w).plain > 0 {
+					v = w
+				}
+			}
+			if v < 0 {
 				break
 			}
+			g.fuse(u, v)
 		}
-		if fu < 0 {
-			return
-		}
-		g.fuse(fu, fv)
 	}
 }
 
@@ -423,12 +438,11 @@ func (g *Graph) pauliPush(v int) bool {
 	if !g.interior(v) || !phaseIs(g.phase[v], math.Pi) || len(g.nbr[v]) != 2 {
 		return false
 	}
-	var ns []int
-	for w := range g.nbr[v] {
+	ns := g.neighbours(v)
+	for _, w := range ns {
 		if e := g.edgeBetween(v, w); e.had != 1 || e.plain != 0 {
 			return false
 		}
-		ns = append(ns, w)
 	}
 	pick := -1
 	for i, w := range ns {
@@ -448,7 +462,7 @@ func (g *Graph) pauliPush(v int) bool {
 		had bool
 	}
 	var legs []leg
-	for x := range g.nbr[w] {
+	for _, x := range g.neighbours(w) {
 		if x == v {
 			continue
 		}
@@ -504,7 +518,7 @@ func (g *Graph) Simplify() {
 			if !g.interior(v) || !(phaseIs(g.phase[v], 0) || phaseIs(g.phase[v], math.Pi)) {
 				continue
 			}
-			for w := range g.nbr[v] {
+			for _, w := range g.neighbours(v) {
 				if w > v && g.interior(w) && (phaseIs(g.phase[w], 0) || phaseIs(g.phase[w], math.Pi)) {
 					g.pivot(v, w)
 					changed = true
