@@ -11,12 +11,25 @@ import (
 	"qcec/internal/mapping"
 )
 
-// checkAtSimFloor runs Check with the simulation stage's collection floor
-// lowered to floor (1 collects at every safe point) and restores the floor
-// as soon as the run returns, so the next run of a test is unpressured.
+// floorInjector rides the fault-injection seam without injecting anything:
+// at a package's first gate application it sets both node kinds'
+// collection floors (dd.Package.SetGCThreshold).
+type floorInjector int
+
+func (f floorInjector) BeforeApply(p *dd.Package, nth uint64) {
+	if nth == 1 {
+		p.SetGCThreshold(int(f))
+	}
+}
+
+// checkAtSimFloor runs Check with the collection floors of every package it
+// creates lowered to floor (1 collects at every safe point) and removes
+// the injector as soon as the run returns, so the next run of a test is
+// unpressured.  Its callers skip the complete check or run it unpooled, so
+// the floor reaches the simulation stage's fresh packages.
 func checkAtSimFloor(floor int, g1, g2 *circuit.Circuit, opts Options) Report {
-	defer func(old int) { simGCFloor = old }(simGCFloor)
-	simGCFloor = floor
+	dd.SetDefaultFaultInjector(floorInjector(floor))
+	defer dd.SetDefaultFaultInjector(nil)
 	return Check(g1, g2, opts)
 }
 
@@ -149,13 +162,13 @@ func TestPermutedPairSurvivesCollections(t *testing.T) {
 	}
 }
 
-// TestSimulationStageKeepsItsGarbage: the simulation stage's packages
-// collect at simGCFloor, not at the complete check's floor.  On an
-// equivalent Clifford pair the stage creates several times
+// TestSimulationStageKeepsItsGarbage: the simulation stage's vectors
+// collect at dd.VectorGCThreshold, not at the complete check's matrix floor.
+// On an equivalent Clifford pair the stage creates several times
 // dd.DefaultGCThreshold nodes, and G' replays G's gates on each stimulus:
-// at simGCFloor nothing is collected and the replay is served from the
-// compute tables, while at the complete check's floor the stage collects
-// and rebuilds what it dropped.  Verdicts and fidelities agree either way.
+// at the vector floor nothing is collected and the replay is served from
+// the compute tables, while at the matrix floor the stage collects and
+// rebuilds what it dropped.  Verdicts and fidelities agree either way.
 func TestSimulationStageKeepsItsGarbage(t *testing.T) {
 	g := bench.RandomClifford(10, 200, 3)
 	base := Options{R: 10, Seed: 1, SkipEC: true}
@@ -170,7 +183,7 @@ func TestSimulationStageKeepsItsGarbage(t *testing.T) {
 		t.Fatalf("stage created only %d nodes; too few to tell the floors apart", got.DD.NodesCreated)
 	}
 	if got.DD.GCRuns != 0 {
-		t.Errorf("simulation stage collected %d times under a %d-node floor", got.DD.GCRuns, simGCFloor)
+		t.Errorf("simulation stage collected %d times under a %d-node floor", got.DD.GCRuns, dd.VectorGCThreshold)
 	}
 	if ref.DD.GCRuns == 0 || ref.DD.NodesCreated <= got.DD.NodesCreated {
 		t.Errorf("at the complete check's floor: %d collections, %d nodes created, want collections and more nodes than %d",

@@ -181,7 +181,9 @@ func TestParallelNumSimsExcludesCrashedWorkerGap(t *testing.T) {
 	defer func() { evalHook = nil }()
 
 	opts := Options{Stimuli: stimuli, Parallel: 2, SkipEC: true}
-	run := runStimuli(g1, g2, stimuli, opts)
+	st := newStage(g1, g2, opts)
+	run := st.run(stimuli)
+	st.release(false)
 	n, ce, stats, err := run.n, run.ce, run.stats, run.err
 	if ce == nil || ce.Input != 1 {
 		t.Fatalf("counterexample = %+v, want input 1", ce)

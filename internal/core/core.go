@@ -17,7 +17,7 @@
 //     complete routine runs as a probe: once the columns not yet simulated
 //     are predicted to cost less than the rest of the routine, counted in
 //     DD lookups, it yields and the flow simulates those columns instead
-//     (see finish.go).  Small registers with cheap columns, such as routed
+//     (see finish.go), on the packages the stimuli ran on.  Small registers with cheap columns, such as routed
 //     reversible netlists, are decided this way; a failing column is an
 //     ordinary simulation counterexample.
 //
@@ -161,8 +161,9 @@ type Options struct {
 	// fidelity statistics in the report.
 	FidelityThreshold float64
 	// Pool, when non-nil, supplies warm DD packages for the simulation
-	// workers and the complete routine instead of building fresh ones
-	// (dd.New) per check.  A pooled package keeps its interned weights,
+	// workers instead of building fresh ones (dd.New) per check: one per
+	// worker, held for the whole check, the complete routine running on
+	// worker 0's.  A pooled package keeps its interned weights,
 	// grown compute tables and gate registry across jobs, which is the
 	// serving layer's amortization lever; packages are returned reset on
 	// clean completion and dropped after genuine panics (their internal
@@ -343,8 +344,18 @@ func check(g1, g2 *circuit.Circuit, opts Options) Report {
 	cols := coveredColumns(stimuli)
 	report.Exhaustive = g1.N < 63 && uint64(len(cols)) == uint64(1)<<uint(g1.N)
 
+	st := newStage(g1, g2, opts)
+	defer func() {
+		// A panic escaping the flow may have left any package
+		// mid-operation: drop them all.
+		if r := recover(); r != nil {
+			st.release(true)
+			panic(r)
+		}
+		st.release(false)
+	}()
 	simStart := time.Now()
-	run := runStimuli(g1, g2, stimuli, opts)
+	run := st.run(stimuli)
 	report.SimTime = time.Since(simStart)
 	report.setSim(run)
 	if run.ce != nil {
@@ -408,9 +419,9 @@ func check(g1, g2 *circuit.Circuit, opts Options) Report {
 	if opts.ECTimeout > 0 {
 		deadline = time.Now().Add(opts.ECTimeout)
 	}
-	res := ec.Check(g1, g2, ecOpts)
+	res := st.check(g1, g2, ecOpts)
 	if res.Cause == ec.CauseYielded {
-		report.finishBySimulation(g1, g2, cols, opts, deadline, run, res)
+		report.finishBySimulation(st, g1, g2, cols, deadline, run, res)
 	} else {
 		report.decideByEC(res)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -77,28 +76,22 @@ const columnChunk = 1 << 12
 
 // finishBySimulation runs the columns the simulation stage has not covered
 // (every basis state but cols) after the probe yielded with result probe,
-// and decides the report from them.  The columns run on the stage's one
-// runner (runStimuli), under the complete check's deadline and the flow's
-// context; report.EC keeps the probe's result (its Runtime and DD), while
-// SimTime, NumSims and DD include the extra columns.  Every column
-// identical proves equivalence; a failing one is an ordinary simulation
-// counterexample.  A column that agrees only within the overlap tolerance
-// withdraws the proof, and the complete check decides after all, in what
-// is left of its deadline.
-func (r *Report) finishBySimulation(g1, g2 *circuit.Circuit, cols []uint64, opts Options, deadline time.Time, run simRun, probe ec.Result) {
+// and decides the report from them.  The columns run on the stage's
+// runners, whose packages still hold the stimuli's compute tables, under
+// the complete check's deadline (installed on the packages too, so it
+// stops a long column inside DD operations) and the flow's context;
+// report.EC keeps the probe's result (its Runtime and DD), while SimTime,
+// NumSims and DD include the extra columns.  Every column identical proves
+// equivalence; a failing one is an ordinary simulation counterexample.  A
+// column that agrees only within the overlap tolerance withdraws the
+// proof, and the complete check decides after all, on worker 0's package,
+// in what is left of its deadline.
+func (r *Report) finishBySimulation(st *stage, g1, g2 *circuit.Circuit, cols []uint64, deadline time.Time, run simRun, probe ec.Result) {
 	r.EC = &probe
-	o := opts
-	if !deadline.IsZero() {
-		base := opts.Context
-		if base == nil {
-			base = context.Background()
-		}
-		ctx, cancel := context.WithDeadline(base, deadline)
-		defer cancel()
-		o.Context = ctx
-	}
+	opts := st.opts
+	st.deadline = deadline
 	simStart := time.Now()
-	run.add(simulateRemaining(g1, g2, cols, o))
+	run.add(st.simulateRemaining(cols))
 	r.SimTime += time.Since(simStart)
 	r.setSim(run)
 	switch {
@@ -110,7 +103,7 @@ func (r *Report) finishBySimulation(g1, g2 *circuit.Circuit, cols []uint64, opts
 	case cancelled(opts):
 		r.Cancelled = true
 		r.Verdict = ProbablyEquivalent
-	case cancelled(o):
+	case st.pastDeadline():
 		// The complete check's deadline expired: the outcome an ec timeout
 		// gives.
 		r.Verdict = ProbablyEquivalent
@@ -126,7 +119,7 @@ func (r *Report) finishBySimulation(g1, g2 *circuit.Circuit, cols []uint64, opts
 			// At least 1ns: a zero Timeout would mean no limit.
 			ecOpts.Timeout = max(time.Until(deadline), time.Nanosecond)
 		}
-		res := ec.Check(g1, g2, ecOpts)
+		res := st.check(g1, g2, ecOpts)
 		res.Runtime += probe.Runtime
 		res.DD.Add(probe.DD)
 		r.decideByEC(res)
@@ -135,12 +128,12 @@ func (r *Report) finishBySimulation(g1, g2 *circuit.Circuit, cols []uint64, opts
 
 // simulateRemaining simulates the basis states of [0, 2^n) not in cols
 // (sorted) in index order, columnChunk at a time, until a counterexample, a
-// worker fault or the end of o.Context.
-func simulateRemaining(g1, g2 *circuit.Circuit, cols []uint64, o Options) simRun {
-	total := uint64(1) << uint(g1.N)
+// worker fault, the end of the flow's context or the stage's deadline.
+func (st *stage) simulateRemaining(cols []uint64) simRun {
+	total := uint64(1) << uint(st.prog1.Qubits())
 	run := newSimRun()
 	chunk := make([]uint64, 0, min(total, columnChunk))
-	for x := uint64(0); x < total && !cancelled(o); {
+	for x := uint64(0); x < total && !st.stopped(); {
 		chunk = chunk[:0]
 		for ; x < total && len(chunk) < cap(chunk); x++ {
 			if len(cols) > 0 && cols[0] == x {
@@ -149,7 +142,7 @@ func simulateRemaining(g1, g2 *circuit.Circuit, cols []uint64, o Options) simRun
 			}
 			chunk = append(chunk, x)
 		}
-		run.add(runStimuli(g1, g2, chunk, o))
+		run.add(st.run(chunk))
 		if run.ce != nil || run.err != nil {
 			break
 		}

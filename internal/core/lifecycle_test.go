@@ -1,0 +1,95 @@
+package core
+
+import (
+	"testing"
+
+	"qcec/internal/bench"
+	"qcec/internal/circuit"
+	"qcec/internal/dd"
+	"qcec/internal/ec"
+	"qcec/internal/mapping"
+)
+
+// qft6Pair is the relabelled QFT-6 pair the complete check decides: its
+// miter stays small, so the probe never yields.
+func qft6Pair(t testing.TB) (g, gp *circuit.Circuit) {
+	t.Helper()
+	return routedPair(t, relabelled(bench.QFT(6), []int{3, 0, 5, 1, 4, 2}), mapping.Linear(6))
+}
+
+// TestCheckLeasesOncePerWorker: a pooled check leases one package per
+// simulation worker and runs the stimuli, the complete check and any
+// remaining columns on it, whichever stage decides.  Each stage's
+// statistics hold only its own work: with no output permutation the
+// simulation builds no gate DD and the complete check applies no gate to a
+// state, so summing them, as qcecd does, counts nothing twice.  Without a
+// pool, the complete check's node counts on the stage's package measure
+// the miter alone and match a standalone ec.Check.
+func TestCheckLeasesOncePerWorker(t *testing.T) {
+	rev5, rev5p := reversiblePair(t, 5, 1, true)
+	qft, qftp := qft6Pair(t)
+	for _, c := range []struct {
+		name      string
+		g, gp     *circuit.Circuit
+		decidedBy string
+	}{
+		{"routed rev5", rev5, rev5p, "sim"},
+		{"relabelled QFT-6", qft, qftp, "ec:proportional"},
+	} {
+		pool := dd.NewPool(2)
+		opts := Options{Pool: pool}
+		for i := 0; i < 3; i++ {
+			before := pool.Stats().Gets
+			rep := Check(c.g, c.gp, opts)
+			if rep.Verdict != Equivalent || rep.DecidedBy != c.decidedBy || rep.EC == nil {
+				t.Fatalf("%s: %v by %q (complete check ran: %v), want equivalent by %s after a complete check",
+					c.name, rep.Verdict, rep.DecidedBy, rep.EC != nil, c.decidedBy)
+			}
+			if gets := pool.Stats().Gets - before; gets != 1 {
+				t.Errorf("%s, check %d: %d leases, want 1", c.name, i, gets)
+			}
+			if rep.EC.DD.ApplyCalls != 0 || rep.EC.DD.Lookups() == 0 {
+				t.Errorf("%s: complete check's statistics hold %d state applications and %d lookups, want none and its own",
+					c.name, rep.EC.DD.ApplyCalls, rep.EC.DD.Lookups())
+			}
+			if gates := rep.DD.GateHits + rep.DD.GateMisses; gates != 0 || rep.DD.ApplyCalls == 0 {
+				t.Errorf("%s: simulation's statistics hold %d gate DDs and %d state applications, want none and its own",
+					c.name, gates, rep.DD.ApplyCalls)
+			}
+		}
+		if st := pool.Stats(); st.Puts != st.Gets || st.Forgotten != 0 {
+			t.Errorf("%s: pool %+v, want every lease returned", c.name, st)
+		}
+	}
+
+	want := ec.Check(qft, qftp, ec.Options{})
+	rep := Check(qft, qftp, Options{})
+	if rep.EC == nil || rep.EC.Cause != ec.CauseNone {
+		t.Fatalf("relabelled QFT-6: complete check %+v, want one that ran to the end", rep.EC)
+	}
+	if rep.EC.PeakNodes != want.PeakNodes || rep.EC.FinalNodes != want.FinalNodes {
+		t.Errorf("relabelled QFT-6: flow's complete check peaks at %d and ends at %d nodes, standalone at %d and %d",
+			rep.EC.PeakNodes, rep.EC.FinalNodes, want.PeakNodes, want.FinalNodes)
+	}
+}
+
+// TestFlowAllocations bounds the heap allocations of one pooled check of
+// BenchmarkFlowRoutedPair's routed rev5 pair, which is decided by
+// simulating all 32 columns over about 8,400 circuit gates.  Each circuit
+// is compiled once per check into a gate alphabet, bound once per package,
+// so the count (about 630) does not grow with the gates applied, and a
+// budget near 2,000 catches any allocation per gate or per step.
+func TestFlowAllocations(t *testing.T) {
+	const budget = 2000
+	g, gp := reversiblePair(t, 5, 1, true)
+	opts := Options{Pool: dd.NewPool(2)}
+	var rep Report
+	allocs := testing.AllocsPerRun(5, func() { rep = Check(g, gp, opts) })
+	if rep.Verdict != Equivalent || rep.DecidedBy != "sim" || rep.NumSims != 32 {
+		t.Fatalf("routed rev5: %v by %q after %d sims, want equivalent by sim after 32", rep.Verdict, rep.DecidedBy, rep.NumSims)
+	}
+	t.Logf("%.0f allocations per check", allocs)
+	if allocs > budget {
+		t.Errorf("%.0f allocations per check, want at most %d", allocs, budget)
+	}
+}

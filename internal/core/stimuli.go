@@ -4,13 +4,38 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"qcec/internal/circuit"
 	"qcec/internal/cn"
 	"qcec/internal/dd"
+	"qcec/internal/ec"
 	"qcec/internal/resource"
 	"qcec/internal/sim"
 )
+
+// stage is one check's simulation state: the circuit pair compiled once
+// into read-only sim.Programs, and one runner per simulation worker, leased
+// the first time the worker runs and held until the check ends (release).
+// The R stimuli, the complete check (on worker 0's package, see
+// stage.check) and the remaining basis columns after a yielded probe all
+// run on these packages, so a check leases one package per worker, binds
+// each distinct gate once per package, and the remaining columns start on
+// the compute tables the stimuli warmed.
+type stage struct {
+	prog1, prog2 *sim.Program
+	opts         Options
+	runners      []*simRunner // runners[w] is worker w's, nil until it first runs
+	// deadline, when set, stops the workers between stimuli and, installed
+	// on their packages, inside DD operations: the complete check's
+	// deadline, under which the remaining columns run.
+	deadline time.Time
+}
+
+// newStage compiles the circuit pair for the flow on opts.
+func newStage(g1, g2 *circuit.Circuit, opts Options) *stage {
+	return &stage{prog1: sim.Prepare(g1), prog2: sim.Prepare(g2), opts: opts}
+}
 
 // simRunner bundles the per-worker simulation state: one leased DD package
 // and the circuit pair bound to it (sim.Pair, which also holds the
@@ -21,35 +46,71 @@ type simRunner struct {
 	upToPhase bool
 	agreeTol  float64 // state-agreement tolerance, derived from the DD tolerance
 	threshold float64 // approximate mode when > 0
+	// fault records a genuine panic recovered on p: release drops p, since
+	// injected chaos may have corrupted state a reset cannot undo (a
+	// non-finite interned weight, say).
+	fault bool
+	// mark is p's statistics when the work accounted so far ended (see
+	// account).
+	mark dd.Stats
 }
 
-// simGCFloor is the collection floor of the simulation stage's packages,
-// 32 times dd.DefaultGCThreshold.  The stage's dead nodes are its cache:
-// G' replays G's gates on the same stimulus, and later stimuli revisit the
-// same sub-states, so the compute-table entries over last run's garbage
-// keep hitting until a collection invalidates them.  At the complete
-// check's floor a 10-14 qubit Clifford stage collects every few thousand
-// nodes and creates about 4.6 times the nodes; at this one the stage of a
-// typical check never collects, while the complete check, whose garbage is
-// rarely revisited, keeps the small floor and its cache-sized tables.
-// Tests lower it to force collections (1 collects at every safe point) and
-// restore it; it is a variable for them alone.
-var simGCFloor = 1 << 18
-
-// newSimRunner binds the circuit pair to the worker's package p.  The
-// package is leased on the flow's context, so a cancellation reaches inside
-// a single large simulation, not just between stimuli (the resulting
-// *dd.LimitError panic is recovered by the stimulus loop below), and a
-// memory watchdog on the context sees the package.
-func newSimRunner(p *dd.Package, g1, g2 *sim.Program, opts Options) *simRunner {
-	p.SetGCThreshold(simGCFloor)
-	return &simRunner{
-		p:         p,
-		pair:      sim.NewPair(p, g1, g2, opts.OutputPerm),
-		upToPhase: opts.UpToGlobalPhase,
-		agreeTol:  cn.AgreementTolerance(opts.Tolerance),
-		threshold: opts.FidelityThreshold,
+// runner returns worker w's runner, leasing its package and binding the
+// circuit pair on first use.  The package is leased on the flow's context,
+// so a cancellation reaches inside a single large simulation, not just
+// between stimuli (the resulting *dd.LimitError panic is recovered by the
+// stimulus loop), and a memory watchdog on the context sees the package.
+// The runner is stored before the pair is bound, so a panic while binding
+// still leaves the package to release.
+func (st *stage) runner(w int) *simRunner {
+	r := st.runners[w]
+	if r == nil {
+		p := st.opts.Pool.Lease(st.opts.Context, st.prog1.Qubits(), st.opts.Tolerance)
+		r = &simRunner{
+			p:         p,
+			upToPhase: st.opts.UpToGlobalPhase,
+			agreeTol:  cn.AgreementTolerance(st.opts.Tolerance),
+			threshold: st.opts.FidelityThreshold,
+			mark:      p.Snapshot(),
+		}
+		st.runners[w] = r
 	}
+	if r.pair == nil {
+		r.pair = sim.NewPair(r.p, st.prog1, st.prog2, st.opts.OutputPerm)
+	}
+	return r
+}
+
+// account returns the package's work since the last account, and marks
+// the current statistics as accounted.
+func (r *simRunner) account() dd.Stats {
+	now := r.p.Snapshot()
+	d := now.Since(r.mark)
+	r.mark = now
+	return d
+}
+
+// check runs the complete check on worker 0's package (ec.CheckOn), keeping
+// the pair's un-permutation matrix alive, and leaves the check's work out
+// of the simulation statistics.  Worker 0 has run by then: every stage run
+// has at least one worker.
+func (st *stage) check(g1, g2 *circuit.Circuit, o ec.Options) ec.Result {
+	r := st.runners[0]
+	res, fault := ec.CheckOn(r.p, g1, g2, o, r.pair.Pinned())
+	r.fault = r.fault || fault
+	r.mark = r.p.Snapshot()
+	return res
+}
+
+// release ends every runner's lease, dropping the packages that faulted,
+// or all of them when the flow itself is unwinding a panic (abandon).
+func (st *stage) release(abandon bool) {
+	for _, r := range st.runners {
+		if r != nil {
+			r.p.Release(abandon || r.fault)
+		}
+	}
+	st.runners = nil
 }
 
 // compare runs one column comparison (sim.Pair.Compare), returning the
@@ -141,6 +202,17 @@ func cancelled(opts Options) bool {
 	return opts.Context != nil && opts.Context.Err() != nil
 }
 
+// stopped reports whether the workers must stop between stimuli: the flow
+// was cancelled, or the stage's deadline passed.
+func (st *stage) stopped() bool {
+	return cancelled(st.opts) || st.pastDeadline()
+}
+
+// pastDeadline reports whether the stage's deadline, if any, has passed.
+func (st *stage) pastDeadline() bool {
+	return !st.deadline.IsZero() && time.Now().After(st.deadline)
+}
+
 // recoverWorker isolates a simulation worker: the *dd.LimitError panic raised
 // by the lease's cancellation hook mid-simulation is absorbed silently (limit
 // errors can only be cancellations here — the stimulus loops install no node
@@ -169,20 +241,19 @@ var (
 	failHook func(i int)
 )
 
-// runStimuli is the simulation stage's one stimulus loop.  It distributes
-// the stimuli round-robin over opts.Parallel workers (at least one, at most
-// one per stimulus), each with a private DD package.  The circuit pair is
-// compiled once into read-only sim.Programs that every worker binds to its
-// package and drives, so per-worker setup is just a package and a binding.
-// A single worker is the paper's loop: one stimulus at a time, stopping at
-// the first counterexample.  The result does not depend on the worker
-// count: the first distinguishing stimulus in stimulus order is reported,
-// and every stimulus before it has been checked.  Workers fast-forward past
-// indices beyond the current best counterexample, so the early exit
-// parallelizes too.
-func runStimuli(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options) simRun {
-	workers := max(1, min(opts.Parallel, len(stimuli)))
-	prog1, prog2 := sim.Prepare(g1), sim.Prepare(g2)
+// run is the simulation stage's one stimulus loop.  It distributes the
+// stimuli round-robin over opts.Parallel workers (at least one, at most one
+// per stimulus), each on its own runner.  A single worker is the paper's
+// loop: one stimulus at a time, stopping at the first counterexample.  The
+// result does not depend on the worker count: the first distinguishing
+// stimulus in stimulus order is reported, and every stimulus before it has
+// been checked.  Workers fast-forward past indices beyond the current best
+// counterexample, so the early exit parallelizes too.
+func (st *stage) run(stimuli []uint64) simRun {
+	workers := max(1, min(st.opts.Parallel, len(stimuli)))
+	for len(st.runners) < workers {
+		st.runners = append(st.runners, nil)
+	}
 	ces := make([]*Counterexample, len(stimuli))
 	fids := make([]float64, len(stimuli))
 	evaluated := make([]bool, len(stimuli))
@@ -197,16 +268,14 @@ func runStimuli(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options) simRun 
 	// a worker left on the caller delays the start of the others (2-worker
 	// qbench rates on 5-8 qubit pairs fell by 13-32%).
 	work := func(w int) {
-		var p *dd.Package
 		// Deferred before recoverWorker, so workerErr[w] is set when the
-		// lease ends: a worker that died on a genuine panic (a
-		// *resource.PanicError) drops its package, since injected chaos
-		// may have corrupted state the reset cannot undo (a non-finite
-		// interned weight, say), while an absorbed cancellation recycles
-		// it.
+		// run is accounted: a worker that died on a genuine panic (a
+		// *resource.PanicError) marks its package to be dropped at
+		// release, while an absorbed cancellation keeps it.
 		defer func() {
-			if p != nil {
-				workerDD[w] = p.Release(workerErr[w] != nil)
+			if r := st.runners[w]; r != nil {
+				workerDD[w] = r.account()
+				r.fault = r.fault || workerErr[w] != nil
 			}
 		}()
 		// Installed before the lease, so a panic while leasing or
@@ -218,11 +287,11 @@ func runStimuli(g1, g2 *circuit.Circuit, stimuli []uint64, opts Options) simRun 
 			label = fmt.Sprintf("core.sim worker %d", w)
 		}
 		defer recoverWorker(label, &workerErr[w])
-		p = opts.Pool.Lease(opts.Context, g1.N, opts.Tolerance)
-		r := newSimRunner(p, prog1, prog2, opts)
+		r := st.runner(w)
+		r.p.SetDeadline(st.deadline)
 		workerSame[w] = true
 		for i := w; i < len(stimuli); i += workers {
-			if cancelled(opts) {
+			if st.stopped() {
 				return
 			}
 			if int64(i) >= firstFail.Load() {

@@ -104,16 +104,17 @@ func (j *junkNodes) fill(p *Package, to int) {
 	}
 }
 
-// TestMaybeGCPacing: with a pinned live set L, MaybeGC collects exactly
-// when the population reaches max(floor, 2L), round after round, so neither
-// the trigger nor the arena grows without bound; once the roots are dropped
-// the trigger falls back to the floor; SetGCThreshold sets the floor, and a
-// floor of 1 collects at every MaybeGC.
+// TestMaybeGCPacing: with a pinned live set L of vector nodes, MaybeGC
+// collects exactly when the vector population reaches max(floor, 2L),
+// round after round, so neither the trigger nor the arena grows without
+// bound; once the roots are dropped the trigger falls back to the floor;
+// SetGCThreshold sets both kinds' floors, and a floor of 1 collects at
+// every MaybeGC.
 func TestMaybeGCPacing(t *testing.T) {
 	const floor = 300
 	p := New(8, 1e-10)
 	p.SetGCThreshold(floor)
-	if got := p.gcTrigger(); got != floor {
+	if got := p.gcTrigger(vectorKind); got != floor {
 		t.Fatalf("fresh package triggers at %d, want the floor %d", got, floor)
 	}
 
@@ -131,7 +132,7 @@ func TestMaybeGCPacing(t *testing.T) {
 
 	var junk junkNodes
 	for round := 0; round < 12; round++ {
-		if got := p.gcTrigger(); got != want {
+		if got := p.gcTrigger(vectorKind); got != want {
 			t.Fatalf("round %d: trigger %d, want max(floor %d, 2×live %d) = %d", round, got, floor, live, want)
 		}
 		junk.fill(p, want-1)
@@ -156,7 +157,7 @@ func TestMaybeGCPacing(t *testing.T) {
 	if !p.MaybeGC(nil, nil) {
 		t.Fatalf("no collection at the trigger %d", want)
 	}
-	if got := p.gcTrigger(); got != floor {
+	if got := p.gcTrigger(vectorKind); got != floor {
 		t.Errorf("trigger %d after the roots were dropped, want the floor %d", got, floor)
 	}
 
@@ -166,13 +167,49 @@ func TestMaybeGCPacing(t *testing.T) {
 		roots[i] = p.BasisState(uint64(i))
 	}
 	p.SetGCThreshold(0)
-	if p.gcFloor != 1 {
-		t.Errorf("SetGCThreshold(0) set the floor to %d, want it clamped to 1", p.gcFloor)
+	if p.gcFloor != [2]int{1, 1} {
+		t.Errorf("SetGCThreshold(0) set the floors to %v, want both clamped to 1", p.gcFloor)
 	}
 	for i := 0; i < 3; i++ {
 		if !p.MaybeGC(roots, nil) {
 			t.Fatalf("floor 1: no collection at %d nodes (%d live)", p.NodeCount(), live)
 		}
+	}
+}
+
+// junkMatrices is junkNodes for matrix nodes.
+type junkMatrices struct{ next int }
+
+func (j *junkMatrices) fill(p *Package, to int) {
+	for p.mU.n < to {
+		j.next++
+		p.makeMNode(0, [4]MEdge{p.MTerminal(1), p.MZero(), p.MZero(), p.MTerminal(complex(0, float64(j.next)*1e-6))})
+	}
+}
+
+// TestGCPacingPerKind: each node kind collects on its own population.  Dead
+// vectors past the matrix floor collect nothing below the vector floor, and
+// matrices collect at the matrix floor however many dead vectors lie
+// around, so the complete check on a package holding a simulation's
+// garbage paces as it does alone.  A collection still sweeps both kinds.
+func TestGCPacingPerKind(t *testing.T) {
+	p := New(8, 1e-10)
+	var vecs junkNodes
+	vecs.fill(p, 3*DefaultGCThreshold)
+	if p.MaybeGC(nil, nil) {
+		t.Fatalf("collected at %d dead vectors, below the vector floor %d", p.NodeCount(), VectorGCThreshold)
+	}
+	var mats junkMatrices
+	mats.fill(p, DefaultGCThreshold-1)
+	if p.MaybeGC(nil, nil) {
+		t.Fatalf("collected at %d matrices (%d nodes in all), below the matrix floor %d", p.mU.n, p.NodeCount(), DefaultGCThreshold)
+	}
+	mats.fill(p, DefaultGCThreshold)
+	if !p.MaybeGC(nil, nil) {
+		t.Fatalf("no collection at the matrix floor %d", DefaultGCThreshold)
+	}
+	if p.vU.n != 0 || p.mU.n != 0 {
+		t.Errorf("after the collection %d vectors and %d matrices remain, want both kinds swept", p.vU.n, p.mU.n)
 	}
 }
 

@@ -29,8 +29,10 @@
 //     compute tables, so memory use is bounded and lookups are O(1).  The
 //     entries hold node refs and weight IDs, no pointers, and a collection
 //     invalidates them all by bumping one generation stamp (see arith.go).
-//   - Collections are paced to the live set (see MaybeGC), so the arenas
-//     and tables of a check whose live DD stays small stay cache-sized.
+//   - Collections are paced to the live set, each node kind on its own
+//     (see MaybeGC), so the arenas and tables of a check whose live DD
+//     stays small stay cache-sized, while a simulation's dead vectors, its
+//     cache, survive the matrix work that shares the package.
 //   - Every distinct gate — its interned 2×2 matrix entries, target and
 //     control masks — gets one small id in a per-package gate registry
 //     (see registry.go).  The id keys the apply kernel's compute tables,
@@ -132,13 +134,14 @@ type Package struct {
 	applyHits      uint64
 	applyMisses    uint64
 
-	// gcFloor and gcLive pace the collections: MaybeGC collects once the
-	// unique-table population reaches the largest of gcFloor, twice gcLive
-	// (the nodes that survived the last collection) and a fixed share of the
-	// arena slot count (see gcTrigger).  gcFloor is DefaultGCThreshold, or
+	// gcFloor and gcLive pace the collections, indexed by gcKind: MaybeGC
+	// collects once the vector or the matrix population reaches the largest
+	// of its kind's floor, twice its kind's survivors of the last collection
+	// (gcLive) and a fixed share of the arena slot count (see gcTrigger).
+	// The floors are VectorGCThreshold and DefaultGCThreshold, or
 	// SetGCThreshold's override.
-	gcFloor int
-	gcLive  int
+	gcFloor [2]int
+	gcLive  [2]int
 	gcRuns  int
 
 	// nodeLimit, when positive, makes node creation panic with a
@@ -223,8 +226,10 @@ func (e *LimitError) Error() string {
 }
 
 // SetNodeLimit installs (or with 0 removes) a hard bound on the live node
-// population.  Exceeding it panics with a *LimitError at the allocation
-// site.
+// population of each kind: allocating a vector node past it, or a matrix
+// node past it, panics with a *LimitError at the allocation site.  Bounding
+// each kind on its own lets the complete check bound its miter on a package
+// that still holds a simulation's dead vectors.
 func (p *Package) SetNodeLimit(n int) { p.nodeLimit = n }
 
 // SetDeadline installs (or with the zero time removes) a wall-clock bound on
@@ -241,11 +246,11 @@ func (p *Package) SetDeadline(t time.Time) { p.deadline = t }
 // context.
 func (p *Package) setCancel(f func() bool) { p.cancel = f }
 
-func (p *Package) checkLimit() {
-	if p.nodeLimit > 0 {
-		if n := p.NodeCount(); n > p.nodeLimit {
-			panic(&LimitError{Nodes: n, Limit: p.nodeLimit})
-		}
+// checkLimit runs after every node allocation; population is the
+// allocated node's kind's (see SetNodeLimit).
+func (p *Package) checkLimit(population int) {
+	if p.nodeLimit > 0 && population > p.nodeLimit {
+		panic(&LimitError{Nodes: population, Limit: p.nodeLimit})
 	}
 	p.allocCount++
 	if p.allocCount&0x1FF == 0 {
@@ -314,15 +319,25 @@ func (p *Package) faultPoint() {
 	p.faults.BeforeApply(p, p.faultEvents)
 }
 
-// DefaultGCThreshold is the floor of MaybeGC's collection trigger: the
-// smallest unique-table population at which it collects (see gcTrigger).
-// It is small enough that a check whose live DD is a few hundred nodes —
-// the alternating miter of an equivalent pair stays near the identity —
-// keeps its arena, unique tables and compute tables cache-resident, and
-// large enough that the mark and sweep stay a small share of the work.
-// Workloads whose dead nodes are worth keeping raise it with
-// SetGCThreshold: the flow's simulation stage does (see core).
+// DefaultGCThreshold is the collection floor of matrix nodes: the smallest
+// matrix population at which MaybeGC collects (see gcTrigger).  It is small
+// enough that a check whose live DD is a few hundred nodes — the
+// alternating miter of an equivalent pair stays near the identity — keeps
+// its arena, unique tables and compute tables cache-resident, and large
+// enough that the mark and sweep stay a small share of the work.
 const DefaultGCThreshold = 1 << 13
+
+// VectorGCThreshold is the collection floor of vector nodes, 32 times
+// DefaultGCThreshold.  A simulation's dead vectors are its cache: in the
+// flow's simulation stage G' replays G's gates on the same stimulus, and
+// later stimuli revisit the same sub-states, so the compute-table entries
+// over the last run's garbage keep hitting until a collection invalidates
+// them.  At the matrix floor a 10-14 qubit Clifford stage collects every
+// few thousand nodes and creates about 4.6 times the nodes; at this one
+// the stage of a typical check never collects, while the complete check,
+// whose garbage is rarely revisited, keeps the small matrix floor and its
+// cache-sized tables.
+const VectorGCThreshold = 1 << 18
 
 // MaxQubits is the largest supported register size (basis-state indices are
 // addressed with uint64).
@@ -337,7 +352,7 @@ func New(n int, tol float64) *Package {
 		n:       n,
 		CN:      cn.NewTable(tol),
 		gen:     1,
-		gcFloor: DefaultGCThreshold,
+		gcFloor: [2]int{VectorGCThreshold, DefaultGCThreshold},
 		gateIDs: make(map[gateKey]uint32, 64),
 	}
 	p.vA.init()
@@ -360,6 +375,9 @@ func (p *Package) Qubits() int { return p.n }
 // NodeCount returns the current unique-table population (vector plus matrix
 // nodes).
 func (p *Package) NodeCount() int { return p.vU.n + p.mU.n }
+
+// MatrixNodeCount returns the current matrix-node population.
+func (p *Package) MatrixNodeCount() int { return p.mU.n }
 
 // Stats is a snapshot of the package's internal activity, exposed for the
 // benchmark harness, the CLI's -stats flag and for performance debugging.
@@ -462,6 +480,36 @@ func (s *Stats) Add(o Stats) {
 	s.ApplyMisses += o.ApplyMisses
 	s.PressureGCs += o.PressureGCs
 	s.FaultEvents += o.FaultEvents
+}
+
+// Since returns the activity between an earlier snapshot of the same
+// package and s: the counters' differences, and s's gauges.  Stages that
+// share one package (the flow's simulation stage and complete check) each
+// account their own work this way, so summing their statistics counts
+// nothing twice.
+func (s Stats) Since(before Stats) Stats {
+	d := s
+	d.NodesCreated -= before.NodesCreated
+	d.GCRuns -= before.GCRuns
+	d.GCReclaimed -= before.GCReclaimed
+	d.CacheHits -= before.CacheHits
+	d.CacheMisses -= before.CacheMisses
+	d.UniqueLookups -= before.UniqueLookups
+	d.UniqueHits -= before.UniqueHits
+	d.WeightLookups -= before.WeightLookups
+	d.WeightHits -= before.WeightHits
+	d.GateHits -= before.GateHits
+	d.GateMisses -= before.GateMisses
+	d.GateFlushes -= before.GateFlushes
+	d.ApplyCalls -= before.ApplyCalls
+	d.ApplyDiag -= before.ApplyDiag
+	d.ApplyPerm -= before.ApplyPerm
+	d.ApplyGeneric -= before.ApplyGeneric
+	d.ApplyHits -= before.ApplyHits
+	d.ApplyMisses -= before.ApplyMisses
+	d.PressureGCs -= before.PressureGCs
+	d.FaultEvents -= before.FaultEvents
+	return d
 }
 
 // Lookups returns the compute-table plus apply-table lookups, hits and
@@ -577,7 +625,7 @@ func (p *Package) makeVNode(v int, e0, e1 VEdge) VEdge {
 		}
 		p.vU.place(h, uint32(node))
 		p.nodesCreated++
-		p.checkLimit()
+		p.checkLimit(p.vU.n)
 	}
 	return VEdge{W: top, N: node}
 }
@@ -626,7 +674,7 @@ func (p *Package) makeMNode(v int, e [4]MEdge) MEdge {
 		}
 		p.mU.place(h, uint32(node))
 		p.nodesCreated++
-		p.checkLimit()
+		p.checkLimit(p.mU.n)
 	}
 	return MEdge{W: top, N: node}
 }

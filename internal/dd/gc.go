@@ -11,10 +11,10 @@ package dd
 // functionally different node while the stale cache entry resurrects the
 // old index.
 //
-// MaybeGC paces the collections to the live set (see gcTrigger), so a
-// package's arena, unique tables and compute tables stay near twice what
-// its caller actually holds instead of filling with dead nodes between
-// rare collections.
+// MaybeGC paces the collections to the live set, each node kind on its own
+// (see gcTrigger), so a package's arena, unique tables and compute tables
+// stay near twice what its caller actually holds instead of filling with
+// dead nodes between rare collections.
 
 // markBits is a plain bitset sized to an arena's slot count — the arena
 // makes reachability marking an indexed bit flip instead of a map insert.
@@ -97,7 +97,7 @@ func (p *Package) collect(rootsV []VEdge, rootsM []MEdge, flush bool) int {
 	p.invalidateComputeTables()
 	p.gcRuns++
 	p.gcReclaimed += uint64(removed)
-	p.gcLive = p.NodeCount()
+	p.gcLive = [2]int{p.vU.n, p.mU.n}
 	p.updateOccupancy()
 	return removed
 }
@@ -109,26 +109,39 @@ func (p *Package) collect(rootsV []VEdge, rootsM []MEdge, flush bool) int {
 // grown by an earlier, larger live set and now holds mostly free slots.
 const gcSweepShare = 4
 
-// gcTrigger returns the unique-table population at which MaybeGC collects:
-// the largest of the floor (gcFloor), twice the nodes that survived the
-// last collection, and the arena slot count divided by gcSweepShare.  The
-// doubling lets a genuinely large working set grow without thrashing, and
-// the trigger falls back to the floor as soon as a collection finds the
-// live set small again.  A floor of 1 switches the pacing off: every
-// MaybeGC collects, which is what the collection stress tests rely on.
-func (p *Package) gcTrigger() int {
-	if p.gcFloor == 1 {
+// gcKind is a node kind, indexing the per-kind pacing state.
+type gcKind int
+
+const (
+	vectorKind gcKind = iota
+	matrixKind
+)
+
+// gcTrigger returns the population of kind k at which MaybeGC collects:
+// the largest of the kind's floor (gcFloor), twice the nodes of the kind
+// that survived the last collection, and the slot count of both arenas
+// divided by gcSweepShare (a collection sweeps both).  The doubling lets a
+// genuinely large working set grow without thrashing, and the trigger falls
+// back to the floor as soon as a collection finds the live set small
+// again.  Pacing each kind on its own keeps one kind's garbage from
+// triggering collections of the other's work: the simulation stage's dead
+// vectors are its cache, and the complete check on the same package
+// collects when its own matrices reach their floor, not when the stage's
+// vectors do.  A floor of 1 switches the pacing off: every MaybeGC
+// collects, which is what the collection stress tests rely on.
+func (p *Package) gcTrigger(k gcKind) int {
+	if p.gcFloor[k] == 1 {
 		return 1
 	}
 	slots := p.vA.slots() + p.mA.slots() - 2 // excluding the two terminals
-	return max(p.gcFloor, 2*p.gcLive, slots/gcSweepShare)
+	return max(p.gcFloor[k], 2*p.gcLive[k], slots/gcSweepShare)
 }
 
-// MaybeGC runs GC when the unique-table population reaches gcTrigger, or
-// unconditionally when the memory watchdog has bumped its pressure epoch
-// since the last check (see setPressure) — a pressure-forced collection
-// also flushes the gate registry, whose DDs are rebuildable ballast.  It
-// reports whether a collection ran.
+// MaybeGC runs GC when the vector or the matrix population reaches its
+// kind's gcTrigger, or unconditionally when the memory watchdog has bumped
+// its pressure epoch since the last check (see setPressure) — a
+// pressure-forced collection also flushes the gate registry, whose DDs are
+// rebuildable ballast.  It reports whether a collection ran.
 func (p *Package) MaybeGC(rootsV []VEdge, rootsM []MEdge) bool {
 	forced := false
 	if p.pressure != nil {
@@ -137,7 +150,7 @@ func (p *Package) MaybeGC(rootsV []VEdge, rootsM []MEdge) bool {
 			forced = true
 		}
 	}
-	if !forced && p.NodeCount() < p.gcTrigger() {
+	if !forced && p.vU.n < p.gcTrigger(vectorKind) && p.mU.n < p.gcTrigger(matrixKind) {
 		return false
 	}
 	if forced {
@@ -150,13 +163,13 @@ func (p *Package) MaybeGC(rootsV []VEdge, rootsM []MEdge) bool {
 // GCRuns returns how many collections have been performed.
 func (p *Package) GCRuns() int { return p.gcRuns }
 
-// SetGCThreshold sets the floor of the collection trigger (see gcTrigger);
-// values < 1 are clamped to 1, and a floor of 1 collects at every MaybeGC.
-// The simulation stage raises its packages' floor (its garbage is the
-// compute-table state the next run replays); stress tests lower it to 1.
+// SetGCThreshold sets the floor of both node kinds' collection triggers
+// (see gcTrigger); values < 1 are clamped to 1, and a floor of 1 collects
+// at every MaybeGC.  Outside tests the floors are VectorGCThreshold and
+// DefaultGCThreshold; stress tests lower them to force collections.
 func (p *Package) SetGCThreshold(n int) {
 	if n < 1 {
 		n = 1
 	}
-	p.gcFloor = n
+	p.gcFloor = [2]int{n, n}
 }

@@ -51,12 +51,10 @@ func (p *Package) Reset() {
 		p.faults = nil
 	}
 
-	// Restore the collection floor a previous job may have raised, then
-	// collect everything not reachable from the warm roots.  GC keeps the
+	// Collect everything not reachable from the warm roots.  GC keeps the
 	// gate registry and identity chain live, invalidates the compute tables
-	// without touching their arrays, and leaves the collection trigger at
-	// the floor unless the warm roots alone outgrow it.
-	p.gcFloor = DefaultGCThreshold
+	// without touching their arrays, and leaves each kind's collection
+	// trigger at its floor unless the warm roots alone outgrow it.
 	p.GC(nil, nil)
 
 	// Zero the counters after the collection so the reset's own GC does not
@@ -91,8 +89,8 @@ type poolKey struct {
 // past either bound, and the next Lease starts fresh.  Both sit far above what
 // hundreds of routed 5-qubit checks accumulate (about 46k weights after
 // 160 distinct pairs, arenas near the collection floor); the slot bound is
-// twice the simulation stage's floor (2^18 nodes, see core), so a package
-// whose stimuli filled the arena up to that floor stays poolable.
+// twice the vector floor (VectorGCThreshold), so a package whose stimuli
+// filled the arena up to that floor stays poolable.
 const (
 	poolMaxWeights = 1 << 18
 	poolMaxSlots   = 1 << 19 // vector plus matrix arena slots

@@ -47,7 +47,6 @@ func TestResetClearsPerJobState(t *testing.T) {
 	p.SetDeadline(time.Now().Add(time.Hour))
 	p.setCancel(func() bool { return false })
 	p.setPressure(func() uint64 { return 7 })
-	p.SetGCThreshold(123)
 	ghzJob(t, p)
 	if inj.calls == 0 {
 		t.Fatalf("injector never fired; test exercises nothing")
@@ -63,9 +62,6 @@ func TestResetClearsPerJobState(t *testing.T) {
 	}
 	if p.faults != nil {
 		t.Errorf("per-package fault injector survived Reset")
-	}
-	if p.gcFloor != DefaultGCThreshold {
-		t.Errorf("collection floor %d not restored to the default", p.gcFloor)
 	}
 	s := p.Snapshot()
 	if s.NodesCreated != 0 || s.CacheHits != 0 || s.CacheMisses != 0 ||

@@ -32,7 +32,10 @@
 // Every DD run here — the complete check, and the stabilizer strategy's
 // phase anchor — leases its package from Options.Pool (dd.Pool.Lease),
 // which wires it to Options.Context and to any memory watchdog the context
-// carries, and recovers its panics with one guard (see guard).
+// carries, and recovers its panics with one guard (see guard).  CheckOn
+// runs the complete check on a package its caller already holds instead:
+// the flow's simulation stage hands over its own, so one package serves a
+// whole check.
 package ec
 
 import (
@@ -279,12 +282,16 @@ type Result struct {
 	// scheme performs to size up its two candidates; they are real DD work
 	// that GatesApplied alone would hide from scheme comparisons.
 	ProbeMuls int
-	// PeakNodes is the largest unique-table population seen between gate
+	// PeakNodes is the largest matrix-node population seen between gate
 	// applications: the live miter plus garbage not yet collected.  The
-	// package collects once the population reaches the larger of a floor
-	// (dd.DefaultGCThreshold) and twice the nodes that survived its last
-	// collection, so a check whose live DD stays small peaks near the
-	// floor, and only a live set above half the floor moves the peak.
+	// package collects once the population reaches the larger of the
+	// matrix floor (dd.DefaultGCThreshold) and twice the matrix nodes that
+	// survived its last collection, so a check whose live DD stays small
+	// peaks near the floor, and only a live set above half the floor moves
+	// the peak.  Vector nodes are not counted: the check builds none
+	// before its counterexample search, and on a package that a simulation
+	// used before (CheckOn) they are that simulation's.  FinalNodes is the
+	// matrix-node population when the check ends.
 	PeakNodes      int
 	FinalNodes     int
 	Strategy       Strategy
@@ -294,8 +301,10 @@ type Result struct {
 	// Err carries the typed failure behind CauseError (*resource.PanicError)
 	// or CauseMemLimit (*resource.MemoryLimitError); nil otherwise.
 	Err error
-	// DD snapshots the check's DD-package statistics (gate-registry and
-	// compute-table hit rates, unique-table activity, GC reclaims).
+	// DD holds the check's own DD-package statistics (gate-registry and
+	// compute-table hit rates, unique-table activity, GC reclaims): on a
+	// package the caller holds (CheckOn), only the work since the check
+	// started.
 	DD dd.Stats
 }
 
@@ -317,7 +326,11 @@ type checker struct {
 	// tolerance (cn.AgreementTolerance); it bounds both the up-to-phase
 	// magnitude band and the counterexample fidelity threshold.
 	agreeTol float64
-	result   Result
+	// pinned are the caller's matrix DDs that every collection keeps
+	// (CheckOn); roots is the collection roots' reused buffer.
+	pinned []dd.MEdge
+	roots  []dd.MEdge
+	result Result
 }
 
 // cancelCause classifies a context cancellation: a *resource.MemoryLimitError
@@ -337,7 +350,7 @@ func (c *checker) expired() bool {
 		c.result.Cause, c.result.Reason, c.result.Err = cancelCause(ctx)
 		return true
 	}
-	if c.opts.NodeLimit > 0 && c.p.NodeCount() > c.opts.NodeLimit {
+	if c.opts.NodeLimit > 0 && c.p.MatrixNodeCount() > c.opts.NodeLimit {
 		c.result.Cause = CauseNodeLimit
 		c.result.Reason = fmt.Sprintf("node limit %d exceeded", c.opts.NodeLimit)
 		return true
@@ -365,12 +378,20 @@ func (c *checker) stopped() bool {
 }
 
 func (c *checker) note() {
-	if n := c.p.NodeCount(); n > c.result.PeakNodes {
+	if n := c.p.MatrixNodeCount(); n > c.result.PeakNodes {
 		c.result.PeakNodes = n
 	}
 }
 
-// Check decides the equivalence of g1 and g2.
+// maybeGC is the check's collection safe point: it keeps the given edges
+// and the caller's pinned matrices.
+func (c *checker) maybeGC(live ...dd.MEdge) {
+	c.roots = append(append(c.roots[:0], live...), c.pinned...)
+	c.p.MaybeGC(nil, c.roots)
+}
+
+// Check decides the equivalence of g1 and g2 on a package leased from
+// opts.Pool and released when the check ends.
 func Check(g1, g2 *circuit.Circuit, opts Options) Result {
 	if g1.N != g2.N {
 		return Result{
@@ -386,7 +407,28 @@ func Check(g1, g2 *circuit.Circuit, opts Options) Result {
 		return checkStabilizer(g1, g2, opts)
 	}
 	p := opts.Pool.Lease(opts.Context, g1.N, opts.Tolerance)
-	c := &checker{p: p, opts: opts, gates: len(g1.Gates) + len(g2.Gates), agreeTol: cn.AgreementTolerance(opts.Tolerance)}
+	res, fault := CheckOn(p, g1, g2, opts, nil)
+	p.Release(fault)
+	return res
+}
+
+// CheckOn is Check on p, a package for g1's register that the caller holds
+// (its lease wired to opts.Context) and keeps: opts.Pool is not used, and
+// the caller releases p afterwards, as dropped (dd.Package.Release(true))
+// when fault reports a genuine panic recovered on it.  The check leaves p
+// without a node limit or deadline, and every collection it runs keeps
+// pinned, the caller's matrix DDs on p.  Result.DD counts only the check's
+// work, and its node counts measure the miter's matrix nodes alone, so the
+// dead vectors of a simulation run on p before are neither counted nor,
+// until the miter's own population reaches its collection trigger,
+// collected.  A register-size mismatch and the stabilizer strategy, which
+// has its own package path, leave p untouched and answer as Check does.
+func CheckOn(p *dd.Package, g1, g2 *circuit.Circuit, opts Options, pinned []dd.MEdge) (res Result, fault bool) {
+	if g1.N != g2.N || opts.Strategy == StrategyStabilizer {
+		return Check(g1, g2, opts), false
+	}
+	before := p.Snapshot()
+	c := &checker{p: p, opts: opts, pinned: pinned, gates: len(g1.Gates) + len(g2.Gates), agreeTol: cn.AgreementTolerance(opts.Tolerance)}
 	c.result.Strategy = opts.Strategy
 	if opts.Timeout > 0 {
 		c.deadline = time.Now().Add(opts.Timeout)
@@ -398,7 +440,6 @@ func Check(g1, g2 *circuit.Circuit, opts Options) Result {
 		p.SetNodeLimit(opts.NodeLimit)
 	}
 	start := time.Now()
-	fault := false
 	func() {
 		defer guard(opts.Context, "ec "+opts.Strategy.String(), &c.result, &fault)
 		switch opts.Strategy {
@@ -408,11 +449,13 @@ func Check(g1, g2 *circuit.Circuit, opts Options) Result {
 			c.runAlternating(g1, g2)
 		}
 	}()
+	p.SetNodeLimit(0)
+	p.SetDeadline(time.Time{})
 	c.result.Runtime = time.Since(start)
-	c.result.FinalNodes = p.NodeCount()
+	c.result.FinalNodes = p.MatrixNodeCount()
 	c.result.PeakNodes = max(c.result.PeakNodes, c.result.FinalNodes)
-	c.result.DD = p.Release(fault)
-	return c.result
+	c.result.DD = p.Snapshot().Since(before)
+	return c.result, fault
 }
 
 // guard is the panic guard of every DD run in this package: the complete
@@ -474,6 +517,10 @@ func (c *checker) classify(m, target dd.MEdge) {
 		}
 	}
 	c.result.Verdict = NotEquivalent
+	// The node limit bounds the miter, which is complete now; the search
+	// builds vectors, which on a held package share their kind's population
+	// with a simulation's dead vectors.
+	c.p.SetNodeLimit(0)
 	if ce, ok := findCounterexample(c.p, m, target, c.agreeTol); ok {
 		c.result.Counterexample = &ce
 	}
@@ -491,7 +538,7 @@ func (c *checker) runConstruction(g1, g2 *circuit.Circuit) {
 			c.result.Verdict = TimedOut
 			return
 		}
-		c.p.MaybeGC(nil, []dd.MEdge{u1})
+		c.maybeGC(u1)
 	}
 	u2 := c.p.Identity()
 	for _, g := range g2.Gates {
@@ -502,7 +549,7 @@ func (c *checker) runConstruction(g1, g2 *circuit.Circuit) {
 			c.result.Verdict = TimedOut
 			return
 		}
-		c.p.MaybeGC(nil, []dd.MEdge{u1, u2})
+		c.maybeGC(u1, u2)
 	}
 	// Compare U = R·U' where R undoes the output permutation, by checking
 	// U'·U† against the permutation target exactly like the alternating
@@ -561,7 +608,7 @@ func (c *checker) runAlternating(g1, g2 *circuit.Circuit) {
 			c.result.Verdict = TimedOut
 			return
 		}
-		c.p.MaybeGC(nil, []dd.MEdge{m, target})
+		c.maybeGC(m, target)
 	}
 	c.classify(m, target)
 }

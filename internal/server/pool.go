@@ -208,9 +208,6 @@ func (s *Server) runJob(j *job) {
 	}
 	s.metrics.finishedJob(res, queued, ran, ddStats, rep.Mem, panicErr != nil)
 
-	if s.cache != nil && j.cacheOK && cacheable(res) {
-		s.cache.put(j.ckey, *res)
-	}
 	s.journalFinished(j, res)
 	s.log.Info("job finished",
 		"job", j.id, "fp", j.ckey.pair.String(), "verdict", res.Verdict,
@@ -221,6 +218,11 @@ func (s *Server) runJob(j *job) {
 	// Retire before waking the waiters, so a client answered from j.done
 	// never finds the job still holding its sources.
 	s.retireJob(j)
+	// Cache only once the job has retired: an identical job answered from
+	// the cache before then would finish, and retire, ahead of this one.
+	if s.cache != nil && j.cacheOK && cacheable(res) {
+		s.cache.put(j.ckey, *res)
+	}
 	close(j.done)
 }
 

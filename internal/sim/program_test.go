@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -71,4 +72,39 @@ func TestSharedProgramConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestProgramAlphabet: a program holds each distinct gate once, in order of
+// first occurrence, and its steps index into that alphabet, so binding it
+// prepares each distinct gate once.  Control order is not part of a gate's
+// identity, a SWAP's outer CX factors are one entry, and a gate repeated
+// with another angle or target is another entry.
+func TestProgramAlphabet(t *testing.T) {
+	c := circuit.New(3, "alphabet")
+	c.H(0).H(1).H(0)
+	c.RZ(0.3, 1).RZ(0.3, 1).RZ(0.4, 1)
+	c.CCX(0, 1, 2).MCX([]int{1, 0}, 2)
+	c.Swap(0, 2)
+	prog := Prepare(c)
+	want := []struct {
+		target int
+		ctl    int // control count
+	}{{0, 0}, {1, 0}, {1, 0}, {1, 0}, {2, 2}, {2, 1}, {0, 1}}
+	if len(prog.specs) != len(want) {
+		t.Fatalf("alphabet of %d gates, want %d", len(prog.specs), len(want))
+	}
+	for i, w := range want {
+		if sp := prog.specs[i]; sp.Target != w.target || len(sp.Controls) != w.ctl {
+			t.Errorf("entry %d: target %d with %d controls, want %d with %d", i, sp.Target, len(sp.Controls), w.target, w.ctl)
+		}
+	}
+	ops := []int32{0, 1, 0, 2, 2, 3, 4, 4, 5, 6, 5}
+	if !slices.Equal(prog.ops, ops) {
+		t.Errorf("steps index %v, want %v", prog.ops, ops)
+	}
+	s := New(3)
+	s.RunProgram(prog, 0)
+	if got := len(s.bound[prog]); got != len(want) {
+		t.Errorf("binding prepared %d gates, want one per alphabet entry (%d)", got, len(want))
+	}
 }

@@ -86,40 +86,94 @@ type Simulator struct {
 	PinnedM []dd.MEdge
 
 	// bound caches the package-local binding of each shared Program this
-	// simulator has run, so a worker binds a program once and then pays only
-	// the kernel recursion per application.
-	bound map[*Program][][]*dd.PreparedGate
+	// simulator has run, one prepared gate per alphabet entry, so a worker
+	// binds a program once and then pays only the kernel recursion per
+	// application.
+	bound map[*Program][]*dd.PreparedGate
 }
 
 // Program is an immutable, package-independent compilation of a circuit:
-// every circuit gate lowered to its dd.GateSpec form (SWAPs expanded into
-// their three CX factors), paying the per-gate matrix construction —
-// including the trigonometry of parameterized gates — exactly once.  A
+// a gate alphabet — every distinct gate lowered once to its dd.GateSpec
+// form, paying the per-gate matrix construction, including the
+// trigonometry of parameterized gates, once — plus, per circuit gate, the
+// alphabet indices of its factors (a SWAP has three CX factors).  A routed
+// netlist repeats a few hundred distinct gates across thousands of steps,
+// so binding the program to a package prepares only the alphabet.  A
 // Program is read-only after Prepare returns and may be shared freely
 // across goroutines; parallel stimulus workers each bind it to their own
 // private package (see Simulator.bind) and drive the one shared copy.
 type Program struct {
 	n     int
-	steps [][]dd.GateSpec // one entry per circuit gate
+	specs []dd.GateSpec // the alphabet, in order of first occurrence
+	ops   []int32       // alphabet indices of every step's factors, in order
+	ends  []int32       // ends[i]: the end of circuit gate i's factors in ops
+}
+
+// specKey identifies an alphabet entry: the exact 2×2 matrix, the target
+// and the positive and negative control masks.  Control order is not part
+// of it, as the package's gate registry ignores it too.
+type specKey struct {
+	u        [2][2]complex128
+	target   int
+	pos, neg uint64
+}
+
+// keyOf returns the alphabet key of a gate, or false when the masks cannot
+// stand for its qubits: an index outside them, or a control listed twice.
+// Such a gate gets an entry of its own, and binding it reports the fault.
+func keyOf(u [2][2]complex128, g circuit.Gate) (specKey, bool) {
+	k := specKey{u: u, target: g.Target}
+	if g.Target < 0 || g.Target >= dd.MaxQubits {
+		return k, false
+	}
+	for _, c := range g.Controls {
+		if c.Qubit < 0 || c.Qubit >= dd.MaxQubits {
+			return k, false
+		}
+		bit := uint64(1) << uint(c.Qubit)
+		if (k.pos|k.neg)&bit != 0 {
+			return k, false
+		}
+		if c.Neg {
+			k.neg |= bit
+		} else {
+			k.pos |= bit
+		}
+	}
+	return k, true
 }
 
 // Prepare compiles a circuit into a shareable Program.  The circuit's gates
 // must not be mutated afterwards (the specs alias nothing from the circuit,
 // but the compilation reflects the gates at call time).
 func Prepare(c *circuit.Circuit) *Program {
-	spec := func(g circuit.Gate) dd.GateSpec {
-		return dd.GateSpec{U: g.Matrix(), Target: g.Target, Controls: ToDDControls(g.Controls)}
+	pr := &Program{n: c.N, ops: make([]int32, 0, len(c.Gates)), ends: make([]int32, len(c.Gates))}
+	index := make(map[specKey]int32)
+	add := func(g circuit.Gate) {
+		u := g.Matrix()
+		k, ok := keyOf(u, g)
+		if i, seen := index[k]; ok && seen {
+			pr.ops = append(pr.ops, i)
+			return
+		}
+		i := int32(len(pr.specs))
+		pr.specs = append(pr.specs, dd.GateSpec{U: u, Target: g.Target, Controls: ToDDControls(g.Controls)})
+		if ok {
+			index[k] = i
+		}
+		pr.ops = append(pr.ops, i)
 	}
-	steps := make([][]dd.GateSpec, len(c.Gates))
 	for i, g := range c.Gates {
 		if g.Kind == circuit.SWAP {
-			cxs := swapAsCXs(g)
-			steps[i] = []dd.GateSpec{spec(cxs[0]), spec(cxs[1]), spec(cxs[2])}
+			for _, cx := range swapAsCXs(g) {
+				add(cx)
+			}
 		} else {
-			steps[i] = []dd.GateSpec{spec(g)}
+			add(g)
 		}
+		pr.ends[i] = int32(len(pr.ops))
 	}
-	return &Program{n: c.N, steps: steps}
+	return pr
 }
 
 // Qubits returns the register size the program was compiled for.
@@ -127,24 +181,23 @@ func (pr *Program) Qubits() int { return pr.n }
 
 // Gates returns the number of circuit gates in the program (SWAP factors
 // count as their originating gate).
-func (pr *Program) Gates() int { return len(pr.steps) }
+func (pr *Program) Gates() int { return len(pr.ends) }
 
 // bind returns (binding and caching on first use) the package-local
-// prepared form of a shared program.  Binding only reads the program.
-func (s *Simulator) bind(prog *Program) [][]*dd.PreparedGate {
+// prepared form of a shared program: one prepared gate per alphabet entry,
+// prepared in alphabet order, which is the order in which the steps first
+// use them, so the package's registry assigns the ids a step-by-step
+// binding would.  Binding only reads the program.
+func (s *Simulator) bind(prog *Program) []*dd.PreparedGate {
 	if pg, ok := s.bound[prog]; ok {
 		return pg
 	}
-	pg := make([][]*dd.PreparedGate, len(prog.steps))
-	for i, specs := range prog.steps {
-		fs := make([]*dd.PreparedGate, len(specs))
-		for j, sp := range specs {
-			fs[j] = s.P.PrepareSpec(sp)
-		}
-		pg[i] = fs
+	pg := make([]*dd.PreparedGate, len(prog.specs))
+	for i, sp := range prog.specs {
+		pg[i] = s.P.PrepareSpec(sp)
 	}
 	if s.bound == nil {
-		s.bound = make(map[*Program][][]*dd.PreparedGate, 2)
+		s.bound = make(map[*Program][]*dd.PreparedGate, 2)
 	}
 	s.bound[prog] = pg
 	return pg
@@ -165,10 +218,13 @@ func (s *Simulator) RunProgram(prog *Program, input uint64) dd.VEdge {
 // shared program or of a circuit (RunFrom), goes through it.
 func (s *Simulator) RunProgramWithPins(prog *Program, state dd.VEdge, pins []dd.VEdge) dd.VEdge {
 	roots := make([]dd.VEdge, 0, len(pins)+1)
-	for _, steps := range s.bind(prog) {
-		for _, pg := range steps {
-			state = s.P.ApplyPrepared(pg, state)
+	gates := s.bind(prog)
+	start := int32(0)
+	for _, end := range prog.ends {
+		for _, op := range prog.ops[start:end] {
+			state = s.P.ApplyPrepared(gates[op], state)
 		}
+		start = end
 		s.GatesApplied++
 		faultStep(s.GatesApplied)
 		roots = append(roots[:0], pins...)
@@ -317,6 +373,11 @@ func NewPair(p *dd.Package, g, gp *Program, outputPerm []int) *Pair {
 // MaybeGC collects the package between columns (dd.Package.MaybeGC),
 // keeping only the un-permutation matrix.
 func (pr *Pair) MaybeGC() { pr.s.P.MaybeGC(nil, pr.s.PinnedM) }
+
+// Pinned returns the matrix DDs the pair needs across collections (the
+// un-permutation matrix, if any): other work on the package, such as a
+// complete check between two runs of columns, must keep them.
+func (pr *Pair) Pinned() []dd.MEdge { return pr.s.PinnedM }
 
 // Column is the outcome of comparing one basis column of G and G'.
 type Column struct {

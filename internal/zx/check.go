@@ -70,7 +70,7 @@ func CheckCtx(ctx context.Context, g1, g2 *circuit.Circuit) (Result, error) {
 		g.SetCancel(func() bool { return ctx.Err() != nil })
 	}
 	res := Result{SpidersBefore: g.NumSpiders()}
-	g.Simplify()
+	stopped := g.Simplify()
 	if err := g.Err(); err != nil {
 		// A structural violation surfaced mid-rewrite: the diagram is no
 		// longer meaningful, so report the error rather than a verdict.
@@ -82,8 +82,11 @@ func CheckCtx(ctx context.Context, g1, g2 *circuit.Circuit) (Result, error) {
 		// cancelled while the last round completed.
 		res.Verdict = EquivalentUpToPhase
 	} else {
+		// Cancelled only when the hook cut the reduction short: a
+		// reduction that reached its fixpoint is inconclusive on its own
+		// merits, whatever the context did afterwards.
 		res.Verdict = Inconclusive
-		res.Cancelled = ctx != nil && ctx.Err() != nil
+		res.Cancelled = stopped
 	}
 	res.Runtime = time.Since(start)
 	return res, nil

@@ -489,16 +489,21 @@ func (g *Graph) pauliPush(v int) bool {
 
 // Simplify runs the full reduction to a fixpoint: fusion, identity removal,
 // local complementation on interior ±π/2 spiders, pivoting on interior
-// Pauli pairs, and π-pushing for lone interior Pauli spiders on a wire.
-func (g *Graph) Simplify() {
+// Pauli pairs, and π-pushing for lone interior Pauli spiders on a wire.  It
+// reports whether the cancel hook (SetCancel) stopped the reduction before
+// the fixpoint.
+func (g *Graph) Simplify() (cancelled bool) {
 	if g.err != nil {
-		return
+		return false
 	}
 	g.fusePlainEdges()
 	budget := 16*len(g.kind) + 1024 // safety net against rule ping-pong
 	for {
-		if budget <= 0 || g.cancelledNow() || g.err != nil {
-			return
+		if budget <= 0 || g.err != nil {
+			return false
+		}
+		if g.cancelledNow() {
+			return true
 		}
 		budget--
 		changed := false
@@ -534,7 +539,7 @@ func (g *Graph) Simplify() {
 		}
 		g.fusePlainEdges()
 		if !changed {
-			return
+			return false
 		}
 	}
 }

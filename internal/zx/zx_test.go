@@ -1,6 +1,7 @@
 package zx
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -276,5 +277,59 @@ func TestStatsReported(t *testing.T) {
 	var g2 *Graph = NewGraph()
 	if g2.Stats() == "" {
 		t.Error("graph stats empty")
+	}
+}
+
+// lateCtx is a context that reports cancellation from its (after+1)-th Err
+// call on, so a test can cancel it right after a reduction polled it for
+// the last time.
+type lateCtx struct {
+	context.Context
+	calls, after int
+}
+
+func (c *lateCtx) Err() error {
+	c.calls++
+	if c.calls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelledOnlyWhenStopped: an inconclusive result reads cancelled only
+// when the context stopped the reduction.  A reduction that reaches its
+// fixpoint while the context is live stays uncancelled even if the context
+// is cancelled straight afterwards; a context cancelled beforehand stops
+// the reduction at its first poll.
+func TestCancelledOnlyWhenStopped(t *testing.T) {
+	g1 := circuit.New(2, "g")
+	g1.H(0).CX(0, 1).T(1)
+	g2 := circuit.New(2, "g'")
+	g2.H(0).CX(0, 1).T(0)
+
+	// Count the polls of the reduction CheckCtx runs, on the same miter.
+	miter := lower(g2).Clone()
+	miter.Append(lower(g1).Inverse())
+	g, _, _, err := FromCircuit(miter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	polls := 0
+	g.SetCancel(func() bool { polls++; return false })
+	if g.Simplify() || polls == 0 {
+		t.Fatalf("reduction with a live hook: stopped, or polled %d times", polls)
+	}
+
+	late := &lateCtx{Context: context.Background(), after: polls}
+	res, err := CheckCtx(late, g1, g2)
+	if err != nil || res.Verdict != Inconclusive || res.Cancelled {
+		t.Errorf("context cancelled after the reduction: %+v (err %v), want an uncancelled inconclusive result", res, err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err = CheckCtx(ctx, g1, g2)
+	if err != nil || res.Verdict != Inconclusive || !res.Cancelled {
+		t.Errorf("context cancelled beforehand: %+v (err %v), want a cancelled inconclusive result", res, err)
 	}
 }
