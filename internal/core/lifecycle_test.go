@@ -73,6 +73,46 @@ func TestCheckLeasesOncePerWorker(t *testing.T) {
 	}
 }
 
+// TestStabilizerCheckLeasesOnce: a pooled pipeline check under the
+// stabilizer strategy runs its strict-phase anchor on the stage's package,
+// so it leases once, as the race's stab prover does, and the anchor keeps
+// the output permutation the stage pinned.  Up to phase no anchor runs,
+// and a standalone ec.Check leases nothing.
+func TestStabilizerCheckLeasesOnce(t *testing.T) {
+	g := loadSeedCircuit(t, "../../circuits/clifford8.qasm")
+	gp := g.Clone().Swap(0, 7)
+	perm := []int{7, 1, 2, 3, 4, 5, 6, 0}
+	pool := dd.NewPool(2)
+	for _, c := range []struct {
+		name string
+		gp   *circuit.Circuit
+		perm []int
+	}{
+		{"clifford8", g.Clone(), nil},
+		{"clifford8 with its output relabelled", gp, perm},
+	} {
+		before := pool.Stats().Gets
+		rep := Check(g, c.gp, Options{Pool: pool, Strategy: ec.StrategyStabilizer, OutputPerm: c.perm})
+		if rep.Verdict != Equivalent || rep.DecidedBy != "ec:stabilizer" {
+			t.Fatalf("%s: %v by %q, want equivalent by ec:stabilizer", c.name, rep.Verdict, rep.DecidedBy)
+		}
+		if gets := pool.Stats().Gets - before; gets != 1 {
+			t.Errorf("%s: %d leases, want 1", c.name, gets)
+		}
+	}
+	before := pool.Stats().Gets
+	res := ec.Check(g, g.Clone(), ec.Options{Strategy: ec.StrategyStabilizer, UpToGlobalPhase: true, Pool: pool})
+	if res.Verdict != ec.EquivalentUpToGlobalPhase {
+		t.Fatalf("up to phase: %v, want equivalent up to phase", res.Verdict)
+	}
+	if gets := pool.Stats().Gets - before; gets != 0 {
+		t.Errorf("up to phase: %d leases, want none", gets)
+	}
+	if st := pool.Stats(); st.Puts != st.Gets || st.Forgotten != 0 {
+		t.Errorf("pool %+v, want every lease returned", st)
+	}
+}
+
 // TestFlowAllocations bounds the heap allocations of one pooled check of
 // BenchmarkFlowRoutedPair's routed rev5 pair, which is decided by
 // simulating all 32 columns over about 8,400 circuit gates.  Each circuit

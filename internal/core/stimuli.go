@@ -214,9 +214,10 @@ func (st *stage) pastDeadline() bool {
 }
 
 // recoverWorker isolates a simulation worker: the *dd.LimitError panic raised
-// by the lease's cancellation hook mid-simulation is absorbed silently (limit
-// errors can only be cancellations here — the stimulus loops install no node
-// limit or deadline), and any other panic is converted into a typed
+// mid-simulation is absorbed silently (a limit error here is the lease's
+// cancellation hook or the stage deadline the stimulus loop installs on its
+// package; the loop installs no node limit, and the loop's own polls then
+// report the stop), and any other panic is converted into a typed
 // *resource.PanicError stored in *errp instead of crashing the process.  Must
 // be installed directly with defer so recover() sees the panic.
 func recoverWorker(op string, errp *error) {

@@ -197,7 +197,7 @@ func (p *Package) AddV(a, b VEdge) VEdge {
 		p.cacheHits++
 		return p.vRes(ent.resN, ent.resW)
 	}
-	p.cacheMisses++
+	p.computeMiss()
 	v := p.vLv(a.N)
 	r0 := p.AddV(p.scaleV(p.vE(a.N, 0), a.W), p.scaleV(p.vE(b.N, 0), b.W))
 	r1 := p.AddV(p.scaleV(p.vE(a.N, 1), a.W), p.scaleV(p.vE(b.N, 1), b.W))
@@ -237,7 +237,7 @@ func (p *Package) AddM(a, b MEdge) MEdge {
 		p.cacheHits++
 		return p.mRes(ent.resN, ent.resW)
 	}
-	p.cacheMisses++
+	p.computeMiss()
 	v := p.mLv(a.N)
 	var r [4]MEdge
 	for i := 0; i < 4; i++ {
@@ -270,7 +270,7 @@ func (p *Package) MulMV(m MEdge, x VEdge) VEdge {
 		p.cacheHits++
 		return p.scaleV(p.vRes(ent.resN, ent.resW), w)
 	}
-	p.cacheMisses++
+	p.computeMiss()
 	v := p.mLv(m.N)
 	x0, x1 := p.vE(x.N, 0), p.vE(x.N, 1)
 	r0 := p.AddV(p.MulMV(p.mE(m.N, 0), x0), p.MulMV(p.mE(m.N, 1), x1))
@@ -306,7 +306,7 @@ func (p *Package) MulMM(a, b MEdge) MEdge {
 		p.cacheHits++
 		return p.scaleM(p.mRes(ent.resN, ent.resW), w)
 	}
-	p.cacheMisses++
+	p.computeMiss()
 	v := p.mLv(a.N)
 	var r [4]MEdge
 	for row := 0; row < 2; row++ {
@@ -341,7 +341,7 @@ func (p *Package) InnerProduct(a, b VEdge) complex128 {
 		p.cacheHits++
 		return w * ent.res
 	}
-	p.cacheMisses++
+	p.computeMiss()
 	f := p.InnerProduct(p.vE(a.N, 0), p.vE(b.N, 0)) + p.InnerProduct(p.vE(a.N, 1), p.vE(b.N, 1))
 	p.ip.put(h, ipEntry{a: a.N, b: b.N, res: f, gen: p.gen})
 	return w * f
@@ -377,7 +377,7 @@ func (p *Package) ConjugateTranspose(m MEdge) MEdge {
 		p.cacheHits++
 		return p.scaleM(p.mRes(ent.resN, ent.resW), wc)
 	}
-	p.cacheMisses++
+	p.computeMiss()
 	res := p.makeMNode(p.mLv(m.N), [4]MEdge{
 		p.ConjugateTranspose(p.mE(m.N, 0)),
 		p.ConjugateTranspose(p.mE(m.N, 2)),
@@ -406,7 +406,7 @@ func (p *Package) KronM(a, b MEdge, bLevels int) MEdge {
 		p.cacheHits++
 		return p.scaleM(p.mRes(MRef(ent.resN), ent.resW), a.W)
 	}
-	p.cacheMisses++
+	p.computeMiss()
 	var r [4]MEdge
 	for i := 0; i < 4; i++ {
 		r[i] = p.KronM(p.mE(a.N, i), b, bLevels)
@@ -433,7 +433,7 @@ func (p *Package) KronV(a, b VEdge, bLevels int) VEdge {
 		p.cacheHits++
 		return p.scaleV(p.vRes(VRef(ent.resN), ent.resW), a.W)
 	}
-	p.cacheMisses++
+	p.computeMiss()
 	r0 := p.KronV(p.vE(a.N, 0), b, bLevels)
 	r1 := p.KronV(p.vE(a.N, 1), b, bLevels)
 	res := p.makeVNode(p.vLv(a.N)+bLevels, r0, r1)

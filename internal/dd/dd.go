@@ -151,16 +151,18 @@ type Package struct {
 	// single huge multiplication, where per-gate deadline checks cannot
 	// reach.
 	nodeLimit int
-	// deadline, when set, makes node creation panic with a *LimitError
-	// once the wall clock passes it (checked every few thousand
-	// allocations, so the overhead is negligible).
+	// deadline, when set, makes a DD operation panic with a *LimitError
+	// once the wall clock passes it (checked every few thousand node
+	// allocations and compute-table misses, so the overhead is negligible).
 	deadline time.Time
-	// cancel, when set, is polled at the same allocation checkpoint as the
-	// deadline; returning true panics with a *LimitError whose Cancelled
-	// field is set.  This is how context cancellation reaches inside a
-	// single long-running DD operation (see Pool.Lease).
-	cancel     func() bool
-	allocCount uint64
+	// cancel, when set, is polled at the same checkpoint as the deadline;
+	// returning true panics with a *LimitError whose Cancelled field is
+	// set.  This is how context cancellation reaches inside a single
+	// long-running DD operation (see Pool.Lease).
+	cancel func() bool
+	// steps counts the checkpoint's events: node allocations and
+	// compute-table misses (see checkpoint).
+	steps uint64
 
 	// pressure, when set, is polled at GC decision points (MaybeGC): a value
 	// different from pressureSeen means the memory watchdog bumped its
@@ -175,9 +177,9 @@ type Package struct {
 	// occupancy mirrors the unique-table population for cross-goroutine
 	// observers (the memory watchdog samples it as the lease's gauge).  It
 	// is the only Package field written by the owner and read by another
-	// goroutine, hence the atomic; it is refreshed at allocation checkpoints
-	// and after collections, so it lags the true population by at most a
-	// few hundred nodes.
+	// goroutine, hence the atomic; it is refreshed at the checkpoint and
+	// after collections, so it lags the true population by at most a few
+	// hundred nodes.
 	occupancy atomic.Int64
 
 	// pool and removeGauge belong to the current lease (see Pool.Lease):
@@ -234,15 +236,14 @@ func (p *Package) SetNodeLimit(n int) { p.nodeLimit = n }
 
 // SetDeadline installs (or with the zero time removes) a wall-clock bound on
 // DD operations.  Passing it panics with a *LimitError at the next
-// allocation checkpoint, which reaches even into a single long-running
-// multiplication.
+// checkpoint, which reaches even into a single long-running multiplication.
 func (p *Package) SetDeadline(t time.Time) { p.deadline = t }
 
 // setCancel installs (or with nil removes) a cooperative cancellation hook,
-// polled every 8192 node allocations.  When the hook returns true the
-// current DD operation panics with a *LimitError whose Cancelled field is
-// set, which long-running clients (internal/ec, internal/core) recover and
-// turn into a cancelled verdict.  Pool.Lease installs the hook of its
+// polled at the checkpoint.  When the hook returns true the current DD
+// operation panics with a *LimitError whose Cancelled field is set, which
+// long-running clients (internal/ec, internal/core) recover and turn into a
+// cancelled verdict.  Pool.Lease installs the hook of its
 // context.
 func (p *Package) setCancel(f func() bool) { p.cancel = f }
 
@@ -252,11 +253,32 @@ func (p *Package) checkLimit(population int) {
 	if p.nodeLimit > 0 && population > p.nodeLimit {
 		panic(&LimitError{Nodes: population, Limit: p.nodeLimit})
 	}
-	p.allocCount++
-	if p.allocCount&0x1FF == 0 {
-		p.updateOccupancy()
+	p.checkpoint()
+}
+
+// computeMiss counts a compute-table miss and advances the checkpoint,
+// which a product that mostly re-finds existing nodes would otherwise
+// rarely reach.
+func (p *Package) computeMiss() {
+	p.cacheMisses++
+	p.checkpoint()
+}
+
+// checkpoint runs at every node allocation and compute-table miss and
+// calls poll every 512 steps; it is small enough to inline into the hot
+// paths.
+func (p *Package) checkpoint() {
+	p.steps++
+	if p.steps&0x1FF == 0 {
+		p.poll()
 	}
-	if p.allocCount&0x1FFF == 0 {
+}
+
+// poll refreshes the occupancy gauge and, every 8192 steps, checks the
+// deadline and the cancellation hook.
+func (p *Package) poll() {
+	p.updateOccupancy()
+	if p.steps&0x1FFF == 0 {
 		if !p.deadline.IsZero() && time.Now().After(p.deadline) {
 			panic(&LimitError{Nodes: p.NodeCount(), Limit: p.nodeLimit, Deadline: true})
 		}

@@ -44,7 +44,7 @@ func (p *Package) Reset() {
 	p.cancel = nil
 	p.pressure = nil
 	p.pressureSeen = 0
-	p.allocCount = 0
+	p.steps = 0
 	if box, ok := defaultInjector.Load().(injectorBox); ok {
 		p.faults = box.fi
 	} else {

@@ -30,12 +30,12 @@
 // All strategies support cooperative timeouts and node budgets, making
 // "Timeout" a first-class verdict exactly as in the paper's evaluation.
 // Every DD run here — the complete check, and the stabilizer strategy's
-// phase anchor — leases its package from Options.Pool (dd.Pool.Lease),
-// which wires it to Options.Context and to any memory watchdog the context
-// carries, and recovers its panics with one guard (see guard).  CheckOn
-// runs the complete check on a package its caller already holds instead:
-// the flow's simulation stage hands over its own, so one package serves a
-// whole check.
+// phase anchor — goes through one set-up (see check): it runs on a package
+// leased from Options.Pool (dd.Pool.Lease), which wires it to
+// Options.Context and to any memory watchdog the context carries, and
+// recovers its panics with one guard (see guard).  CheckOn runs it on a
+// package its caller already holds instead: the flow's simulation stage
+// hands over its own, so one package serves a whole check.
 package ec
 
 import (
@@ -170,7 +170,8 @@ type Options struct {
 	Timeout time.Duration
 	// NodeLimit aborts the check when the DD package exceeds this many live
 	// nodes; zero (or negative) means no limit.  Exceeding it yields
-	// TimedOut.
+	// TimedOut.  It bounds the miter: the stabilizer strategy's phase
+	// anchor, one basis column, runs without it.
 	NodeLimit int
 	// UpToGlobalPhase accepts a unit-magnitude scalar factor between the two
 	// circuits (decompositions routinely introduce one).
@@ -391,24 +392,10 @@ func (c *checker) maybeGC(live ...dd.MEdge) {
 }
 
 // Check decides the equivalence of g1 and g2 on a package leased from
-// opts.Pool and released when the check ends.
+// opts.Pool and released when the check ends.  The stabilizer strategy
+// leases one only when its strict-phase anchor runs.
 func Check(g1, g2 *circuit.Circuit, opts Options) Result {
-	if g1.N != g2.N {
-		return Result{
-			Verdict:  NotEquivalent,
-			Strategy: opts.Strategy,
-			Reason:   fmt.Sprintf("register sizes differ (%d vs %d)", g1.N, g2.N),
-		}
-	}
-	if opts.Strategy == StrategyStabilizer {
-		// The tableau fast path leases a DD package only to anchor a
-		// strict-phase verdict, so a non-Clifford pair pays only the
-		// gate-set scan.
-		return checkStabilizer(g1, g2, opts)
-	}
-	p := opts.Pool.Lease(opts.Context, g1.N, opts.Tolerance)
-	res, fault := CheckOn(p, g1, g2, opts, nil)
-	p.Release(fault)
+	res, _ := check(nil, g1, g2, opts, nil)
 	return res
 }
 
@@ -418,31 +405,61 @@ func Check(g1, g2 *circuit.Circuit, opts Options) Result {
 // when fault reports a genuine panic recovered on it.  The check leaves p
 // without a node limit or deadline, and every collection it runs keeps
 // pinned, the caller's matrix DDs on p.  Result.DD counts only the check's
-// work, and its node counts measure the miter's matrix nodes alone, so the
-// dead vectors of a simulation run on p before are neither counted nor,
-// until the miter's own population reaches its collection trigger,
-// collected.  A register-size mismatch and the stabilizer strategy, which
-// has its own package path, leave p untouched and answer as Check does.
+// work, and its node counts measure the matrix nodes alone (a miter's, or
+// for the stabilizer strategy's anchor, which simulates one column, only
+// an un-permutation's), so the dead vectors of a simulation run on p
+// before are neither counted nor, until the miter's own population reaches
+// its collection trigger, collected.  A register-size mismatch, and a
+// stabilizer check that needs no anchor, leave p untouched.
 func CheckOn(p *dd.Package, g1, g2 *circuit.Circuit, opts Options, pinned []dd.MEdge) (res Result, fault bool) {
-	if g1.N != g2.N || opts.Strategy == StrategyStabilizer {
-		return Check(g1, g2, opts), false
+	return check(p, g1, g2, opts, pinned)
+}
+
+// check is CheckOn on p, or, with p nil, on a package leased from opts.Pool
+// for the check's DD run and released after it.  Both entry points share
+// its one set-up: the deadline, the node limit, the panic guard and the
+// statistics.
+func check(p *dd.Package, g1, g2 *circuit.Circuit, opts Options, pinned []dd.MEdge) (res Result, fault bool) {
+	start := time.Now()
+	if g1.N != g2.N {
+		return Result{
+			Verdict:  NotEquivalent,
+			Strategy: opts.Strategy,
+			Reason:   fmt.Sprintf("register sizes differ (%d vs %d)", g1.N, g2.N),
+		}, false
 	}
-	before := p.Snapshot()
-	c := &checker{p: p, opts: opts, pinned: pinned, gates: len(g1.Gates) + len(g2.Gates), agreeTol: cn.AgreementTolerance(opts.Tolerance)}
+	c := &checker{opts: opts, pinned: pinned, gates: len(g1.Gates) + len(g2.Gates), agreeTol: cn.AgreementTolerance(opts.Tolerance)}
 	c.result.Strategy = opts.Strategy
 	if opts.Timeout > 0 {
-		c.deadline = time.Now().Add(opts.Timeout)
+		c.deadline = start.Add(opts.Timeout)
+	}
+	stabilizer := opts.Strategy == StrategyStabilizer
+	if stabilizer && !c.tableau(g1, g2) {
+		c.result.Runtime = time.Since(start)
+		return c.result, false
+	}
+	if p == nil {
+		p = opts.Pool.Lease(opts.Context, g1.N, opts.Tolerance)
+		defer func() { p.Release(fault) }()
+	}
+	c.p = p
+	before := p.Snapshot()
+	if opts.Timeout > 0 {
 		// The same deadline aborts inside DD operations: a single huge
 		// multiplication would otherwise run far past any per-gate check.
 		p.SetDeadline(c.deadline)
 	}
-	if opts.NodeLimit > 0 {
+	if opts.NodeLimit > 0 && !stabilizer {
+		// The node limit bounds the miter.  The anchor builds vectors,
+		// which on a held package share their kind's population with a
+		// simulation's dead vectors.
 		p.SetNodeLimit(opts.NodeLimit)
 	}
-	start := time.Now()
 	func() {
 		defer guard(opts.Context, "ec "+opts.Strategy.String(), &c.result, &fault)
 		switch opts.Strategy {
+		case StrategyStabilizer:
+			c.anchorPhase(g1, g2)
 		case Construction:
 			c.runConstruction(g1, g2)
 		default:
@@ -458,7 +475,7 @@ func CheckOn(p *dd.Package, g1, g2 *circuit.Circuit, opts Options, pinned []dd.M
 	return c.result, fault
 }
 
-// guard is the panic guard of every DD run in this package: the complete
+// guard is the panic guard of the DD run of every check: the complete
 // check and the stabilizer's phase anchor.  Deferred directly, it turns a
 // *dd.LimitError into a TimedOut verdict with the limit's cause, and any
 // other panic (degenerate input, injected chaos, a bug) into CauseError

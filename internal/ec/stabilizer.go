@@ -2,7 +2,6 @@ package ec
 
 import (
 	"fmt"
-	"time"
 
 	"qcec/internal/circuit"
 	"qcec/internal/cn"
@@ -13,8 +12,9 @@ import (
 // This file is the StrategyStabilizer backend: the polynomial-time Clifford
 // checker (internal/stab) dressed in the complete routine's Result shape and
 // resource contracts, so the portfolio, the CLI and the server route to it
-// exactly like any DD strategy.  Its one DD package, for the strict-phase
-// anchor, is leased and guarded exactly like the complete check's.
+// exactly like any DD strategy.  Its one DD run, the strict-phase anchor,
+// goes through the complete check's set-up (see check): the same lease, or
+// the caller's package, deadline and guard.
 
 // NotCliffordError reports why the stabilizer strategy declined a pair: the
 // gate-set analyzer found a gate outside the Clifford set in one of the
@@ -31,64 +31,52 @@ func (e *NotCliffordError) Error() string {
 	return fmt.Sprintf("stabilizer: %s gate %d (%s) is not Clifford", e.Circuit, e.GateIndex, e.Gate)
 }
 
-// checkStabilizer runs the tableau fast path.  The analyzer's angle snap and
-// the phase anchor's agreement bound both derive from opts.Tolerance.
-func checkStabilizer(g1, g2 *circuit.Circuit, opts Options) Result {
-	start := time.Now()
-	res := Result{Strategy: StrategyStabilizer}
-	finish := func() Result {
-		res.Runtime = time.Since(start)
-		return res
-	}
-
+// tableau runs the stabilizer strategy's tableau check, recording its
+// verdict in c.result, and reports whether that verdict still needs the
+// strict-phase anchor (anchorPhase): a pair proven equal up to a global
+// scalar, in the strict convention.  The analyzer's angle snap and the
+// anchor's agreement bound both derive from Options.Tolerance.
+func (c *checker) tableau(g1, g2 *circuit.Circuit) bool {
+	res := &c.result
 	// One-pass gate-set scan; a non-Clifford gate ends the check here.
-	angleTol := circuit.CliffordAngleTolerance(opts.Tolerance)
-	ops1, bad, ok := circuit.LowerClifford(g1, angleTol)
-	if !ok {
-		res.Verdict = TimedOut
-		res.Cause = CauseError
-		res.Err = &NotCliffordError{Circuit: "G", GateIndex: bad, Gate: g1.Gates[bad].String()}
-		res.Reason = res.Err.Error()
-		return finish()
-	}
-	ops2, bad, ok := circuit.LowerClifford(g2, angleTol)
-	if !ok {
-		res.Verdict = TimedOut
-		res.Cause = CauseError
-		res.Err = &NotCliffordError{Circuit: "G'", GateIndex: bad, Gate: g2.Gates[bad].String()}
-		res.Reason = res.Err.Error()
-		return finish()
+	angleTol := circuit.CliffordAngleTolerance(c.opts.Tolerance)
+	var ops [2][]circuit.CliffordGate
+	for i, g := range []*circuit.Circuit{g1, g2} {
+		var bad int
+		var ok bool
+		if ops[i], bad, ok = circuit.LowerClifford(g, angleTol); !ok {
+			res.Verdict = TimedOut
+			res.Cause = CauseError
+			res.Err = &NotCliffordError{Circuit: [2]string{"G", "G'"}[i], GateIndex: bad, Gate: g.Gates[bad].String()}
+			res.Reason = res.Err.Error()
+			return false
+		}
 	}
 
-	var deadline time.Time
-	if opts.Timeout > 0 {
-		deadline = start.Add(opts.Timeout)
-	}
-	sres := stab.Check(opts.Context, deadline, g1.N, ops1, ops2, opts.OutputPerm)
+	sres := stab.Check(c.opts.Context, c.deadline, g1.N, ops[0], ops[1], c.opts.OutputPerm)
 	res.GatesApplied = sres.GatesApplied
 	switch sres.Verdict {
 	case stab.Aborted:
 		res.Verdict = TimedOut
-		if ctx := opts.Context; ctx != nil && ctx.Err() != nil {
+		if ctx := c.opts.Context; ctx != nil && ctx.Err() != nil {
 			res.Cause, res.Reason, res.Err = cancelCause(ctx)
 		} else {
 			res.Cause = CauseTimeout
-			res.Reason = fmt.Sprintf("timeout %s exceeded", opts.Timeout)
+			res.Reason = fmt.Sprintf("timeout %s exceeded", c.opts.Timeout)
 		}
-		return finish()
+		return false
 	case stab.NotEquivalent:
 		res.Verdict = NotEquivalent
 		res.Counterexample = sres.Counterexample
 		res.Reason = fmt.Sprintf("%d of %d generators moved", sres.Mismatches, 2*g1.N)
-		return finish()
+		return false
 	}
 	// All 2n generators fixed: the circuits are equal up to a global scalar.
-	if opts.UpToGlobalPhase {
+	if c.opts.UpToGlobalPhase {
 		res.Verdict = EquivalentUpToGlobalPhase
-		return finish()
+		return false
 	}
-	anchorPhase(g1, g2, opts, &res)
-	return finish()
+	return true
 }
 
 // anchorPhase resolves the residual global scalar in the strict phase
@@ -97,30 +85,16 @@ func checkStabilizer(g1, g2 *circuit.Circuit, opts Options) Result {
 // (sim.Pair) pins φ — <0|P†U'|0> / <0|U|0> — with one overlap, judged
 // strictly by cn.StatesAgree.  This is the only place the stabilizer
 // strategy touches a DD package, and only on pairs already proven
-// equivalent up to phase.
-func anchorPhase(g1, g2 *circuit.Circuit, opts Options, res *Result) {
-	p := opts.Pool.Lease(opts.Context, g1.N, opts.Tolerance)
-	fault := false
-	defer func() {
-		res.FinalNodes = p.NodeCount()
-		res.PeakNodes = max(res.PeakNodes, res.FinalNodes)
-		res.DD = p.Release(fault)
-	}()
-	defer guard(opts.Context, "ec stabilizer anchor", res, &fault)
-	if opts.Timeout > 0 {
-		p.SetDeadline(time.Now().Add(opts.Timeout))
-	}
-	if opts.NodeLimit > 0 {
-		p.SetNodeLimit(opts.NodeLimit)
-	}
-
-	pair := sim.NewPair(p, sim.Prepare(g1), sim.Prepare(g2), opts.OutputPerm)
-	if cn.StatesAgree(pair.Compare(0).Overlap, false, cn.AgreementTolerance(opts.Tolerance)) {
-		res.Verdict = Equivalent
+// equivalent up to phase; it runs on the check's package, under the
+// check's deadline and guard.
+func (c *checker) anchorPhase(g1, g2 *circuit.Circuit) {
+	pair := sim.NewPair(c.p, sim.Prepare(g1), sim.Prepare(g2), c.opts.OutputPerm, c.pinned...)
+	if cn.StatesAgree(pair.Compare(0).Overlap, false, c.agreeTol) {
+		c.result.Verdict = Equivalent
 		return
 	}
-	res.Verdict = NotEquivalent
-	res.Reason = "differ by a global phase"
+	c.result.Verdict = NotEquivalent
+	c.result.Reason = "differ by a global phase"
 	ce := uint64(0)
-	res.Counterexample = &ce
+	c.result.Counterexample = &ce
 }

@@ -30,6 +30,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 
 	"qcec/internal/circuit"
@@ -40,6 +41,19 @@ type Digest [sha256.Size]byte
 
 // String returns the digest in lower-case hex.
 func (d Digest) String() string { return hex.EncodeToString(d[:]) }
+
+// ParseDigest is the inverse of Digest.String: it decodes a digest from its
+// hex form, rejecting anything that is not exactly one digest's worth.
+func ParseDigest(s string) (Digest, error) {
+	var d Digest
+	if hex.DecodedLen(len(s)) != len(d) {
+		return d, fmt.Errorf("fingerprint: digest %q is not %d hex digits", s, hex.EncodedLen(len(d)))
+	}
+	if _, err := hex.Decode(d[:], []byte(s)); err != nil {
+		return Digest{}, fmt.Errorf("fingerprint: digest %q: %w", s, err)
+	}
+	return d, nil
+}
 
 // version tags the serialization layout; bump it whenever the byte layout
 // below changes so stale external caches can never alias across layouts.

@@ -171,3 +171,19 @@ func TestDigestStableAcrossCalls(t *testing.T) {
 		t.Errorf("hex digest length = %d, want %d", got, want)
 	}
 }
+
+// TestParseDigestRoundTrip: ParseDigest inverts Digest.String, which the
+// qcecd journal stores, and rejects anything but one digest's worth of hex.
+func TestParseDigestRoundTrip(t *testing.T) {
+	d := Pair(circuit.New(2, "a").H(0).CX(0, 1), circuit.New(2, "b").X(1))
+	got, err := ParseDigest(d.String())
+	if err != nil || got != d {
+		t.Fatalf("ParseDigest(%s) = %s, %v; want the digest back", d, got, err)
+	}
+	s := d.String()
+	for _, bad := range []string{"", s[:62], s + "0", s + "00", s[:63], s[:63] + "g", s[:62] + "zz", " " + s[1:]} {
+		if got, err := ParseDigest(bad); err == nil || got != (Digest{}) {
+			t.Errorf("ParseDigest(%q) = %s, %v; want a zero digest and an error", bad, got, err)
+		}
+	}
+}

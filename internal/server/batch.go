@@ -78,7 +78,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if res, hit := s.cachedResponse(j); hit {
 			resp.Items[i].Result = res
 			resp.CacheHits++
-			j.cancel(nil)
+			s.finish(j, res, true)
 			continue
 		}
 		jobs[i] = j

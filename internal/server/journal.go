@@ -38,7 +38,9 @@ import (
 //     already-finished verdicts from the journal through the verdict cache
 //     and the async job table, so a client polling GET /v1/jobs/{id} or
 //     retrying with its Idempotency-Key lands on the same job id and the
-//     same verdict across a restart.
+//     same verdict across a restart.  A finished job's cache key comes
+//     from its journaled fingerprint and options: replay parses only the
+//     circuits of the jobs it re-enqueues.
 //   - Records are CRC-framed (internal/wal); a crash mid-append leaves a
 //     torn tail that replay truncates before appending resumes.  Replay is
 //     order-agnostic per job id — a worker's started record may legally hit
@@ -130,8 +132,9 @@ type replayJob struct {
 // replayState is everything startup recovery needs from the journal.
 type replayState struct {
 	jobs  map[string]*replayJob
-	order []string // accepted/first-seen order
-	maxID uint64   // largest numeric job-id suffix seen
+	order []string          // accepted/first-seen order
+	maxID uint64            // largest numeric job-id suffix seen
+	keys  map[string]string // Idempotency-Key → the last job that claimed it
 }
 
 // openJournal replays dir's journal (creating it when absent), truncates a
@@ -153,7 +156,7 @@ func openJournal(dir string) (*journal, *replayState, error) {
 		closeCh: make(chan struct{}),
 		doneCh:  make(chan struct{}),
 	}
-	st := &replayState{jobs: make(map[string]*replayJob)}
+	st := &replayState{jobs: make(map[string]*replayJob), keys: make(map[string]string)}
 
 	sc := wal.NewScanner(f)
 	for sc.Scan() {
@@ -186,7 +189,10 @@ func openJournal(dir string) (*journal, *replayState, error) {
 }
 
 // apply merges one record into the replay state.  Per-job merging is
-// order-agnostic: any field may arrive before or after any other.
+// order-agnostic: any field may arrive before or after any other.  Across
+// jobs, accepted records land in the order their jobs claimed their keys,
+// so a key belongs to the last job whose accepted record carries it: a job
+// claims a key only once the previous holder was evicted or aborted.
 func (st *replayState) apply(rec journalRecord) {
 	rj := st.jobs[rec.Job]
 	if rj == nil {
@@ -201,6 +207,10 @@ func (st *replayState) apply(rec journalRecord) {
 	case recAccepted:
 		rj.req = rec.Req
 		if rec.Key != "" {
+			if prev := st.jobs[st.keys[rec.Key]]; prev != nil {
+				prev.idemKey = ""
+			}
+			st.keys[rec.Key] = rec.Job
 			rj.idemKey = rec.Key
 		}
 		if rec.FP != "" {
@@ -350,13 +360,14 @@ func (jl *journal) crash() {
 }
 
 // The server-side append helpers below are safe no-ops for jobs outside the
-// durability contract (journal disabled, or a keyless sync check).
+// durability contract (journal disabled, or an untracked job: a keyless
+// /v1/check or a batch item).
 
 // journalAccepted logs a job's acceptance together with everything needed to
 // re-run it.  durable=true blocks until the record is fsynced — callers must
 // not promise the job id to a client before this returns.
 func (s *Server) journalAccepted(j *job, durable bool) error {
-	if !j.journaled || s.journal == nil {
+	if !j.tracked || s.journal == nil {
 		return nil
 	}
 	req := j.req
@@ -376,7 +387,7 @@ func (s *Server) journalAccepted(j *job, durable bool) error {
 // journalAborted logs that an accepted job was rejected at admission; replay
 // will not resurrect it.
 func (s *Server) journalAborted(j *job) {
-	if !j.journaled || s.journal == nil {
+	if !j.tracked || s.journal == nil {
 		return
 	}
 	_ = s.journal.append(journalRecord{Type: recAborted, Job: j.id}, false)
@@ -384,7 +395,7 @@ func (s *Server) journalAborted(j *job) {
 
 // journalStarted logs the start of execution attempt n (1-based).
 func (s *Server) journalStarted(j *job, attempt int) {
-	if !j.journaled || s.journal == nil {
+	if !j.tracked || s.journal == nil {
 		return
 	}
 	_ = s.journal.append(journalRecord{Type: recStarted, Job: j.id, Attempt: attempt}, false)
@@ -392,7 +403,7 @@ func (s *Server) journalStarted(j *job, attempt int) {
 
 // journalRetry logs a transient failure about to be re-run.
 func (s *Server) journalRetry(j *job, attempt int, class string) {
-	if !j.journaled || s.journal == nil {
+	if !j.tracked || s.journal == nil {
 		return
 	}
 	_ = s.journal.append(journalRecord{Type: recRetry, Job: j.id, Attempt: attempt, Class: class}, false)
@@ -401,7 +412,7 @@ func (s *Server) journalRetry(j *job, attempt int, class string) {
 // journalFinished logs a job's final verdict.  Asynchronous: losing it in a
 // crash merely re-runs a deterministic check on replay.
 func (s *Server) journalFinished(j *job, res *CheckResponse) {
-	if !j.journaled || s.journal == nil {
+	if !j.tracked || s.journal == nil {
 		return
 	}
 	s.journal.append(journalRecord{

@@ -80,9 +80,12 @@ type job struct {
 
 	// idemKey is the client-supplied Idempotency-Key ("" = none).
 	idemKey string
-	// journaled marks jobs under the durability contract: their transitions
-	// are appended to the WAL and replayed after a restart.
-	journaled bool
+	// tracked marks a job registered for GET /v1/jobs/{id} and key lookups
+	// (track): every /v1/jobs job, every /v1/check with an Idempotency-Key
+	// and every replayed job.  These are the jobs under the durability
+	// contract: with a journal, their transitions are appended to the WAL
+	// and replayed after a restart.
+	tracked bool
 	// attempt is the 0-based index of the current execution attempt.  It is
 	// non-zero for retried jobs and for journal-recovered jobs that already
 	// burned attempts before the crash; any non-zero value degrades the
@@ -93,6 +96,15 @@ type job struct {
 var jobStatuses = [...]string{StatusQueued, StatusRunning, StatusDone}
 
 func (j *job) statusString() string { return jobStatuses[j.status.Load()] }
+
+// response is j's JobResponse, carrying the result once j is done.
+func (j *job) response() JobResponse {
+	resp := JobResponse{JobID: j.id, Status: j.statusString()}
+	if resp.Status == StatusDone {
+		resp.Result = j.result
+	}
+	return resp
+}
 
 const (
 	jobQueued int32 = iota
@@ -212,15 +224,22 @@ func (s *Server) runJob(j *job) {
 	s.log.Info("job finished",
 		"job", j.id, "fp", j.ckey.pair.String(), "verdict", res.Verdict,
 		"attempt", j.attempt+1, "cancelled", res.Cancelled)
+	s.finish(j, res, false)
+}
+
+// finish ends j with res.  Every answered job ends here, whether a worker
+// ran it, the cache answered it (fromCache) or the journal replayed it, and
+// always in one order.  It retires j before it wakes the waiters on done,
+// so a client answered from j.done never finds the job still holding its
+// sources.  Between the two it caches the verdict, unless it came from the
+// cache: only once j has retired, as an identical job answered from the
+// cache before then would finish, and retire, ahead of this one.
+func (s *Server) finish(j *job, res *CheckResponse, fromCache bool) {
 	j.result = res
 	j.status.Store(jobDone)
 	j.cancel(nil)
-	// Retire before waking the waiters, so a client answered from j.done
-	// never finds the job still holding its sources.
 	s.retireJob(j)
-	// Cache only once the job has retired: an identical job answered from
-	// the cache before then would finish, and retire, ahead of this one.
-	if s.cache != nil && j.cacheOK && cacheable(res) {
+	if !fromCache && s.cache != nil && j.cacheOK && cacheable(res) {
 		s.cache.put(j.ckey, *res)
 	}
 	close(j.done)
@@ -343,30 +362,29 @@ func (s *Server) buildResponse(j *job, rep core.Report, panicErr *resource.Panic
 	return res
 }
 
-// retireJob records a finished async job for GET /v1/jobs/{id}, evicting the
-// oldest finished jobs beyond the retention bound.  Evicted ids are kept in
-// a bounded tombstone set so polls for them answer 410 job_evicted rather
-// than 404, and their idempotency keys are released for reuse.
+// retireJob records a finished tracked job for GET /v1/jobs/{id}, evicting
+// the oldest finished jobs beyond the retention bound.  Evicted ids are
+// kept in a bounded tombstone set so polls for them answer 410 job_evicted
+// rather than 404, and their idempotency keys are released for reuse.
 //
 // A retained job keeps only what it still serves: polls read its result,
-// and claimIdem (under jobsMu) its cache key and options.  Its circuits and
-// QASM sources are dropped here.
+// and admit its cache key and options.  Its circuits and QASM sources are
+// dropped here, under jobsMu, which every reader of a retained job holds.
 func (s *Server) retireJob(j *job) {
+	if !j.tracked {
+		return // a keyless check or a batch item: nothing looks it up
+	}
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
-	if _, tracked := s.byID[j.id]; !tracked {
-		return // sync job: never registered for async lookup
-	}
 	j.g1, j.g2 = nil, nil
 	j.req.G, j.req.Gp = "", ""
 	s.doneOrder = append(s.doneOrder, j.id)
 	for len(s.doneOrder) > s.cfg.CompletedJobs {
 		evict := s.doneOrder[0]
 		s.doneOrder = s.doneOrder[1:]
-		if ej := s.byID[evict]; ej != nil && ej.idemKey != "" && s.idemByKey[ej.idemKey] == evict {
-			delete(s.idemByKey, ej.idemKey)
+		if ej := s.byID[evict]; ej != nil {
+			s.untrackLocked(ej)
 		}
-		delete(s.byID, evict)
 		s.markEvictedLocked(evict)
 		s.metrics.evictedJob()
 	}

@@ -25,6 +25,11 @@
 //     attach to journaled work, and transient failures re-run with degraded
 //     options under a classified retry budget.
 //
+// Every job has one lifecycle: admit takes it from intake to the queue or
+// answers it from the cache, track registers it for GET /v1/jobs/{id} and
+// key lookups, and finish ends it, whether a worker ran it, the cache
+// answered it or the journal replayed it.
+//
 // Endpoints: POST /v1/check (synchronous), POST /v1/jobs + GET /v1/jobs/{id}
 // (asynchronous batch), GET /healthz, GET /metrics (Prometheus text).
 package server
@@ -71,8 +76,8 @@ type Server struct {
 	drainOnce sync.Once
 
 	jobsMu       sync.Mutex
-	byID         map[string]*job   // async (and idempotent sync) jobs
-	doneOrder    []string          // finished async jobs, oldest first
+	byID         map[string]*job   // tracked jobs (see track)
+	doneOrder    []string          // finished tracked jobs, oldest first
 	idemByKey    map[string]string // Idempotency-Key → job id
 	evicted      map[string]struct{}
 	evictedOrder []string // eviction order, oldest first (bounds evicted)
@@ -150,9 +155,10 @@ func New(cfg Config) (*Server, error) {
 }
 
 // replayJournal turns the replayed journal state into live server state:
-// finished jobs are registered done (their verdicts feed the verdict cache
-// and GET /v1/jobs/{id}), unfinished accepted jobs are rebuilt and returned
-// for re-admission, and the id counter advances past every journaled id.
+// finished jobs are tracked as done (their verdicts feed the verdict cache
+// and GET /v1/jobs/{id}), unfinished accepted jobs are rebuilt, tracked and
+// returned for re-admission, and the id counter advances past every
+// journaled id.
 func (s *Server) replayJournal(st *replayState) []*job {
 	if cur := s.nextID.Load(); st.maxID > cur {
 		s.nextID.Store(st.maxID)
@@ -161,34 +167,25 @@ func (s *Server) replayJournal(st *replayState) []*job {
 	var served int
 	for _, id := range st.order {
 		rj := st.jobs[id]
-		if rj.aborted {
-			continue
-		}
-		if rj.result != nil {
-			s.recoverFinished(rj)
+		switch {
+		case rj.aborted:
+		case rj.result != nil:
+			s.replayFinished(rj)
 			served++
-			continue
-		}
-		if rj.req == nil {
+		case rj.req == nil:
 			s.log.Warn("journal: job has no accepted record, dropped", "job", rj.id)
-			continue
+		default:
+			j, apiErr := s.buildJobWithID(rj.id, *rj.req)
+			if apiErr != nil {
+				s.log.Warn("journal: recovered request no longer parses, dropped",
+					"job", rj.id, "err", apiErr.msg)
+				continue
+			}
+			j.idemKey = rj.idemKey
+			j.attempt = rj.attempts // degrade like a retry: it already failed mid-run once
+			s.track(j)              // no other replayed job holds its key (replayState.apply)
+			requeue = append(requeue, j)
 		}
-		j, apiErr := s.buildJobWithID(rj.id, *rj.req)
-		if apiErr != nil {
-			s.log.Warn("journal: recovered request no longer parses, dropped",
-				"job", rj.id, "err", apiErr.msg)
-			continue
-		}
-		j.idemKey = rj.idemKey
-		j.journaled = true
-		j.attempt = rj.attempts // degrade like a retry: it already failed mid-run once
-		s.jobsMu.Lock()
-		s.byID[j.id] = j
-		if j.idemKey != "" {
-			s.idemByKey[j.idemKey] = j.id
-		}
-		s.jobsMu.Unlock()
-		requeue = append(requeue, j)
 	}
 	s.journal.recovered = uint64(served)
 	s.journal.requeued = uint64(len(requeue))
@@ -200,37 +197,26 @@ func (s *Server) replayJournal(st *replayState) []*job {
 	return requeue
 }
 
-// recoverFinished registers one journaled finished job as an
-// already-completed async job and feeds its verdict to the cache, so both
-// GET /v1/jobs/{id} polls and fresh identical questions are answered
-// without re-execution.  Like any retired job it keeps the request's
-// options, which keyed retries are compared against, but not its sources.
-func (s *Server) recoverFinished(rj *replayJob) {
-	res := *rj.result
-	j := &job{id: rj.id, idemKey: rj.idemKey, done: make(chan struct{}), result: &res}
-	j.status.Store(jobDone)
-	j.cancel = func(error) {}
-	close(j.done)
+// replayFinished serves one journaled finished job without re-execution:
+// tracked under its id and key, and finished with its journaled verdict,
+// which goes back into the cache.  Its cache key comes from the journaled
+// fingerprint and options (questionKey), so replay parses no QASM; like any
+// retired job it keeps the options, which keyed retries are compared
+// against, but not the sources.  A job whose key cannot be rebuilt (its
+// accepted record lost, or a fingerprint or strategy name this build does
+// not parse) still serves by id, uncached.
+func (s *Server) replayFinished(rj *replayJob) {
+	var opts CheckOptions
 	if rj.req != nil {
-		j.req.Options = rj.req.Options
-		// Rebuild the cache key from the journaled request; a parse failure
-		// (e.g. a size envelope tightened between restarts) only skips the
-		// cache insert, the stored verdict still serves by job id.
-		if cj, apiErr := s.buildJobWithID(rj.id, *rj.req); apiErr == nil {
-			j.ckey, j.cacheOK = cj.ckey, cj.cacheOK
-			cj.cancel(nil)
-			if s.cache != nil && j.cacheOK && cacheable(j.result) {
-				s.cache.put(j.ckey, *j.result)
-			}
-		}
+		opts = rj.req.Options
 	}
-	s.jobsMu.Lock()
-	s.byID[j.id] = j
-	if j.idemKey != "" {
-		s.idemByKey[j.idemKey] = j.id
-	}
-	s.jobsMu.Unlock()
-	s.retireJob(j)
+	fp, fpErr := fingerprint.ParseDigest(rj.fp)
+	ckey, keyErr := questionKey(fp, opts)
+	j := s.newJob(rj.id, CheckRequest{Options: opts}, ckey)
+	j.idemKey = rj.idemKey
+	j.cacheOK = j.cacheOK && rj.req != nil && fpErr == nil && keyErr == nil
+	s.track(j) // no other replayed job holds its key (replayState.apply)
+	s.finish(j, rj.result, false)
 }
 
 // Handler returns the daemon's HTTP mux.
@@ -261,7 +247,8 @@ func (s *Server) buildJob(req CheckRequest) (*job, *apiError) {
 }
 
 // buildJobWithID is buildJob under a caller-chosen id; journal recovery uses
-// it to rebuild a job with the id the client was already promised.
+// it to rebuild an unfinished job with the id the client was already
+// promised.
 func (s *Server) buildJobWithID(id string, req CheckRequest) (*job, *apiError) {
 	if req.G == "" || req.Gp == "" {
 		return nil, &apiError{http.StatusBadRequest, CodeBadRequest, `both "g" and "gp" circuits are required`}
@@ -274,34 +261,50 @@ func (s *Server) buildJobWithID(id string, req CheckRequest) (*job, *apiError) {
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	strategy, err := ec.ParseStrategy(req.Options.Strategy)
+	ckey, err := questionKey(fingerprint.Pair(g1, g2), req.Options)
 	if err != nil {
 		return nil, &apiError{http.StatusBadRequest, CodeBadRequest, err.Error()}
 	}
-	j := &job{
-		id:       id,
-		req:      req,
-		g1:       g1,
-		g2:       g2,
-		enqueued: time.Now(),
-		done:     make(chan struct{}),
-	}
-	j.ckey = cacheKey{
-		pair:      fingerprint.Pair(g1, g2),
-		strategy:  strategy,
-		tolerance: normalizeTolerance(req.Options.Tolerance),
-		upToPhase: req.Options.UpToGlobalPhase,
-	}
-	// Approximate checking redefines the equivalence criterion per request;
-	// those verdicts are neither served from nor inserted into the cache.
-	j.cacheOK = req.Options.FidelityThreshold == 0
-	j.ctx, j.cancel = context.WithCancelCause(s.baseCtx)
+	j := s.newJob(id, req, ckey)
+	j.g1, j.g2 = g1, g2
 	return j, nil
 }
 
-// newJob decodes a single-check body and builds its job, writing the HTTP
-// error response on failure.
-func (s *Server) newJob(w http.ResponseWriter, r *http.Request) (*job, bool) {
+// questionKey is the verdict-cache key of asking o about the circuit pair
+// whose fingerprint is fp.  Admission passes the parsed pair's fingerprint,
+// replay a finished job's journaled one, so both key a question alike and
+// replay parses no QASM.  Its one error is a strategy name that does not
+// parse.
+func questionKey(fp fingerprint.Digest, o CheckOptions) (cacheKey, error) {
+	strategy, err := ec.ParseStrategy(o.Strategy)
+	return cacheKey{
+		pair:      fp,
+		strategy:  strategy,
+		tolerance: normalizeTolerance(o.Tolerance),
+		upToPhase: o.UpToGlobalPhase,
+	}, err
+}
+
+// newJob is a job for req under id, keyed ckey.
+func (s *Server) newJob(id string, req CheckRequest, ckey cacheKey) *job {
+	j := &job{
+		id:       id,
+		req:      req,
+		ckey:     ckey,
+		enqueued: time.Now(),
+		done:     make(chan struct{}),
+		// Approximate checking redefines the equivalence criterion per
+		// request; those verdicts are neither served from nor inserted into
+		// the cache.
+		cacheOK: req.Options.FidelityThreshold == 0,
+	}
+	j.ctx, j.cancel = context.WithCancelCause(s.baseCtx)
+	return j
+}
+
+// decodeJob decodes a single-check body and builds its job, writing the
+// HTTP error response on failure.
+func (s *Server) decodeJob(w http.ResponseWriter, r *http.Request) (*job, bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req CheckRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -371,206 +374,140 @@ func (s *Server) cachedResponse(j *job) (*CheckResponse, bool) {
 	return &res, true
 }
 
-// admit submits the job, translating rejections to HTTP responses.
-func (s *Server) admit(w http.ResponseWriter, j *job) bool {
-	switch err := s.submit(j); {
-	case err == nil:
-		return true
-	case errors.Is(err, errDraining):
-		j.cancel(nil)
-		s.metrics.rejectedJob("draining")
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
-		s.fail(w, http.StatusServiceUnavailable, CodeDraining, "server is shutting down")
-	default:
-		j.cancel(nil)
-		s.metrics.rejectedJob("queue_full")
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
-		s.fail(w, http.StatusTooManyRequests, CodeQueueFull,
-			fmt.Sprintf("job queue full (%d pending)", s.cfg.QueueDepth))
-	}
-	return false
-}
-
-// claimIdem resolves j's Idempotency-Key under jobsMu.  It returns the
-// already-registered job when the key maps to the same question, reports a
-// conflict when it maps to a different one, and otherwise claims the key for
-// j and registers it in byID (callers must unregisterJob on any later
-// admission failure).
-func (s *Server) claimIdem(j *job) (existing *job, conflict bool) {
-	s.jobsMu.Lock()
-	defer s.jobsMu.Unlock()
-	if id, ok := s.idemByKey[j.idemKey]; ok {
-		if e := s.byID[id]; e != nil {
+// admit is the one admission path of /v1/check and /v1/jobs.  A tracked
+// job (every /v1/jobs job, and a /v1/check that carries an Idempotency-Key)
+// is registered first, so a fast worker cannot finish it before GET
+// /v1/jobs/{id} sees it; when its key is already held, the request attaches
+// to the holder if it asks the same question and is a 409 if not.  Then the
+// cache answers, or the job is queued: a tracked job's accepted record is
+// made durable first, and journaled aborted and untracked when the queue
+// rejects the job.  admit returns the job that answers the request, j or
+// its key's holder, or nil once it has written an error response.
+func (s *Server) admit(w http.ResponseWriter, j *job, tracked bool) *job {
+	if tracked {
+		if h := s.track(j); h != nil {
+			j.cancel(nil)
 			// "Same question" mirrors the batch deduplication criterion:
 			// same fingerprint-derived cache key and same option set.
-			if e.ckey != j.ckey || e.req.Options != j.req.Options {
-				return nil, true
+			if h.ckey != j.ckey || h.req.Options != j.req.Options {
+				s.metrics.idemConflict()
+				s.fail(w, http.StatusConflict, CodeIdemConflict,
+					fmt.Sprintf("Idempotency-Key %q was already used for a different request", j.idemKey))
+				return nil
 			}
-			return e, false
+			s.metrics.idemHit()
+			return h
 		}
-		// The mapped job was evicted between requests: reclaim the key.
 	}
-	s.idemByKey[j.idemKey] = j.id
-	s.byID[j.id] = j
-	return nil, false
-}
-
-// unregisterJob undoes a pre-admission registration (byID plus the
-// idempotency claim) after the job failed to be admitted or journaled.
-func (s *Server) unregisterJob(j *job) {
-	s.jobsMu.Lock()
-	delete(s.byID, j.id)
-	if j.idemKey != "" && s.idemByKey[j.idemKey] == j.id {
-		delete(s.idemByKey, j.idemKey)
-	}
-	s.jobsMu.Unlock()
-}
-
-// resolveIdem handles the Idempotency-Key preamble shared by /v1/check and
-// /v1/jobs: attach to an existing job, reject a key conflict, or claim the
-// key.  done=true means an HTTP response was already written.
-func (s *Server) resolveIdem(w http.ResponseWriter, j *job) (existing *job, done bool) {
-	if j.idemKey == "" {
-		return nil, false
-	}
-	existing, conflict := s.claimIdem(j)
-	if conflict {
-		j.cancel(nil)
-		s.metrics.idemConflict()
-		s.fail(w, http.StatusConflict, CodeIdemConflict,
-			fmt.Sprintf("Idempotency-Key %q was already used for a different request", j.idemKey))
-		return nil, true
-	}
-	if existing != nil {
-		j.cancel(nil)
-		s.metrics.idemHit()
-		return existing, false
-	}
-	// Key claimed; this job is journaled when durability is on.
-	j.journaled = s.journal != nil
-	return nil, false
-}
-
-// finishWithoutRun marks a never-executed job done with res (cache hits,
-// recovered duplicates) so GET /v1/jobs/{id} and the idempotency map see it
-// exactly like an executed job.
-func (s *Server) finishWithoutRun(j *job, res *CheckResponse) {
-	j.result = res
-	j.status.Store(jobDone)
-	j.cancel(nil)
-	close(j.done)
-	s.jobsMu.Lock()
-	s.byID[j.id] = j
-	s.jobsMu.Unlock()
-	if j.journaled {
+	if res, hit := s.cachedResponse(j); hit {
 		// Asynchronous on purpose: losing these records re-answers a cached
 		// question after restart, which is cheap and correct.
 		s.journalAccepted(j, false)
 		s.journalFinished(j, res)
+		s.finish(j, res, true)
+		return j
 	}
-	s.retireJob(j)
+	err := s.journalAccepted(j, true)
+	if err == nil {
+		if err = s.submit(j); err != nil {
+			s.journalAborted(j)
+		}
+	}
+	if err == nil {
+		if tracked {
+			s.log.Info("job accepted", "job", j.id, "fp", j.ckey.pair.String(), "idem_key", j.idemKey)
+		}
+		return j
+	}
+	if tracked {
+		s.jobsMu.Lock()
+		s.untrackLocked(j)
+		s.jobsMu.Unlock()
+	}
+	j.cancel(nil)
+	switch {
+	case errors.Is(err, errDraining):
+		s.metrics.rejectedJob("draining")
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+		s.fail(w, http.StatusServiceUnavailable, CodeDraining, "server is shutting down")
+	case errors.Is(err, errQueueFull):
+		s.metrics.rejectedJob("queue_full")
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+		s.fail(w, http.StatusTooManyRequests, CodeQueueFull,
+			fmt.Sprintf("job queue full (%d pending)", s.cfg.QueueDepth))
+	default:
+		s.fail(w, http.StatusInternalServerError, CodeJournal, "journal append failed: "+err.Error())
+	}
+	return nil
 }
 
-// handleCheck is POST /v1/check: admit, wait for the result, respond.
+// track registers j for GET /v1/jobs/{id} and, when it carries an
+// Idempotency-Key, for lookups by that key; untrackLocked undoes it.  It is
+// the one place a job enters byID.  A key held by a tracked job stays with
+// it: track then registers nothing and returns the holder.
+func (s *Server) track(j *job) (holder *job) {
+	s.jobsMu.Lock()
+	defer s.jobsMu.Unlock()
+	if j.idemKey != "" {
+		// A key maps only to a tracked job, and no job has the id "".
+		if h := s.byID[s.idemByKey[j.idemKey]]; h != nil {
+			return h
+		}
+		s.idemByKey[j.idemKey] = j.id
+	}
+	s.byID[j.id] = j
+	j.tracked = true
+	return nil
+}
+
+// untrackLocked removes j from byID and releases its key, unless a later
+// job holds it (jobsMu held).
+func (s *Server) untrackLocked(j *job) {
+	delete(s.byID, j.id)
+	if j.idemKey != "" && s.idemByKey[j.idemKey] == j.id {
+		delete(s.idemByKey, j.idemKey)
+	}
+}
+
+// handleCheck is POST /v1/check: admit, wait for the result, respond.  A
+// keyless check is neither tracked nor journaled.
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.newJob(w, r)
+	j, ok := s.decodeJob(w, r)
 	if !ok {
 		return
 	}
-	existing, done := s.resolveIdem(w, j)
-	if done {
+	a := s.admit(w, j, j.idemKey != "")
+	if a == nil {
 		return
 	}
-	if existing != nil {
-		// Same key, same question: wait on the original execution and serve
-		// its verdict under its job id, bounded by this request's context.
-		select {
-		case <-existing.done:
-			writeJSON(w, http.StatusOK, existing.result)
-		case <-r.Context().Done():
-		}
-		return
+	if a == j {
+		// A client disconnect cancels the check; once j is done, its
+		// cancel is a no-op.
+		stop := context.AfterFunc(r.Context(), func() {
+			j.cancel(context.Cause(r.Context()))
+		})
+		defer stop()
 	}
-	if res, hit := s.cachedResponse(j); hit {
-		if j.idemKey != "" {
-			s.finishWithoutRun(j, res)
-		} else {
-			j.cancel(nil)
-		}
-		writeJSON(w, http.StatusOK, res)
-		return
+	// A request attached to its key's holder waits on the holder's
+	// execution, bounded by this request's context.
+	select {
+	case <-a.done:
+		writeJSON(w, http.StatusOK, a.result)
+	case <-r.Context().Done():
 	}
-	// A client disconnect cancels the running check; a finished job's
-	// cancel(nil) makes this a no-op.
-	stop := context.AfterFunc(r.Context(), func() {
-		j.cancel(context.Cause(r.Context()))
-	})
-	defer stop()
-	if j.journaled {
-		if err := s.journalAccepted(j, true); err != nil {
-			s.unregisterJob(j)
-			j.cancel(nil)
-			s.fail(w, http.StatusInternalServerError, CodeJournal, "journal append failed: "+err.Error())
-			return
-		}
-	}
-	if !s.admit(w, j) {
-		if j.idemKey != "" {
-			s.journalAborted(j)
-			s.unregisterJob(j)
-		}
-		return
-	}
-	<-j.done
-	writeJSON(w, http.StatusOK, j.result)
 }
 
 // handleSubmitJob is POST /v1/jobs: admit and return 202 immediately.  With
 // a journal configured, the 202 is written only after the job's accepted
 // record is fsynced — the id a client holds always survives a crash.
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.newJob(w, r)
+	j, ok := s.decodeJob(w, r)
 	if !ok {
 		return
 	}
-	j.journaled = s.journal != nil
-	existing, done := s.resolveIdem(w, j)
-	if done {
-		return
+	if a := s.admit(w, j, true); a != nil {
+		writeJSON(w, http.StatusAccepted, a.response())
 	}
-	if existing != nil {
-		resp := JobResponse{JobID: existing.id, Status: existing.statusString()}
-		if resp.Status == StatusDone {
-			resp.Result = existing.result
-		}
-		writeJSON(w, http.StatusAccepted, resp)
-		return
-	}
-	if res, hit := s.cachedResponse(j); hit {
-		// The job never runs: record it as already done so GET /v1/jobs/{id}
-		// works exactly as for an executed job.
-		s.finishWithoutRun(j, res)
-		writeJSON(w, http.StatusAccepted, JobResponse{JobID: j.id, Status: j.statusString(), Result: res})
-		return
-	}
-	// Register before admission so a fast worker cannot finish the job
-	// before it is visible to GET /v1/jobs/{id}.
-	s.jobsMu.Lock()
-	s.byID[j.id] = j
-	s.jobsMu.Unlock()
-	if err := s.journalAccepted(j, true); err != nil {
-		s.unregisterJob(j)
-		j.cancel(nil)
-		s.fail(w, http.StatusInternalServerError, CodeJournal, "journal append failed: "+err.Error())
-		return
-	}
-	if !s.admit(w, j) {
-		s.journalAborted(j)
-		s.unregisterJob(j)
-		return
-	}
-	s.log.Info("job accepted", "job", j.id, "fp", j.ckey.pair.String(), "idem_key", j.idemKey)
-	writeJSON(w, http.StatusAccepted, JobResponse{JobID: j.id, Status: j.statusString()})
 }
 
 // handleGetJob is GET /v1/jobs/{id}.
@@ -589,11 +526,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, CodeNotFound, fmt.Sprintf("unknown job %q", id))
 		return
 	}
-	resp := JobResponse{JobID: j.id, Status: j.statusString()}
-	if resp.Status == StatusDone {
-		resp.Result = j.result
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, j.response())
 }
 
 // handleHealthz is GET /healthz: 200 while serving, 503 once draining.

@@ -360,23 +360,26 @@ type Pair struct {
 // NewPair binds the programs of G and G' to a simulator on p.  outputPerm
 // (nil for the identity) declares that output wire outputPerm[q] of G'
 // carries what wire q of G carries; its inverse is built once here and
-// pinned, so every collection of the pair's runs, and MaybeGC, keep it.
-func NewPair(p *dd.Package, g, gp *Program, outputPerm []int) *Pair {
+// pinned together with keep, matrix DDs the caller holds on p, so every
+// collection of the pair's runs, and MaybeGC, keeps them.
+func NewPair(p *dd.Package, g, gp *Program, outputPerm []int, keep ...dd.MEdge) *Pair {
 	pr := &Pair{s: NewOn(p), g: g, gp: gp}
 	if outputPerm != nil {
 		pr.unperm = PermutationDD(p, circuit.InversePermutation(outputPerm))
-		pr.s.PinnedM = []dd.MEdge{pr.unperm}
+		keep = append([]dd.MEdge{pr.unperm}, keep...)
 	}
+	pr.s.PinnedM = keep
 	return pr
 }
 
 // MaybeGC collects the package between columns (dd.Package.MaybeGC),
-// keeping only the un-permutation matrix.
+// keeping only the pinned matrices.
 func (pr *Pair) MaybeGC() { pr.s.P.MaybeGC(nil, pr.s.PinnedM) }
 
-// Pinned returns the matrix DDs the pair needs across collections (the
-// un-permutation matrix, if any): other work on the package, such as a
-// complete check between two runs of columns, must keep them.
+// Pinned returns the matrix DDs the pair keeps across collections (the
+// un-permutation matrix, if any, and NewPair's keep): other work on the
+// package, such as a complete check between two runs of columns, must
+// keep them.
 func (pr *Pair) Pinned() []dd.MEdge { return pr.s.PinnedM }
 
 // Column is the outcome of comparing one basis column of G and G'.
