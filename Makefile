@@ -5,7 +5,7 @@ GO ?= go
 
 # Packages with real concurrency (goroutines + shared cancellation state):
 # these are the ones the race detector must cover.
-RACE_PKGS = ./internal/core/... ./internal/portfolio/... ./internal/dd/... ./internal/ec/... ./internal/resource/... ./internal/faultinject/... ./internal/server/... ./internal/sim/... ./internal/stab/...
+RACE_PKGS = ./cmd/qcec/... ./internal/core/... ./internal/portfolio/... ./internal/dd/... ./internal/ec/... ./internal/resource/... ./internal/faultinject/... ./internal/server/... ./internal/sim/... ./internal/stab/...
 
 FUZZTIME ?= 20s
 

@@ -7,7 +7,7 @@
 //	qcec [flags] <circuit1> <circuit2>
 //
 // The flags translate into one core.Options for core.Check.  With
-// -portfolio the selected provers (-provers=sim,dd,...,rewrite,sat,zx,stab)
+// -portfolio the selected provers (-provers=sim,dd,...,rewrite,zx,stab)
 // race concurrently instead of the flow, bounded by -timeout, and the first
 // definitive verdict wins; the losers are cancelled and a per-prover report
 // is printed.  The flow-only flags -sim-only and -fidelity-threshold cannot

@@ -34,6 +34,7 @@ func TestExitCodes(t *testing.T) {
 		{"race rejects -sim-only", []string{"-portfolio", "-sim-only", qft8, qft8}, 2},
 		{"race rejects -zx", []string{"-portfolio", "-zx", qft8, qft8}, 2},
 		{"unknown prover", []string{"-portfolio", "-provers=bogus", qft8, qft8}, 2},
+		{"retired sat prover", []string{"-portfolio", "-provers=sat", qft8, qft8}, 2},
 		{"unknown strategy", []string{"-strategy", "bogus", qft8, qft8}, 2},
 		{"strategy alias", []string{"-strategy", "compilation_flow", qft8, qft8}, 0},
 		{"missing circuit", []string{qft8}, 2},

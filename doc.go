@@ -18,11 +18,9 @@
 //     the paper checks: gate decomposition, SWAP-inserting mapping, circuit
 //     optimization and reversible-logic synthesis (internal/decompose,
 //     internal/mapping, internal/opt, internal/synth),
-//   - the other checker families the paper surveys, run only as provers of
-//     core's race: a CDCL SAT solver with a reversible-circuit miter
-//     encoding (internal/sat, internal/ecsat, ref [17]), gate-level
-//     rewriting (internal/ecrw, ref [16]) and ZX-calculus rewriting
-//     (internal/zx),
+//   - two further checker families, run only as provers of core's race:
+//     gate-level miter rewriting (internal/ecrw, ref [16]) and ZX-calculus
+//     rewriting (internal/zx),
 //   - the paper's benchmark families and error-injection model
 //     (internal/bench, internal/errinject), and
 //   - the experiment harness that regenerates Table Ia/Ib, the Sec. IV-A

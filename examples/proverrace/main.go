@@ -1,10 +1,10 @@
-// Proverrace: race every equivalence-checking method in the repository on
-// the same circuit pair — core.Check with Options.Provers, which runs them
-// on the concurrent portfolio engine (internal/portfolio).  This is the
-// landscape the paper's Sec. III-A surveys (rewriting [16], SAT [17],
-// decision diagrams [18]-[22]) plus the proposed simulation-first
-// prefilter, all running at once with the losers cancelled as soon as one
-// prover delivers a definitive verdict.
+// Proverrace: race equivalence-checking methods of the repository on the
+// same circuit pair — core.Check with Options.Provers, which runs them on
+// the concurrent portfolio engine (internal/portfolio).  The decision
+// diagrams the paper's Sec. III-A surveys ([18]-[22]), ZX-calculus
+// rewriting and the stabilizer tableau race the proposed simulation-first
+// prefilter, all at once, with the losers cancelled as soon as one prover
+// delivers a definitive verdict.
 package main
 
 import (
@@ -48,10 +48,10 @@ func main() {
 		g.Name, g.NumGates(), gp.NumGates())
 
 	opts := core.Options{
-		// sat is included even though the compiled side is not classical:
-		// its "error" row demonstrates how inapplicable provers bow out of
-		// the race.
-		Provers:         []string{"sim", "dd", "alt", "sat", "zx"},
+		// stab is included even though the pair is not Clifford: its
+		// "error" row ("non-Clifford gate set") demonstrates how
+		// inapplicable provers bow out of the race.
+		Provers:         []string{"sim", "dd", "alt", "zx", "stab"},
 		Seed:            1,
 		UpToGlobalPhase: true, // the CX-level decomposition introduces a phase
 		ECTimeout:       30 * time.Second,

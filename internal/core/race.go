@@ -9,7 +9,6 @@ import (
 	"qcec/internal/circuit"
 	"qcec/internal/ec"
 	"qcec/internal/ecrw"
-	"qcec/internal/ecsat"
 	"qcec/internal/portfolio"
 	"qcec/internal/resource"
 	"qcec/internal/zx"
@@ -23,12 +22,11 @@ import (
 //	alt — complete DD check, alternating scheme (Options.Strategy)
 //	gatecost — complete DD check, gate-cost schedule (compiled pairs only)
 //	rewrite — miter rewriting (paper ref [16]; sound, incomplete, strict)
-//	sat — SAT miter (classical reversible netlists only)
 //	zx  — ZX-calculus rewriting (sound, incomplete, up to phase)
 //	stab — polynomial-time stabilizer tableau (Clifford-only pairs)
 //
-// rewrite, sat and zx decline a pair with an output permutation.
-var ProverNames = []string{"sim", "dd", "alt", "gatecost", "rewrite", "sat", "zx", "stab"}
+// rewrite and zx decline a pair with an output permutation.
+var ProverNames = []string{"sim", "dd", "alt", "gatecost", "rewrite", "zx", "stab"}
 
 // OptionsError reports Options that Check cannot run: an empty or unknown
 // prover list, or a pipeline-only option combined with Provers.  Check then
@@ -91,7 +89,7 @@ var adapters = map[string]struct {
 }{
 	"sim": {raceSim, true}, "dd": {raceConstruction, true}, "alt": {raceEC, true},
 	"gatecost": {raceGateCost, true}, "rewrite": {raceRewrite, false},
-	"sat": {raceSAT, false}, "zx": {raceZX, false}, "stab": {raceStab, false},
+	"zx": {raceZX, false}, "stab": {raceStab, false},
 }
 
 // NewProver builds the named prover (one of ProverNames) on opts for the
@@ -297,35 +295,6 @@ func raceRewrite(g1, g2 *circuit.Circuit, o Options) portfolio.Outcome {
 		out.Stop = portfolio.StopCancelled
 	default:
 		out.Stop = portfolio.StopInconclusive
-	}
-	return out
-}
-
-// raceSAT runs the SAT miter.  It only applies to classical reversible
-// netlists (and pairs without an output permutation); elsewhere it reports
-// StopError and leaves the race to the other provers.
-func raceSAT(g1, g2 *circuit.Circuit, o Options) portfolio.Outcome {
-	if o.OutputPerm != nil {
-		return portfolio.Outcome{Stop: portfolio.StopError, Detail: "output permutation unsupported"}
-	}
-	res, err := ecsat.Check(g1, g2, ecsat.Options{Context: o.Context})
-	if err != nil {
-		return portfolio.Outcome{Stop: portfolio.StopError, Err: err, Detail: err.Error()}
-	}
-	out := portfolio.Outcome{Detail: fmt.Sprintf("%d vars, %d clauses", res.Vars, res.Clauses)}
-	switch res.Verdict {
-	case ecsat.Equivalent:
-		out.Verdict = portfolio.Equivalent
-	case ecsat.NotEquivalent:
-		out.Verdict = portfolio.NotEquivalent
-		out.Counterexample = res.Counterexample
-	default:
-		if res.Cancelled {
-			out.Stop = portfolio.StopCancelled
-		} else {
-			out.Stop = portfolio.StopInconclusive
-			out.Detail = "conflict budget exhausted"
-		}
 	}
 	return out
 }

@@ -90,6 +90,31 @@ func TestRaceRejectsPipelineOptions(t *testing.T) {
 	}
 }
 
+// TestProverNamesMatchAdapters: ProverNames and the adapters map hold the
+// same names, so every advertised prover builds and nothing unlisted does;
+// the retired sat prover is an unknown name like any other.
+func TestProverNamesMatchAdapters(t *testing.T) {
+	listed := make(map[string]bool, len(ProverNames))
+	for _, name := range ProverNames {
+		if listed[name] {
+			t.Errorf("ProverNames lists %q twice", name)
+		}
+		listed[name] = true
+		if p, err := NewProver(name, Options{}); err != nil || p.Name != name || p.Run == nil {
+			t.Errorf("NewProver(%q): prover %q, err %v", name, p.Name, err)
+		}
+	}
+	for name := range adapters {
+		if !listed[name] {
+			t.Errorf("adapters holds %q, which ProverNames does not list", name)
+		}
+	}
+	var oe *OptionsError
+	if _, err := NewProver("sat", Options{}); !errors.As(err, &oe) || oe.Field != "Provers" {
+		t.Errorf(`NewProver("sat"): err = %v, want *OptionsError on Provers`, err)
+	}
+}
+
 // TestRaceReport: a race answers in the pipeline's Report shape, with the
 // winner in DecidedBy, a table entry per prover, and an inconclusive
 // ProbablyEquivalent (Cancelled) when the caller's context ends it first.

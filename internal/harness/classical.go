@@ -9,8 +9,9 @@ import (
 	"qcec/internal/errinject"
 )
 
-// The classical reversible suite is the one class the SAT miter (the
-// "sat" prover, paper ref [17]) applies to; the prover census runs it.
+// The classical reversible suite holds the paper's reversible benchmark
+// class as unlowered MCT netlists, the shape on which the miter rewriting
+// of the "rewrite" prover pays off; the prover census runs it.
 
 // shuffleControls returns a functionally identical circuit whose control
 // lists are re-ordered and that carries a few inserted cancelling CX pairs —
@@ -83,9 +84,9 @@ func BuildClassicalSuite(scale Scale, seed int64) ([]Instance, error) {
 		out = append(out, Instance{
 			Name: g.name, N: c.N, G: c, Gp: eq, WantEquivalent: true,
 		})
-		// Only the CNOT error classes keep the netlist classical (a
-		// substituted H or an offset rotation would leave the SAT baseline's
-		// domain).
+		// Only the CNOT error classes keep the netlist classical: a
+		// substituted H or an offset rotation would move the mutant out of
+		// the reversible class the suite stands for.
 		buggy, inj, err := injectClassical(eq, seed+int64(1000+i))
 		if err != nil {
 			return nil, fmt.Errorf("harness: injecting into %s: %w", g.name, err)

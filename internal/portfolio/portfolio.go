@@ -6,7 +6,7 @@
 // before a complete DD-based check; the journal version of the work
 // ("Advanced Equivalence Checking for Quantum Circuits") observes that the
 // available decision procedures — simulation, DD construction, the
-// alternating scheme, SAT miters, ZX rewriting — have wildly different
+// alternating scheme, miter rewriting, ZX rewriting — have wildly different
 // per-instance strengths, and runs them as a concurrent portfolio.  This
 // package is the generic part of that engine: every prover runs in its own
 // goroutine against a shared context.Context; the first Equivalent /
@@ -14,7 +14,7 @@
 // rest, which stop cooperatively (see the cancellation contract in
 // DESIGN.md) instead of running to their private timeouts.  A panicking
 // prover is isolated into its report.  The standard provers themselves
-// (sim, dd, alt, gatecost, rewrite, sat, zx, stab) are built by
+// (sim, dd, alt, gatecost, rewrite, zx, stab) are built by
 // internal/core from one core.Options; this package imports no checker.
 //
 // The race is bounded by the caller's context: its deadline is the race's
@@ -95,8 +95,8 @@ const (
 	StopTimeout
 	// StopNodeLimit: hit its DD node budget.
 	StopNodeLimit
-	// StopError: could not run on this instance (e.g. the SAT miter on a
-	// non-classical circuit).
+	// StopError: could not run on this instance (e.g. the stabilizer
+	// tableau on a non-Clifford circuit).
 	StopError
 	// StopPanicked: the prover's goroutine panicked and was isolated; the
 	// report's Err carries the *resource.PanicError with the stack.  The
@@ -147,7 +147,7 @@ type Outcome struct {
 	// (0 for provers that do not build DDs).
 	PeakNodes int
 	// DD carries the prover's DD-package statistics (nil for provers that do
-	// not build DDs, e.g. sat and zx).
+	// not build DDs, e.g. rewrite and zx).
 	DD *dd.Stats
 	// Err is the typed failure behind StopPanicked (*resource.PanicError),
 	// StopMemLimit (*resource.MemoryLimitError) or StopError; nil otherwise.

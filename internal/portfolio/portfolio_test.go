@@ -198,7 +198,7 @@ func TestPortfolioMatchesSingleStrategy(t *testing.T) {
 				t.Fatalf("%s/%s: single-strategy check timed out", f, tc.label)
 			}
 			rep := core.Check(g, tc.g2, core.Options{
-				Provers: []string{"sim", "dd", "alt", "sat", "zx"},
+				Provers: []string{"sim", "dd", "alt", "zx"},
 				Seed:    11, UpToGlobalPhase: true, ECTimeout: 2 * time.Minute,
 			})
 			if rep.Err != nil {

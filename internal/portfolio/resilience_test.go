@@ -140,8 +140,8 @@ func TestRetryCrashedOffByDefault(t *testing.T) {
 	if p := standardProver(t, "alt", core.Options{RetryCrashed: true}); p.Degraded == nil {
 		t.Fatal("alt carries no degraded fallback under RetryCrashed")
 	}
-	if p := standardProver(t, "sat", core.Options{RetryCrashed: true}); p.Degraded != nil {
-		t.Fatal("sat has no smaller configuration, yet carries a fallback")
+	if p := standardProver(t, "rewrite", core.Options{RetryCrashed: true}); p.Degraded != nil {
+		t.Fatal("rewrite has no smaller configuration, yet carries a fallback")
 	}
 
 	// End to end: a nil circuit crashes the simulation prover outside its

@@ -353,12 +353,6 @@ func (jl *journal) close() {
 	<-jl.doneCh
 }
 
-// crash abandons the journal without syncing pending asynchronous appends —
-// the in-process stand-in for SIGKILL used by the recovery chaos tests.
-func (jl *journal) crash() {
-	jl.close()
-}
-
 // The server-side append helpers below are safe no-ops for jobs outside the
 // durability contract (journal disabled, or an untracked job: a keyless
 // /v1/check or a batch item).

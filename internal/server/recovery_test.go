@@ -1,13 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"qcec/internal/core"
+	"qcec/internal/wal"
 )
 
 // Crash-recovery chaos tests.  The in-process stand-in for SIGKILL: block
@@ -15,6 +19,153 @@ import (
 // finished record land, discard the server, and boot a fresh one over the
 // same journal directory.  The serve-smoke harness repeats the same protocol
 // against the real binary with an actual SIGKILL.
+
+// crash abandons the journal as SIGKILL does: the descriptor closes without
+// Sync and the sync loop stops without a last group commit, so the file
+// keeps only what its writes left in the page cache, and a durable appender
+// still parked gets errJournalClosed.
+func (jl *journal) crash() {
+	jl.mu.Lock()
+	if jl.f != nil {
+		_ = jl.f.Close()
+		jl.f = nil
+	}
+	jl.mu.Unlock()
+	select {
+	case <-jl.closeCh:
+	default:
+		close(jl.closeCh)
+	}
+	<-jl.doneCh
+}
+
+// TestJournalCrashPoints replays a recorded journal cut at every record
+// boundary and inside every record.  For each cut, every job whose accepted
+// record lies wholly inside it reaches the verdict of an uninterrupted run,
+// no other job id appears, and only a cut inside a record is a torn tail.
+func TestJournalCrashPoints(t *testing.T) {
+	ghz3 := ghzQASM(3)
+	questions := []struct {
+		key, g, gp string
+		endpoint   string // how the recorded run submits it
+	}{
+		{"finished-eq", bellQASM, bellQASM, "/v1/check"},
+		{"finished-hit", bellQASM, bellQASM, "/v1/check"}, // answered from the cache
+		{"finished-neq", bellQASM, bellFlippedQASM, "/v1/jobs"},
+		{"running", ghz3, ghz3, "/v1/jobs"}, // blocked after its started record
+		{"queued", ghz3, ghz3 + "x q[1];\n", "/v1/jobs"},
+	}
+
+	// The uninterrupted run: a journal-less server answers every question.
+	_, plain := newTestServer(t, Config{Workers: 1})
+	want := make(map[string]string) // key → verdict
+	for _, q := range questions {
+		want[q.key] = doCheck(t, plain.URL, checkBody(q.g, q.gp)).Verdict
+	}
+
+	// The recorded run, ended by a crash.
+	dir := t.TempDir()
+	cfg := Config{Workers: 1, QueueDepth: 8}
+	s, ts, _ := restartableServer(t, dir, cfg)
+	run, entered, block := s.exec, make(chan struct{}), make(chan struct{})
+	s.exec = func(j *job) core.Report {
+		if j.idemKey == "running" {
+			close(entered)
+			<-block
+		}
+		return run(j)
+	}
+	keyOf := make(map[string]string) // job id → key
+	for _, q := range questions {
+		resp, data := postWithKey(t, ts.URL+q.endpoint, checkBody(q.g, q.gp), q.key)
+		var jr JobResponse // a CheckResponse carries its job id under the same name
+		if err := json.Unmarshal(data, &jr); err != nil || jr.JobID == "" || resp.StatusCode >= 300 {
+			t.Fatalf("%s: submit = %d; body %s", q.key, resp.StatusCode, data)
+		}
+		keyOf[jr.JobID] = q.key
+		switch q.key {
+		case "running":
+			<-entered
+		case "finished-neq":
+			waitDone(t, ts, jr.JobID)
+		}
+	}
+	ts.Close()
+	s.journal.crash()
+	close(block)
+	ctx, cancel := contextWithTimeout(5 * time.Second)
+	_ = s.Shutdown(ctx)
+	cancel()
+
+	data, err := os.ReadFile(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := []int64{0}                  // every record boundary
+	acceptedEnd := make(map[string]int64) // job id → end of its accepted record
+	finished := 0
+	sc := wal.NewScanner(bytes.NewReader(data))
+	for sc.Scan() {
+		var rec journalRecord
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatal(err)
+		}
+		switch rec.Type {
+		case recAccepted:
+			acceptedEnd[rec.Job] = sc.Offset()
+		case recFinished:
+			finished++
+		}
+		bounds = append(bounds, sc.Offset())
+	}
+	if sc.Torn() || sc.Offset() != int64(len(data)) || len(acceptedEnd) != len(questions) || finished != 3 {
+		t.Fatalf("recorded journal: torn %v, %d of %d bytes, %d accepted and %d finished records",
+			sc.Torn(), sc.Offset(), len(data), len(acceptedEnd), finished)
+	}
+
+	type cut struct {
+		at   int64
+		torn bool
+	}
+	var cuts []cut
+	for i, end := range bounds {
+		if i > 0 {
+			cuts = append(cuts, cut{(bounds[i-1] + end) / 2, true})
+		}
+		cuts = append(cuts, cut{end, false})
+	}
+	for _, c := range cuts {
+		cutDir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(cutDir, journalFile), data[:c.at], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s2, ts2, stop2 := restartableServer(t, cutDir, cfg)
+		for id, key := range keyOf {
+			if end, ok := acceptedEnd[id]; !ok || end > c.at {
+				continue
+			}
+			waitDone(t, ts2, id)
+			_, body := getJSON(t, ts2.URL+"/v1/jobs/"+id)
+			var jr JobResponse
+			if err := json.Unmarshal(body, &jr); err != nil || jr.Result == nil || jr.Result.Verdict != want[key] {
+				t.Errorf("cut at %d: job %s (%s) = %s, want verdict %s", c.at, id, key, body, want[key])
+			}
+		}
+		s2.jobsMu.Lock()
+		for id := range s2.byID {
+			if end, ok := acceptedEnd[id]; !ok || end > c.at {
+				t.Errorf("cut at %d: job %s is known, but its accepted record is not in the cut", c.at, id)
+			}
+		}
+		s2.jobsMu.Unlock()
+		torn := 0
+		if c.torn {
+			torn = 1
+		}
+		assertMetric(t, getMetrics(t, ts2.URL), "qcecd_journal_torn_tails", torn)
+		stop2()
+	}
+}
 
 // TestCrashRecoveryNoLostJobs: every job accepted (202'd) before the crash
 // reaches a terminal verdict after restart, the verdicts match what an
