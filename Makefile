@@ -13,7 +13,7 @@ FUZZTIME ?= 20s
 # deliberately, together with fixing whatever the new version reports.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test race vet fmt staticcheck fuzz-smoke chaos serve-smoke bench benchcmp perfbench-test examples ci
+.PHONY: all build test race vet fmt staticcheck fuzz-smoke chaos serve-smoke bench benchcmp perfbench-test perfbench-smoke examples ci
 
 all: build
 
@@ -107,6 +107,13 @@ serve-smoke:
 # determinism, mix shares); this runs vet and the tests inside it.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# A short oracle-checked Clifford run through the real daemon: perfbench
+# builds qcecd, drives it with clifford-sim traffic for 5 s and checks every
+# verdict against the stabilizer tableau (stab.Check); a wrong verdict, an
+# error verdict or a non-2xx response exits 1.
+perfbench-smoke:
+	bash perfbench/run.sh --workload clifford-sim --seed 61 --seconds 5 --trace 0
 
 # Runs every program under examples/ end to end (`go build ./...` only
 # compiles them); the first non-zero exit fails the target.

@@ -21,11 +21,12 @@
 // gate on machines with at least 4 CPUs.
 //
 // A separate Clifford sweep sizes the stabilizer fast path against the
-// complete DD checker: random Clifford pairs at 8–24 qubits are checked by
-// both ec.StrategyStabilizer and the DD proportional scheme, per-check times
-// and verdict parity land in the artifact's clifford section, and
-// -min-stab-speedup turns the geomean tableau speedup at >=20 qubits into a
-// gate.
+// complete DD checker: random Clifford pairs at 8–24 qubits are checked up
+// to phase both on the tableau (circuit.LowerClifford plus stab.Check, the
+// flow's complete check of a Clifford pair) and by the DD proportional
+// scheme; per-check times and verdict parity land in the artifact's
+// clifford section, and -min-stab-speedup turns the geomean tableau
+// speedup at >=20 qubits into a gate.
 //
 // A compilation-flow sweep races the four alternating application schemes
 // (sequential, proportional, lookahead, gate-cost) over deeply-compiled
@@ -41,6 +42,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -61,6 +63,7 @@ import (
 	"qcec/internal/ec"
 	"qcec/internal/errinject"
 	"qcec/internal/harness"
+	"qcec/internal/stab"
 )
 
 // measurement is one pair's timed simulation stage.
@@ -300,31 +303,51 @@ var cliffordSizes = []int{8, 12, 16, 20, 24}
 // small instances and the large ones time the tableau alone.
 const ddParityMaxQubits = 12
 
-// measureCliffordStrategy times ec.Check under one strategy on a fixed
-// pair (the tableau path finishes in microseconds, so batching matters).
-func measureCliffordStrategy(g1, g2 *circuit.Circuit, strat ec.Strategy, reps int) (cliffordMeasurement, bool, error) {
-	var res ec.Result
+// measureCliffordCheck times one up-to-phase check of a fixed pair, named
+// name in errors (the tableau finishes in microseconds, so batching
+// matters).
+func measureCliffordCheck(name string, reps int, check func() (time.Duration, ec.Verdict)) (cliffordMeasurement, bool, error) {
+	var v ec.Verdict
 	b, err := fastestBatch(reps, func() (time.Duration, string) {
-		res = ec.Check(g1, g2, ec.Options{Strategy: strat, UpToGlobalPhase: true})
-		return res.Runtime, res.Verdict.String()
+		var d time.Duration
+		d, v = check()
+		return d, v.String()
 	})
-	if err == nil && res.Verdict == ec.TimedOut {
-		err = fmt.Errorf("inconclusive: %s", res.Reason)
+	if err == nil && v == ec.TimedOut {
+		err = fmt.Errorf("inconclusive")
 	}
 	if err != nil {
-		return cliffordMeasurement{}, false, fmt.Errorf("clifford sweep under %v: %w", strat, err)
+		return cliffordMeasurement{}, false, fmt.Errorf("clifford sweep under %s: %w", name, err)
 	}
 	return cliffordMeasurement{
 		Seconds:         b.seconds,
 		Checks:          b.runs,
 		SecondsPerCheck: b.seconds / float64(b.runs),
-		Verdict:         res.Verdict.String(),
-	}, res.Equivalent(), nil
+		Verdict:         v.String(),
+	}, v == ec.Equivalent || v == ec.EquivalentUpToGlobalPhase, nil
+}
+
+// tableauCheck is the flow's complete check of a Clifford pair, up to
+// phase: circuit.LowerClifford on both circuits plus stab.Check, its
+// verdict in ec's terms (TimedOut for a non-Clifford circuit).
+func tableauCheck(g1, g2 *circuit.Circuit) (time.Duration, ec.Verdict) {
+	start := time.Now()
+	tol := circuit.CliffordAngleTolerance(0)
+	ops1, _, ok1 := circuit.LowerClifford(g1, tol)
+	ops2, _, ok2 := circuit.LowerClifford(g2, tol)
+	if !ok1 || !ok2 {
+		return time.Since(start), ec.TimedOut
+	}
+	v := ec.EquivalentUpToGlobalPhase
+	if stab.Check(context.Background(), time.Time{}, g1.N, ops1, ops2, nil).Verdict == stab.NotEquivalent {
+		v = ec.NotEquivalent
+	}
+	return time.Since(start), v
 }
 
 // measureClifford runs the stabilizer-vs-DD sweep: for each width, an
-// equivalent pair (random Clifford circuit against its clone) under both
-// strategies, plus a flipped-CNOT pair with DD parity up to
+// equivalent pair (random Clifford circuit against its clone) on the
+// tableau and on the DD, plus a flipped-CNOT pair with DD parity up to
 // ddParityMaxQubits.
 func measureClifford(seed int64, reps int) ([]cliffordPoint, error) {
 	var points []cliffordPoint
@@ -344,11 +367,16 @@ func measureClifford(seed int64, reps int) ([]cliffordPoint, error) {
 			}
 		}
 		for _, v := range variants {
-			stab, stabEq, err := measureCliffordStrategy(g, v.gp, ec.StrategyStabilizer, reps)
+			tab, stabEq, err := measureCliffordCheck("stab", reps, func() (time.Duration, ec.Verdict) {
+				return tableauCheck(g, v.gp)
+			})
 			if err != nil {
 				return nil, err
 			}
-			dd, ddEq, err := measureCliffordStrategy(g, v.gp, ec.Proportional, reps)
+			dd, ddEq, err := measureCliffordCheck("proportional", reps, func() (time.Duration, ec.Verdict) {
+				res := ec.Check(g, v.gp, ec.Options{UpToGlobalPhase: true})
+				return res.Runtime, res.Verdict
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -358,16 +386,16 @@ func measureClifford(seed int64, reps int) ([]cliffordPoint, error) {
 				Gates:         g.NumGates(),
 				Equivalent:    v.injection == "",
 				Injection:     v.injection,
-				Stab:          stab,
+				Stab:          tab,
 				DD:            dd,
 				VerdictsMatch: stabEq == ddEq,
 			}
-			if stab.SecondsPerCheck > 0 {
-				pt.Speedup = dd.SecondsPerCheck / stab.SecondsPerCheck
+			if tab.SecondsPerCheck > 0 {
+				pt.Speedup = dd.SecondsPerCheck / tab.SecondsPerCheck
 			}
 			points = append(points, pt)
 			fmt.Printf("%-22s stab %10.1fus  dd %10.1fus  speedup %7.1fx  parity %v\n",
-				v.name, 1e6*stab.SecondsPerCheck, 1e6*dd.SecondsPerCheck, pt.Speedup, pt.VerdictsMatch)
+				v.name, 1e6*tab.SecondsPerCheck, 1e6*dd.SecondsPerCheck, pt.Speedup, pt.VerdictsMatch)
 		}
 	}
 	return points, nil

@@ -50,7 +50,7 @@ func run(args []string) int {
 		r         = fs.Int("r", core.DefaultR, "number of random basis-state simulations before complete checking")
 		seed      = fs.Int64("seed", 0, "stimulus selection seed")
 		timeout   = fs.Duration("timeout", time.Minute, "complete-check timeout; with -portfolio, the whole race's (0 = none)")
-		strategy  = fs.String("strategy", "proportional", "complete-check strategy: construction|sequential|proportional|lookahead|gate-cost|stabilizer (gate-cost = compilation-flow schedule from a per-gate cost profile; stabilizer = polynomial-time tableau, Clifford-only circuits)")
+		strategy  = fs.String("strategy", "proportional", "complete-check strategy: construction|sequential|proportional|lookahead|gate-cost (gate-cost = compilation-flow schedule from a per-gate cost profile; a Clifford pair is checked on the stabilizer tableau whatever the strategy)")
 		phase     = fs.Bool("up-to-phase", false, "treat circuits differing only by a global phase as equivalent")
 		simOnly   = fs.Bool("sim-only", false, "skip the complete check (simulation stage only)")
 		parallel  = fs.Int("parallel", 1, "simulation workers (each with a private DD package)")

@@ -36,6 +36,7 @@ func TestExitCodes(t *testing.T) {
 		{"unknown prover", []string{"-portfolio", "-provers=bogus", qft8, qft8}, 2},
 		{"retired sat prover", []string{"-portfolio", "-provers=sat", qft8, qft8}, 2},
 		{"unknown strategy", []string{"-strategy", "bogus", qft8, qft8}, 2},
+		{"retired stabilizer strategy", []string{"-strategy", "stabilizer", qft8, qft8}, 2},
 		{"strategy alias", []string{"-strategy", "compilation_flow", qft8, qft8}, 0},
 		{"missing circuit", []string{qft8}, 2},
 	} {

@@ -110,13 +110,18 @@ func (g CliffordGate) Inverse() CliffordGate {
 }
 
 // CliffordAngleTolerance derives the rotation-angle snap tolerance of the
-// analyzer from the DD weight tolerance (0 = cn.DefaultTolerance).  Weight
-// round-off compounds over the gate sequence exactly as it does for state
-// agreement, so the bound is cn.AgreementTolerance — 1e-6 radians at the
-// default, capped at 1e-3 so a coarse custom tolerance can never snap a
-// genuinely non-Clifford rotation onto the fast path.
+// analyzer from the DD weight tolerance (0 = cn.DefaultTolerance): it is
+// the weight tolerance itself, 1e-10 radians at the default, capped at
+// 1e-3 like every verdict bound (cn.AgreementTolerance).  A parsed angle is
+// one number, with no round-off compounded over a gate sequence, so the
+// verdict bound itself would be too loose: it would snap rotations the DD
+// tells apart from their Clifford neighbour, and the tableau would prove
+// pairs the DD complete check refutes.
 func CliffordAngleTolerance(weightTol float64) float64 {
-	return cn.AgreementTolerance(weightTol)
+	if weightTol == 0 {
+		weightTol = cn.DefaultTolerance
+	}
+	return min(weightTol, 1e-3)
 }
 
 // quarterTurns snaps an angle to its nearest multiple of π/2 and reports

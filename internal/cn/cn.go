@@ -108,8 +108,8 @@ const DefaultTolerance = 1e-10
 
 // AgreementTolerance derives every verdict-level bound from a weight
 // tolerance (0 = DefaultTolerance): the simulation stage's state agreement,
-// the complete check's phase band and counterexample threshold, the
-// stabilizer's phase anchor and its Clifford angle snap.  Round-off
+// the complete check's phase band and counterexample threshold, and the
+// cap of the Clifford angle snap.  Round-off
 // compounds over the gate sequence, so the bound sits four orders of
 // magnitude above the interning tolerance — 1e-6 at the default — and is
 // capped at 1e-3 so a coarse tolerance can never accept genuinely
@@ -123,8 +123,8 @@ func AgreementTolerance(weightTol float64) float64 {
 
 // StatesAgree judges two unit states by their overlap ⟨u|u′⟩ within tol
 // (an AgreementTolerance): strictly the overlap must be 1, up to a global
-// phase only its magnitude.  Every basis-state comparison of the flow, the
-// stabilizer's phase anchor and the theory experiment uses it.
+// phase only its magnitude.  Every basis-state comparison of the flow and
+// the theory experiment uses it.
 func StatesAgree(overlap complex128, upToPhase bool, tol float64) bool {
 	if upToPhase {
 		re, im := real(overlap), imag(overlap)

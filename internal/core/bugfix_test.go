@@ -18,21 +18,22 @@ import (
 // TestAgreementToleranceDerivation pins the one mapping from DD weight
 // tolerance to every verdict bound (cn.AgreementTolerance): the historical
 // 1e-6 bound at the default weight tolerance, 0 read as the default,
-// proportional scaling, and the 1e-3 cap.  circuit.CliffordAngleTolerance
-// must stay the same function.
+// proportional scaling, and the 1e-3 cap.  circuit.CliffordAngleTolerance,
+// the Clifford angle snap, is the weight tolerance itself under the same
+// cap: a parsed angle carries no compounded round-off.
 func TestAgreementToleranceDerivation(t *testing.T) {
-	for _, tc := range []struct{ ddTol, want float64 }{
-		{1e-10, 1e-6}, // default: historical bound preserved exactly
-		{0, 1e-6},     // 0 selects the default
-		{1e-8, 1e-4},
-		{1e-12, 1e-8},
-		{1.0, 1e-3}, // capped
+	for _, tc := range []struct{ ddTol, want, snap float64 }{
+		{1e-10, 1e-6, 1e-10}, // default: historical bound preserved exactly
+		{0, 1e-6, 1e-10},     // 0 selects the default
+		{1e-8, 1e-4, 1e-8},
+		{1e-12, 1e-8, 1e-12},
+		{1.0, 1e-3, 1e-3}, // capped
 	} {
 		if got := cn.AgreementTolerance(tc.ddTol); got != tc.want {
 			t.Errorf("cn.AgreementTolerance(%g) = %g, want %g", tc.ddTol, got, tc.want)
 		}
-		if got := circuit.CliffordAngleTolerance(tc.ddTol); got != tc.want {
-			t.Errorf("circuit.CliffordAngleTolerance(%g) = %g, want %g", tc.ddTol, got, tc.want)
+		if got := circuit.CliffordAngleTolerance(tc.ddTol); got != tc.snap {
+			t.Errorf("circuit.CliffordAngleTolerance(%g) = %g, want %g", tc.ddTol, got, tc.snap)
 		}
 	}
 }

@@ -11,7 +11,10 @@
 //     checking routine (internal/ec) is employed.  If it finishes, its
 //     verdict is definitive; if it times out, the flow still reports a
 //     high-probability equivalence estimate — strictly more information than
-//     the state of the art, which reports nothing on timeout.
+//     the state of the art, which reports nothing on timeout.  A pair whose
+//     gates are all Clifford has a complete routine polynomial in its size,
+//     the stabilizer tableau (internal/stab), and the gate set routes it
+//     there instead (see decideByTableau).
 //   - Simulating all 2^n basis states and finding every pair of outputs
 //     identical is itself a proof (paper Sec. III-B).  So in strict mode the
 //     complete routine runs as a probe: once the columns not yet simulated
@@ -40,6 +43,7 @@ import (
 	"qcec/internal/ec"
 	"qcec/internal/portfolio"
 	"qcec/internal/resource"
+	"qcec/internal/stab"
 )
 
 // Verdict is the outcome of the proposed flow.
@@ -94,8 +98,8 @@ type Options struct {
 	// concurrently instead of running the pipeline; the first definitive
 	// verdict wins and cancels the rest, Report.DecidedBy names the winner
 	// and Report.Provers holds every prover's outcome.  Every prover runs
-	// on these Options (the "dd", "gatecost" and "stab" provers with their
-	// own Strategy).  The race cannot honour SkipEC or FidelityThreshold;
+	// on these Options (the "dd" and "gatecost" provers with their own
+	// Strategy).  The race cannot honour SkipEC or FidelityThreshold;
 	// Check rejects them, and an empty or unknown prover list, with an
 	// *OptionsError in Report.Err.
 	Provers []string
@@ -120,6 +124,8 @@ type Options struct {
 	// all-agree outcome then yields ProbablyEquivalent.
 	SkipEC bool
 	// Strategy, ECTimeout and ECNodeLimit configure the complete routine.
+	// A Clifford pair's tableau check has no strategy and builds no DD, so
+	// of the three only ECTimeout bounds it.
 	Strategy    ec.Strategy
 	ECTimeout   time.Duration
 	ECNodeLimit int
@@ -216,16 +222,18 @@ type Counterexample struct {
 // Report is the full outcome of the flow.
 type Report struct {
 	Verdict Verdict
-	// DecidedBy names the stage that produced a definitive verdict — "sim"
-	// or "ec:<strategy>" (e.g. "ec:proportional", "ec:stabilizer") — or in
-	// a race the winning prover (one of ProverNames: "sim", "alt",
-	// "rewrite", ...), and is empty while the verdict is inconclusive.
+	// DecidedBy names the stage that produced a definitive verdict — "sim",
+	// "stab" (a Clifford pair's tableau) or "ec:<strategy>" (e.g.
+	// "ec:proportional") — or in a race the winning prover (one of
+	// ProverNames: "sim", "alt", "rewrite", ...), and is empty while the
+	// verdict is inconclusive.
 	DecidedBy      string
 	NumSims        int           // simulation runs performed
 	SimTime        time.Duration // paper column t_sim
 	Counterexample *Counterexample
 	Exhaustive     bool // simulation covered all 2^n distinct basis states
-	// EC is the complete routine's outcome (nil if it never ran).  When it
+	// EC is the DD complete routine's outcome (nil if it never ran, as on a
+	// Clifford pair, which the tableau decides).  When it
 	// ran as a probe that yielded to simulating the remaining basis
 	// columns, EC.Cause is ec.CauseYielded and EC keeps the probe's
 	// Runtime and DD statistics, while NumSims, SimTime and DD include
@@ -411,6 +419,12 @@ func check(g1, g2 *circuit.Circuit, opts Options) Report {
 		return report
 	}
 
+	if run.n > 0 && cliffordPair(g1, g2, opts.Tolerance) {
+		report.decideByTableau(g1, g2, opts, run.identical)
+		report.TotalTime = time.Since(start)
+		return report
+	}
+
 	ecOpts := opts.ECOptions()
 	if finishEligible(g1.N, opts, run) {
 		ecOpts.Progress = yieldRule(g1.N, run, len(cols))
@@ -480,6 +494,50 @@ func (r *Report) decideByEC(res ec.Result) {
 		case ec.CauseError:
 			r.Err = res.Err
 		}
+	}
+}
+
+// cliffordPair reports whether every gate of both circuits is Clifford
+// under the angle snap derived from tol: one early-exit scan, no
+// allocation.
+func cliffordPair(g1, g2 *circuit.Circuit, tol float64) bool {
+	angleTol := circuit.CliffordAngleTolerance(tol)
+	return circuit.IsClifford(g1, angleTol) && circuit.IsClifford(g2, angleTol)
+}
+
+// decideByTableau runs a Clifford pair's complete check on the stabilizer
+// tableau (stab.Check), bounded by ECTimeout and the flow's context, and
+// records its verdict.  A moved generator is a difference beyond any
+// scalar.  Otherwise the tableau has proven U' = c·P·U, blind to the
+// scalar c, and the stimuli that agreed pin it: in strict mode they agreed
+// strictly, so c = 1; up to phase c = 1 only when every simulated column
+// was the same DD edge (identical), the test ec's classify applies to the
+// miter.
+func (r *Report) decideByTableau(g1, g2 *circuit.Circuit, opts Options, identical bool) {
+	angleTol := circuit.CliffordAngleTolerance(opts.Tolerance)
+	ops1, _, _ := circuit.LowerClifford(g1, angleTol)
+	ops2, _, _ := circuit.LowerClifford(g2, angleTol)
+	var deadline time.Time
+	if opts.ECTimeout > 0 {
+		deadline = time.Now().Add(opts.ECTimeout)
+	}
+	res := stab.Check(opts.Context, deadline, g1.N, ops1, ops2, opts.OutputPerm)
+	if res.Verdict == stab.Aborted {
+		r.Verdict = ProbablyEquivalent
+		r.Cancelled = cancelled(opts)
+		return
+	}
+	r.DecidedBy = "stab"
+	switch {
+	case res.Verdict == stab.NotEquivalent:
+		r.Verdict = NotEquivalent
+		if res.Counterexample != nil {
+			r.Counterexample = &Counterexample{Input: *res.Counterexample}
+		}
+	case identical || !opts.UpToGlobalPhase:
+		r.Verdict = Equivalent
+	default:
+		r.Verdict = EquivalentUpToGlobalPhase
 	}
 }
 

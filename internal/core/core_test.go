@@ -43,8 +43,10 @@ func randomCircuit(rng *rand.Rand, n, gates int) *circuit.Circuit {
 	return c
 }
 
+// TestEquivalentPairFullFlow: an equivalent non-Clifford pair (a GHZ
+// state and a T gate) reaches the DD complete routine after the stimuli.
 func TestEquivalentPairFullFlow(t *testing.T) {
-	g := ghz(5)
+	g := ghz(5).T(3)
 	g2 := g.Clone()
 	g2.X(2).X(2) // identity pair appended
 	rep := Check(g, g2, Options{Seed: 1})
@@ -56,6 +58,31 @@ func TestEquivalentPairFullFlow(t *testing.T) {
 	}
 	if rep.NumSims == 0 {
 		t.Fatal("no simulations recorded")
+	}
+}
+
+// TestCliffordPairFullFlow is TestEquivalentPairFullFlow on a Clifford
+// pair: after the stimuli the tableau decides, no DD complete routine runs,
+// and the routine's node limit does not apply to it.  With no stimulus,
+// nothing pins the scalar the tableau cannot see, and the DD decides.
+func TestCliffordPairFullFlow(t *testing.T) {
+	g := ghz(5)
+	g2 := g.Clone()
+	g2.X(2).X(2)
+	rep := Check(g, g2, Options{Seed: 1, ECNodeLimit: 1})
+	if rep.Verdict != Equivalent || rep.DecidedBy != "stab" {
+		t.Fatalf("verdict = %v by %q, want equivalent by stab", rep.Verdict, rep.DecidedBy)
+	}
+	if rep.EC != nil {
+		t.Fatalf("the DD complete routine ran: %+v", rep.EC)
+	}
+	if rep.NumSims == 0 {
+		t.Fatal("no simulations recorded")
+	}
+
+	rep = Check(g, g2, Options{Stimuli: []uint64{}})
+	if rep.Verdict != Equivalent || rep.DecidedBy != "ec:proportional" || rep.EC == nil || rep.NumSims != 0 {
+		t.Fatalf("no stimuli: %v by %q after %d sims (EC %+v), want equivalent by ec:proportional", rep.Verdict, rep.DecidedBy, rep.NumSims, rep.EC)
 	}
 }
 
@@ -216,7 +243,7 @@ func TestDeterministicPerSeed(t *testing.T) {
 }
 
 func TestReportTimes(t *testing.T) {
-	g := ghz(4)
+	g := ghz(4).T(1)
 	rep := Check(g, g.Clone(), Options{Seed: 29})
 	if rep.SimTime <= 0 || rep.TotalTime <= 0 {
 		t.Error("missing timing information")
@@ -227,6 +254,22 @@ func TestReportTimes(t *testing.T) {
 	norep := Report{}
 	if norep.ECTime() != 0 {
 		t.Error("ECTime() of empty report must be 0")
+	}
+}
+
+// TestCliffordReportTimes: a Clifford pair's tableau check is no DD
+// routine, so ECTime() stays 0 while the flow's own times are set.
+func TestCliffordReportTimes(t *testing.T) {
+	g := ghz(4)
+	rep := Check(g, g.Clone(), Options{Seed: 29})
+	if rep.DecidedBy != "stab" {
+		t.Fatalf("decided by %q, want stab", rep.DecidedBy)
+	}
+	if rep.SimTime <= 0 || rep.TotalTime <= 0 {
+		t.Error("missing timing information")
+	}
+	if rep.ECTime() != 0 {
+		t.Errorf("ECTime() = %v although no DD complete routine ran", rep.ECTime())
 	}
 }
 

@@ -39,15 +39,14 @@ func coveredColumns(stimuli []uint64) []uint64 {
 // finishEligible reports whether the complete check may yield to the
 // remaining columns.  Only a strict-phase check qualifies (simulating every
 // column proves nothing up to a phase, since each column may carry its
-// own), only while every column simulated so far was identical (a column
-// that agrees only within the overlap tolerance already rules out the
-// proof), and only on a DD strategy (the stabilizer tableau is polynomial).
-// SkipEC, FidelityThreshold and an exhaustive proof never reach the
-// complete check.  Basis indices are uint64, so the register must leave
-// room to count 2^n.
+// own), and only while every column simulated so far was identical (a
+// column that agrees only within the overlap tolerance already rules out
+// the proof).  SkipEC, FidelityThreshold, an exhaustive proof and a
+// Clifford pair (the tableau is polynomial) never reach the DD complete
+// check.  Basis indices are uint64, so the register must leave room to
+// count 2^n.
 func finishEligible(n int, opts Options, run simRun) bool {
-	return !opts.UpToGlobalPhase && opts.Strategy != ec.StrategyStabilizer &&
-		run.identical && run.n > 0 && n < 63
+	return !opts.UpToGlobalPhase && run.identical && run.n > 0 && n < 63
 }
 
 // yieldRule returns the probe's ec.Options.Progress.  colCost is the

@@ -73,11 +73,10 @@ func TestCheckLeasesOncePerWorker(t *testing.T) {
 	}
 }
 
-// TestStabilizerCheckLeasesOnce: a pooled pipeline check under the
-// stabilizer strategy runs its strict-phase anchor on the stage's package,
-// so it leases once, as the race's stab prover does, and the anchor keeps
-// the output permutation the stage pinned.  Up to phase no anchor runs,
-// and a standalone ec.Check leases nothing.
+// TestStabilizerCheckLeasesOnce: a pooled pipeline check of a Clifford
+// pair leases once, the stimuli's package, since its complete check, the
+// tableau, builds no DD, with or without an output permutation.  An
+// up-to-phase stab prover decides on the tableau alone and leases nothing.
 func TestStabilizerCheckLeasesOnce(t *testing.T) {
 	g := loadSeedCircuit(t, "../../circuits/clifford8.qasm")
 	gp := g.Clone().Swap(0, 7)
@@ -92,18 +91,18 @@ func TestStabilizerCheckLeasesOnce(t *testing.T) {
 		{"clifford8 with its output relabelled", gp, perm},
 	} {
 		before := pool.Stats().Gets
-		rep := Check(g, c.gp, Options{Pool: pool, Strategy: ec.StrategyStabilizer, OutputPerm: c.perm})
-		if rep.Verdict != Equivalent || rep.DecidedBy != "ec:stabilizer" {
-			t.Fatalf("%s: %v by %q, want equivalent by ec:stabilizer", c.name, rep.Verdict, rep.DecidedBy)
+		rep := Check(g, c.gp, Options{Pool: pool, OutputPerm: c.perm})
+		if rep.Verdict != Equivalent || rep.DecidedBy != "stab" {
+			t.Fatalf("%s: %v by %q, want equivalent by stab", c.name, rep.Verdict, rep.DecidedBy)
 		}
 		if gets := pool.Stats().Gets - before; gets != 1 {
 			t.Errorf("%s: %d leases, want 1", c.name, gets)
 		}
 	}
 	before := pool.Stats().Gets
-	res := ec.Check(g, g.Clone(), ec.Options{Strategy: ec.StrategyStabilizer, UpToGlobalPhase: true, Pool: pool})
-	if res.Verdict != ec.EquivalentUpToGlobalPhase {
-		t.Fatalf("up to phase: %v, want equivalent up to phase", res.Verdict)
+	rep := Check(g, g.Clone(), Options{Provers: []string{"stab"}, UpToGlobalPhase: true, Pool: pool})
+	if rep.Verdict != EquivalentUpToGlobalPhase {
+		t.Fatalf("up to phase: %v, want equivalent up to phase", rep.Verdict)
 	}
 	if gets := pool.Stats().Gets - before; gets != 0 {
 		t.Errorf("up to phase: %d leases, want none", gets)

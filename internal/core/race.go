@@ -163,24 +163,33 @@ func race(g1, g2 *circuit.Circuit, provers []portfolio.Prover, opts Options) Rep
 // inconclusive.
 func raceSim(g1, g2 *circuit.Circuit, o Options) portfolio.Outcome {
 	o.SkipEC = true
-	rep := check(g1, g2, o)
+	return reportOutcome(check(g1, g2, o), o)
+}
+
+// reportOutcome translates a pipeline report run on o into a race outcome.
+func reportOutcome(rep Report, o Options) portfolio.Outcome {
 	ddStats := rep.DD
 	if rep.Err != nil {
 		// Worker panic isolated by the stage: degraded, not definitive.
 		return portfolio.Outcome{Stop: portfolio.StopError, Err: rep.Err, Detail: rep.Err.Error(), DD: &ddStats}
 	}
 	out := portfolio.Outcome{Detail: fmt.Sprintf("%d sims", rep.NumSims), DD: &ddStats}
+	if rep.DecidedBy == "stab" {
+		out.Detail += ", tableau"
+	}
 	switch rep.Verdict {
 	case NotEquivalent:
 		out.Verdict = portfolio.NotEquivalent
 		if rep.Counterexample != nil {
 			ce := rep.Counterexample.Input
 			out.Counterexample = &ce
-			out.Detail = fmt.Sprintf("%d sims, counterexample |%b>", rep.NumSims, ce)
+			out.Detail += fmt.Sprintf(", counterexample |%b>", ce)
 		}
 	case Equivalent:
 		out.Verdict = portfolio.Equivalent
-		out.Detail = fmt.Sprintf("%d sims (exhaustive)", rep.NumSims)
+		if rep.Exhaustive {
+			out.Detail += " (exhaustive)"
+		}
 	case EquivalentUpToGlobalPhase:
 		out.Verdict = portfolio.EquivalentUpToGlobalPhase
 	default: // ProbablyEquivalent: not definitive
@@ -262,20 +271,26 @@ func raceGateCost(g1, g2 *circuit.Circuit, o Options) portfolio.Outcome {
 	return raceEC(g1, g2, o)
 }
 
-// raceStab runs the polynomial-time stabilizer tableau checker
-// (ec.StrategyStabilizer).  Before entering the race it runs the gate-set
-// analyzer on both circuits; a non-Clifford gate anywhere means the prover
-// declines immediately (StopError) at the cost of one early-exit scan, so
-// universal-gate-set pairs see zero overhead from having stab in the race.
-// On Clifford-only pairs it is complete in both phase conventions (the
-// strict convention adds one basis-state phase anchor).
+// raceStab runs the polynomial-time stabilizer tableau (stab.Check), the
+// pipeline's complete check of a Clifford pair.  A non-Clifford gate
+// anywhere means the prover declines (StopError) at the cost of one
+// early-exit scan, so universal-gate-set pairs see no overhead from having
+// stab in the race.  On Clifford pairs it is complete in both phase
+// conventions: up to phase the tableau decides alone, and a strict race
+// runs the pipeline on the one stimulus |0…0⟩, whose column pins the
+// scalar the tableau cannot see.
 func raceStab(g1, g2 *circuit.Circuit, o Options) portfolio.Outcome {
-	angleTol := circuit.CliffordAngleTolerance(o.Tolerance)
-	if !circuit.IsClifford(g1, angleTol) || !circuit.IsClifford(g2, angleTol) {
+	if !cliffordPair(g1, g2, o.Tolerance) {
 		return portfolio.Outcome{Stop: portfolio.StopError, Detail: "non-Clifford gate set"}
 	}
-	o.Strategy = ec.StrategyStabilizer
-	return raceEC(g1, g2, o)
+	var rep Report
+	if o.UpToGlobalPhase && g1.N == g2.N {
+		rep.decideByTableau(g1, g2, o, false)
+	} else {
+		o.Stimuli = []uint64{0}
+		rep = check(g1, g2, o)
+	}
+	return reportOutcome(rep, o)
 }
 
 // raceRewrite reduces the miter G'·G⁻¹ with local rewrite rules: sound,

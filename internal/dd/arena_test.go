@@ -315,8 +315,8 @@ func TestComputeEntriesPointerFree(t *testing.T) {
 		entry := f.Type.Field(0).Type.Elem() // ctab.e is []E
 		check(f.Name+" "+entry.Name(), entry)
 	}
-	if tables != 9 {
-		t.Errorf("found %d compute tables, want 9", tables)
+	if tables != 8 {
+		t.Errorf("found %d compute tables, want 8", tables)
 	}
 
 	for _, c := range []struct {

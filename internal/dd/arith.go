@@ -1,7 +1,6 @@
 package dd
 
 import (
-	"fmt"
 	"math"
 	"math/cmplx"
 
@@ -135,16 +134,6 @@ type ctEntry struct {
 	resW, gen uint32
 }
 
-// krEntry serves KronM and KronV: a, b and resN are MRefs or VRefs as isV
-// says.
-type krEntry struct {
-	a, b      uint32
-	shift     int32
-	resN      uint32
-	resW, gen uint32
-	isV       bool
-}
-
 // invalidateComputeTables empties every compute table in O(1) by moving the
 // package to a new generation.  The arrays are zeroed only when the counter
 // wraps around, once every 2^32 - 1 collections.
@@ -160,7 +149,6 @@ func (p *Package) invalidateComputeTables() {
 	p.mm.restart(wipe)
 	p.ip.restart(wipe)
 	p.ct.restart(wipe)
-	p.kr.restart(wipe)
 	p.ap.restart(wipe)
 	p.apb.restart(wipe)
 }
@@ -386,57 +374,4 @@ func (p *Package) ConjugateTranspose(m MEdge) MEdge {
 	})
 	p.ct.put(h, ctEntry{m: m.N, resN: res.N, resW: wid(res.W), gen: p.gen})
 	return p.scaleM(res, wc)
-}
-
-// KronM returns a ⊗ b where b occupies the bLevels lowest levels and a is
-// shifted up accordingly.  The caller must ensure the combined level range
-// fits the package.
-func (p *Package) KronM(a, b MEdge, bLevels int) MEdge {
-	if a.W == p.CN.Zero || b.W == p.CN.Zero {
-		return p.MZero()
-	}
-	if a.N == 0 {
-		return p.scaleM(b, a.W)
-	}
-	if p.mLv(a.N)+bLevels >= p.n {
-		panic(fmt.Sprintf("dd: KronM level overflow (a level %d, shift %d)", p.mLv(a.N), bLevels))
-	}
-	h := mix(mix(mix(0xA0761D6478BD642F, uint64(a.N)), uint64(b.N)), uint64(bLevels))
-	if ent := p.kr.slot(h); ent != nil && ent.gen == p.gen && ent.a == uint32(a.N) && ent.b == uint32(b.N) && int(ent.shift) == bLevels && !ent.isV {
-		p.cacheHits++
-		return p.scaleM(p.mRes(MRef(ent.resN), ent.resW), a.W)
-	}
-	p.computeMiss()
-	var r [4]MEdge
-	for i := 0; i < 4; i++ {
-		r[i] = p.KronM(p.mE(a.N, i), b, bLevels)
-	}
-	res := p.makeMNode(p.mLv(a.N)+bLevels, r)
-	p.kr.put(h, krEntry{a: uint32(a.N), b: uint32(b.N), shift: int32(bLevels), resN: uint32(res.N), resW: wid(res.W), gen: p.gen})
-	return p.scaleM(res, a.W)
-}
-
-// KronV returns a ⊗ b for state DDs, with b occupying the bLevels lowest
-// levels.
-func (p *Package) KronV(a, b VEdge, bLevels int) VEdge {
-	if a.W == p.CN.Zero || b.W == p.CN.Zero {
-		return p.VZero()
-	}
-	if a.N == 0 {
-		return p.scaleV(b, a.W)
-	}
-	if p.vLv(a.N)+bLevels >= p.n {
-		panic(fmt.Sprintf("dd: KronV level overflow (a level %d, shift %d)", p.vLv(a.N), bLevels))
-	}
-	h := mix(mix(mix(0xE7037ED1A0B428DB, uint64(a.N)), uint64(b.N)), uint64(bLevels))
-	if ent := p.kr.slot(h); ent != nil && ent.gen == p.gen && ent.a == uint32(a.N) && ent.b == uint32(b.N) && int(ent.shift) == bLevels && ent.isV {
-		p.cacheHits++
-		return p.scaleV(p.vRes(VRef(ent.resN), ent.resW), a.W)
-	}
-	p.computeMiss()
-	r0 := p.KronV(p.vE(a.N, 0), b, bLevels)
-	r1 := p.KronV(p.vE(a.N, 1), b, bLevels)
-	res := p.makeVNode(p.vLv(a.N)+bLevels, r0, r1)
-	p.kr.put(h, krEntry{a: uint32(a.N), b: uint32(b.N), shift: int32(bLevels), isV: true, resN: uint32(res.N), resW: wid(res.W), gen: p.gen})
-	return p.scaleV(res, a.W)
 }

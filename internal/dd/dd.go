@@ -114,7 +114,6 @@ type Package struct {
 	mm   ctab[mmEntry]
 	ip   ctab[ipEntry]
 	ct   ctab[ctEntry]
-	kr   ctab[krEntry]
 	ap   ctab[apEntry]
 	apb  ctab[apbEntry]
 

@@ -325,47 +325,6 @@ func TestConjugateTransposeAgainstDense(t *testing.T) {
 	}
 }
 
-func TestKronAgainstDense(t *testing.T) {
-	p := NewDefault(3)
-	// Build H on a 1-level package region and X on 2 levels, kron them.
-	h1 := p.GateDD(hMat, 0, nil) // 3-level here; instead build small pieces manually
-	_ = h1
-	// Use terminal-rooted small pieces: matrix on the lowest level only.
-	hLow := p.makeMNode(0, [4]MEdge{
-		p.MTerminal(hMat[0][0]), p.MTerminal(hMat[0][1]),
-		p.MTerminal(hMat[1][0]), p.MTerminal(hMat[1][1]),
-	})
-	xMid := p.makeMNode(0, [4]MEdge{
-		p.MTerminal(0), p.MTerminal(1), p.MTerminal(1), p.MTerminal(0),
-	})
-	// kron(x, h): x occupies level 1, h level 0.
-	kr := p.KronM(xMid, hLow, 1)
-	wantH := dense.GateMatrix(1, hMat, 0, nil)
-	wantX := dense.GateMatrix(1, xMat, 0, nil)
-	want := dense.Kron(wantX, wantH)
-	got := make(dense.Matrix, 4)
-	for r := uint64(0); r < 4; r++ {
-		got[r] = make([]complex128, 4)
-		for c := uint64(0); c < 4; c++ {
-			got[r][c] = p.MatrixEntry(kr, r, c)
-		}
-	}
-	if !dense.MatApproxEqual(got, want, 1e-12) {
-		t.Fatalf("KronM mismatch:\n%v\nwant\n%v", got, want)
-	}
-}
-
-func TestKronV(t *testing.T) {
-	p := NewDefault(2)
-	// |1> ⊗ |0> = |10>
-	one := p.makeVNode(0, p.VZero(), VEdge{W: p.CN.One})
-	zero := p.makeVNode(0, VEdge{W: p.CN.One}, p.VZero())
-	kr := p.KronV(one, zero, 1)
-	if got := p.Amplitude(kr, 2); cmplx.Abs(got-1) > 1e-12 {
-		t.Fatalf("KronV |10> amplitude = %v", got)
-	}
-}
-
 func TestCircuitVsInverseIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	n := 4
@@ -639,25 +598,6 @@ func TestFormatState(t *testing.T) {
 	if z := p.FormatState(p.VZero(), 4); z != "0" {
 		t.Errorf("FormatState(zero) = %q", z)
 	}
-}
-
-func TestDumpDOT(t *testing.T) {
-	p := NewDefault(2)
-	st := p.MulMV(p.GateDD(hMat, 0, nil), p.ZeroState())
-	var sb stringsBuilder
-	if err := p.DumpDOT(&sb, st); err != nil {
-		t.Fatal(err)
-	}
-	if len(sb.s) == 0 {
-		t.Fatal("empty DOT output")
-	}
-}
-
-type stringsBuilder struct{ s []byte }
-
-func (b *stringsBuilder) Write(p []byte) (int, error) {
-	b.s = append(b.s, p...)
-	return len(p), nil
 }
 
 func TestNodeLimitAborts(t *testing.T) {

@@ -2,7 +2,6 @@ package dd
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 	"strings"
@@ -203,34 +202,4 @@ func (p *Package) FormatState(a VEdge, limit int) string {
 		return "0"
 	}
 	return b.String()
-}
-
-// DumpDOT writes a Graphviz rendering of a vector DD (for debugging and the
-// examples).
-func (p *Package) DumpDOT(w io.Writer, a VEdge) error {
-	if _, err := fmt.Fprintln(w, "digraph vdd {"); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "  root [shape=point];\n  root -> n%d [label=\"%s\"];\n", uint64(a.N), a.W)
-	seen := make(map[VRef]bool)
-	var walk func(n VRef)
-	walk = func(n VRef) {
-		if n == 0 || seen[n] {
-			return
-		}
-		seen[n] = true
-		fmt.Fprintf(w, "  n%d [label=\"q%d\"];\n", uint64(n), p.vLv(n))
-		for i := 0; i < 2; i++ {
-			e := p.vE(n, i)
-			if e.W == p.CN.Zero {
-				continue
-			}
-			fmt.Fprintf(w, "  n%d -> n%d [label=\"%d: %s\"];\n", uint64(n), uint64(e.N), i, e.W)
-			walk(e.N)
-		}
-	}
-	walk(a.N)
-	fmt.Fprintln(w, "  n0 [label=\"1\", shape=box];")
-	_, err := fmt.Fprintln(w, "}")
-	return err
 }

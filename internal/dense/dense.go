@@ -237,25 +237,6 @@ func Dagger(m Matrix) Matrix {
 	return out
 }
 
-// Kron returns a ⊗ b.
-func Kron(a, b Matrix) Matrix {
-	da, db := len(a), len(b)
-	out := NewMatrix(da * db)
-	for i := 0; i < da; i++ {
-		for j := 0; j < da; j++ {
-			if a[i][j] == 0 {
-				continue
-			}
-			for k := 0; k < db; k++ {
-				for l := 0; l < db; l++ {
-					out[i*db+k][j*db+l] = a[i][j] * b[k][l]
-				}
-			}
-		}
-	}
-	return out
-}
-
 // MatApproxEqual reports whether two matrices agree entry-wise within tol.
 func MatApproxEqual(a, b Matrix, tol float64) bool {
 	if len(a) != len(b) {

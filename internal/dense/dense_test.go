@@ -132,17 +132,6 @@ func TestMulAndDagger(t *testing.T) {
 	}
 }
 
-func TestKron(t *testing.T) {
-	x := GateMatrix(1, xMat, 0, nil)
-	z := GateMatrix(1, zMat, 0, nil)
-	xz := Kron(x, z) // x on high qubit, z on low qubit
-	want := GateMatrix(2, zMat, 0, nil)
-	want = Mul(GateMatrix(2, xMat, 1, nil), want)
-	if !MatApproxEqual(xz, want, 1e-12) {
-		t.Fatalf("X⊗Z mismatch:\n%v\nvs\n%v", xz, want)
-	}
-}
-
 func TestMulVec(t *testing.T) {
 	m := GateMatrix(2, xMat, 0, nil)
 	v := BasisState(2, 0)

@@ -29,13 +29,14 @@
 //
 // All strategies support cooperative timeouts and node budgets, making
 // "Timeout" a first-class verdict exactly as in the paper's evaluation.
-// Every DD run here — the complete check, and the stabilizer strategy's
-// phase anchor — goes through one set-up (see check): it runs on a package
+// Every check goes through one set-up (see check): it runs on a package
 // leased from Options.Pool (dd.Pool.Lease), which wires it to
 // Options.Context and to any memory watchdog the context carries, and
 // recovers its panics with one guard (see guard).  CheckOn runs it on a
 // package its caller already holds instead: the flow's simulation stage
-// hands over its own, so one package serves a whole check.
+// hands over its own, so one package serves a whole check.  Clifford pairs
+// have a polynomial complete check of their own, the stabilizer tableau
+// (internal/stab); the flow routes them there by gate set (internal/core).
 package ec
 
 import (
@@ -72,12 +73,6 @@ const (
 	// and is otherwise estimated from a static per-kind cost table
 	// (EstimateCostProfile).
 	StrategyGateCost
-	// StrategyStabilizer routes the pair to the polynomial-time tableau
-	// checker (internal/stab) instead of any DD scheme.  It is complete on
-	// Clifford-only pairs and declines everything else with a typed
-	// *NotCliffordError (Cause == CauseError), leaving universal gate sets
-	// to the DD strategies.
-	StrategyStabilizer
 )
 
 // String returns the strategy name.
@@ -93,8 +88,6 @@ func (s Strategy) String() string {
 		return "lookahead"
 	case StrategyGateCost:
 		return "gate-cost"
-	case StrategyStabilizer:
-		return "stabilizer"
 	default:
 		return fmt.Sprintf("strategy(%d)", int(s))
 	}
@@ -116,10 +109,8 @@ func ParseStrategy(name string) (Strategy, error) {
 		return Lookahead, nil
 	case "gate-cost", "gatecost", "gate_cost", "compilation_flow":
 		return StrategyGateCost, nil
-	case "stabilizer":
-		return StrategyStabilizer, nil
 	}
-	return 0, fmt.Errorf("unknown strategy %q (want construction|sequential|proportional|lookahead|gate_cost|stabilizer)", name)
+	return 0, fmt.Errorf("unknown strategy %q (want construction|sequential|proportional|lookahead|gate_cost)", name)
 }
 
 // Verdict is the outcome of a complete equivalence check.
@@ -170,8 +161,7 @@ type Options struct {
 	Timeout time.Duration
 	// NodeLimit aborts the check when the DD package exceeds this many live
 	// nodes; zero (or negative) means no limit.  Exceeding it yields
-	// TimedOut.  It bounds the miter: the stabilizer strategy's phase
-	// anchor, one basis column, runs without it.
+	// TimedOut.  It bounds the miter.
 	NodeLimit int
 	// UpToGlobalPhase accepts a unit-magnitude scalar factor between the two
 	// circuits (decompositions routinely introduce one).
@@ -192,12 +182,11 @@ type Options struct {
 	// static per-kind estimate (EstimateCostProfile).  Other strategies
 	// ignore it.
 	CostProfile []int
-	// Progress, when non-nil, is called after every gate application of a
-	// DD strategy (the stabilizer strategy applies none); returning true
-	// stops the check with Verdict TimedOut and Cause CauseYielded.
-	// core.Check passes one to run the complete check as a probe that
-	// yields once simulating the remaining basis columns is predicted to
-	// cost less than finishing it.
+	// Progress, when non-nil, is called after every gate application;
+	// returning true stops the check with Verdict TimedOut and Cause
+	// CauseYielded.  core.Check passes one to run the complete check as a
+	// probe that yields once simulating the remaining basis columns is
+	// predicted to cost less than finishing it.
 	Progress func(Progress) bool
 	// Pool, when non-nil, supplies a warm DD package (dd.Pool.Lease)
 	// instead of a fresh one, and receives it back reset when the check
@@ -296,7 +285,7 @@ type Result struct {
 	PeakNodes      int
 	FinalNodes     int
 	Strategy       Strategy
-	Counterexample *uint64   // basis state whose columns differ, if found
+	Counterexample *uint64   // basis input the circuits map apart, if found
 	Cause          StopCause // what stopped a TimedOut check
 	Reason         string    // human-readable cause for TimedOut
 	// Err carries the typed failure behind CauseError (*resource.PanicError)
@@ -392,8 +381,7 @@ func (c *checker) maybeGC(live ...dd.MEdge) {
 }
 
 // Check decides the equivalence of g1 and g2 on a package leased from
-// opts.Pool and released when the check ends.  The stabilizer strategy
-// leases one only when its strict-phase anchor runs.
+// opts.Pool and released when the check ends.
 func Check(g1, g2 *circuit.Circuit, opts Options) Result {
 	res, _ := check(nil, g1, g2, opts, nil)
 	return res
@@ -405,18 +393,16 @@ func Check(g1, g2 *circuit.Circuit, opts Options) Result {
 // when fault reports a genuine panic recovered on it.  The check leaves p
 // without a node limit or deadline, and every collection it runs keeps
 // pinned, the caller's matrix DDs on p.  Result.DD counts only the check's
-// work, and its node counts measure the matrix nodes alone (a miter's, or
-// for the stabilizer strategy's anchor, which simulates one column, only
-// an un-permutation's), so the dead vectors of a simulation run on p
-// before are neither counted nor, until the miter's own population reaches
-// its collection trigger, collected.  A register-size mismatch, and a
-// stabilizer check that needs no anchor, leave p untouched.
+// work, and its node counts measure the miter's matrix nodes alone, so the
+// dead vectors of a simulation run on p before are neither counted nor,
+// until the miter's own population reaches its collection trigger,
+// collected.  A register-size mismatch leaves p untouched.
 func CheckOn(p *dd.Package, g1, g2 *circuit.Circuit, opts Options, pinned []dd.MEdge) (res Result, fault bool) {
 	return check(p, g1, g2, opts, pinned)
 }
 
 // check is CheckOn on p, or, with p nil, on a package leased from opts.Pool
-// for the check's DD run and released after it.  Both entry points share
+// for the check and released after it.  Both entry points share
 // its one set-up: the deadline, the node limit, the panic guard and the
 // statistics.
 func check(p *dd.Package, g1, g2 *circuit.Circuit, opts Options, pinned []dd.MEdge) (res Result, fault bool) {
@@ -433,11 +419,6 @@ func check(p *dd.Package, g1, g2 *circuit.Circuit, opts Options, pinned []dd.MEd
 	if opts.Timeout > 0 {
 		c.deadline = start.Add(opts.Timeout)
 	}
-	stabilizer := opts.Strategy == StrategyStabilizer
-	if stabilizer && !c.tableau(g1, g2) {
-		c.result.Runtime = time.Since(start)
-		return c.result, false
-	}
 	if p == nil {
 		p = opts.Pool.Lease(opts.Context, g1.N, opts.Tolerance)
 		defer func() { p.Release(fault) }()
@@ -449,20 +430,14 @@ func check(p *dd.Package, g1, g2 *circuit.Circuit, opts Options, pinned []dd.MEd
 		// multiplication would otherwise run far past any per-gate check.
 		p.SetDeadline(c.deadline)
 	}
-	if opts.NodeLimit > 0 && !stabilizer {
-		// The node limit bounds the miter.  The anchor builds vectors,
-		// which on a held package share their kind's population with a
-		// simulation's dead vectors.
+	if opts.NodeLimit > 0 {
 		p.SetNodeLimit(opts.NodeLimit)
 	}
 	func() {
 		defer guard(opts.Context, "ec "+opts.Strategy.String(), &c.result, &fault)
-		switch opts.Strategy {
-		case StrategyStabilizer:
-			c.anchorPhase(g1, g2)
-		case Construction:
+		if opts.Strategy == Construction {
 			c.runConstruction(g1, g2)
-		default:
+		} else {
 			c.runAlternating(g1, g2)
 		}
 	}()
@@ -475,8 +450,7 @@ func check(p *dd.Package, g1, g2 *circuit.Circuit, opts Options, pinned []dd.MEd
 	return c.result, fault
 }
 
-// guard is the panic guard of the DD run of every check: the complete
-// check and the stabilizer's phase anchor.  Deferred directly, it turns a
+// guard is the panic guard of every check.  Deferred directly, it turns a
 // *dd.LimitError into a TimedOut verdict with the limit's cause, and any
 // other panic (degenerate input, injected chaos, a bug) into CauseError
 // with a *resource.PanicError instead of a crash across the prover
@@ -514,7 +488,7 @@ func (c *checker) target() dd.MEdge {
 	return sim.PermutationDD(c.p, c.opts.OutputPerm)
 }
 
-func (c *checker) classify(m, target dd.MEdge) {
+func (c *checker) classify(g1, g2 *circuit.Circuit, m, target dd.MEdge) {
 	if m.N == target.N {
 		if m.W == target.W {
 			c.result.Verdict = Equivalent
@@ -538,7 +512,7 @@ func (c *checker) classify(m, target dd.MEdge) {
 	// builds vectors, which on a held package share their kind's population
 	// with a simulation's dead vectors.
 	c.p.SetNodeLimit(0)
-	if ce, ok := findCounterexample(c.p, m, target, c.agreeTol); ok {
+	if ce, ok := c.findCounterexample(g1, g2, m, target); ok {
 		c.result.Counterexample = &ce
 	}
 }
@@ -573,7 +547,7 @@ func (c *checker) runConstruction(g1, g2 *circuit.Circuit) {
 	// schemes do.
 	m := c.p.MulMM(u2, c.p.ConjugateTranspose(u1))
 	c.note()
-	c.classify(m, c.target())
+	c.classify(g1, g2, m, c.target())
 }
 
 // runAlternating consumes gates of G' (left multiplications) and inverted
@@ -627,7 +601,7 @@ func (c *checker) runAlternating(g1, g2 *circuit.Circuit) {
 		}
 		c.maybeGC(m, target)
 	}
-	c.classify(m, target)
+	c.classify(g1, g2, m, target)
 }
 
 // schedule returns the cumulative schedule of a schedule strategy: sched[i]
@@ -678,27 +652,40 @@ func proportionalSchedule(n1, n2 int) []int {
 	return sched
 }
 
-// findCounterexample searches for a basis state |i> on which the accumulated
-// product m and the target disagree, i.e. an input on which the two circuits
-// produce different outputs.  Because errors typically affect most columns
-// (paper Sec. IV-A), a short deterministic-then-random probe almost always
-// succeeds.  A column counts as disagreeing when its fidelity falls below
-// 1-tol, with tol derived from the package weight tolerance
-// (cn.AgreementTolerance) so a loose package does not manufacture witnesses
-// out of its own rounding.
-func findCounterexample(p *dd.Package, m, target dd.MEdge, tol float64) (uint64, bool) {
-	n := p.Qubits()
+// findCounterexample searches for a basis state |i> on which the two
+// circuits produce different outputs, by simulating both on it
+// (sim.Pair.Compare) and judging the outputs as the flow's stimuli are
+// judged (cn.StatesAgree in the check's phase mode, at the tolerance
+// derived from the package weight tolerance, so a loose package does not
+// manufacture witnesses out of its own rounding).  The miter's own columns
+// name no such input: column i of U'·U† missing the target shows that the
+// circuits differ on U†|i>, which is |i> only when U is the identity.  But
+// they are cheap, so they screen the search: when every probed column of m
+// keeps the target's column up to a phase, no pair of circuits is
+// simulated and no counterexample is reported.
+func (c *checker) findCounterexample(g1, g2 *circuit.Circuit, m, target dd.MEdge) (uint64, bool) {
+	p := c.p
+	if _, off := probeBasis(p.Qubits(), func(i uint64) bool {
+		return p.Fidelity(p.MulMV(m, p.BasisState(i)), p.MulMV(target, p.BasisState(i))) < 1-c.agreeTol
+	}); !off {
+		return 0, false
+	}
+	pair := sim.NewPair(p, sim.Prepare(g1), sim.Prepare(g2), c.opts.OutputPerm, c.pinned...)
+	return probeBasis(p.Qubits(), func(i uint64) bool {
+		return !cn.StatesAgree(pair.Compare(i).Overlap, c.opts.UpToGlobalPhase, c.agreeTol)
+	})
+}
+
+// probeBasis returns the first basis state of n qubits that probe accepts,
+// trying the first 64 in order and then 256 seeded random ones.  Because
+// errors typically affect most columns (paper Sec. IV-A), this short probe
+// almost always succeeds when any state would.
+func probeBasis(n int, probe func(uint64) bool) (uint64, bool) {
 	var limit uint64
 	if n >= 16 {
 		limit = 1 << 16
 	} else {
 		limit = 1 << uint(n)
-	}
-	probe := func(i uint64) bool {
-		col := p.MulMV(m, p.BasisState(i))
-		ref := p.MulMV(target, p.BasisState(i))
-		f := p.Fidelity(col, ref)
-		return f < 1-tol
 	}
 	for i := uint64(0); i < 64 && i < limit; i++ {
 		if probe(i) {

@@ -29,13 +29,12 @@ func (c *cancelInjector) BeforeApply(p *dd.Package, _ uint64) {
 	c.filled = true
 }
 
-// TestCheckLeasesWithContext: the complete check and the stabilizer's phase
-// anchor lease their package on Options.Context, so a cancellation reaches
-// inside a gate application, and the shared guard reports it as
-// CauseCancelled.
+// TestCheckLeasesWithContext: the complete check leases its package on
+// Options.Context, so a cancellation reaches inside a gate application, and
+// the shared guard reports it as CauseCancelled.
 func TestCheckLeasesWithContext(t *testing.T) {
 	g := ghz(13) // 16382 basis-state nodes: past the 8192-allocation checkpoint
-	for _, strat := range []Strategy{Proportional, Construction, StrategyStabilizer} {
+	for _, strat := range []Strategy{Proportional, Construction} {
 		ctx, cancel := context.WithCancel(context.Background())
 		inj := &cancelInjector{cancel: cancel}
 		dd.SetDefaultFaultInjector(inj)

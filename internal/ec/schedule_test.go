@@ -126,19 +126,18 @@ func TestParseStrategy(t *testing.T) {
 		{"gatecost", StrategyGateCost},
 		{"gate_cost", StrategyGateCost},
 		{"compilation_flow", StrategyGateCost},
-		{"stabilizer", StrategyStabilizer},
 	} {
 		got, err := ParseStrategy(tc.name)
 		if err != nil || got != tc.want {
 			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
 		}
 	}
-	for _, s := range []Strategy{Proportional, Construction, Sequential, Lookahead, StrategyGateCost, StrategyStabilizer} {
+	for _, s := range []Strategy{Proportional, Construction, Sequential, Lookahead, StrategyGateCost} {
 		if got, err := ParseStrategy(s.String()); err != nil || got != s {
 			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", s.String(), got, err, s)
 		}
 	}
-	for _, bad := range []string{"bogus", "Proportional", " proportional", "gate cost"} {
+	for _, bad := range []string{"bogus", "Proportional", " proportional", "gate cost", "stabilizer"} {
 		if _, err := ParseStrategy(bad); err == nil {
 			t.Errorf("ParseStrategy(%q) accepted an unknown name", bad)
 		}

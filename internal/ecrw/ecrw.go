@@ -17,7 +17,6 @@ package ecrw
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"qcec/internal/circuit"
 	"qcec/internal/opt"
@@ -50,7 +49,6 @@ type Result struct {
 	Verdict        Verdict
 	MiterGates     int // gates in G'·G⁻¹ before reduction
 	ResidualGates  int // gates left after reduction
-	Runtime        time.Duration
 	RewritePasses  int
 	CancelledPairs int
 	Cancelled      bool // Inconclusive because the context was cancelled
@@ -66,9 +64,8 @@ func Check(g1, g2 *circuit.Circuit) Result {
 // as it goes and stops early when it is cancelled, yielding Inconclusive
 // with Result.Cancelled set.  A nil ctx disables cancellation.
 func CheckCtx(ctx context.Context, g1, g2 *circuit.Circuit) Result {
-	start := time.Now()
 	if g1.N != g2.N {
-		return Result{Verdict: Inconclusive, Runtime: time.Since(start)}
+		return Result{Verdict: Inconclusive}
 	}
 	miter := g2.Clone()
 	miter.Name = "miter"
@@ -78,7 +75,6 @@ func CheckCtx(ctx context.Context, g1, g2 *circuit.Circuit) Result {
 		Verdict:        Inconclusive,
 		MiterGates:     miter.NumGates(),
 		ResidualGates:  reduced.NumGates(),
-		Runtime:        time.Since(start),
 		RewritePasses:  stats.Passes,
 		CancelledPairs: stats.CancelledPairs,
 		Cancelled:      err != nil,

@@ -458,8 +458,27 @@ func TestECNodeLimitZeroDisablesBudget(t *testing.T) {
 // TestRunFlowHonoursECNodeLimit: the flow experiment runs on the caller's
 // options, ECNodeLimit included, so a budget too small for the complete
 // check leaves an equivalent pair the simulations cannot cover probably
-// equivalent (qectab -table flow -ec-node-limit used to be ignored).
+// equivalent (qectab -table flow -ec-node-limit used to be ignored).  The
+// pair carries a T gate: a Clifford pair's complete check is the tableau,
+// which builds no DD (TestRunFlowCliffordIgnoresECNodeLimit).
 func TestRunFlowHonoursECNodeLimit(t *testing.T) {
+	g := circuit.New(6, "ghz6+t")
+	g.H(0)
+	for q := 0; q < 5; q++ {
+		g.CX(q, q+1)
+	}
+	g.T(2)
+	inst := Instance{Name: "node-limit", N: 6, G: g, Gp: g.Clone(), WantEquivalent: true}
+	s := RunFlow([]Instance{inst}, core.Options{R: 1, ECTimeout: 30 * time.Second, ECNodeLimit: 4})
+	if s.ProbablyEquivalent != 1 || s.Equivalent != 0 {
+		t.Fatalf("flow under a 4-node budget: %+v, want the pair probably equivalent", s)
+	}
+}
+
+// TestRunFlowCliffordIgnoresECNodeLimit is TestRunFlowHonoursECNodeLimit on
+// the Clifford GHZ pair: the tableau decides it, and the DD node budget
+// does not apply.
+func TestRunFlowCliffordIgnoresECNodeLimit(t *testing.T) {
 	g := circuit.New(6, "ghz6")
 	g.H(0)
 	for q := 0; q < 5; q++ {
@@ -467,8 +486,8 @@ func TestRunFlowHonoursECNodeLimit(t *testing.T) {
 	}
 	inst := Instance{Name: "node-limit", N: 6, G: g, Gp: g.Clone(), WantEquivalent: true}
 	s := RunFlow([]Instance{inst}, core.Options{R: 1, ECTimeout: 30 * time.Second, ECNodeLimit: 4})
-	if s.ProbablyEquivalent != 1 || s.Equivalent != 0 {
-		t.Fatalf("flow under a 4-node budget: %+v, want the pair probably equivalent", s)
+	if s.Equivalent != 1 || s.ProbablyEquivalent != 0 {
+		t.Fatalf("Clifford flow under a 4-node budget: %+v, want the pair equivalent", s)
 	}
 }
 

@@ -23,12 +23,14 @@ type CheckOptions struct {
 	// Parallel is the simulation-stage worker count (0 or 1 = sequential;
 	// capped at the server's per-job parallelism limit).
 	Parallel int `json:"parallel,omitempty"`
-	// Strategy selects the complete routine's gate order:
-	// proportional|construction|sequential|lookahead|gate_cost|stabilizer
+	// Strategy selects the DD complete routine's gate order:
+	// proportional|construction|sequential|lookahead|gate_cost
 	// ("" = proportional; "gate-cost", "gatecost" and "compilation_flow"
-	// are accepted aliases of gate_cost and share its cache entries).
+	// are accepted aliases of gate_cost and share its cache entries).  A
+	// Clifford pair's complete routine is the stabilizer tableau, whatever
+	// the strategy.
 	Strategy string `json:"strategy,omitempty"`
-	// NodeLimit bounds the complete routine's DD size (0 = none).
+	// NodeLimit bounds the DD complete routine's size (0 = none).
 	NodeLimit int `json:"node_limit,omitempty"`
 	// UpToGlobalPhase accepts a scalar phase between the circuits.
 	UpToGlobalPhase bool `json:"up_to_phase,omitempty"`
@@ -123,8 +125,8 @@ type CheckResponse struct {
 	// the remaining basis columns (Timings.ECMS still holds the probe).
 	ECVerdict string `json:"ec_verdict,omitempty"`
 	// DecidedBy names the flow stage that produced a definitive verdict —
-	// "sim" or "ec:<strategy>" (e.g. "ec:stabilizer") — and is empty for
-	// inconclusive outcomes.  qcecd runs the pipeline, never the prover
+	// "sim", "stab" (a Clifford pair's tableau) or "ec:<strategy>" (e.g.
+	// "ec:proportional") — and is empty for inconclusive outcomes.  qcecd runs the pipeline, never the prover
 	// race, so no other prover name appears here.
 	DecidedBy      string          `json:"decided_by,omitempty"`
 	Counterexample *Counterexample `json:"counterexample,omitempty"`

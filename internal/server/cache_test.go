@@ -238,7 +238,7 @@ func TestGateCostAliasesShareCacheKey(t *testing.T) {
 		t.Error(`strategies "" and "proportional" have two cache keys`)
 	}
 	byStrategy := map[ec.Strategy]cacheKey{}
-	for _, a := range append(aliases, "", "proportional", "construction", "sequential", "lookahead", "stabilizer") {
+	for _, a := range append(aliases, "", "proportional", "construction", "sequential", "lookahead") {
 		strat, err := ec.ParseStrategy(a)
 		if err != nil {
 			t.Fatalf("ParseStrategy(%q): %v", a, err)
@@ -249,8 +249,8 @@ func TestGateCostAliasesShareCacheKey(t *testing.T) {
 		}
 		byStrategy[strat] = k
 	}
-	if len(byStrategy) != 6 {
-		t.Errorf("%d distinct strategy keys, want 6", len(byStrategy))
+	if len(byStrategy) != 5 {
+		t.Errorf("%d distinct strategy keys, want 5", len(byStrategy))
 	}
 	for strat, k := range byStrategy {
 		for other, o := range byStrategy {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -308,5 +309,40 @@ func TestReplayedKeyBelongsToItsLastClaimant(t *testing.T) {
 	}
 	if resp, _ := postWithKey(t, ts2.URL+"/v1/jobs", checkBody(bellQASM, bellQASM), "reused"); resp.StatusCode != http.StatusConflict {
 		t.Errorf("the first job's question under the reused key = %d, want 409", resp.StatusCode)
+	}
+}
+
+// TestReplayAnswersUnadmittedJob: an unfinished journaled job whose request
+// this build no longer admits (here a strategy name it does not parse)
+// is answered after a restart with verdict "error" and the admission
+// message, under the id its client was given, and the answer is journaled,
+// so a second restart serves it as a finished job.
+func TestReplayAnswersUnadmittedJob(t *testing.T) {
+	dir := t.TempDir()
+	jl, _, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := CheckRequest{G: bellQASM, Gp: bellQASM, Options: CheckOptions{Strategy: "retired"}}
+	if err := jl.append(journalRecord{Type: recAccepted, Job: "j00000001", Key: "old", Req: &req}, false); err != nil {
+		t.Fatal(err)
+	}
+	jl.close()
+
+	for _, restart := range []string{"first", "second"} {
+		s, ts, stop := restartableServer(t, dir, Config{Workers: 1})
+		resp, data := getJSON(t, ts.URL+"/v1/jobs/j00000001")
+		var jr JobResponse
+		if err := json.Unmarshal(data, &jr); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s restart: poll = %d %s, want 200", restart, resp.StatusCode, data)
+		}
+		if jr.Status != StatusDone || jr.Result == nil || jr.Result.Verdict != VerdictError ||
+			!strings.Contains(jr.Result.Error, `unknown strategy "retired"`) {
+			t.Errorf("%s restart: %s, want done with verdict error and the admission message", restart, data)
+		}
+		if restart == "second" && s.journal.recovered != 1 {
+			t.Errorf("second restart served %d finished jobs from the journal, want 1", s.journal.recovered)
+		}
+		stop()
 	}
 }

@@ -157,7 +157,8 @@ func New(cfg Config) (*Server, error) {
 // replayJournal turns the replayed journal state into live server state:
 // finished jobs are tracked as done (their verdicts feed the verdict cache
 // and GET /v1/jobs/{id}), unfinished accepted jobs are rebuilt, tracked and
-// returned for re-admission, and the id counter advances past every
+// returned for re-admission (or, when this build no longer admits them,
+// finished with verdict "error"), and the id counter advances past every
 // journaled id.
 func (s *Server) replayJournal(st *replayState) []*job {
 	if cur := s.nextID.Load(); st.maxID > cur {
@@ -177,8 +178,15 @@ func (s *Server) replayJournal(st *replayState) []*job {
 		default:
 			j, apiErr := s.buildJobWithID(rj.id, *rj.req)
 			if apiErr != nil {
-				s.log.Warn("journal: recovered request no longer parses, dropped",
+				// A request this build no longer admits (a strategy name
+				// it no longer parses, say) is answered, not dropped: its
+				// id was promised to a client.  It finishes with the
+				// admission error, journaled like any finished job.
+				s.log.Warn("journal: recovered request no longer admitted, finished as an error",
 					"job", rj.id, "err", apiErr.msg)
+				rj.result = &CheckResponse{JobID: rj.id, Verdict: VerdictError, Error: apiErr.msg}
+				s.journal.append(journalRecord{Type: recFinished, Job: rj.id, FP: rj.fp, Res: rj.result}, false)
+				s.replayFinished(rj)
 				continue
 			}
 			j.idemKey = rj.idemKey

@@ -187,6 +187,7 @@ func TestRequestValidation(t *testing.T) {
 		{"missing gp", `{"g": "OPENQASM 2.0;\nqreg q[1];\n"}`, http.StatusBadRequest, CodeBadRequest},
 		{"malformed qasm", checkBody("OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];\n", bellQASM), http.StatusBadRequest, CodeBadQASM},
 		{"bad strategy", `{"g":` + quote(bellQASM) + `,"gp":` + quote(bellQASM) + `,"options":{"strategy":"magic"}}`, http.StatusBadRequest, CodeBadRequest},
+		{"retired stabilizer strategy", `{"g":` + quote(bellQASM) + `,"gp":` + quote(bellQASM) + `,"options":{"strategy":"stabilizer"}}`, http.StatusBadRequest, CodeBadRequest},
 		{"oversized body", checkBody(bellQASM+strings.Repeat("// padding\n", 400), bellQASM), http.StatusRequestEntityTooLarge, CodeBodyTooLarge},
 		{"too many qubits", checkBody(ghzQASM(5), ghzQASM(5)), http.StatusRequestEntityTooLarge, CodeCircuitTooLarge},
 		{"too many gates", checkBody(bellQASM+"x q[0];\nx q[0];\n", bellQASM), http.StatusRequestEntityTooLarge, CodeCircuitTooLarge},

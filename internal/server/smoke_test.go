@@ -112,12 +112,15 @@ func TestServeSmoke(t *testing.T) {
 
 	if res := post(equivalentPair); res.Verdict != VerdictEquivalent {
 		t.Fatalf("ghz5 vs ghz5 verdict = %q, want equivalent", res.Verdict)
-	} else if res.ECVerdict == "" {
+	} else if res.DecidedBy != "stab" {
 		// 2^5 basis states > DefaultR stimuli: the complete routine must
-		// have produced the proof.
-		t.Errorf("equivalent verdict without a complete-routine run: %+v", res)
+		// have produced the proof, and a Clifford pair's is the tableau.
+		t.Errorf("equivalent verdict not decided by the tableau: %+v", res)
 	} else if res.Cached {
 		t.Errorf("first check of the pair claims cached")
+	}
+	if want := `qcecd_wins_total{prover="stab"} 1`; !strings.Contains(scrape(), want) {
+		t.Errorf("metrics missing %q after the tableau's proof", want)
 	}
 	if res := post(differingPair); res.Verdict != VerdictNotEquivalent {
 		t.Fatalf("ghz5 vs ghz5+X verdict = %q, want not_equivalent", res.Verdict)

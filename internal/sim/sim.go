@@ -349,8 +349,8 @@ func PermutationDD(p *dd.Package, perm []int) dd.MEdge {
 
 // Pair compares two circuits column by column on one package: the paper's
 // basic operation (Sec. III-B), simulating G and G' on a basis state and
-// comparing the two outputs.  The flow's simulation stage, the stabilizer
-// strategy's phase anchor and the theory experiment all go through it.
+// comparing the two outputs.  The flow's simulation stage and the theory
+// experiment both go through it.
 type Pair struct {
 	s      *Simulator
 	g, gp  *Program

@@ -11,8 +11,8 @@ import (
 // Verdict is the outcome of a tableau equivalence check.  The tableau
 // tracks conjugation, which is blind to scalar factors, so the positive
 // verdict is intrinsically up-to-global-phase; callers needing the strict
-// phase convention resolve the residual scalar separately (internal/ec
-// anchors it with a single basis-state simulation).
+// phase convention resolve the residual scalar separately (internal/core
+// runs the tableau after basis-state stimuli that agreed strictly).
 type Verdict int
 
 // Possible verdicts.

@@ -120,7 +120,7 @@ func TestCheckOutputPerm(t *testing.T) {
 func TestCheckGlobalPhaseInvisible(t *testing.T) {
 	// X·Y·Z = iI: a pure global phase the tableau cannot see — the verdict is
 	// equivalent-up-to-phase against the empty circuit, which is exactly why
-	// ec's strict mode adds a phase anchor.
+	// the flow's strict mode runs the tableau only after stimuli agreed.
 	ops2 := []circuit.CliffordGate{
 		gate1(circuit.CliffZ, 0),
 		gate1(circuit.CliffY, 0),

@@ -1,6 +1,7 @@
 package zx
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -158,8 +159,20 @@ func (b *builder) finish() (*Graph, []int, []int) {
 // returned as vertex ids).  Multi-controlled gates are not handled here;
 // Check lowers its inputs first.
 func FromCircuit(c *circuit.Circuit) (*Graph, []int, []int, error) {
+	return fromCircuit(context.Background(), c)
+}
+
+// pollGates is how many gates the translation adds between context polls.
+const pollGates = 256
+
+// fromCircuit is FromCircuit polling ctx every pollGates gates; a
+// cancellation returns ctx.Err().
+func fromCircuit(ctx context.Context, c *circuit.Circuit) (*Graph, []int, []int, error) {
 	b := newBuilder(c.N)
-	for _, g := range c.Gates {
+	for i, g := range c.Gates {
+		if i%pollGates == 0 && ctx.Err() != nil {
+			return nil, nil, nil, ctx.Err()
+		}
 		if err := b.gate(g); err != nil {
 			return nil, nil, nil, err
 		}

@@ -3,7 +3,6 @@ package zx
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"qcec/internal/circuit"
 	"qcec/internal/decompose"
@@ -37,7 +36,6 @@ type Result struct {
 	SpidersBefore int
 	SpidersAfter  int
 	Cancelled     bool // Inconclusive because the context was cancelled
-	Runtime       time.Duration
 }
 
 // Check translates the miter G'·G⁻¹ into a ZX-diagram, fully reduces it,
@@ -48,27 +46,42 @@ func Check(g1, g2 *circuit.Circuit) (Result, error) {
 	return CheckCtx(nil, g1, g2)
 }
 
-// CheckCtx is Check under cooperative cancellation: the simplification loop
-// polls ctx between rounds and stops early when it is cancelled, yielding
-// Inconclusive with Result.Cancelled set.  A nil ctx disables cancellation.
+// CheckCtx is Check under cooperative cancellation: ctx is polled after
+// each circuit is lowered, every pollGates gates while the miter is
+// translated, and between the simplification loop's rounds, and a
+// cancellation yields Inconclusive with Result.Cancelled set, so a losing
+// race prover stops before it builds a large graph.  A nil ctx disables
+// cancellation.
 func CheckCtx(ctx context.Context, g1, g2 *circuit.Circuit) (Result, error) {
-	start := time.Now()
 	if g1.N != g2.N {
-		return Result{Verdict: Inconclusive, Runtime: time.Since(start)}, nil
+		return Result{Verdict: Inconclusive}, nil
 	}
-	miter := lower(g2).Clone()
-	miter.Append(lower(g1).Inverse())
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	cancelled := Result{Verdict: Inconclusive, Cancelled: true}
+	m2 := lower(g2)
+	if ctx.Err() != nil {
+		return cancelled, nil
+	}
+	m1 := lower(g1)
+	if ctx.Err() != nil {
+		return cancelled, nil
+	}
+	miter := m2.Clone()
+	miter.Append(m1.Inverse())
 
-	g, ins, outs, err := FromCircuit(miter)
-	if err != nil {
+	g, ins, outs, err := fromCircuit(ctx, miter)
+	switch {
+	case err != nil && err == ctx.Err():
+		return cancelled, nil
+	case err != nil:
 		return Result{}, err
 	}
 	if err := g.Err(); err != nil {
 		return Result{}, err
 	}
-	if ctx != nil {
-		g.SetCancel(func() bool { return ctx.Err() != nil })
-	}
+	g.SetCancel(func() bool { return ctx.Err() != nil })
 	res := Result{SpidersBefore: g.NumSpiders()}
 	stopped := g.Simplify()
 	if err := g.Err(); err != nil {
@@ -88,7 +101,6 @@ func CheckCtx(ctx context.Context, g1, g2 *circuit.Circuit) (Result, error) {
 		res.Verdict = Inconclusive
 		res.Cancelled = stopped
 	}
-	res.Runtime = time.Since(start)
 	return res, nil
 }
 
