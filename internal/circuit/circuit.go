@@ -48,17 +48,22 @@ func (c *Circuit) Add(g Gate) *Circuit {
 // TryAdd appends a gate, returning an error instead of panicking when the
 // gate is malformed.
 func (c *Circuit) TryAdd(g Gate) error {
-	if err := c.validateGate(g); err != nil {
+	if err := g.Validate(c.N); err != nil {
 		return err
 	}
 	c.Gates = append(c.Gates, g)
 	return nil
 }
 
-func (c *Circuit) validateGate(g Gate) error {
+// Validate checks a gate against a register of n qubits: every wire lies
+// in the register and is named once, only a SWAP sets Target2, and the
+// kind gets its number of parameters.  It reads the gate where it stands,
+// so a parser can build a gate in place at the end of a circuit's Gates
+// and validate it there without copying it.
+func (g *Gate) Validate(n int) error {
 	check := func(q int) error {
-		if q < 0 || q >= c.N {
-			return fmt.Errorf("qubit %d out of range [0,%d)", q, c.N)
+		if q < 0 || q >= n {
+			return fmt.Errorf("qubit %d out of range [0,%d)", q, n)
 		}
 		return nil
 	}
@@ -98,9 +103,9 @@ func (c *Circuit) validateGate(g Gate) error {
 
 // Validate checks every gate of the circuit against the register.
 func (c *Circuit) Validate() error {
-	for i, g := range c.Gates {
-		if err := c.validateGate(g); err != nil {
-			return fmt.Errorf("gate %d (%s): %w", i, g, err)
+	for i := range c.Gates {
+		if err := c.Gates[i].Validate(c.N); err != nil {
+			return fmt.Errorf("gate %d (%s): %w", i, c.Gates[i], err)
 		}
 	}
 	return nil

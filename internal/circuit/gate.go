@@ -44,7 +44,7 @@ const (
 	Custom
 )
 
-var kindNames = map[Kind]string{
+var kindNames = [...]string{
 	I: "id", X: "x", Y: "y", Z: "z", H: "h", S: "s", Sdg: "sdg",
 	T: "t", Tdg: "tdg", SX: "sx", SXdg: "sxdg",
 	RX: "rx", RY: "ry", RZ: "rz", P: "p", U2: "u2", U3: "u3",
@@ -53,8 +53,8 @@ var kindNames = map[Kind]string{
 
 // String returns the lower-case OpenQASM-style name of the kind.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }

@@ -142,6 +142,11 @@ type Package struct {
 	gcFloor [2]int
 	gcLive  [2]int
 	gcRuns  int
+	// gcAt caches each kind's gcTrigger for MaybeGC's per-gate safe
+	// points.  paceGC refreshes it wherever a term of the trigger changes:
+	// at a collection (gcLive), in SetGCThreshold (gcFloor) and when an
+	// arena grows (its slot count).
+	gcAt [2]int
 
 	// nodeLimit, when positive, makes node creation panic with a
 	// *LimitError once the unique tables exceed it.  Long-running clients
@@ -380,6 +385,7 @@ func New(n int, tol float64) *Package {
 	p.mA.init()
 	p.vU.init()
 	p.mU.init()
+	p.paceGC()
 	if box, ok := defaultInjector.Load().(injectorBox); ok {
 		p.faults = box.fi
 	}
@@ -637,10 +643,14 @@ func (p *Package) makeVNode(v int, e0, e1 VEdge) VEdge {
 	if node != 0 {
 		p.uniqueHits++
 	} else {
+		grows := len(p.vA.free) == 0
 		node = p.vA.alloc()
 		p.vA.lv[node] = lv
 		p.vA.ch[node] = c
 		p.vA.wt[node] = w
+		if grows {
+			p.paceGC()
+		}
 		if p.vU.full() {
 			p.vU.grow(func(r uint32) uint64 { return p.vSig(VRef(r)) })
 		}
@@ -686,10 +696,14 @@ func (p *Package) makeMNode(v int, e [4]MEdge) MEdge {
 	if node != 0 {
 		p.uniqueHits++
 	} else {
+		grows := len(p.mA.free) == 0
 		node = p.mA.alloc()
 		p.mA.lv[node] = lv
 		p.mA.ch[node] = c
 		p.mA.wt[node] = w
+		if grows {
+			p.paceGC()
+		}
 		if p.mU.full() {
 			p.mU.grow(func(r uint32) uint64 { return p.mSig(MRef(r)) })
 		}

@@ -98,6 +98,7 @@ func (p *Package) collect(rootsV []VEdge, rootsM []MEdge, flush bool) int {
 	p.gcRuns++
 	p.gcReclaimed += uint64(removed)
 	p.gcLive = [2]int{p.vU.n, p.mU.n}
+	p.paceGC()
 	p.updateOccupancy()
 	return removed
 }
@@ -137,8 +138,15 @@ func (p *Package) gcTrigger(k gcKind) int {
 	return max(p.gcFloor[k], 2*p.gcLive[k], slots/gcSweepShare)
 }
 
+// paceGC refreshes the cached triggers (gcAt) after a term of gcTrigger
+// changed.
+func (p *Package) paceGC() {
+	p.gcAt = [2]int{p.gcTrigger(vectorKind), p.gcTrigger(matrixKind)}
+}
+
 // MaybeGC runs GC when the vector or the matrix population reaches its
-// kind's gcTrigger, or unconditionally when the memory watchdog has bumped
+// kind's gcTrigger (as cached in gcAt, so a safe point costs two
+// compares), or unconditionally when the memory watchdog has bumped
 // its pressure epoch since the last check (see setPressure) — a
 // pressure-forced collection also flushes the gate registry, whose DDs are
 // rebuildable ballast.  It reports whether a collection ran.
@@ -150,7 +158,7 @@ func (p *Package) MaybeGC(rootsV []VEdge, rootsM []MEdge) bool {
 			forced = true
 		}
 	}
-	if !forced && p.vU.n < p.gcTrigger(vectorKind) && p.mU.n < p.gcTrigger(matrixKind) {
+	if !forced && p.vU.n < p.gcAt[vectorKind] && p.mU.n < p.gcAt[matrixKind] {
 		return false
 	}
 	if forced {
@@ -172,4 +180,5 @@ func (p *Package) SetGCThreshold(n int) {
 		n = 1
 	}
 	p.gcFloor = [2]int{n, n}
+	p.paceGC()
 }

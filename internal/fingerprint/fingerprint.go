@@ -32,6 +32,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 
 	"qcec/internal/circuit"
 )
@@ -70,8 +71,8 @@ func Circuit(c *circuit.Circuit) Digest {
 	buf := make([]byte, 0, 2*hashBatch)
 	buf = binary.LittleEndian.AppendUint64(buf, version)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.N))
-	for _, g := range c.Gates {
-		buf = appendGate(buf, g)
+	for i := range c.Gates {
+		buf = appendGate(buf, &c.Gates[i])
 		if len(buf) >= hashBatch {
 			h.Write(buf)
 			buf = buf[:0]
@@ -101,24 +102,14 @@ func Pair(a, b *circuit.Circuit) Digest {
 
 // appendGate appends one gate's canonical serialization to buf.  Every field
 // is a fixed-width little-endian word, so the encoding is prefix-free per
-// gate (kind name length precedes the name; counts precede lists).
-func appendGate(buf []byte, g circuit.Gate) []byte {
-	u64 := binary.LittleEndian.AppendUint64
+// gate (kind name length precedes the name; counts precede lists).  The
+// gate's bytes are sized first and written in place.
+func appendGate(buf []byte, g *circuit.Gate) []byte {
+	le := binary.LittleEndian
 	// The gate kind is hashed by its canonical lower-case name rather than
 	// the Kind integer, so the digest survives enum reordering between
 	// builds of the checker.
 	name := g.Kind.String()
-	buf = u64(buf, uint64(len(name)))
-	buf = append(buf, name...)
-
-	// SWAP is symmetric in its two targets; hash them in sorted order so
-	// `swap a,b` and `swap b,a` collide on purpose.
-	t1, t2 := g.Target, g.Target2
-	if g.Kind == circuit.SWAP && t2 < t1 {
-		t1, t2 = t2, t1
-	}
-	buf = u64(buf, uint64(int64(t1)))
-	buf = u64(buf, uint64(int64(t2)))
 
 	// Controls in sorted qubit order (a control set is a set); polarity is
 	// part of the element.
@@ -128,26 +119,55 @@ func appendGate(buf []byte, g circuit.Gate) []byte {
 		ctls = append(small[:0], ctls...)
 		sortControls(ctls)
 	}
-	buf = u64(buf, uint64(len(ctls)))
+
+	size := 8 + len(name) + 3*8 + 2*8*len(ctls) + 8 + 8*len(g.Params)
+	if g.Kind == circuit.Custom {
+		size += 8 * 8
+	}
+	n := len(buf)
+	buf = slices.Grow(buf, size)[:n+size]
+	b := buf[n:]
+
+	le.PutUint64(b, uint64(len(name)))
+	for i := 0; i < len(name); i++ { // a few bytes: cheaper than a copy call
+		b[8+i] = name[i]
+	}
+	b = b[8+len(name):]
+
+	// SWAP is symmetric in its two targets; hash them in sorted order so
+	// `swap a,b` and `swap b,a` collide on purpose.
+	t1, t2 := g.Target, g.Target2
+	if g.Kind == circuit.SWAP && t2 < t1 {
+		t1, t2 = t2, t1
+	}
+	le.PutUint64(b, uint64(int64(t1)))
+	le.PutUint64(b[8:], uint64(int64(t2)))
+
+	le.PutUint64(b[16:], uint64(len(ctls)))
+	b = b[24:]
 	for _, c := range ctls {
-		buf = u64(buf, uint64(int64(c.Qubit)))
+		var neg uint64
 		if c.Neg {
-			buf = u64(buf, 1)
-		} else {
-			buf = u64(buf, 0)
+			neg = 1
 		}
+		le.PutUint64(b, uint64(int64(c.Qubit)))
+		le.PutUint64(b[8:], neg)
+		b = b[16:]
 	}
 
-	buf = u64(buf, uint64(len(g.Params)))
+	le.PutUint64(b, uint64(len(g.Params)))
+	b = b[8:]
 	for _, p := range g.Params {
-		buf = u64(buf, canonicalFloatBits(p))
+		le.PutUint64(b, canonicalFloatBits(p))
+		b = b[8:]
 	}
 
 	if g.Kind == circuit.Custom {
 		for i := 0; i < 2; i++ {
 			for j := 0; j < 2; j++ {
-				buf = u64(buf, canonicalFloatBits(real(g.Mat[i][j])))
-				buf = u64(buf, canonicalFloatBits(imag(g.Mat[i][j])))
+				le.PutUint64(b, canonicalFloatBits(real(g.Mat[i][j])))
+				le.PutUint64(b[8:], canonicalFloatBits(imag(g.Mat[i][j])))
+				b = b[16:]
 			}
 		}
 	}

@@ -41,9 +41,9 @@ func (p *parser) parseBinary(ops string, operand func() error) error {
 	for {
 		var op byte
 		switch {
-		case p.acceptSymbol(ops[:1]):
+		case p.acceptSymbol(ops[0]):
 			op = ops[0]
-		case p.acceptSymbol(ops[1:]):
+		case p.acceptSymbol(ops[1]):
 			op = ops[1]
 		default:
 			return nil
@@ -59,7 +59,7 @@ func (p *parser) parsePow() error {
 	if err := p.parseUnary(); err != nil {
 		return err
 	}
-	if p.acceptSymbol("^") {
+	if p.acceptSymbol('^') {
 		if err := p.parsePow(); err != nil { // right-associative
 			return err
 		}
@@ -69,54 +69,55 @@ func (p *parser) parsePow() error {
 }
 
 func (p *parser) parseUnary() error {
-	if p.acceptSymbol("-") {
+	if p.acceptSymbol('-') {
 		if err := p.parseUnary(); err != nil {
 			return err
 		}
 		p.code = append(p.code, exprOp{op: opNeg})
 		return nil
 	}
-	if p.acceptSymbol("+") {
+	if p.acceptSymbol('+') {
 		return p.parseUnary()
 	}
 	t := p.tok
+	text := p.text(t)
 	switch t.kind {
 	case tokNumber:
 		p.advance()
-		f, err := strconv.ParseFloat(t.text, 64)
+		f, err := strconv.ParseFloat(text, 64)
 		if err != nil {
-			return p.errf("invalid number %q", t.text)
+			return p.errf("invalid number %q", text)
 		}
 		p.code = append(p.code, exprOp{op: opNum, num: f})
 		return nil
 	case tokIdent:
 		p.advance()
-		if p.acceptSymbol("(") {
+		if p.acceptSymbol('(') {
 			if err := p.parseExpr(); err != nil {
 				return err
 			}
-			if err := p.expectSymbol(")"); err != nil {
+			if err := p.expectSymbol(')'); err != nil {
 				return err
 			}
-			p.code = append(p.code, exprOp{op: opCall, name: t.text})
+			p.code = append(p.code, exprOp{op: opCall, name: text})
 			return nil
 		}
-		if t.text == "pi" {
+		if text == "pi" {
 			p.code = append(p.code, exprOp{op: opNum, num: math.Pi})
 		} else {
-			p.code = append(p.code, exprOp{op: opVar, name: t.text})
+			p.code = append(p.code, exprOp{op: opVar, name: text})
 		}
 		return nil
 	case tokSymbol:
-		if t.text == "(" {
+		if text == "(" {
 			p.advance()
 			if err := p.parseExpr(); err != nil {
 				return err
 			}
-			return p.expectSymbol(")")
+			return p.expectSymbol(')')
 		}
 	}
-	return p.errf("unexpected token %q in expression", t.text)
+	return p.errf("unexpected token %q in expression", text)
 }
 
 // eval runs compiled expression code.  names binds the formal parameters of
@@ -198,22 +199,24 @@ func lastIndex(list []string, s string) int {
 	return -1
 }
 
-// parseGateDef parses `gate name(params) args { body }`.
+// parseGateDef parses `gate name(params) args { body }`.  Each body
+// statement is a statement of its own for error lines.
 func (p *parser) parseGateDef() error {
+	gate := p.stmt
 	p.advance()
 	name, err := p.expectIdent()
 	if err != nil {
 		return err
 	}
 	def := &macroDef{}
-	if p.acceptSymbol("(") {
-		for !p.acceptSymbol(")") {
+	if p.acceptSymbol('(') {
+		for !p.acceptSymbol(')') {
 			pn, err := p.expectIdent()
 			if err != nil {
 				return err
 			}
 			def.params = append(def.params, pn)
-			if !p.acceptSymbol(",") && !p.atSymbol(")") {
+			if !p.acceptSymbol(',') && !p.atSymbol(')') {
 				return p.errf("expected ',' or ')' in gate parameter list")
 			}
 		}
@@ -224,18 +227,20 @@ func (p *parser) parseGateDef() error {
 			return err
 		}
 		def.args = append(def.args, an)
-		if !p.acceptSymbol(",") {
+		if !p.acceptSymbol(',') {
 			break
 		}
 	}
-	if err := p.expectSymbol("{"); err != nil {
+	if err := p.expectSymbol('{'); err != nil {
 		return err
 	}
-	for !p.acceptSymbol("}") {
+	for !p.acceptSymbol('}') {
 		if p.atEOF() {
+			p.stmt = gate
 			return p.errf("unterminated gate body for %q", name)
 		}
-		if p.tok.kind == tokIdent && p.tok.text == "barrier" {
+		p.begin()
+		if p.tok.kind == tokIdent && p.text(p.tok) == "barrier" {
 			if err := p.skipToSemicolon(); err != nil {
 				return err
 			}
@@ -257,14 +262,14 @@ func (p *parser) parseMacroGate() (macroGate, error) {
 		return macroGate{}, err
 	}
 	mg := macroGate{name: name}
-	if p.acceptSymbol("(") {
-		for !p.acceptSymbol(")") {
+	if p.acceptSymbol('(') {
+		for !p.acceptSymbol(')') {
 			p.code = p.code[:0]
 			if err := p.parseExpr(); err != nil {
 				return macroGate{}, err
 			}
 			mg.params = append(mg.params, slices.Clone(p.code))
-			if !p.acceptSymbol(",") && !p.atSymbol(")") {
+			if !p.acceptSymbol(',') && !p.atSymbol(')') {
 				return macroGate{}, p.errf("expected ',' or ')' in parameter list")
 			}
 		}
@@ -275,54 +280,41 @@ func (p *parser) parseMacroGate() (macroGate, error) {
 			return macroGate{}, err
 		}
 		mg.args = append(mg.args, an)
-		if !p.acceptSymbol(",") {
+		if !p.acceptSymbol(',') {
 			break
 		}
 	}
-	if err := p.expectSymbol(";"); err != nil {
+	if err := p.expectSymbol(';'); err != nil {
 		return macroGate{}, err
 	}
 	return mg, nil
 }
 
 // parseGateCall parses a top-level gate application and emits circuit gates.
+// Its arguments are scanned from the source right after the gate name or
+// the ')' closing its parameters (scanArgs), and parsed token by token
+// where that fails.
 func (p *parser) parseGateCall() error {
-	name, err := p.expectIdent()
-	if err != nil {
-		return err
-	}
+	name := p.text(p.tok)
 	p.argF = p.argF[:0]
-	if p.acceptSymbol("(") {
-		for !p.acceptSymbol(")") {
-			p.code = p.code[:0]
-			if err := p.parseExpr(); err != nil {
+	scanned := p.scanArgs()
+	if !scanned {
+		p.advance()
+		if p.atSymbol('(') {
+			if err := p.parseParams(); err != nil {
 				return err
 			}
-			v, err := p.eval(p.code, nil, nil)
-			if err != nil {
-				return p.errf("%v", err)
-			}
-			p.argF = append(p.argF, v)
-			if !p.acceptSymbol(",") && !p.atSymbol(")") {
-				return p.errf("expected ',' or ')' in parameter list")
+			if scanned = p.scanArgs(); !scanned {
+				p.advance()
 			}
 		}
 	}
-	args := p.args[:0]
-	for {
-		a, err := p.parseIndexedArg(p.qregs, "quantum")
-		if err != nil {
+	if !scanned {
+		if err := p.parseArgs(); err != nil {
 			return err
 		}
-		args = append(args, a)
-		if !p.acceptSymbol(",") {
-			break
-		}
 	}
-	p.args = args
-	if err := p.expectSymbol(";"); err != nil {
-		return err
-	}
+	args := p.args
 
 	// Broadcast: if any argument is a whole register, all whole-register
 	// arguments must have equal size and the call repeats element-wise.
@@ -351,9 +343,147 @@ func (p *parser) parseGateCall() error {
 	return nil
 }
 
+// parseParams parses the parameter list of a top-level gate call into
+// p.argF, from its '(' to its ')', which stays the current token.
+func (p *parser) parseParams() error {
+	p.advance()
+	for !p.atSymbol(')') {
+		v, err := p.parseParam()
+		if err != nil {
+			return err
+		}
+		p.argF = append(p.argF, v)
+		if !p.acceptSymbol(',') && !p.atSymbol(')') {
+			return p.errf("expected ',' or ')' in parameter list")
+		}
+	}
+	return nil
+}
+
+// parseParam parses and evaluates one parameter of a top-level gate call.
+// A number, negated or not, that a ',' or the closing ')' follows on the
+// same line is read straight from the source, as nearly every parameter a
+// compiler writes is; anything else is compiled and evaluated.
+func (p *parser) parseParam() (float64, error) {
+	src := p.lex.src
+	start, neg := p.tok.start, p.atSymbol('-')
+	if neg {
+		start = p.tok.end
+	} else if p.tok.kind != tokNumber {
+		start = -1
+	}
+	if start >= 0 && start < len(src) && byteClass[src[start]]&classNumber != 0 {
+		end := scanNumber(src, start)
+		next := skipBlanks(src, end)
+		if next < len(src) && (src[next] == ',' || src[next] == ')') {
+			if v, err := strconv.ParseFloat(src[start:end], 64); err == nil {
+				p.lex.pos = next
+				p.advance()
+				if neg {
+					v = -v
+				}
+				return v, nil
+			}
+		}
+	}
+	p.code = p.code[:0]
+	if err := p.parseExpr(); err != nil {
+		return 0, err
+	}
+	v, err := p.eval(p.code, nil, nil)
+	if err != nil {
+		return 0, p.errf("%v", err)
+	}
+	return v, nil
+}
+
+// parseArgs parses the qubit arguments of a gate call, from the current
+// token on, and its closing ';' into p.args.
+func (p *parser) parseArgs() error {
+	args := p.args[:0]
+	for {
+		a, err := p.parseIndexedArg(p.qregs, "quantum")
+		if err != nil {
+			return err
+		}
+		args = append(args, a)
+		if !p.acceptSymbol(',') {
+			break
+		}
+	}
+	p.args = args
+	return p.expectSymbol(';')
+}
+
+// maxIndexDigits bounds the register indices scanArgs reads itself, far
+// below the digits that could overflow an int.
+const maxIndexDigits = 18
+
+// scanArgs is parseArgs for the shape nearly every gate call has: indexed
+// arguments `r[i]` of declared quantum registers, separated by commas and
+// blanks and closed by ';' on the same line.  It reads them straight from
+// the source after the current token (the gate name or the ')' closing
+// its parameters), and reports false, having consumed nothing, at the
+// first byte outside that shape (a '(', a line break, a comment, a
+// whole-register argument, an unknown register or an index out of range),
+// where the token path takes over from the current token.
+func (p *parser) scanArgs() bool {
+	src := p.lex.src
+	args := p.args[:0]
+	pos := skipBlanks(src, p.tok.end)
+	for {
+		if pos >= len(src) || byteClass[src[pos]]&classIdentStart == 0 {
+			return false
+		}
+		start := pos
+		pos = scanIdent(src, pos)
+		if pos >= len(src) || src[pos] != '[' {
+			return false
+		}
+		pos++
+		idx, digits := 0, pos
+		for pos < len(src) && pos-digits < maxIndexDigits && src[pos]-'0' < 10 {
+			idx = idx*10 + int(src[pos]-'0')
+			pos++
+		}
+		if pos == digits || pos >= len(src) || src[pos] != ']' {
+			return false
+		}
+		r, ok := findReg(p.qregs, src[start:digits-1])
+		if !ok || idx >= r.Size {
+			return false
+		}
+		args = append(args, qubitArg{off: r.Offset + idx, size: 1})
+		pos = skipBlanks(src, pos+1)
+		if pos >= len(src) {
+			return false
+		}
+		switch src[pos] {
+		case ';':
+			p.args = args
+			p.lex.pos = pos + 1
+			p.advance()
+			return true
+		case ',':
+			pos = skipBlanks(src, pos+1)
+		default:
+			return false
+		}
+	}
+}
+
+// skipBlanks returns the offset of the first byte at or after pos that is
+// not a space or a tab.
+func skipBlanks(src string, pos int) int {
+	for pos < len(src) && (src[pos] == ' ' || src[pos] == '\t') {
+		pos++
+	}
+	return pos
+}
+
 // emit resolves a gate name (builtin or macro) to circuit gates.
 func (p *parser) emit(name string, params []float64, wires []int) error {
-	if b, ok := builtins[name]; ok {
+	if b, ok := lookupBuiltin(name); ok {
 		return p.emitBuiltin(name, b, params, wires)
 	}
 	def, ok := p.macros[name]
@@ -417,26 +547,73 @@ type builtin struct {
 	ctls   int
 }
 
-var builtins = map[string]builtin{
-	"id": {circuit.I, 0, 0}, "x": {circuit.X, 0, 0}, "X": {circuit.X, 0, 0},
-	"y": {circuit.Y, 0, 0}, "z": {circuit.Z, 0, 0}, "h": {circuit.H, 0, 0},
-	"s": {circuit.S, 0, 0}, "sdg": {circuit.Sdg, 0, 0},
-	"t": {circuit.T, 0, 0}, "tdg": {circuit.Tdg, 0, 0},
-	"sx": {circuit.SX, 0, 0}, "sxdg": {circuit.SXdg, 0, 0},
-	"rx": {circuit.RX, 1, 0}, "ry": {circuit.RY, 1, 0}, "rz": {circuit.RZ, 1, 0},
-	"p": {circuit.P, 1, 0}, "u1": {circuit.P, 1, 0},
-	"u2": {circuit.U2, 2, 0},
-	"u3": {circuit.U3, 3, 0}, "u": {circuit.U3, 3, 0}, "U": {circuit.U3, 3, 0},
-	"cx": {circuit.X, 0, 1}, "CX": {circuit.X, 0, 1}, "cnot": {circuit.X, 0, 1},
-	"cy": {circuit.Y, 0, 1}, "cz": {circuit.Z, 0, 1}, "ch": {circuit.H, 0, 1},
-	"csx": {circuit.SX, 0, 1},
-	"crx": {circuit.RX, 1, 1}, "cry": {circuit.RY, 1, 1}, "crz": {circuit.RZ, 1, 1},
-	"cp": {circuit.P, 1, 1}, "cu1": {circuit.P, 1, 1},
-	"cu3": {circuit.U3, 3, 1},
-	"ccx": {circuit.X, 0, 2}, "toffoli": {circuit.X, 0, 2},
-	"ccz":   {circuit.Z, 0, 2},
-	"swap":  {circuit.SWAP, 0, 0},
-	"cswap": {circuit.SWAP, 0, 1}, "fredkin": {circuit.SWAP, 0, 1},
+// lookupBuiltin returns the builtin gate named name.
+func lookupBuiltin(name string) (builtin, bool) {
+	switch name {
+	case "id":
+		return builtin{circuit.I, 0, 0}, true
+	case "x", "X":
+		return builtin{circuit.X, 0, 0}, true
+	case "y":
+		return builtin{circuit.Y, 0, 0}, true
+	case "z":
+		return builtin{circuit.Z, 0, 0}, true
+	case "h":
+		return builtin{circuit.H, 0, 0}, true
+	case "s":
+		return builtin{circuit.S, 0, 0}, true
+	case "sdg":
+		return builtin{circuit.Sdg, 0, 0}, true
+	case "t":
+		return builtin{circuit.T, 0, 0}, true
+	case "tdg":
+		return builtin{circuit.Tdg, 0, 0}, true
+	case "sx":
+		return builtin{circuit.SX, 0, 0}, true
+	case "sxdg":
+		return builtin{circuit.SXdg, 0, 0}, true
+	case "rx":
+		return builtin{circuit.RX, 1, 0}, true
+	case "ry":
+		return builtin{circuit.RY, 1, 0}, true
+	case "rz":
+		return builtin{circuit.RZ, 1, 0}, true
+	case "p", "u1":
+		return builtin{circuit.P, 1, 0}, true
+	case "u2":
+		return builtin{circuit.U2, 2, 0}, true
+	case "u3", "u", "U":
+		return builtin{circuit.U3, 3, 0}, true
+	case "cx", "CX", "cnot":
+		return builtin{circuit.X, 0, 1}, true
+	case "cy":
+		return builtin{circuit.Y, 0, 1}, true
+	case "cz":
+		return builtin{circuit.Z, 0, 1}, true
+	case "ch":
+		return builtin{circuit.H, 0, 1}, true
+	case "csx":
+		return builtin{circuit.SX, 0, 1}, true
+	case "crx":
+		return builtin{circuit.RX, 1, 1}, true
+	case "cry":
+		return builtin{circuit.RY, 1, 1}, true
+	case "crz":
+		return builtin{circuit.RZ, 1, 1}, true
+	case "cp", "cu1":
+		return builtin{circuit.P, 1, 1}, true
+	case "cu3":
+		return builtin{circuit.U3, 3, 1}, true
+	case "ccx", "toffoli":
+		return builtin{circuit.X, 0, 2}, true
+	case "ccz":
+		return builtin{circuit.Z, 0, 2}, true
+	case "swap":
+		return builtin{circuit.SWAP, 0, 0}, true
+	case "cswap", "fredkin":
+		return builtin{circuit.SWAP, 0, 1}, true
+	}
+	return builtin{}, false
 }
 
 // emitBuiltin appends one builtin gate to the circuit, validated in place.
@@ -454,7 +631,11 @@ func (p *parser) emitBuiltin(name string, b builtin, params []float64, wires []i
 	if len(wires) != b.ctls+targets {
 		return p.errf("gate %q expects %d qubits, got %d", name, b.ctls+targets, len(wires))
 	}
-	g := circuit.Gate{Kind: b.kind, Target: wires[b.ctls], Target2: -1}
+	// The gate is built in place at the end of the circuit, validated
+	// there and kept by extending Gates over it.
+	gates := append(p.circ.Gates, circuit.Gate{})
+	g := &gates[len(gates)-1]
+	g.Kind, g.Target, g.Target2 = b.kind, wires[b.ctls], -1
 	if targets == 2 {
 		g.Target2 = wires[b.ctls+1]
 	} else if b.params > 0 {
@@ -475,8 +656,9 @@ func (p *parser) emitBuiltin(name string, b builtin, params []float64, wires []i
 			g.Controls[i] = circuit.Control{Qubit: w}
 		}
 	}
-	if err := p.circ.TryAdd(g); err != nil {
-		return fmt.Errorf("qasm: invalid gate %s: %w", g, err)
+	if err := g.Validate(p.circ.N); err != nil {
+		return p.errf("invalid gate %s: %w", *g, err)
 	}
+	p.circ.Gates = gates
 	return nil
 }

@@ -56,6 +56,11 @@ type parser struct {
 	lex lexer
 	tok token // current token
 
+	// stmt is the offset of the first token of the statement being parsed
+	// (a gate definition's body statements are statements of their own);
+	// errors name its line.
+	stmt int
+
 	qregs  []Register
 	cregs  []Register
 	macros map[string]*macroDef
@@ -89,25 +94,33 @@ type parser struct {
 func (p *parser) advance()    { p.tok = p.lex.next() }
 func (p *parser) atEOF() bool { return p.tok.kind == tokEOF }
 
+// text returns the source text of token t.
+func (p *parser) text(t token) string { return p.lex.src[t.start:t.end] }
+
+// begin marks the current token as the first of a statement.
+func (p *parser) begin() { p.stmt = p.tok.start }
+
+// errf reports an error about the current statement, at the line of its
+// first token.  The format may wrap an error with %w.
 func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("qasm: line %d: %s", p.tok.line, fmt.Sprintf(format, args...))
+	return fmt.Errorf("qasm: line %d: "+format, append([]any{lineAt(p.lex.src, p.stmt)}, args...)...)
 }
 
-// atSymbol reports whether the current token is the punctuation s.
-func (p *parser) atSymbol(s string) bool {
-	return (p.tok.kind == tokSymbol || p.tok.kind == tokArrow) && p.tok.text == s
+// atSymbol reports whether the current token is the punctuation c.
+func (p *parser) atSymbol(c byte) bool {
+	return p.tok.kind == tokSymbol && p.lex.src[p.tok.start] == c
 }
 
-func (p *parser) expectSymbol(s string) error {
-	if !p.atSymbol(s) {
-		return p.errf("expected %q, got %q", s, p.tok.text)
+func (p *parser) expectSymbol(c byte) error {
+	if !p.atSymbol(c) {
+		return p.errf("expected %q, got %q", string(rune(c)), p.text(p.tok))
 	}
 	p.advance()
 	return nil
 }
 
-func (p *parser) acceptSymbol(s string) bool {
-	if p.atSymbol(s) {
+func (p *parser) acceptSymbol(c byte) bool {
+	if p.atSymbol(c) {
 		p.advance()
 		return true
 	}
@@ -117,20 +130,20 @@ func (p *parser) acceptSymbol(s string) bool {
 func (p *parser) expectIdent() (string, error) {
 	t := p.tok
 	if t.kind != tokIdent {
-		return "", p.errf("expected identifier, got %q", t.text)
+		return "", p.errf("expected identifier, got %q", p.text(t))
 	}
 	p.advance()
-	return t.text, nil
+	return p.text(t), nil
 }
 
 func (p *parser) expectInt() (int, error) {
 	t := p.tok
 	if t.kind != tokNumber {
-		return 0, p.errf("expected integer, got %q", t.text)
+		return 0, p.errf("expected integer, got %q", p.text(t))
 	}
-	n, err := strconv.Atoi(t.text)
+	n, err := strconv.Atoi(p.text(t))
 	if err != nil {
-		return 0, p.errf("invalid integer %q", t.text)
+		return 0, p.errf("invalid integer %q", p.text(t))
 	}
 	p.advance()
 	return n, nil
@@ -172,7 +185,7 @@ func ParseLimited(src string, maxQubits, maxGates int) (*Program, error) {
 		hint = min(hint, maxGates)
 	}
 	p := &parser{
-		lex:       lexer{src: src, line: 1},
+		lex:       lexer{src: src},
 		macros:    make(map[string]*macroDef),
 		circ:      &circuit.Circuit{Gates: make([]circuit.Gate, 0, hint)},
 		maxQubits: maxQubits,
@@ -227,33 +240,35 @@ func (p *parser) parse() (*Program, error) {
 }
 
 func (p *parser) parseHeader() error {
-	if p.tok.kind == tokIdent && p.tok.text == "OPENQASM" {
+	if p.tok.kind == tokIdent && p.text(p.tok) == "OPENQASM" {
+		p.begin()
 		p.advance()
 		if p.tok.kind != tokNumber {
 			return p.errf("expected version number")
 		}
-		if v := p.tok.text; v != "2.0" && v != "2" {
+		if v := p.text(p.tok); v != "2.0" && v != "2" {
 			return p.errf("unsupported OPENQASM version %s", v)
 		}
 		p.advance()
-		return p.expectSymbol(";")
+		return p.expectSymbol(';')
 	}
 	return nil // header is optional in practice
 }
 
 func (p *parser) parseStatement() error {
+	p.begin()
 	t := p.tok
 	if t.kind != tokIdent {
-		return p.errf("expected statement, got %q", t.text)
+		return p.errf("expected statement, got %q", p.text(t))
 	}
-	switch t.text {
+	switch p.text(t) {
 	case "include":
 		p.advance()
 		if p.tok.kind != tokString {
 			return p.errf("expected file name after include")
 		}
 		p.advance()
-		return p.expectSymbol(";")
+		return p.expectSymbol(';')
 	case "qreg":
 		if err := p.parseReg(&p.qregs); err != nil {
 			return err
@@ -275,17 +290,17 @@ func (p *parser) parseStatement() error {
 	case "measure":
 		return p.parseMeasure()
 	case "reset", "if":
-		return p.errf("unsupported statement %q", t.text)
+		return p.errf("unsupported statement %q", p.text(t))
 	default:
 		return p.parseGateCall()
 	}
 }
 
 func (p *parser) skipToSemicolon() error {
-	for !p.atEOF() && !p.atSymbol(";") {
+	for !p.atEOF() && !p.atSymbol(';') {
 		p.advance()
 	}
-	return p.expectSymbol(";")
+	return p.expectSymbol(';')
 }
 
 func (p *parser) parseReg(regs *[]Register) error {
@@ -294,7 +309,7 @@ func (p *parser) parseReg(regs *[]Register) error {
 	if err != nil {
 		return err
 	}
-	if err := p.expectSymbol("["); err != nil {
+	if err := p.expectSymbol('['); err != nil {
 		return err
 	}
 	size, err := p.expectInt()
@@ -304,10 +319,10 @@ func (p *parser) parseReg(regs *[]Register) error {
 	if size <= 0 {
 		return p.errf("register %q has invalid size %d", name, size)
 	}
-	if err := p.expectSymbol("]"); err != nil {
+	if err := p.expectSymbol(']'); err != nil {
 		return err
 	}
-	if err := p.expectSymbol(";"); err != nil {
+	if err := p.expectSymbol(';'); err != nil {
 		return err
 	}
 	offset := 0
@@ -348,12 +363,12 @@ func (p *parser) parseIndexedArg(regs []Register, kind string) (qubitArg, error)
 	if err != nil {
 		return qubitArg{}, err
 	}
-	if p.acceptSymbol("[") {
+	if p.acceptSymbol('[') {
 		idx, err := p.expectInt()
 		if err != nil {
 			return qubitArg{}, err
 		}
-		if err := p.expectSymbol("]"); err != nil {
+		if err := p.expectSymbol(']'); err != nil {
 			return qubitArg{}, err
 		}
 		r, ok := findReg(regs, name)
@@ -378,9 +393,10 @@ func (p *parser) parseMeasure() error {
 	if err != nil {
 		return err
 	}
-	if err := p.expectSymbol("->"); err != nil {
-		return err
+	if p.tok.kind != tokArrow {
+		return p.errf("expected %q, got %q", "->", p.text(p.tok))
 	}
+	p.advance()
 	c, err := p.parseIndexedArg(p.cregs, "classical")
 	if err != nil {
 		return err
@@ -391,5 +407,5 @@ func (p *parser) parseMeasure() error {
 	for i := 0; i < q.size; i++ {
 		p.measures = append(p.measures, Measurement{Qubit: q.off + i, Bit: c.off + i})
 	}
-	return p.expectSymbol(";")
+	return p.expectSymbol(';')
 }

@@ -481,3 +481,81 @@ func TestParseLimitedMacroCalls(t *testing.T) {
 		t.Fatalf("unbounded parse of a shallow empty chain: err = %v", err)
 	}
 }
+
+// TestParseErrorLines: an error about a statement names the line of the
+// statement's first token, not that of the token the parser stopped at
+// (after the ';', that is the next statement's), and errors raised while a
+// macro call expands name the call's line.  Each faulty statement sits on
+// line 3 of a 4-line source.
+func TestParseErrorLines(t *testing.T) {
+	const head = "OPENQASM 2.0;\n" +
+		"qreg q[2]; qreg r[3]; creg c[1]; gate g a { h a; } gate self a { self a; } " +
+		"gate stray a { h b; } gate frob a { frobnicate a; } gate half(t) a { rz(t/0) a; }\n"
+	for _, tc := range []struct{ stmt, want string }{
+		// the three reported faults, in full
+		{"frobnicate q[0];", `qasm: line 3: unknown gate "frobnicate"`},
+		{"rz(1,2) q[0];", `qasm: line 3: gate "rz" expects 1 parameters, got 2`},
+		{"cx q[0];", `qasm: line 3: gate "cx" expects 2 qubits, got 1`},
+		{"cx q[0],q[0];", "qasm: line 3: invalid gate cx q[0],q[0]: qubit 0 used twice in one gate"},
+		// statement syntax
+		{"3 q[0];", `expected statement, got "3"`},
+		{"include foo;", "expected file name after include"},
+		{"x q[0]", `expected ";", got "x"`},
+		{"cx q[0], 5;", `expected identifier, got "5"`},
+		{"x q[a];", `expected integer, got "a"`},
+		{"x q[1.5];", `invalid integer "1.5"`},
+		{"reset q[0];", `unsupported statement "reset"`},
+		// registers and arguments
+		{"qreg z[0];", `register "z" has invalid size 0`},
+		{"qreg q[4];", `register "q" redeclared`},
+		{"qreg big[9223372036854775807];", `register "big" overflows the wire space`},
+		{"x s[0];", `unknown quantum register "s"`},
+		{"x q[5];", `index 5 out of range for register "q"[2]`},
+		{"cx q, r;", `broadcast width mismatch in "cx"`},
+		{"measure q[0] c[0];", `expected "->", got "c"`},
+		{"measure q[0] -> d[0];", `unknown classical register "d"`},
+		{"measure r -> c;", "measure width mismatch (3 qubits, 1 bits)"},
+		// parameters
+		{"rz(1 2) q[0];", "expected ',' or ')' in parameter list"},
+		{"rz(*) q[0];", `unexpected token "*" in expression`},
+		{"rz(1.2.3) q[0];", `invalid number "1.2.3"`},
+		{"rz(qq) q[0];", `unknown identifier "qq" in expression`},
+		{"rz(1/0) q[0];", "division by zero in parameter expression"},
+		{"rz(foo(1)) q[0];", `unknown function "foo"`},
+		// gate definitions and macro calls
+		{"gate d(a b) x { h x; }", "expected ',' or ')' in gate parameter list"},
+		{"gate d a { rz(1 2) a; }", "expected ',' or ')' in parameter list"},
+		{"g(1) q[0];", `gate "g" expects 0 params and 1 qubits, got 1 and 1`},
+		{"self q[0];", `gate "self" expands into itself`},
+		{"stray q[0];", `in gate "stray": unknown qubit argument "b"`},
+		{"frob q[0];", `unknown gate "frobnicate"`},
+		{"half(1) q[1];", `in gate "half": division by zero in parameter expression`},
+		// lexing errors name the offending byte's line
+		{"x q[0]; $", `unexpected character '$'`},
+		{`include "a`, "newline in string literal"},
+	} {
+		_, err := Parse(head + tc.stmt + "\nx q[0];\n")
+		if err == nil || !strings.HasPrefix(err.Error(), "qasm: line 3: ") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: error %v, want %q on line 3", tc.stmt, err, tc.want)
+		}
+	}
+	// A header fault is reported on the header's line, a statement cut off
+	// by the end of input on the line it starts on, and a fault in a gate
+	// body on the line of its body statement.
+	for _, tc := range []struct {
+		src  string
+		line int
+		want string
+	}{
+		{"\n\nOPENQASM 3.0;\nqreg q[1];", 3, "unsupported OPENQASM version 3.0"},
+		{"qreg q[2];\n\nx q[0]\n// end of input", 3, `expected ";", got ""`},
+		{"qreg q[2];\n\ngate g a {\n  h a;", 3, `unterminated gate body for "g"`},
+		{"qreg q[2];\n\ngate g a {\n  rz(1 a; }", 4, "expected ',' or ')' in parameter list"},
+	} {
+		_, err := Parse(tc.src)
+		if prefix := fmt.Sprintf("qasm: line %d: ", tc.line); err == nil ||
+			!strings.HasPrefix(err.Error(), prefix) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: error %v, want %q on line %d", tc.src, err, tc.want, tc.line)
+		}
+	}
+}

@@ -1,7 +1,12 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,23 +24,7 @@ import (
 // reports the time per finished job as ms/job.
 func BenchmarkJournalReplay(b *testing.B) {
 	const jobs = 100
-	src, err := bench.RandomReversible(5, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := decompose.Circuit(src, decompose.LevelCX)
-	m, err := mapping.Map(g, mapping.Options{Arch: mapping.Ring(g.N), RestoreLayout: true, DecomposeSwaps: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	req := CheckRequest{}
-	if req.G, err = qasm.WriteString(g); err != nil {
-		b.Fatal(err)
-	}
-	if req.Gp, err = qasm.WriteString(m.Circuit); err != nil {
-		b.Fatal(err)
-	}
-	fp := fingerprint.Pair(g, m.Circuit).String()
+	req, fp := routedRequest(b)
 
 	dir := b.TempDir()
 	jl, _, err := openJournal(dir)
@@ -73,4 +62,90 @@ func BenchmarkJournalReplay(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N*jobs), "ms/job")
+}
+
+// routedRequest returns the check request of the routed rev5 pair of ec's
+// BenchmarkCheckRoutedPair (about 8,400 gates and 110 KB of QASM a side)
+// and the pair's fingerprint.
+func routedRequest(tb testing.TB) (CheckRequest, string) {
+	tb.Helper()
+	src, err := bench.RandomReversible(5, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g := decompose.Circuit(src, decompose.LevelCX)
+	m, err := mapping.Map(g, mapping.Options{Arch: mapping.Ring(g.N), RestoreLayout: true, DecomposeSwaps: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	req := CheckRequest{}
+	if req.G, err = qasm.WriteString(g); err != nil {
+		tb.Fatal(err)
+	}
+	if req.Gp, err = qasm.WriteString(m.Circuit); err != nil {
+		tb.Fatal(err)
+	}
+	return req, fingerprint.Pair(g, m.Circuit).String()
+}
+
+// BenchmarkCacheHit measures the intake of a repeated question: a cosmetic
+// variant of the routed rev5 pair's check request (register renamed, cx
+// spelled CX, p spelled u1, commas spaced, a comment added) answered from
+// the verdict cache through the real handler.  Each iteration pays what a
+// cache hit of the qcecd client benchmark's ci-rerun workload pays in the
+// daemon: JSON decode, parsing both circuits, the pair fingerprint, the
+// cache lookup and the response.
+func BenchmarkCacheHit(b *testing.B) {
+	req, _ := routedRequest(b)
+	s, err := New(Config{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := contextWithTimeout(5 * time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	}()
+	h := s.Handler()
+	post := func(body []byte) *CheckResponse {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/check", bytes.NewReader(body)))
+		var res CheckResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &res) != nil {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		return &res
+	}
+	if res := post(marshalCheck(b, req)); res.Cached {
+		b.Fatal("the first request was answered from the cache")
+	}
+	cosmetic := strings.NewReplacer("q[", "r417[", "\ncx ", "\nCX ", "\np(", "\nu1(", ",", " , ")
+	variant := CheckRequest{
+		G:  strings.Replace(cosmetic.Replace(req.G), ";\n", "; // rerun 12345\n", 1),
+		Gp: strings.Replace(cosmetic.Replace(req.Gp), ";\n", "; // rerun 12345\n", 1),
+	}
+	body := marshalCheck(b, variant)
+	if res := post(body); !res.Cached {
+		b.Fatal("the cosmetic variant missed the cache")
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/check", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/hit")
+}
+
+func marshalCheck(tb testing.TB, req CheckRequest) []byte {
+	tb.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
 }

@@ -118,55 +118,85 @@ type specKey struct {
 	pos, neg uint64
 }
 
-// keyOf returns the alphabet key of a gate, or false when the masks cannot
-// stand for its qubits: an index outside them, or a control listed twice.
-// Such a gate gets an entry of its own, and binding it reports the fault.
-func keyOf(u [2][2]complex128, g circuit.Gate) (specKey, bool) {
-	k := specKey{u: u, target: g.Target}
+// stepKey identifies a step before its matrix is built: the gate's kind,
+// parameters, target and control masks.  Equal step keys give equal
+// matrices (parameters compare as floats, as the matrices' entries do), so
+// a repeated step finds its alphabet entry without building the matrix.
+type stepKey struct {
+	kind     circuit.Kind
+	params   [3]float64
+	nparams  int
+	target   int
+	pos, neg uint64
+}
+
+// controlMasks returns a gate's positive and negative control masks, or
+// false when the masks cannot stand for its qubits: an index outside them,
+// or a control listed twice.  Such a gate gets an entry of its own, and
+// binding it reports the fault.
+func controlMasks(g *circuit.Gate) (pos, neg uint64, ok bool) {
 	if g.Target < 0 || g.Target >= dd.MaxQubits {
-		return k, false
+		return 0, 0, false
 	}
 	for _, c := range g.Controls {
 		if c.Qubit < 0 || c.Qubit >= dd.MaxQubits {
-			return k, false
+			return 0, 0, false
 		}
 		bit := uint64(1) << uint(c.Qubit)
-		if (k.pos|k.neg)&bit != 0 {
-			return k, false
+		if (pos|neg)&bit != 0 {
+			return 0, 0, false
 		}
 		if c.Neg {
-			k.neg |= bit
+			neg |= bit
 		} else {
-			k.pos |= bit
+			pos |= bit
 		}
 	}
-	return k, true
+	return pos, neg, true
 }
 
 // Prepare compiles a circuit into a shareable Program.  The circuit's gates
 // must not be mutated afterwards (the specs alias nothing from the circuit,
-// but the compilation reflects the gates at call time).
+// but the compilation reflects the gates at call time).  Each step is
+// looked up by its stepKey first; only a step not seen before builds its
+// matrix, which finds or adds its alphabet entry by specKey, so gates of
+// different kinds with one matrix (T and P(π/4)) share an entry.
 func Prepare(c *circuit.Circuit) *Program {
 	pr := &Program{n: c.N, ops: make([]int32, 0, len(c.Gates)), ends: make([]int32, len(c.Gates))}
 	index := make(map[specKey]int32)
-	add := func(g circuit.Gate) {
-		u := g.Matrix()
-		k, ok := keyOf(u, g)
-		if i, seen := index[k]; ok && seen {
-			pr.ops = append(pr.ops, i)
-			return
+	steps := make(map[stepKey]int32)
+	add := func(g *circuit.Gate) {
+		pos, neg, ok := controlMasks(g)
+		keyed := ok && g.Kind != circuit.Custom && len(g.Params) <= 3
+		var sk stepKey
+		if keyed {
+			sk = stepKey{kind: g.Kind, nparams: len(g.Params), target: g.Target, pos: pos, neg: neg}
+			copy(sk.params[:], g.Params)
+			if i, seen := steps[sk]; seen {
+				pr.ops = append(pr.ops, i)
+				return
+			}
 		}
-		i := int32(len(pr.specs))
-		pr.specs = append(pr.specs, dd.GateSpec{U: u, Target: g.Target, Controls: ToDDControls(g.Controls)})
-		if ok {
-			index[k] = i
+		u := g.Matrix()
+		k := specKey{u: u, target: g.Target, pos: pos, neg: neg}
+		i, seen := index[k]
+		if !ok || !seen {
+			i = int32(len(pr.specs))
+			pr.specs = append(pr.specs, dd.GateSpec{U: u, Target: g.Target, Controls: ToDDControls(g.Controls)})
+			if ok {
+				index[k] = i
+			}
+		}
+		if keyed {
+			steps[sk] = i
 		}
 		pr.ops = append(pr.ops, i)
 	}
-	for i, g := range c.Gates {
+	for i := range c.Gates {
+		g := &c.Gates[i]
 		if g.Kind == circuit.SWAP {
-			for _, cx := range swapAsCXs(g) {
-				add(cx)
+			for _, cx := range swapAsCXs(*g) {
+				add(&cx)
 			}
 		} else {
 			add(g)
