@@ -75,9 +75,10 @@ benchcmp:
 	$(GO) run ./cmd/qbench -out /tmp/qbench-head.json -r $(BENCH_R) -compare BENCH_sim.json
 
 # Short fuzzing bursts over the parsers (the OpenQASM one also against its
-# tokenize-first reference), the decomposition pipeline and the complex
-# table (against its map-backed reference); -fuzz takes one target per
-# invocation, so each fuzzer gets its own run.
+# tokenize-first reference), the decomposition pipeline, the complex table
+# (against its map-backed reference) and qcecd's check-request reader
+# (against json.Unmarshal); -fuzz takes one target per invocation, so each
+# fuzzer gets its own run.
 fuzz-smoke:
 	$(GO) test ./internal/qasm -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/qasm -run='^$$' -fuzz='^FuzzParseMatchesReference$$' -fuzztime=$(FUZZTIME)
@@ -88,6 +89,7 @@ fuzz-smoke:
 	$(GO) test ./internal/stab -run='^$$' -fuzz='^FuzzTableau$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal -run='^$$' -fuzz='^FuzzJournalDecode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cn -run='^$$' -fuzz='^FuzzInternMatchesReference$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/server -run='^$$' -fuzz='^FuzzDecodeCheckRequest$$' -fuzztime=$(FUZZTIME)
 
 # The fault-injection chaos suite and the watchdog tests under the race
 # detector: every injected fault must degrade into a typed report, never a

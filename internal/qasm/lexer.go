@@ -18,9 +18,9 @@
 // allocates a few objects per thousand gates.  Line numbers are counted
 // only when an error is reported: an error about a statement names the
 // line of the statement's first token (a macro's expansion errors name the
-// call's), a lexing error the line where the lexer stopped.  The tests keep
-// the tokenize-first parser this one replaced as an oracle
-// (FuzzParseMatchesReference).
+// call's), a lexing error the line of the offending byte, or of the "/*"
+// that opens an unterminated comment.  The tests keep the tokenize-first
+// parser this one replaced as an oracle (FuzzParseMatchesReference).
 package qasm
 
 import (
@@ -114,8 +114,7 @@ func (l *lexer) next() token {
 		case c == '/' && l.pos+1 < len(src) && src[l.pos+1] == '*':
 			end := strings.Index(src[l.pos+2:], "*/")
 			if end < 0 {
-				l.pos = max(l.pos+2, len(src)-1)
-				return l.fail("unterminated block comment")
+				return l.fail("unterminated block comment") // on the line of its "/*"
 			}
 			l.pos += 2 + end + 2
 		default:

@@ -540,8 +540,9 @@ func TestParseErrorLines(t *testing.T) {
 		}
 	}
 	// A header fault is reported on the header's line, a statement cut off
-	// by the end of input on the line it starts on, and a fault in a gate
-	// body on the line of its body statement.
+	// by the end of input on the line it starts on, a fault in a gate body
+	// on the line of its body statement, and an unterminated comment on the
+	// line it opens on.
 	for _, tc := range []struct {
 		src  string
 		line int
@@ -551,6 +552,7 @@ func TestParseErrorLines(t *testing.T) {
 		{"qreg q[2];\n\nx q[0]\n// end of input", 3, `expected ";", got ""`},
 		{"qreg q[2];\n\ngate g a {\n  h a;", 3, `unterminated gate body for "g"`},
 		{"qreg q[2];\n\ngate g a {\n  rz(1 a; }", 4, "expected ',' or ')' in parameter list"},
+		{"OPENQASM 2.0;\nqreg q[1];\n/* opened on line 3\nx q[0];\n\nx q[0];\n", 3, "unterminated block comment"},
 	} {
 		_, err := Parse(tc.src)
 		if prefix := fmt.Sprintf("qasm: line %d: ", tc.line); err == nil ||

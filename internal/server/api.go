@@ -44,7 +44,13 @@ type CheckOptions struct {
 	Tolerance float64 `json:"tolerance,omitempty"`
 }
 
-// CheckRequest is the body of POST /v1/check and POST /v1/jobs.
+// CheckRequest is the body of POST /v1/check and POST /v1/jobs.  A body is
+// exactly one JSON value, with nothing but whitespace after it, within
+// Config.MaxBodyBytes: past the limit it is a 413 body_too_large, and a body
+// that does not decode is a 400 bad_request.  It decodes as json.Unmarshal
+// decodes it, so keys match case-insensitively and unknown keys are
+// ignored; the json.Marshal form, with the keys spelled as below, is read
+// without encoding/json's scanner.
 type CheckRequest struct {
 	// G and Gp are the two circuits as OpenQASM 2.0 source text.
 	G  string `json:"g"`

@@ -38,10 +38,13 @@ type batchKey struct {
 
 // handleBatch is POST /v1/batch.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.failDecode(w, err)
+	if err := json.Unmarshal(body, &req); err != nil {
+		s.failJSON(w, err)
 		return
 	}
 	if len(req.Items) == 0 {

@@ -26,7 +26,11 @@ type Config struct {
 	// MaxParallel caps a single job's simulation-stage worker count
 	// (default 4).  Requests asking for more are clamped, not rejected.
 	MaxParallel int
-	// MaxBodyBytes bounds the request body (default 4 MiB → 413).
+	// MaxBodyBytes bounds every POST body (default 4 MiB).  A declared
+	// Content-Length above it is a 413 body_too_large before any byte is
+	// read, and so is a body that runs past it, even when its JSON value
+	// ends before the limit.  A body must be exactly one JSON value:
+	// anything but whitespace after the value is a 400 bad_request.
 	MaxBodyBytes int64
 	// MaxQubits / MaxGates reject circuits beyond the deployment's size
 	// envelope with 413 circuit_too_large.  MaxGates 0 means no bound;

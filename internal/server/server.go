@@ -310,13 +310,16 @@ func (s *Server) newJob(id string, req CheckRequest, ckey cacheKey) *job {
 	return j
 }
 
-// decodeJob decodes a single-check body and builds its job, writing the
-// HTTP error response on failure.
+// decodeJob reads and decodes a single-check body (see intake.go) and
+// builds its job, writing the HTTP error response on failure.
 func (s *Server) decodeJob(w http.ResponseWriter, r *http.Request) (*job, bool) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req CheckRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.failDecode(w, err)
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return nil, false
+	}
+	req, err := decodeCheckRequest(body)
+	if err != nil {
+		s.failJSON(w, err)
 		return nil, false
 	}
 	j, apiErr := s.buildJob(req)
@@ -326,17 +329,6 @@ func (s *Server) decodeJob(w http.ResponseWriter, r *http.Request) (*job, bool) 
 	}
 	j.idemKey = r.Header.Get(IdempotencyKeyHeader)
 	return j, true
-}
-
-// failDecode maps a request-body decoding error to its HTTP response.
-func (s *Server) failDecode(w http.ResponseWriter, err error) {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		s.fail(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-			fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
-		return
-	}
-	s.fail(w, http.StatusBadRequest, CodeBadRequest, "invalid JSON: "+err.Error())
 }
 
 // parseCircuit parses one QASM source under the size envelope.  The parser

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -167,6 +168,51 @@ func TestCheckFinishedBySimulation(t *testing.T) {
 	}
 }
 
+// validationCase is a row of TestRequestValidation: a body and the typed
+// error it must come back with.
+type validationCase struct {
+	name       string
+	body       string
+	wantStatus int
+	wantCode   string
+}
+
+// endpointCases are the rows posted to one endpoint path.
+type endpointCases struct {
+	path  string
+	cases []validationCase
+}
+
+// validationCases returns TestRequestValidation's rows.  A body is one JSON
+// value within MaxBodyBytes (2048 there): a body past the limit is a 413
+// even when its value ends before it, and any byte but whitespace after the
+// value is a 400.
+func validationCases() []endpointCases {
+	batch := `{"items":[` + checkBody(bellQASM, bellQASM) + `]}`
+	return []endpointCases{
+		{"/v1/check", []validationCase{
+			{"not json", "hello", http.StatusBadRequest, CodeBadRequest},
+			{"missing gp", `{"g": "OPENQASM 2.0;\nqreg q[1];\n"}`, http.StatusBadRequest, CodeBadRequest},
+			{"malformed qasm", checkBody("OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];\n", bellQASM), http.StatusBadRequest, CodeBadQASM},
+			{"bad strategy", `{"g":` + quote(bellQASM) + `,"gp":` + quote(bellQASM) + `,"options":{"strategy":"magic"}}`, http.StatusBadRequest, CodeBadRequest},
+			{"retired stabilizer strategy", `{"g":` + quote(bellQASM) + `,"gp":` + quote(bellQASM) + `,"options":{"strategy":"stabilizer"}}`, http.StatusBadRequest, CodeBadRequest},
+			{"oversized body", checkBody(bellQASM+strings.Repeat("// padding\n", 400), bellQASM), http.StatusRequestEntityTooLarge, CodeBodyTooLarge},
+			{"too many qubits", checkBody(ghzQASM(5), ghzQASM(5)), http.StatusRequestEntityTooLarge, CodeCircuitTooLarge},
+			{"too many gates", checkBody(bellQASM+"x q[0];\nx q[0];\n", bellQASM), http.StatusRequestEntityTooLarge, CodeCircuitTooLarge},
+			{"padding past the limit", checkBody(bellQASM, bellQASM) + strings.Repeat(" ", 5000), http.StatusRequestEntityTooLarge, CodeBodyTooLarge},
+			{"bytes after the value", checkBody(bellQASM, bellQASM) + "garbage", http.StatusBadRequest, CodeBadRequest},
+			{"two values", checkBody(bellQASM, bellQASM) + checkBody(bellQASM, bellQASM), http.StatusBadRequest, CodeBadRequest},
+		}},
+		{"/v1/jobs", []validationCase{
+			{"jobs bytes after the value", checkBody(bellQASM, bellQASM) + "garbage", http.StatusBadRequest, CodeBadRequest},
+		}},
+		{"/v1/batch", []validationCase{
+			{"batch padding past the limit", batch + strings.Repeat(" ", 5000), http.StatusRequestEntityTooLarge, CodeBodyTooLarge},
+			{"batch bytes after the value", batch + "garbage", http.StatusBadRequest, CodeBadRequest},
+		}},
+	}
+}
+
 // TestRequestValidation is the 4xx table: every malformed request must come
 // back as a typed JSON error with the documented code, and must never reach
 // the queue.
@@ -177,38 +223,126 @@ func TestRequestValidation(t *testing.T) {
 		MaxQubits:    4,
 		MaxGates:     3,
 	})
-	cases := []struct {
-		name       string
-		body       string
-		wantStatus int
-		wantCode   string
-	}{
-		{"not json", "hello", http.StatusBadRequest, CodeBadRequest},
-		{"missing gp", `{"g": "OPENQASM 2.0;\nqreg q[1];\n"}`, http.StatusBadRequest, CodeBadRequest},
-		{"malformed qasm", checkBody("OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];\n", bellQASM), http.StatusBadRequest, CodeBadQASM},
-		{"bad strategy", `{"g":` + quote(bellQASM) + `,"gp":` + quote(bellQASM) + `,"options":{"strategy":"magic"}}`, http.StatusBadRequest, CodeBadRequest},
-		{"retired stabilizer strategy", `{"g":` + quote(bellQASM) + `,"gp":` + quote(bellQASM) + `,"options":{"strategy":"stabilizer"}}`, http.StatusBadRequest, CodeBadRequest},
-		{"oversized body", checkBody(bellQASM+strings.Repeat("// padding\n", 400), bellQASM), http.StatusRequestEntityTooLarge, CodeBodyTooLarge},
-		{"too many qubits", checkBody(ghzQASM(5), ghzQASM(5)), http.StatusRequestEntityTooLarge, CodeCircuitTooLarge},
-		{"too many gates", checkBody(bellQASM+"x q[0];\nx q[0];\n", bellQASM), http.StatusRequestEntityTooLarge, CodeCircuitTooLarge},
+	for _, endpoint := range validationCases() {
+		for _, tc := range endpoint.cases {
+			t.Run(tc.name, func(t *testing.T) {
+				resp, data := postJSON(t, ts.URL+endpoint.path, tc.body)
+				if resp.StatusCode != tc.wantStatus {
+					t.Fatalf("status = %d, want %d; body %s", resp.StatusCode, tc.wantStatus, data)
+				}
+				var eb ErrorBody
+				if err := json.Unmarshal(data, &eb); err != nil {
+					t.Fatalf("error body is not the typed shape: %v (%s)", err, data)
+				}
+				if eb.Error.Code != tc.wantCode {
+					t.Errorf("code = %q, want %q (message %q)", eb.Error.Code, tc.wantCode, eb.Error.Message)
+				}
+				if eb.Error.Message == "" {
+					t.Errorf("empty error message")
+				}
+			})
+		}
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			resp, data := postJSON(t, ts.URL+"/v1/check", tc.body)
-			if resp.StatusCode != tc.wantStatus {
-				t.Fatalf("status = %d, want %d; body %s", resp.StatusCode, tc.wantStatus, data)
+}
+
+// TestDeclaredLengthOverLimitIsNotRead: a Content-Length above MaxBodyBytes
+// is a 413 on every POST endpoint before the handler reads a byte.
+func TestDeclaredLengthOverLimitIsNotRead(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1, MaxBodyBytes: 2048})
+	for _, path := range []string{"/v1/check", "/v1/jobs", "/v1/batch"} {
+		body := &countingReader{r: strings.NewReader(checkBody(bellQASM, bellQASM))}
+		req := httptest.NewRequest(http.MethodPost, path, body)
+		req.ContentLength = 2049
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		var eb ErrorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || rec.Code != http.StatusRequestEntityTooLarge || eb.Error.Code != CodeBodyTooLarge {
+			t.Errorf("%s: status %d, body %s; want 413 %s", path, rec.Code, rec.Body, CodeBodyTooLarge)
+		}
+		if body.reads != 0 {
+			t.Errorf("%s: the handler read the body %d times before refusing it", path, body.reads)
+		}
+	}
+}
+
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestDeclaredLengthIsNotPreallocated: a request that declares a body of
+// MaxBodyBytes and has sent nothing holds at most maxPrealloc of buffer on
+// every POST endpoint, so idle connections cannot pin the limit each.
+func TestDeclaredLengthIsNotPreallocated(t *testing.T) {
+	const limit = 32 << 20
+	s, _ := newTestServer(t, Config{Workers: 1, MaxBodyBytes: limit})
+	for _, path := range []string{"/v1/check", "/v1/jobs", "/v1/batch"} {
+		var before, atRead runtime.MemStats
+		read := false
+		body := readerFunc(func([]byte) (int, error) {
+			if !read {
+				read = true
+				runtime.ReadMemStats(&atRead)
+			}
+			return 0, io.EOF
+		})
+		req := httptest.NewRequest(http.MethodPost, path, body)
+		req.ContentLength = limit
+		runtime.ReadMemStats(&before)
+		s.Handler().ServeHTTP(httptest.NewRecorder(), req)
+		if !read {
+			t.Fatalf("%s: the handler never read the body", path)
+		}
+		if got := atRead.TotalAlloc - before.TotalAlloc; got > 4*maxPrealloc {
+			t.Errorf("%s: %d bytes allocated before the first body byte arrived (declared %d)", path, got, limit)
+		}
+	}
+}
+
+type readerFunc func([]byte) (int, error)
+
+func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
+
+// TestChunkedBodyOverLimit: a body sent without a Content-Length (chunked)
+// is bounded as it is read: on every POST endpoint it is served within
+// MaxBodyBytes and is a 413 once it runs past the limit, even when its
+// JSON value ends before it.
+func TestChunkedBodyOverLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, MaxBodyBytes: 2048})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/check", checkBody(bellQASM, bellQASM)},
+		{"/v1/jobs", checkBody(bellQASM, bellQASM)},
+		{"/v1/batch", `{"items":[` + checkBody(bellQASM, bellQASM) + `]}`},
+	} {
+		for _, padding := range []int{0, 5000} {
+			// io.MultiReader hides the length, so the client sends the
+			// body chunked and the request's ContentLength is -1.
+			body := io.MultiReader(strings.NewReader(tc.body + strings.Repeat(" ", padding)))
+			resp, err := http.Post(ts.URL+tc.path, "application/json", body)
+			if err != nil {
+				t.Fatalf("POST %s: %v", tc.path, err)
+			}
+			data, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("read body: %v", err)
+			}
+			if padding == 0 {
+				if resp.StatusCode >= 300 {
+					t.Errorf("%s, chunked within the limit: status %d, body %s", tc.path, resp.StatusCode, data)
+				}
+				continue
 			}
 			var eb ErrorBody
-			if err := json.Unmarshal(data, &eb); err != nil {
-				t.Fatalf("error body is not the typed shape: %v (%s)", err, data)
+			if err := json.Unmarshal(data, &eb); err != nil || resp.StatusCode != http.StatusRequestEntityTooLarge || eb.Error.Code != CodeBodyTooLarge {
+				t.Errorf("%s, chunked past the limit: status %d, body %s; want 413 %s", tc.path, resp.StatusCode, data, CodeBodyTooLarge)
 			}
-			if eb.Error.Code != tc.wantCode {
-				t.Errorf("code = %q, want %q (message %q)", eb.Error.Code, tc.wantCode, eb.Error.Message)
-			}
-			if eb.Error.Message == "" {
-				t.Errorf("empty error message")
-			}
-		})
+		}
 	}
 }
 
