@@ -3,9 +3,10 @@
 
 GO ?= go
 
-# Packages with real concurrency (goroutines + shared cancellation state):
-# these are the ones the race detector must cover.
-RACE_PKGS = ./cmd/qcec/... ./internal/core/... ./internal/portfolio/... ./internal/dd/... ./internal/ec/... ./internal/resource/... ./internal/faultinject/... ./internal/server/... ./internal/sim/... ./internal/stab/...
+# Packages with real concurrency (goroutines + shared cancellation state),
+# and the parser whose storage qcecd reuses across requests: these are the
+# ones the race detector must cover.
+RACE_PKGS = ./cmd/qcec/... ./internal/core/... ./internal/portfolio/... ./internal/dd/... ./internal/ec/... ./internal/resource/... ./internal/faultinject/... ./internal/qasm/... ./internal/server/... ./internal/sim/... ./internal/stab/...
 
 FUZZTIME ?= 20s
 
@@ -75,7 +76,8 @@ benchcmp:
 	$(GO) run ./cmd/qbench -out /tmp/qbench-head.json -r $(BENCH_R) -compare BENCH_sim.json
 
 # Short fuzzing bursts over the parsers (the OpenQASM one also against its
-# tokenize-first reference), the decomposition pipeline, the complex table
+# tokenize-first reference, and parsing into reused storage against a fresh
+# parse), the decomposition pipeline, the complex table
 # (against its map-backed reference) and qcecd's check-request reader
 # (against json.Unmarshal); -fuzz takes one target per invocation, so each
 # fuzzer gets its own run.
@@ -83,6 +85,7 @@ fuzz-smoke:
 	$(GO) test ./internal/qasm -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/qasm -run='^$$' -fuzz='^FuzzParseMatchesReference$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/qasm -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/qasm -run='^$$' -fuzz='^FuzzParseReuse$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/revlib -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/decompose -run='^$$' -fuzz='^FuzzZYZ$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/decompose -run='^$$' -fuzz='^FuzzDecompose$$' -fuzztime=$(FUZZTIME)

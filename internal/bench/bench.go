@@ -102,10 +102,10 @@ func Supremacy(rows, cols, cycles int, seed int64) *circuit.Circuit {
 	rng := rand.New(rand.NewSource(seed))
 	c := circuit.New(n, fmt.Sprintf("supremacy-%dx%d-%d", rows, cols, cycles))
 	id := func(r, cc int) int { return r*cols + cc }
-	sqrtY := [2][2]complex128{
+	sqrtY := &circuit.Unitary{Label: "sy", Mat: [2][2]complex128{
 		{complex(0.5, 0.5), complex(-0.5, -0.5)},
 		{complex(0.5, 0.5), complex(0.5, 0.5)},
-	}
+	}}
 	for q := 0; q < n; q++ {
 		c.H(q)
 	}
@@ -115,7 +115,7 @@ func Supremacy(rows, cols, cycles int, seed int64) *circuit.Circuit {
 			case 0:
 				c.SX(q)
 			case 1:
-				c.Add(circuit.Gate{Kind: circuit.Custom, Target: q, Target2: -1, Mat: sqrtY, Label: "sy"})
+				c.Add(circuit.Gate{Kind: circuit.Custom, Target: q, Target2: -1, Custom: sqrtY})
 			case 2:
 				c.T(q)
 			}

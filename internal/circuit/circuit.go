@@ -56,10 +56,10 @@ func (c *Circuit) TryAdd(g Gate) error {
 }
 
 // Validate checks a gate against a register of n qubits: every wire lies
-// in the register and is named once, only a SWAP sets Target2, and the
-// kind gets its number of parameters.  It reads the gate where it stands,
-// so a parser can build a gate in place at the end of a circuit's Gates
-// and validate it there without copying it.
+// in the register and is named once, only a SWAP sets Target2, the kind
+// gets its number of parameters, and a Custom gate has its matrix.  It
+// reads the gate where it stands, so a parser can build a gate in place at
+// the end of a circuit's Gates and validate it there without copying it.
 func (g *Gate) Validate(n int) error {
 	check := func(q int) error {
 		if q < 0 || q >= n {
@@ -97,6 +97,9 @@ func (g *Gate) Validate(n int) error {
 	}
 	if want := g.Kind.NumParams(); len(g.Params) != want {
 		return fmt.Errorf("gate %v requires %d parameters, got %d", g.Kind, want, len(g.Params))
+	}
+	if g.Kind == Custom && g.Custom == nil {
+		return fmt.Errorf("gate %v has no matrix", g.Kind)
 	}
 	return nil
 }

@@ -83,7 +83,7 @@ func TestInverseGivesIdentity(t *testing.T) {
 	}
 	gates = append(gates, Gate{
 		Kind: Custom, Target: 0, Target2: -1,
-		Mat: oneQ(U3, 0, 0.3, 0.7, -1.1).Matrix(),
+		Custom: &Unitary{Mat: oneQ(U3, 0, 0.3, 0.7, -1.1).Matrix()},
 	})
 	for _, g := range gates {
 		prod := mat2Mul(g.Inverse().Matrix(), g.Matrix())

@@ -82,15 +82,26 @@ type Control struct {
 
 // Gate is one operation of a circuit: a single-qubit operation of the given
 // Kind applied to Target under the given Controls, or a SWAP of Target and
-// Target2.  Custom gates carry their matrix in Mat.
+// Target2.  Custom gates carry their matrix behind Custom.
+//
+// A gate is 80 bytes: only Custom gates need a matrix and a label, so both
+// sit behind one pointer, and a parsed circuit of thousands of gates is one
+// slice the parser can fill again in place (qasm.ParseInto).
 type Gate struct {
 	Kind     Kind
 	Target   int
 	Target2  int // second target for SWAP; -1 otherwise
 	Controls []Control
 	Params   []float64
-	Mat      [2][2]complex128 // only for Kind == Custom
-	Label    string           // optional provenance note (Custom gates)
+	Custom   *Unitary // only for Kind == Custom, which Validate requires it for
+}
+
+// Unitary is the operation of a Custom gate: its 2x2 matrix and an optional
+// provenance note.  Gates and their copies share it by pointer, so it is
+// never mutated: Inverse builds a new one.
+type Unitary struct {
+	Mat   [2][2]complex128
+	Label string
 }
 
 // Matrix returns the 2x2 matrix of the gate's single-qubit operation.
@@ -156,7 +167,7 @@ func (g Gate) Matrix() [2][2]complex128 {
 			{s * cmplx.Exp(complex(0, phi)), c * cmplx.Exp(complex(0, phi+lam))},
 		}
 	case Custom:
-		return g.Mat
+		return g.Custom.Mat
 	case SWAP:
 		panic("circuit: SWAP has no 2x2 matrix; decompose first")
 	default:
@@ -192,11 +203,11 @@ func (g Gate) Inverse() Gate {
 	case U3:
 		inv.Params = []float64{-g.Params[0], -g.Params[2], -g.Params[1]}
 	case Custom:
-		m := g.Mat
-		inv.Mat = [2][2]complex128{
+		m := g.Custom.Mat
+		inv.Custom = &Unitary{Label: g.Custom.Label, Mat: [2][2]complex128{
 			{cmplx.Conj(m[0][0]), cmplx.Conj(m[1][0])},
 			{cmplx.Conj(m[0][1]), cmplx.Conj(m[1][1])},
-		}
+		}}
 	default:
 		panic(fmt.Sprintf("circuit: cannot invert gate kind %v", g.Kind))
 	}
@@ -278,7 +289,8 @@ func (g Gate) Equal(o Gate) bool {
 			return false
 		}
 	}
-	return g.Kind != Custom || g.Mat == o.Mat
+	return g.Kind != Custom || g.Custom == o.Custom ||
+		g.Custom != nil && o.Custom != nil && g.Custom.Mat == o.Custom.Mat
 }
 
 func sortControls(cs []Control) {

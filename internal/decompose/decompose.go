@@ -101,7 +101,7 @@ func (d *decomposer) swap(controls []int, a, b int) {
 // controlled lowers a single-qubit operation with the given positive
 // controls.
 func (d *decomposer) controlled(g circuit.Gate, controls []int) {
-	base := circuit.Gate{Kind: g.Kind, Target: g.Target, Target2: -1, Params: g.Params, Mat: g.Mat, Label: g.Label}
+	base := circuit.Gate{Kind: g.Kind, Target: g.Target, Target2: -1, Params: g.Params, Custom: g.Custom}
 	switch len(controls) {
 	case 0:
 		d.emit(base)
@@ -146,7 +146,7 @@ func withControls(g circuit.Gate, controls []int) circuit.Gate {
 func gateMatrix(g circuit.Gate) mat2 { return g.Matrix() }
 
 func custom(u mat2, target int, label string) circuit.Gate {
-	return circuit.Gate{Kind: circuit.Custom, Target: target, Target2: -1, Mat: u, Label: label}
+	return circuit.Gate{Kind: circuit.Custom, Target: target, Target2: -1, Custom: &circuit.Unitary{Mat: u, Label: label}}
 }
 
 // controlledU emits the textbook CX-based realization of a controlled

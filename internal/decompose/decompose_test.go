@@ -115,7 +115,7 @@ func TestControlledUEquivalent(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		c := circuit.New(2, "cu")
 		c.Add(circuit.Gate{Kind: circuit.Custom, Target: 1, Target2: -1,
-			Controls: []circuit.Control{{Qubit: 0}}, Mat: randomUnitary(rng)})
+			Controls: []circuit.Control{{Qubit: 0}}, Custom: &circuit.Unitary{Mat: randomUnitary(rng)}})
 		d := checkEquivalent(t, c, LevelCX)
 		for _, g := range d.Gates {
 			if len(g.Controls) > 1 || (len(g.Controls) == 1 && g.Kind != circuit.X) {
@@ -188,7 +188,7 @@ func TestMCZAndMCU(t *testing.T) {
 	c2 := circuit.New(4, "mcu")
 	c2.Add(circuit.Gate{Kind: circuit.Custom, Target: 3, Target2: -1,
 		Controls: []circuit.Control{{Qubit: 0}, {Qubit: 1}, {Qubit: 2}},
-		Mat:      randomUnitary(rng)})
+		Custom:   &circuit.Unitary{Mat: randomUnitary(rng)}})
 	checkEquivalent(t, c2, LevelCX)
 }
 
@@ -267,7 +267,7 @@ func TestBlowupScalesWithControls(t *testing.T) {
 func TestIdentityCustomSkipped(t *testing.T) {
 	c := circuit.New(2, "id")
 	c.Add(circuit.Gate{Kind: circuit.Custom, Target: 0, Target2: -1,
-		Controls: []circuit.Control{{Qubit: 1}}, Mat: mat2{{1, 0}, {0, 1}}})
+		Controls: []circuit.Control{{Qubit: 1}}, Custom: &circuit.Unitary{Mat: mat2{{1, 0}, {0, 1}}}})
 	d := Circuit(c, LevelCX)
 	if d.NumGates() != 0 {
 		t.Errorf("identity custom gate emitted %d gates", d.NumGates())

@@ -108,7 +108,7 @@ func TestGlobalPhaseHandling(t *testing.T) {
 	g2 := circuit.New(1, "phx")
 	g2.Add(circuit.Gate{
 		Kind: circuit.Custom, Target: 0, Target2: -1,
-		Mat: [2][2]complex128{{0, ph}, {ph, 0}},
+		Custom: &circuit.Unitary{Mat: [2][2]complex128{{0, ph}, {ph, 0}}},
 	})
 	strict := Check(g1, g2, Options{Strategy: Proportional})
 	if strict.Verdict != NotEquivalent {

@@ -48,7 +48,7 @@ func TestPhaseBandFromTolerance(t *testing.T) {
 	g2 := circuit.New(1, "phx")
 	g2.Add(circuit.Gate{
 		Kind: circuit.Custom, Target: 0, Target2: -1,
-		Mat: [2][2]complex128{{0, ph}, {ph, 0}},
+		Custom: &circuit.Unitary{Mat: [2][2]complex128{{0, ph}, {ph, 0}}},
 	})
 
 	coarse := Check(g1, g2, Options{Strategy: Proportional, UpToGlobalPhase: true, Tolerance: 1e-5})

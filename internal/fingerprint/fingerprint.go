@@ -163,10 +163,11 @@ func appendGate(buf []byte, g *circuit.Gate) []byte {
 	}
 
 	if g.Kind == circuit.Custom {
+		m := &g.Custom.Mat
 		for i := 0; i < 2; i++ {
 			for j := 0; j < 2; j++ {
-				le.PutUint64(b, canonicalFloatBits(real(g.Mat[i][j])))
-				le.PutUint64(b[8:], canonicalFloatBits(imag(g.Mat[i][j])))
+				le.PutUint64(b, canonicalFloatBits(real(m[i][j])))
+				le.PutUint64(b[8:], canonicalFloatBits(imag(m[i][j])))
 				b = b[16:]
 			}
 		}

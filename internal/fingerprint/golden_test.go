@@ -24,9 +24,10 @@ func goldenCircuits() map[string]*circuit.Circuit {
 	nan := circuit.New(1, "nan").Phase(math.NaN(), 0).RX(math.Float64frombits(0x7ff8000000000001), 0)
 
 	custom := circuit.New(2, "custom")
-	custom.Add(circuit.Gate{Kind: circuit.Custom, Target: 1, Target2: -1, Label: "fsim",
+	custom.Add(circuit.Gate{Kind: circuit.Custom, Target: 1, Target2: -1,
 		Controls: []circuit.Control{{Qubit: 0}},
-		Mat:      [2][2]complex128{{complex(0.6, 0), complex(0, -0.8)}, {complex(0, -0.8), complex(math.Copysign(0, -1), 0.6)}}})
+		Custom: &circuit.Unitary{Label: "fsim",
+			Mat: [2][2]complex128{{complex(0.6, 0), complex(0, -0.8)}, {complex(0, -0.8), complex(math.Copysign(0, -1), 0.6)}}}})
 
 	long := circuit.New(6, "long")
 	for i := 0; i < 400; i++ {

@@ -9,13 +9,20 @@ import (
 	"qcec/internal/mapping"
 )
 
-// routedPair returns the OpenQASM sources of a deterministic compiler-output
-// pair, built the way the qcecd client benchmark builds its questions: a
-// random 5-bit reversible netlist lowered to CX (g) and the same circuit
-// routed onto a ring with its initial layout restored (gp).  Netlists
-// outside 3300-3900 CX-level gates are drawn again, as the benchmark does,
-// so each side has as many gates as a side of one of its questions.
+// routedPair returns the OpenQASM sources of routedCircuits and their
+// total gate count.
 func routedPair(tb testing.TB) (g, gp string, gates int) {
+	c, m := routedCircuits(tb)
+	return writeOrFail(tb, c), writeOrFail(tb, m), len(c.Gates) + len(m.Gates)
+}
+
+// routedCircuits returns a deterministic compiler-output pair, built the
+// way the qcecd client benchmark builds its questions: a random 5-bit
+// reversible netlist lowered to CX (g) and the same circuit routed onto a
+// ring with its initial layout restored (gp).  Netlists outside 3300-3900
+// CX-level gates are drawn again, as the benchmark does, so each side has
+// as many gates as a side of one of its questions.
+func routedCircuits(tb testing.TB) (g, gp *circuit.Circuit) {
 	tb.Helper()
 	for seed := int64(1); ; seed++ {
 		src, err := bench.RandomReversible(5, seed)
@@ -30,7 +37,7 @@ func routedPair(tb testing.TB) (g, gp string, gates int) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		return writeOrFail(tb, c), writeOrFail(tb, m.Circuit), len(c.Gates) + len(m.Circuit.Gates)
+		return c, m.Circuit
 	}
 }
 
@@ -53,6 +60,24 @@ func BenchmarkParse(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, src := range [2]string{g, gp} {
 			if _, err := Parse(src); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*gates), "ns/gate")
+}
+
+// BenchmarkWrite renders both sides of a routed pair per iteration, the
+// writing work of one question of the qcecd client benchmark's decks.  Run
+// with -benchmem.
+func BenchmarkWrite(b *testing.B) {
+	g, gp := routedCircuits(b)
+	gates := len(g.Gates) + len(gp.Gates)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range [2]*circuit.Circuit{g, gp} {
+			if _, err := WriteString(c); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -617,7 +617,7 @@ func lookupBuiltin(name string) (builtin, bool) {
 }
 
 // emitBuiltin appends one builtin gate to the circuit, validated in place.
-// Its Controls and Params are carved from shared chunks.
+// Its Controls and Params are carved from the storage's shared chunks.
 func (p *parser) emitBuiltin(name string, b builtin, params []float64, wires []int) error {
 	if p.maxGates > 0 && len(p.circ.Gates) == p.maxGates {
 		return &LimitError{What: "gates", Limit: p.maxGates}
@@ -640,7 +640,7 @@ func (p *parser) emitBuiltin(name string, b builtin, params []float64, wires []i
 		g.Target2 = wires[b.ctls+1]
 	} else if b.params > 0 {
 		if len(p.params) < b.params {
-			p.params = make([]float64, chunkLen)
+			p.params = nextChunk(&p.st.params, &p.paramChunk)
 		}
 		g.Params = p.params[:b.params:b.params]
 		p.params = p.params[b.params:]
@@ -648,7 +648,7 @@ func (p *parser) emitBuiltin(name string, b builtin, params []float64, wires []i
 	}
 	if b.ctls > 0 {
 		if len(p.ctls) < b.ctls {
-			p.ctls = make([]circuit.Control, chunkLen)
+			p.ctls = nextChunk(&p.st.ctls, &p.ctlChunk)
 		}
 		g.Controls = p.ctls[:b.ctls:b.ctls]
 		p.ctls = p.ctls[b.ctls:]

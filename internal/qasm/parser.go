@@ -52,6 +52,36 @@ type macroDef struct {
 // are carved from.  It must cover the widest builtin gate (3 entries).
 const chunkLen = 512
 
+// Storage is the memory a parse fills: the circuit's gate slice and the
+// chunks its gates' Controls and Params are carved from.  ParseInto fills
+// it again in place, so a caller that parses one source after another
+// allocates per gate only while the storage grows.  The zero value is an
+// empty storage.
+//
+// A circuit parsed into a storage borrows it: its gates stay valid only
+// until the storage is parsed into again.
+type Storage struct {
+	gates  []circuit.Gate
+	ctls   [][]circuit.Control
+	params [][]float64
+}
+
+// Cap returns how many gates the storage holds room for.  Its chunks hold
+// at most two controls and three parameters per gate of that, plus one
+// partly used chunk of each.
+func (st *Storage) Cap() int { return cap(st.gates) }
+
+// nextChunk returns chunk next of chunks, allocating it when the storage
+// has none that far, and advances next.
+func nextChunk[T any](chunks *[][]T, next *int) []T {
+	if *next == len(*chunks) {
+		*chunks = append(*chunks, make([]T, chunkLen))
+	}
+	c := (*chunks)[*next]
+	*next++
+	return c
+}
+
 type parser struct {
 	lex lexer
 	tok token // current token
@@ -65,14 +95,17 @@ type parser struct {
 	cregs  []Register
 	macros map[string]*macroDef
 
-	// circ receives the gates as they are parsed; its N is the width of
-	// the registers declared so far, which bounds every wire a gate can
-	// name, so validating on append matches validating the finished
-	// circuit.
-	circ     *circuit.Circuit
-	ctls     []circuit.Control // unused tail of the current Controls chunk
-	params   []float64         // unused tail of the current Params chunk
-	measures []Measurement
+	// circ receives the gates as they are parsed, into st; its N is the
+	// width of the registers declared so far, which bounds every wire a
+	// gate can name, so validating on append matches validating the
+	// finished circuit.  ctlChunk and paramChunk index the next chunk of
+	// st to carve from.
+	circ                 *circuit.Circuit
+	st                   *Storage
+	ctls                 []circuit.Control // unused tail of the current Controls chunk
+	params               []float64         // unused tail of the current Params chunk
+	ctlChunk, paramChunk int
+	measures             []Measurement
 
 	// maxQubits and maxGates bound the circuit the parse may build, and
 	// maxMacroCalls the macro expansions it may perform (see ParseLimited);
@@ -177,6 +210,13 @@ const macroCallsPerGate = 4
 // empty bodies, which emit no gate at all — so the bounds are checked while
 // the circuit is built rather than after.
 func ParseLimited(src string, maxQubits, maxGates int) (*Program, error) {
+	return ParseInto(new(Storage), src, maxQubits, maxGates)
+}
+
+// ParseInto parses like ParseLimited into st, overwriting the circuit st
+// held: the returned circuit's gates, Controls and Params live in st.  It
+// gives the program a fresh storage would give, on success and on error.
+func ParseInto(st *Storage, src string, maxQubits, maxGates int) (*Program, error) {
 	// Pre-size the gate slice from the statement count, but never beyond
 	// one gate per 7 source bytes (the shortest gate statement, `x q[0];`),
 	// so a body of bare semicolons cannot buy an outsized allocation.
@@ -184,10 +224,14 @@ func ParseLimited(src string, maxQubits, maxGates int) (*Program, error) {
 	if maxGates > 0 {
 		hint = min(hint, maxGates)
 	}
+	if cap(st.gates) < hint {
+		st.gates = make([]circuit.Gate, 0, hint)
+	}
 	p := &parser{
 		lex:       lexer{src: src},
 		macros:    make(map[string]*macroDef),
-		circ:      &circuit.Circuit{Gates: make([]circuit.Gate, 0, hint)},
+		circ:      &circuit.Circuit{Gates: st.gates[:0]},
+		st:        st,
 		maxQubits: maxQubits,
 		maxGates:  maxGates,
 	}
@@ -196,6 +240,7 @@ func ParseLimited(src string, maxQubits, maxGates int) (*Program, error) {
 	}
 	p.advance()
 	prog, err := p.parse()
+	st.gates = p.circ.Gates[:0] // keep what the gate slice grew to
 	if p.lex.err != nil {
 		return nil, p.lex.err
 	}

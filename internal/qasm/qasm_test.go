@@ -225,7 +225,7 @@ func TestWriteUnsupported(t *testing.T) {
 	}
 	c2 := circuit.New(1, "custom")
 	c2.Add(circuit.Gate{Kind: circuit.Custom, Target: 0, Target2: -1,
-		Mat: [2][2]complex128{{1, 0}, {0, 1}}})
+		Custom: &circuit.Unitary{Mat: [2][2]complex128{{1, 0}, {0, 1}}}})
 	if _, err := WriteString(c2); err == nil {
 		t.Error("custom gate should not be writable")
 	}

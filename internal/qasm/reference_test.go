@@ -117,7 +117,8 @@ func declaresHugeRegister(src string) bool {
 }
 
 // diffPrograms describes the first difference between two parsed programs,
-// or returns "".  Params compare by bit pattern, so equal NaNs match.
+// or returns "".  Params compare by bit pattern, so equal NaNs match, and
+// Custom by value.
 func diffPrograms(got, want *qasm.Program) string {
 	g, w := got.Circuit, want.Circuit
 	if g.N != w.N || g.Name != w.Name || len(g.Gates) != len(w.Gates) {
@@ -129,7 +130,7 @@ func diffPrograms(got, want *qasm.Program) string {
 		b := w.Gates[i]
 		if a.Kind != b.Kind || a.Target != b.Target || a.Target2 != b.Target2 ||
 			!slices.Equal(a.Controls, b.Controls) || !slices.EqualFunc(a.Params, b.Params, sameBits) ||
-			a.Mat != b.Mat || a.Label != b.Label {
+			(a.Custom == nil) != (b.Custom == nil) || a.Custom != nil && *a.Custom != *b.Custom {
 			return fmt.Sprintf("gate %d: %v, reference %v", i, a, b)
 		}
 	}

@@ -1,9 +1,10 @@
 package qasm
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"strings"
+	"strconv"
 
 	"qcec/internal/circuit"
 )
@@ -13,124 +14,151 @@ import (
 // conjugating with X gates; gates with three or more controls are not
 // representable in plain qelib1 and cause an error (decompose first).
 func Write(w io.Writer, c *circuit.Circuit) error {
-	var b strings.Builder
-	b.WriteString("OPENQASM 2.0;\n")
-	b.WriteString("include \"qelib1.inc\";\n")
-	fmt.Fprintf(&b, "qreg q[%d];\n", c.N)
-	for i, g := range c.Gates {
-		if err := writeGate(&b, g); err != nil {
-			return fmt.Errorf("qasm: gate %d (%s): %w", i, g, err)
-		}
+	b, err := appendCircuit(c)
+	if err != nil {
+		return err
 	}
-	_, err := io.WriteString(w, b.String())
+	_, err = w.Write(b)
 	return err
 }
 
 // WriteString renders a circuit as an OpenQASM 2.0 string.
 func WriteString(c *circuit.Circuit) (string, error) {
-	var b strings.Builder
-	if err := Write(&b, c); err != nil {
+	b, err := appendCircuit(c)
+	if err != nil {
 		return "", err
 	}
-	return b.String(), nil
+	return string(b), nil
 }
 
-func writeGate(b *strings.Builder, g circuit.Gate) error {
-	// Negative controls: conjugate with X.
-	var negs []int
-	for _, ctl := range g.Controls {
-		if ctl.Neg {
-			negs = append(negs, ctl.Qubit)
+// appendCircuit renders c into one buffer, sized for about 16 bytes a gate
+// ("cx q[3],q[4];\n" is 14).
+func appendCircuit(c *circuit.Circuit) ([]byte, error) {
+	b := make([]byte, 0, 64+16*len(c.Gates))
+	b = append(b, "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q["...)
+	b = strconv.AppendInt(b, int64(c.N), 10)
+	b = append(b, "];\n"...)
+	for i := range c.Gates {
+		var err error
+		if b, err = appendGate(b, &c.Gates[i]); err != nil {
+			return nil, fmt.Errorf("qasm: gate %d (%s): %w", i, c.Gates[i], err)
 		}
 	}
-	for _, q := range negs {
-		fmt.Fprintf(b, "x q[%d];\n", q)
-	}
-	if err := writePositive(b, g); err != nil {
-		return err
-	}
-	for _, q := range negs {
-		fmt.Fprintf(b, "x q[%d];\n", q)
-	}
-	return nil
+	return b, nil
 }
 
-func writePositive(b *strings.Builder, g circuit.Gate) error {
-	ctl := make([]int, len(g.Controls))
-	for i, c := range g.Controls {
-		ctl[i] = c.Qubit
+// appendGate appends g, conjugated with an X on each negative control.
+func appendGate(b []byte, g *circuit.Gate) ([]byte, error) {
+	b = appendNegatedControls(b, g)
+	b, err := appendPositive(b, g)
+	if err != nil {
+		return b, err
 	}
-	args := func(qs ...int) string {
-		parts := make([]string, len(qs))
-		for i, q := range qs {
-			parts[i] = fmt.Sprintf("q[%d]", q)
-		}
-		return strings.Join(parts, ",")
-	}
-	params := func() string {
-		if len(g.Params) == 0 {
-			return ""
-		}
-		parts := make([]string, len(g.Params))
-		for i, p := range g.Params {
-			parts[i] = fmt.Sprintf("%.17g", p)
-		}
-		return "(" + strings.Join(parts, ",") + ")"
-	}
+	return appendNegatedControls(b, g), nil
+}
 
-	if g.Kind == circuit.SWAP {
-		switch len(ctl) {
+func appendNegatedControls(b []byte, g *circuit.Gate) []byte {
+	for _, c := range g.Controls {
+		if c.Neg {
+			b = appendCall(b, "x", nil, c.Qubit)
+		}
+	}
+	return b
+}
+
+// appendPositive appends g as if all its controls were positive.
+func appendPositive(b []byte, g *circuit.Gate) ([]byte, error) {
+	cs := g.Controls
+	switch {
+	case g.Kind == circuit.SWAP:
+		switch len(cs) {
 		case 0:
-			fmt.Fprintf(b, "swap %s;\n", args(g.Target, g.Target2))
-			return nil
+			return appendCall(b, "swap", nil, g.Target, g.Target2), nil
 		case 1:
-			fmt.Fprintf(b, "cswap %s;\n", args(ctl[0], g.Target, g.Target2))
-			return nil
-		default:
-			return fmt.Errorf("SWAP with %d controls not representable in qelib1", len(ctl))
+			return appendCall(b, "cswap", nil, cs[0].Qubit, g.Target, g.Target2), nil
 		}
+		return b, fmt.Errorf("SWAP with %d controls not representable in qelib1", len(cs))
+	case g.Kind == circuit.Custom:
+		return b, errors.New("custom-matrix gates not representable in OpenQASM 2.0")
+	case g.Kind < circuit.I || g.Kind > circuit.U3:
+		return b, fmt.Errorf("unsupported gate kind %v", g.Kind)
 	}
-	if g.Kind == circuit.Custom {
-		return fmt.Errorf("custom-matrix gates not representable in OpenQASM 2.0")
-	}
-
-	base := map[circuit.Kind]string{
-		circuit.I: "id", circuit.X: "x", circuit.Y: "y", circuit.Z: "z",
-		circuit.H: "h", circuit.S: "s", circuit.Sdg: "sdg",
-		circuit.T: "t", circuit.Tdg: "tdg", circuit.SX: "sx", circuit.SXdg: "sxdg",
-		circuit.RX: "rx", circuit.RY: "ry", circuit.RZ: "rz", circuit.P: "p",
-		circuit.U2: "u2", circuit.U3: "u3",
-	}[g.Kind]
-	if base == "" {
-		return fmt.Errorf("unsupported gate kind %v", g.Kind)
-	}
-
-	switch len(ctl) {
+	// From I to U3, a kind's name is its qelib1 name.
+	base := g.Kind.String()
+	switch len(cs) {
 	case 0:
-		fmt.Fprintf(b, "%s%s %s;\n", base, params(), args(g.Target))
-		return nil
+		return appendCall(b, base, g.Params, g.Target), nil
 	case 1:
-		name, ok := map[string]string{
-			"x": "cx", "y": "cy", "z": "cz", "h": "ch", "sx": "csx",
-			"rx": "crx", "ry": "cry", "rz": "crz", "p": "cp", "u3": "cu3",
-		}[base]
-		if !ok {
-			return fmt.Errorf("controlled %s not representable in qelib1", base)
+		name := controlledName(g.Kind)
+		if name == "" {
+			return b, fmt.Errorf("controlled %s not representable in qelib1", base)
 		}
-		fmt.Fprintf(b, "%s%s %s;\n", name, params(), args(ctl[0], g.Target))
-		return nil
+		return appendCall(b, name, g.Params, cs[0].Qubit, g.Target), nil
 	case 2:
-		switch base {
-		case "x":
-			fmt.Fprintf(b, "ccx %s;\n", args(ctl[0], ctl[1], g.Target))
-			return nil
-		case "z":
+		switch g.Kind {
+		case circuit.X:
+			return appendCall(b, "ccx", nil, cs[0].Qubit, cs[1].Qubit, g.Target), nil
+		case circuit.Z:
 			// ccz via H conjugation on the target.
-			fmt.Fprintf(b, "h q[%d];\nccx %s;\nh q[%d];\n", g.Target, args(ctl[0], ctl[1], g.Target), g.Target)
-			return nil
+			b = appendCall(b, "h", nil, g.Target)
+			b = appendCall(b, "ccx", nil, cs[0].Qubit, cs[1].Qubit, g.Target)
+			return appendCall(b, "h", nil, g.Target), nil
 		}
-		return fmt.Errorf("doubly-controlled %s not representable in qelib1", base)
-	default:
-		return fmt.Errorf("%d-controlled %s not representable in qelib1 (decompose first)", len(ctl), base)
+		return b, fmt.Errorf("doubly-controlled %s not representable in qelib1", base)
 	}
+	return b, fmt.Errorf("%d-controlled %s not representable in qelib1 (decompose first)", len(cs), base)
+}
+
+// controlledName is the qelib1 name of kind k under one control, or "".
+func controlledName(k circuit.Kind) string {
+	switch k {
+	case circuit.X:
+		return "cx"
+	case circuit.Y:
+		return "cy"
+	case circuit.Z:
+		return "cz"
+	case circuit.H:
+		return "ch"
+	case circuit.SX:
+		return "csx"
+	case circuit.RX:
+		return "crx"
+	case circuit.RY:
+		return "cry"
+	case circuit.RZ:
+		return "crz"
+	case circuit.P:
+		return "cp"
+	case circuit.U3:
+		return "cu3"
+	}
+	return ""
+}
+
+// appendCall appends the statement `name(params) q[a],q[b];`, the
+// parameters at 17 significant digits (%.17g), which round-trip exactly.
+func appendCall(b []byte, name string, params []float64, qubits ...int) []byte {
+	b = append(b, name...)
+	for i, p := range params {
+		if i == 0 {
+			b = append(b, '(')
+		} else {
+			b = append(b, ',')
+		}
+		b = strconv.AppendFloat(b, p, 'g', 17, 64)
+	}
+	if len(params) > 0 {
+		b = append(b, ')')
+	}
+	b = append(b, ' ')
+	for i, q := range qubits {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "q["...)
+		b = strconv.AppendInt(b, int64(q), 10)
+		b = append(b, ']')
+	}
+	return append(b, ";\n"...)
 }

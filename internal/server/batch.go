@@ -43,7 +43,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	err := json.Unmarshal(body, &req)
+	s.releaseBody(body)
+	if err != nil {
 		s.failJSON(w, err)
 		return
 	}

@@ -8,6 +8,7 @@ import (
 
 	"qcec/internal/core"
 	"qcec/internal/dd"
+	"qcec/internal/qasm"
 )
 
 // Config parameterizes a Server.  The zero value is usable: withDefaults
@@ -88,6 +89,9 @@ type Config struct {
 	// (and before recovered jobs requeue) — swapping Server.exec after New
 	// races with workers draining a recovered backlog.
 	testExec func(*job) core.Report
+	// testReleaseParse, when set, sees every parse storage given back for
+	// reuse before it goes on the free list.
+	testReleaseParse func(*qasm.Storage)
 }
 
 func (c Config) withDefaults() Config {

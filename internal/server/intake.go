@@ -5,9 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"unicode/utf8"
+
+	"qcec/internal/qasm"
 )
 
 // Request intake: every POST body is read whole, once, and must be exactly
@@ -19,40 +23,128 @@ import (
 // json.Unmarshal, which decodes it or words the error.  So the accepted
 // language and every error text are json.Unmarshal's.
 
+// Intake memory is reused across requests, so a cache hit allocates
+// nothing per gate and nothing per body byte past maxPrealloc: a body
+// larger than that continues in a reused buffer, given back once the body
+// is decoded (the decoded strings are copies), and each circuit is parsed
+// into a reused qasm.Storage, given back by finish.  Each free list keeps
+// a few idle values, enough for the requests a handful of clients have in
+// flight at once, and drops a value grown past its cap, so the memory
+// kept idle is bounded: idleBodies·maxIdleBody for bodies, and for parses
+// idleParses storages of at most maxIdleGates gates (80 bytes each, plus
+// at most 56 bytes of Controls and Params chunks).
+const (
+	idleBodies  = 4
+	maxIdleBody = 1 << 20
+	idleParses  = 8 // two per request
+	// maxIdleGates is three times a side of a routed 5-bit compiler pair.
+	maxIdleGates = 1 << 14
+)
+
+// freeList keeps up to cap idle values for reuse.  get returns one, or the
+// zero value when none is idle; put keeps v unless the list is full.
+type freeList[T any] chan T
+
+func (f freeList[T]) get() (v T) {
+	select {
+	case v = <-f:
+	default:
+	}
+	return v
+}
+
+func (f freeList[T]) put(v T) {
+	select {
+	case f <- v:
+	default:
+	}
+}
+
+// parseStorage returns an idle parse storage, or a new one.
+func (s *Server) parseStorage() *qasm.Storage {
+	if st := s.parses.get(); st != nil {
+		return st
+	}
+	return new(qasm.Storage)
+}
+
+// releaseParse gives st back for reuse.  Its caller has made sure nothing
+// reads the circuit parsed into it any more (see finish).
+func (s *Server) releaseParse(st *qasm.Storage) {
+	if st == nil || st.Cap() > maxIdleGates {
+		return
+	}
+	if s.cfg.testReleaseParse != nil {
+		s.cfg.testReleaseParse(st)
+	}
+	s.parses.put(st)
+}
+
 // maxPrealloc bounds what readBody allocates on the word of a declared
-// Content-Length, before the bytes arrive.  A larger body's buffer grows as
-// its bytes do, so a client that declares MaxBodyBytes and sends nothing
-// holds this much, not the limit.
+// Content-Length, before the bytes arrive.  A larger body continues in a
+// reused buffer only once this much of it has arrived, so a client that
+// declares MaxBodyBytes and sends nothing holds this much, not the limit,
+// and no reused buffer.
 const maxPrealloc = 64 << 10
 
 // readBody reads the whole request body under the body limit, writing the
 // HTTP error response on failure: a declared Content-Length above the limit
 // is refused before any byte is read, and a body that runs past it is
-// refused when it does.
+// refused when it does.  Give the body to releaseBody once it is decoded.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	limit := s.cfg.MaxBodyBytes
 	if r.ContentLength > limit {
 		s.failTooLarge(w)
 		return nil, false
 	}
-	var buf bytes.Buffer
-	if r.ContentLength > 0 {
-		// Room for the declared bytes, up to maxPrealloc, and for the read
-		// that finds the end, so a body that small is read into one
-		// allocation.
-		buf.Grow(int(min(r.ContentLength, maxPrealloc)) + bytes.MinRead)
+	rd := http.MaxBytesReader(w, r.Body, limit)
+	// Room for the declared bytes, up to maxPrealloc, and for the read that
+	// finds the end, so a body that small is read into one allocation.
+	buf, err := fill(rd, make([]byte, 0, min(max(r.ContentLength, 0), maxPrealloc)+bytes.MinRead))
+	if err == nil {
+		// The body outgrew its first buffer: continue it in a reused one,
+		// doubling that whenever it fills.
+		buf = append(s.bodies.get()[:0], buf...)
+		for err == nil {
+			if len(buf) == cap(buf) {
+				buf = slices.Grow(buf, len(buf))
+			}
+			buf, err = fill(rd, buf)
+		}
 	}
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
 	var tooBig *http.MaxBytesError
 	switch {
+	case err == io.EOF:
+		return buf, true
 	case errors.As(err, &tooBig):
 		s.failTooLarge(w)
-		return nil, false
-	case err != nil:
+	default:
 		s.fail(w, http.StatusBadRequest, CodeBadRequest, "reading the request body: "+err.Error())
-		return nil, false
 	}
-	return buf.Bytes(), true
+	s.releaseBody(buf)
+	return nil, false
+}
+
+// fill reads from rd into buf's spare capacity until it is full, returning
+// a nil error then, or until rd fails (io.EOF at the end of the body).
+func fill(rd io.Reader, buf []byte) ([]byte, error) {
+	for len(buf) < cap(buf) {
+		n, err := rd.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
+// releaseBody gives a body's buffer back for reuse once nothing reads it,
+// if readBody took it from the free list (or grew it there) and it is
+// within maxIdleBody.
+func (s *Server) releaseBody(body []byte) {
+	if c := cap(body); c > maxPrealloc+bytes.MinRead && c <= maxIdleBody {
+		s.bodies.put(body)
+	}
 }
 
 // failTooLarge answers a body past MaxBodyBytes.

@@ -10,6 +10,7 @@ import (
 	"qcec/internal/circuit"
 	"qcec/internal/core"
 	"qcec/internal/ec"
+	"qcec/internal/qasm"
 	"qcec/internal/resource"
 )
 
@@ -54,6 +55,9 @@ type job struct {
 	req CheckRequest
 	g1  *circuit.Circuit
 	g2  *circuit.Circuit // g1, g2 and req's sources are dropped at retireJob
+	// parsed holds the storage g1 and g2 were parsed into, which finish
+	// gives back for reuse.
+	parsed [2]*qasm.Storage
 
 	enqueued time.Time
 	started  time.Time
@@ -234,11 +238,24 @@ func (s *Server) runJob(j *job) {
 // sources.  Between the two it caches the verdict, unless it came from the
 // cache: only once j has retired, as an identical job answered from the
 // cache before then would finish, and retire, ahead of this one.
+//
+// finish also gives j's parse storage back for reuse, the one place an
+// admitted job's storage goes back.  Nothing reads j's circuits by then: a
+// cache hit's circuits were only fingerprinted; a worker calls finish
+// after its last attempt, and core.Check returns only once every goroutine
+// it started has stopped; a batch reads its leaders' results, never their
+// circuits.  A job that never reaches finish (a batch duplicate, a keyed
+// request attached to its key's holder, a rejected one) drops its storage
+// instead.
 func (s *Server) finish(j *job, res *CheckResponse, fromCache bool) {
 	j.result = res
 	j.status.Store(jobDone)
 	j.cancel(nil)
 	s.retireJob(j)
+	for i, st := range j.parsed {
+		s.releaseParse(st)
+		j.parsed[i] = nil
+	}
 	if !fromCache && s.cache != nil && j.cacheOK && cacheable(res) {
 		s.cache.put(j.ckey, *res)
 	}
@@ -370,9 +387,11 @@ func (s *Server) buildResponse(j *job, rep core.Report, panicErr *resource.Panic
 // A retained job keeps only what it still serves: polls read its result,
 // and admit its cache key and options.  Its circuits and QASM sources are
 // dropped here, under jobsMu, which every reader of a retained job holds.
+// An untracked job drops its circuits too, as their storage is reused.
 func (s *Server) retireJob(j *job) {
 	if !j.tracked {
-		return // a keyless check or a batch item: nothing looks it up
+		j.g1, j.g2 = nil, nil // a keyless check or a batch item: nothing looks it up
+		return
 	}
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()

@@ -89,6 +89,10 @@ type Server struct {
 	// journal is the durable job WAL (nil = durability disabled).
 	journal *journal
 
+	// parses and bodies keep idle intake memory for reuse (intake.go).
+	parses freeList[*qasm.Storage]
+	bodies freeList[[]byte]
+
 	// exec runs one admitted job; tests swap it to control timing and
 	// failure modes without real circuits.
 	exec func(*job) core.Report
@@ -112,6 +116,8 @@ func New(cfg Config) (*Server, error) {
 		idemByKey:  make(map[string]string),
 		evicted:    make(map[string]struct{}),
 		cache:      newVerdictCache(cfg.CacheEntries),
+		parses:     make(freeList[*qasm.Storage], idleParses),
+		bodies:     make(freeList[[]byte], idleBodies),
 	}
 	if cfg.PoolPackages > 0 {
 		s.ddPool = dd.NewPool(cfg.PoolPackages)
@@ -227,6 +233,30 @@ func (s *Server) replayFinished(rj *replayJob) {
 	s.finish(j, rj.result, false)
 }
 
+// Connection timeouts of the daemon's http.Server (HTTPServer): a client
+// must send a request's headers within readHeaderTimeout and the whole
+// request, body included, within readTimeout, and an idle keep-alive
+// connection is closed after idleTimeout.  So a stalled client holds
+// neither a goroutine nor a body buffer for long.  There is no write
+// timeout, because a synchronous check may run for up to MaxTimeout before
+// its response is written.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// HTTPServer returns an http.Server for Handler under the connection
+// timeouts above; qcecd serves it.
+func (s *Server) HTTPServer() *http.Server {
+	return &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // Handler returns the daemon's HTTP mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -256,25 +286,32 @@ func (s *Server) buildJob(req CheckRequest) (*job, *apiError) {
 
 // buildJobWithID is buildJob under a caller-chosen id; journal recovery uses
 // it to rebuild an unfinished job with the id the client was already
-// promised.
+// promised.  The job's circuits live in reused parse storage, which finish
+// gives back.
 func (s *Server) buildJobWithID(id string, req CheckRequest) (*job, *apiError) {
 	if req.G == "" || req.Gp == "" {
 		return nil, &apiError{http.StatusBadRequest, CodeBadRequest, `both "g" and "gp" circuits are required`}
 	}
-	g1, apiErr := s.parseCircuit("g", req.G)
-	if apiErr != nil {
+	parsed := [2]*qasm.Storage{s.parseStorage(), s.parseStorage()}
+	fail := func(apiErr *apiError) (*job, *apiError) {
+		s.releaseParse(parsed[0])
+		s.releaseParse(parsed[1])
 		return nil, apiErr
 	}
-	g2, apiErr := s.parseCircuit("gp", req.Gp)
+	g1, apiErr := s.parseCircuit(parsed[0], "g", req.G)
 	if apiErr != nil {
-		return nil, apiErr
+		return fail(apiErr)
+	}
+	g2, apiErr := s.parseCircuit(parsed[1], "gp", req.Gp)
+	if apiErr != nil {
+		return fail(apiErr)
 	}
 	ckey, err := questionKey(fingerprint.Pair(g1, g2), req.Options)
 	if err != nil {
-		return nil, &apiError{http.StatusBadRequest, CodeBadRequest, err.Error()}
+		return fail(&apiError{http.StatusBadRequest, CodeBadRequest, err.Error()})
 	}
 	j := s.newJob(id, req, ckey)
-	j.g1, j.g2 = g1, g2
+	j.g1, j.g2, j.parsed = g1, g2, parsed
 	return j, nil
 }
 
@@ -318,6 +355,7 @@ func (s *Server) decodeJob(w http.ResponseWriter, r *http.Request) (*job, bool) 
 		return nil, false
 	}
 	req, err := decodeCheckRequest(body)
+	s.releaseBody(body)
 	if err != nil {
 		s.failJSON(w, err)
 		return nil, false
@@ -331,12 +369,12 @@ func (s *Server) decodeJob(w http.ResponseWriter, r *http.Request) (*job, bool) 
 	return j, true
 }
 
-// parseCircuit parses one QASM source under the size envelope.  The parser
-// enforces the envelope while it expands the source, so a short body that
-// asks for a huge register or an exponential macro expansion is rejected
-// before it is built.
-func (s *Server) parseCircuit(field, src string) (*circuit.Circuit, *apiError) {
-	prog, err := qasm.ParseLimited(src, s.cfg.MaxQubits, s.cfg.MaxGates)
+// parseCircuit parses one QASM source into st under the size envelope.
+// The parser enforces the envelope while it expands the source, so a short
+// body that asks for a huge register or an exponential macro expansion is
+// rejected before it is built.
+func (s *Server) parseCircuit(st *qasm.Storage, field, src string) (*circuit.Circuit, *apiError) {
+	prog, err := qasm.ParseInto(st, src, s.cfg.MaxQubits, s.cfg.MaxGates)
 	var tooLarge *qasm.LimitError
 	switch {
 	case errors.As(err, &tooLarge):
